@@ -48,7 +48,6 @@ from .transport import (
     DiscreteDistribution,
     OTResult,
     TransportPlan,
-    quantile_function,
     solve_ot,
     wasserstein_1d,
 )
@@ -57,7 +56,6 @@ from .tree import (
     PathDistribution,
     ScenarioTree,
     build_tree,
-    disintegrate,
     tree_to_paths,
 )
 
@@ -93,7 +91,6 @@ __all__ = [
     "cauchy_check",
     "detect_monge",
     "dirac_approximation",
-    "disintegrate",
     "embed",
     "is_bicausal",
     "is_causal",
@@ -102,7 +99,6 @@ __all__ = [
     "kr_gap_demo",
     "nested_distance",
     "nested_wasserstein",
-    "quantile_function",
     "solve_ot",
     "split_non_extreme",
     "tree_to_paths",

@@ -2,7 +2,9 @@
 
 Every command prints one JSON report to stdout (deterministic except for
 the wall-time field) and writes diagnostics to stderr.  Exit codes:
-0 success, 2 invalid input, 3 oracle or regression mismatch, 64 usage.
+0 success, 2 invalid input, 3 oracle or regression mismatch, 4 solver
+failure (the transportation simplex or the oracle LP gave no optimum),
+64 usage.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .tree import build_tree
 USAGE_EXIT = 64
 VALIDATION_EXIT = 2
 MISMATCH_EXIT = 3
+SOLVER_EXIT = 4
 
 
 class _UsageError(Exception):
@@ -482,6 +485,9 @@ def main(argv=None) -> int:
     except OracleMismatchError as exc:
         print(f"mismatch: {exc}", file=sys.stderr)
         return MISMATCH_EXIT
+    except RuntimeError as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return SOLVER_EXIT
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT

@@ -11,15 +11,17 @@ that the tree laws themselves miss.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import ValidationError
 from .metrics import GroundMetric
-from .transport import solve_ot
+from .nested import SubtreeClasses, backward
 from .tree import PathDistribution, ScenarioTree, build_tree
 
 MERGE_TOL = 1e-12
 MASS_TOL = 1e-9
+_ROUNDING = 4 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -57,6 +59,11 @@ class NestedDistribution:
         total = math.fsum(a.mass for a in self.atoms)
         if abs(total - 1.0) > MASS_TOL:
             raise ValidationError(f"atom masses sum to {total}, expected 1")
+        if abs(total - 1.0) <= _ROUNDING:
+            # Already normalized up to rounding, as the probabilities of a
+            # validated tree are: keep them bit for bit, so that a lift
+            # reproduces its tree's distances exactly.
+            total = 1.0
         atoms = _merge_atoms(
             [NestedAtom(a.mass / total, float(a.value), a.next) for a in self.atoms]
         )
@@ -119,36 +126,54 @@ def embed(tree: ScenarioTree) -> NestedDistribution:
     return lift(tree.root, 0)
 
 
+def _leaf_key(p: NestedDistribution) -> str:
+    """The ``canonical_key`` of the tree whose lift is ``p``.
+
+    Lifted masses are the tree's probabilities bit for bit, so a lift is
+    ordered against another exactly as its tree is.
+    """
+    leaves: list[tuple[tuple[float, ...], float]] = []
+
+    def walk(d: NestedDistribution, path: tuple[float, ...], mass: float) -> None:
+        for a in d.atoms:
+            if a.next is None:
+                leaves.append((path + (a.value,), mass * a.mass))
+            else:
+                walk(a.next, path + (a.value,), mass * a.mass)
+
+    walk(p, (), 1.0)
+    return repr(tuple(leaves))
+
+
 def nested_wasserstein(
     p: NestedDistribution, q: NestedDistribution, metric: GroundMetric
 ) -> float:
     """Recursive Wasserstein distance between nested distributions.
 
     Element distances add the base cost of the values to the optimal
-    transport cost between the continuations, evaluated bottom-up with the
-    exact dense solver at every level.
+    transport cost between the continuations.  This is the backward
+    recursion of :func:`nested_distance`, run over the exact atom classes
+    of the two distributions (keyed by mass, value and the class of the
+    continuation), so equal sub-distributions are solved once.  The pair is
+    ordered as the trees are, hence the lift of two trees gives their
+    nested distance bit for bit.
     """
     if p.depth != q.depth:
         raise ValidationError(f"depth mismatch: {p.depth} vs {q.depth}")
-    memo: dict[tuple[int, int], float] = {}
+    if _leaf_key(p) > _leaf_key(q):
+        p, q = q, p
 
-    def element_cost(a: NestedAtom, b: NestedAtom) -> float:
-        key = (id(a), id(b))
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        cost = metric.base_dist(a.value, b.value) ** metric.p
-        if a.next is not None:
-            cost += dist_cost(a.next, b.next)
-        memo[key] = cost
-        return cost
+    def intern(classes: SubtreeClasses, d: NestedDistribution) -> int:
+        return classes.intern(
+            tuple(
+                (a.value, a.mass, 0 if a.next is None else intern(classes, a.next))
+                for a in d.atoms
+            )
+        )
 
-    def dist_cost(pp: NestedDistribution, qq: NestedDistribution) -> float:
-        cost = [[element_cost(a, b) for b in qq.atoms] for a in pp.atoms]
-        res = solve_ot(cost, [a.mass for a in pp.atoms], [b.mass for b in qq.atoms])
-        return res.value
-
-    return metric.root(dist_cost(p, q))
+    first, second = SubtreeClasses(), SubtreeClasses()
+    root_p, root_q = intern(first, p), intern(second, q)
+    return metric.root(backward(first, second, metric)[root_p, root_q][0])
 
 
 def dirac_approximation(p: NestedDistribution, epsilon: float) -> ScenarioTree:

@@ -1,12 +1,14 @@
 """Nested (bicausal) distance by backward recursion, with an LP oracle.
 
-The backward recursion evaluates, for every pair of same-stage nodes, the
-optimal one-stage transport between the conditional next-step laws where
-the cost of a child pair adds the already-computed continuation value.
-An optimal bicausal coupling is assembled by composing the per-pair
-one-stage plans down the trees.  ``brute_force_bicausal`` solves the same
-problem as a single linear program over all path pairs and serves as an
-independent oracle.
+The continuation value of a pair of same-stage nodes is the optimal
+one-stage transport between their conditional next-step laws, where the
+cost of a child pair adds the child pair's continuation value.  It
+depends only on the two subtrees, so the backward recursion runs over
+pairs of exact subtree classes (the atoms of the nested distributions)
+and serves both scenario trees and their lifts.  An optimal bicausal
+coupling is assembled by composing the one-stage plans down the node
+pairs.  ``brute_force_bicausal`` solves the same problem as a single
+linear program over all path pairs and serves as an independent oracle.
 """
 
 from __future__ import annotations
@@ -101,31 +103,125 @@ class Coupling:
         return dev
 
 
+class SubtreeClasses:
+    """Subtree classes of one operand, hash-consed bottom-up.
+
+    A class is keyed by the exact tuple of ``(value, probability, child
+    class)`` over a node's children in value order; class 0 is the empty
+    subtree below a leaf.  The continuation value of a node pair depends
+    only on the two subtrees, so it is computed once per class pair.  Keys
+    compare floats exactly: two equal subtrees whose numbers differ in the
+    last bit get two classes, but two different subtrees never share one.
+    """
+
+    def __init__(self):
+        self._ids: dict[tuple, int] = {(): 0}
+        self._heights = [0]
+        self.keys: list[tuple[tuple[float, float, int], ...]] = [()]
+        self.levels: list[list[int]] = [[0]]
+
+    def intern(self, key: tuple[tuple[float, float, int], ...]) -> int:
+        """Class id of the subtree whose children are ``key``."""
+        cid = self._ids.get(key)
+        if cid is None:
+            cid = self._ids[key] = len(self.keys)
+            self.keys.append(key)
+            height = 1 + self._heights[key[0][2]]
+            self._heights.append(height)
+            if height == len(self.levels):
+                self.levels.append([])
+            self.levels[height].append(cid)
+        return cid
+
+
+def tree_classes(tree: ScenarioTree) -> tuple[SubtreeClasses, dict[int, int]]:
+    """The subtree classes of a tree and the class of every node."""
+    classes = SubtreeClasses()
+    of: dict[int, int] = {}
+    for t in range(tree.depth, -1, -1):
+        for nid in tree.nodes_at_stage(t):
+            kids = [tree.node(k) for k in tree.children(nid)]
+            of[nid] = classes.intern(tuple((k.value, k.cond_prob, of[k.id]) for k in kids))
+    return classes, of
+
+
+Solved = dict[tuple[int, int], tuple[float, np.ndarray | None]]
+
+
+def backward(first: SubtreeClasses, second: SubtreeClasses, metric: GroundMetric) -> Solved:
+    """Backward recursion over pairs of same-height subtree classes.
+
+    Each pair gets the optimal one-stage transport between the children's
+    laws, where a child pair costs the base distance of its values (p-th
+    power) plus the continuation value of its class pair.  Returns the
+    value and the one-stage plan of every class pair; the empty pair
+    ``(0, 0)`` has value zero and no plan.
+    """
+    solved: Solved = {(0, 0): (0.0, None)}
+    power = metric.p
+    for level_a, level_b in zip(first.levels[1:], second.levels[1:]):
+        masses_b = [[m for _, m, _ in second.keys[cb]] for cb in level_b]
+        for ca in level_a:
+            kids_a = first.keys[ca]
+            mass_a = [m for _, m, _ in kids_a]
+            for cb, mass_b in zip(level_b, masses_b):
+                kids_b = second.keys[cb]
+                cost = np.empty((len(kids_a), len(kids_b)))
+                for r, (va, _, sa) in enumerate(kids_a):
+                    for s, (vb, _, sb) in enumerate(kids_b):
+                        cost[r, s] = metric.base_dist(va, vb) ** power + solved[sa, sb][0]
+                res = solve_ot(cost, mass_a, mass_b)
+                solved[ca, cb] = (res.value, res.plan.matrix)
+    return solved
+
+
 class ValueTable:
     """Optimal continuation costs of the backward recursion.
 
     ``value(t, i, j)`` is the p-th-power cost-to-go of the node pair
     (i at stage t of mu, j at stage t of nu); stage-N entries are exactly
-    zero and the stage-0 root pair carries the total optimal cost.
+    zero and the stage-0 root pair carries the total optimal cost.  Values
+    are looked up by the pair's subtree classes on demand, so the table
+    costs no memory per node pair.
     """
 
-    def __init__(self, depth: int, values: Mapping[tuple[int, int, int], float]):
-        self.depth = depth
-        self._values = dict(values)
+    def __init__(
+        self,
+        mu: ScenarioTree,
+        nu: ScenarioTree,
+        mu_class: Mapping[int, int],
+        nu_class: Mapping[int, int],
+        solved: Solved,
+        swapped: bool = False,
+    ):
+        self.depth = mu.depth
+        self._mu, self._nu = mu, nu
+        self._mu_class, self._nu_class = mu_class, nu_class
+        self._solved = solved
+        self._swapped = swapped
 
     def value(self, stage: int, mu_node: int, nu_node: int) -> float:
-        return self._values[(stage, mu_node, nu_node)]
+        if self._mu.node(mu_node).stage != stage or self._nu.node(nu_node).stage != stage:
+            raise KeyError((stage, mu_node, nu_node))
+        ci, cj = self._mu_class[mu_node], self._nu_class[nu_node]
+        return self._solved[(cj, ci) if self._swapped else (ci, cj)][0]
 
     def items(self):
-        return self._values.items()
+        for t in range(self.depth + 1):
+            for i in self._mu.nodes_at_stage(t):
+                for j in self._nu.nodes_at_stage(t):
+                    yield (t, i, j), self.value(t, i, j)
 
     def transpose(self) -> "ValueTable":
         return ValueTable(
-            self.depth, {(t, j, i): v for (t, i, j), v in self._values.items()}
+            self._nu, self._mu, self._nu_class, self._mu_class, self._solved, not self._swapped
         )
 
     def __len__(self):
-        return len(self._values)
+        return sum(
+            len(self._mu.nodes_at_stage(t)) * len(self._nu.nodes_at_stage(t))
+            for t in range(self.depth + 1)
+        )
 
 
 class NestedResult(NamedTuple):
@@ -144,37 +240,13 @@ def _check_pair(mu: ScenarioTree, nu: ScenarioTree) -> None:
         raise ValidationError(f"depth mismatch: {mu.depth} vs {nu.depth}")
 
 
-def _backward(mu: ScenarioTree, nu: ScenarioTree, metric: GroundMetric):
-    """Dense value table plus the optimal one-stage plan per node pair."""
-    depth = mu.depth
-    values: dict[tuple[int, int, int], float] = {}
-    plans: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...], np.ndarray]] = {}
-    for i in mu.nodes_at_stage(depth):
-        for j in nu.nodes_at_stage(depth):
-            values[(depth, i, j)] = 0.0
-    for t in range(depth - 1, -1, -1):
-        for i in mu.nodes_at_stage(t):
-            kids_i = mu.children(i)
-            vi = [mu.node(k).value for k in kids_i]
-            pi = [mu.node(k).cond_prob for k in kids_i]
-            for j in nu.nodes_at_stage(t):
-                kids_j = nu.children(j)
-                vj = [nu.node(k).value for k in kids_j]
-                pj = [nu.node(k).cond_prob for k in kids_j]
-                cost = np.empty((len(kids_i), len(kids_j)))
-                for a, ka in enumerate(kids_i):
-                    for b, kb in enumerate(kids_j):
-                        cost[a, b] = (
-                            metric.base_dist(vi[a], vj[b]) ** metric.p
-                            + values[(t + 1, ka, kb)]
-                        )
-                res = solve_ot(cost, pi, pj)
-                values[(t, i, j)] = res.value
-                plans[(i, j)] = (kids_i, kids_j, res.plan.matrix)
-    return values, plans
-
-
-def _compose_plan(mu: ScenarioTree, nu: ScenarioTree, plans) -> Coupling:
+def _compose_plan(
+    mu: ScenarioTree,
+    nu: ScenarioTree,
+    mu_class: Mapping[int, int],
+    nu_class: Mapping[int, int],
+    solved: Solved,
+) -> Coupling:
     depth = mu.depth
     masses: dict[tuple[tuple[float, ...], tuple[float, ...]], float] = {}
     stack = [(mu.root, nu.root, 1.0, 0)]
@@ -184,9 +256,9 @@ def _compose_plan(mu: ScenarioTree, nu: ScenarioTree, plans) -> Coupling:
             key = (mu.path(i), nu.path(j))
             masses[key] = masses.get(key, 0.0) + mass
             continue
-        kids_i, kids_j, x = plans[(i, j)]
-        for a, ka in enumerate(kids_i):
-            for b, kb in enumerate(kids_j):
+        x = solved[mu_class[i], nu_class[j]][1]
+        for a, ka in enumerate(mu.children(i)):
+            for b, kb in enumerate(nu.children(j)):
                 frac = x[a, b]
                 if frac > 0.0:
                     stack.append((ka, kb, mass * frac, t + 1))
@@ -198,20 +270,25 @@ def nested_distance(
 ) -> NestedResult:
     """Nested distance, value table and an optimal bicausal coupling.
 
-    The recursion runs on the canonically ordered pair (results are
-    transposed back when the arguments are swapped), which makes the
-    returned distance exactly symmetric in its arguments.
+    The recursion solves one transport problem per pair of subtree
+    classes (see :class:`SubtreeClasses`) rather than per node pair, and
+    the plan is composed down the node pairs from the class pairs' plans.
+    It runs on the canonically ordered pair (results are transposed back
+    when the arguments are swapped), which makes the returned distance
+    exactly symmetric in its arguments.
     """
     _check_pair(mu, nu)
     swapped = mu.canonical_key() > nu.canonical_key()
     first, second = (nu, mu) if swapped else (mu, nu)
-    values, plans = _backward(first, second, metric)
-    plan = _compose_plan(first, second, plans)
-    table = ValueTable(first.depth, values)
+    classes_1, of_1 = tree_classes(first)
+    classes_2, of_2 = tree_classes(second)
+    solved = backward(classes_1, classes_2, metric)
+    plan = _compose_plan(first, second, of_1, of_2, solved)
+    table = ValueTable(first, second, of_1, of_2, solved)
+    total = solved[of_1[first.root], of_2[second.root]][0]
     if swapped:
         plan = plan.transpose()
         table = table.transpose()
-    total = values[(0, first.root, second.root)]
     return NestedResult(metric.root(total), table, plan)
 
 

@@ -1,10 +1,12 @@
 """Exact solvers for small discrete optimal transport subproblems.
 
 Two routes are provided: a closed-form quantile (comonotone) coupling for
-one-dimensional marginals, and a dense transportation simplex for general
-nonnegative cost matrices.  Subproblem sizes here are tree branching
-factors, so exactness is preferred over large-scale approximation.  All
-functions are pure and reentrant.
+one-dimensional marginals, and :func:`solve_ot` for general nonnegative
+cost matrices, which solves problems with at most two sources or two
+targets in closed form and larger ones by a dense transportation simplex.
+Subproblem sizes here are tree branching factors, so exactness is
+preferred over large-scale approximation.  All functions are pure and
+reentrant.
 """
 
 from __future__ import annotations
@@ -91,11 +93,6 @@ class DiscreteDistribution:
         if idx >= len(self.locations):
             idx = len(self.locations) - 1
         return self.locations[idx]
-
-
-def quantile_function(dist: DiscreteDistribution, u: float) -> float:
-    """inf{y : F(y) >= u}, the left-continuous quantile of the distribution."""
-    return dist.quantile(u)
 
 
 @dataclass
@@ -251,41 +248,53 @@ def _find_cycle(basis, enter, m):
     return [enter] + cells[::-1]
 
 
-def solve_ot(
-    cost: Sequence[Sequence[float]] | np.ndarray,
-    a: Sequence[float] | np.ndarray,
-    b: Sequence[float] | np.ndarray,
-) -> OTResult:
-    """Exact optimum of the dense transportation problem.
+def _two_sources(c: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Closed-form optimum of a transport problem with two sources.
 
-    Uses the transportation simplex with a northwest-corner start and the
-    u-v (MODI) optimality test.  Ties, both for entering and leaving cells,
-    are broken by lowest (row, col) index, making the returned basic
-    optimal plan reproducible across runs.  The final dual potentials are
-    attached to the plan.
+    Row 0 takes the columns in ascending order of ``c[0, j] - c[1, j]``
+    (ties by lowest index) until its mass runs out; row 1 takes the rest.
+    This is optimal because the problem reduces to a fractional knapsack
+    over row 0.  The dual pair puts the threshold difference on row 1.
     """
-    c = np.asarray(cost, dtype=float)
-    if c.ndim != 2 or c.size == 0:
-        raise ValidationError("cost must be a nonempty 2-d matrix")
-    if np.any(~np.isfinite(c)):
-        raise ValidationError("cost entries must be finite")
-    if np.any(c < 0.0):
-        raise ValidationError("negative cost entries rejected")
-    av = np.asarray(a, dtype=float)
-    bv = np.asarray(b, dtype=float)
-    m, n = c.shape
-    if av.shape != (m,) or bv.shape != (n,):
-        raise ValidationError("marginal lengths do not match the cost matrix")
-    if np.any(av < 0.0) or np.any(bv < 0.0):
-        raise ValidationError("masses must be nonnegative")
-    sa, sb = float(av.sum()), float(bv.sum())
-    if abs(sa - 1.0) > MASS_TOL or abs(sb - 1.0) > MASS_TOL:
-        raise ValidationError(f"mass mismatch: marginals sum to {sa} and {sb}")
-    av = av / sa
-    bv = bv / sb
+    n = c.shape[1]
+    diff = c[0] - c[1]
+    order = sorted(range(n), key=lambda j: (diff[j], j))
+    x = np.zeros((2, n))
+    left = a[0]
+    split = 0  # position in ``order`` of the last column row 0 reaches
+    for pos, j in enumerate(order):
+        if left <= 0.0:
+            break
+        take = min(b[j], left)
+        x[0, j] = take
+        left -= take
+        split = pos
+    x[1] = b - x[0]
+    threshold = diff[order[split]]
+    u = np.array([0.0, -threshold])
+    v = c[1] + threshold
+    for j in order[: split + 1]:
+        v[j] = c[0, j]
+    return x, u, v
 
-    x, basis = _northwest_corner(av, bv)
-    basis_set = set(basis)
+
+def _small_plan(c: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Optimal plan and dual pair (row 0 potential zero) when min(m, n) <= 2."""
+    m, n = c.shape
+    if m == 1:
+        return b[None, :].copy(), np.zeros(1), c[0].copy()
+    if n == 1:
+        return a[:, None].copy(), c[:, 0] - c[0, 0], c[0, :1].copy()
+    if m == 2:
+        return _two_sources(c, a, b)
+    xt, ut, vt = _two_sources(c.T, b, a)
+    return xt.T.copy(), vt - vt[0], ut + vt[0]
+
+
+def _simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Optimal basic plan and dual pair by the transportation simplex."""
+    m, n = c.shape
+    x, basis = _northwest_corner(a, b)
     max_iter = 2000 + 40 * (m + n) ** 2
     bland_after = 200 + 10 * (m + n) ** 2
     for it in range(max_iter):
@@ -311,14 +320,56 @@ def solve_ot(
             else:
                 x[cell] -= theta
         x[leave] = 0.0
-        basis_set.discard(leave)
-        basis_set.add(enter)
         basis = [cell for cell in basis if cell != leave]
         basis.append(enter)
     else:
         raise RuntimeError("transportation simplex did not converge")
-
     np.clip(x, 0.0, None, out=x)
+    return x, u, v
+
+
+def solve_ot(
+    cost: Sequence[Sequence[float]] | np.ndarray,
+    a: Sequence[float] | np.ndarray,
+    b: Sequence[float] | np.ndarray,
+) -> OTResult:
+    """Exact optimum of the dense transportation problem.
+
+    Problems with one or two sources or targets are solved in closed form:
+    with two sources, source 0 is filled in ascending order of
+    ``c[0, j] - c[1, j]`` (ties by lowest index), and two targets are
+    handled as the transposed problem.  Larger problems use the
+    transportation simplex with a northwest-corner start and the u-v
+    (MODI) optimality test; ties, both for entering and leaving cells, are
+    broken by lowest (row, col) index.  Either route returns a
+    reproducible optimal plan with an optimal dual pair attached (row 0
+    potential zero).  Where ties allow several optimal plans the two
+    routes may pick different ones, but with equal value.
+    """
+    c = np.asarray(cost, dtype=float)
+    if c.ndim != 2 or c.size == 0:
+        raise ValidationError("cost must be a nonempty 2-d matrix")
+    if np.any(~np.isfinite(c)):
+        raise ValidationError("cost entries must be finite")
+    if np.any(c < 0.0):
+        raise ValidationError("negative cost entries rejected")
+    av = np.asarray(a, dtype=float)
+    bv = np.asarray(b, dtype=float)
+    m, n = c.shape
+    if av.shape != (m,) or bv.shape != (n,):
+        raise ValidationError("marginal lengths do not match the cost matrix")
+    if np.any(av < 0.0) or np.any(bv < 0.0):
+        raise ValidationError("masses must be nonnegative")
+    sa, sb = float(av.sum()), float(bv.sum())
+    if abs(sa - 1.0) > MASS_TOL or abs(sb - 1.0) > MASS_TOL:
+        raise ValidationError(f"mass mismatch: marginals sum to {sa} and {sb}")
+    av = av / sa
+    bv = bv / sb
+
+    if min(m, n) <= 2:
+        x, u, v = _small_plan(c, av, bv)
+    else:
+        x, u, v = _simplex(c, av, bv)
     value = float(np.sum(x * c))
     plan = TransportPlan(av, bv, x, row_potentials=u, col_potentials=v)
     return OTResult(value, plan)

@@ -315,8 +315,3 @@ def tree_to_paths(tree: ScenarioTree) -> PathDistribution:
     """Flatten a tree back to its path law."""
     pairs = tree.leaf_paths()
     return PathDistribution(tuple(p for p, _ in pairs), tuple(w for _, w in pairs))
-
-
-def disintegrate(tree: ScenarioTree, node_id: int) -> DiscreteDistribution:
-    """Conditional next-step distribution at a node (module-level alias)."""
-    return tree.disintegrate(node_id)

@@ -198,6 +198,37 @@ def test_missing_file_exits_2(capsys, tmp_path):
     assert "invalid input" in captured.err
 
 
+def test_solver_failure_exits_4(pair_files, capsys, monkeypatch):
+    import nestedot.nested
+    from scipy.optimize import OptimizeResult
+
+    mu, nu = pair_files
+    monkeypatch.setattr(
+        nestedot.nested, "linprog",
+        lambda *a, **k: OptimizeResult(success=False, message="forced failure"),
+    )
+    code = main(["compute", "nested", "--mu", str(mu), "--nu", str(nu), "--oracle"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.err.splitlines() == [
+        "solver failure: bicausal oracle LP failed: forced failure"
+    ]
+
+
+def test_oracle_mismatch_error_keeps_exit_3(pair_files, capsys, monkeypatch):
+    import nestedot.cli
+    from nestedot.errors import OracleMismatchError
+
+    def mismatch(*args):
+        raise OracleMismatchError("routes disagree")
+
+    mu, nu = pair_files
+    monkeypatch.setattr(nestedot.cli, "nested_distance", mismatch)
+    code = main(["compute", "nested", "--mu", str(mu), "--nu", str(nu)])
+    assert code == 3
+    assert "mismatch: routes disagree" in capsys.readouterr().err
+
+
 def test_demo_commands(capsys):
     code, report, _ = run(capsys, "demo", "incompleteness", "--p", "1", "--n-max", "4")
     assert code == 0 and report["results"]["pass"] is True

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from nestedot import (
     NestedAtom,
     NestedDistribution,
     PathDistribution,
+    ScenarioTree,
     ValidationError,
     build_tree,
     dirac_approximation,
@@ -26,6 +28,7 @@ from nestedot.families import (
     random_tree_pair,
 )
 from nestedot.io import dumps_canonical, nested_from_json, nested_to_json
+from nestedot.tree import Node
 
 M1 = GroundMetric.usual(1.0)
 M2 = GroundMetric.usual(2.0)
@@ -211,3 +214,19 @@ def test_json_round_trip():
     limit = fan_limit_nested()
     back2 = nested_from_json(json.loads(dumps_canonical(nested_to_json(limit))))
     assert _same_distribution(limit, back2)
+
+
+def test_lift_keeps_tree_probabilities_bit_for_bit():
+    # The tree renormalizes these to 0.8999999999999999 and 0.1, which
+    # sum to 1 - 2**-53; a second renormalization would move them.
+    mu = ScenarioTree(1, [
+        Node(0, None, 0, None, None),
+        Node(1, 0, 1, 0.0, 0.900000000018),
+        Node(2, 0, 1, 1.0, 0.100000000002),
+    ])
+    probs = [mu.node(k).cond_prob for k in mu.children(mu.root)]
+    assert math.fsum(probs) != 1.0
+    assert [a.mass for a in embed(mu).atoms] == probs
+    nu = build_tree(PathDistribution.from_pairs([((0.25,), 0.5), ((0.75,), 0.5)]))
+    for metric in (M1, M2):
+        assert nested_wasserstein(embed(mu), embed(nu), metric) == nested_distance(mu, nu, metric).distance

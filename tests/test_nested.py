@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import nestedot.nested
 from nestedot import (
     GroundMetric,
     PathDistribution,
@@ -9,9 +10,12 @@ from nestedot import (
     brute_force_bicausal,
     build_tree,
     cauchy_check,
+    embed,
     is_bicausal,
     kr_distance,
     nested_distance,
+    nested_wasserstein,
+    solve_ot,
     wasserstein_distance,
 )
 from nestedot.families import (
@@ -222,3 +226,137 @@ def test_plan_transpose_orientation():
     for e in res_swapped.plan.entries:
         assert e.mu_path in merged_paths
     assert res.distance == res_swapped.distance
+
+
+# ------------------------------------------- class-shared engine vs dense
+
+
+def _dense_backward(mu, nu, metric):
+    """Reference: one transport problem per node pair, as a plain table."""
+    depth = mu.depth
+    values = {(depth, i, j): 0.0 for i in mu.nodes_at_stage(depth) for j in nu.nodes_at_stage(depth)}
+    for t in range(depth - 1, -1, -1):
+        for i in mu.nodes_at_stage(t):
+            kids_i = mu.children(i)
+            vi = [mu.node(k).value for k in kids_i]
+            pi = [mu.node(k).cond_prob for k in kids_i]
+            for j in nu.nodes_at_stage(t):
+                kids_j = nu.children(j)
+                vj = [nu.node(k).value for k in kids_j]
+                pj = [nu.node(k).cond_prob for k in kids_j]
+                cost = np.empty((len(kids_i), len(kids_j)))
+                for a, ka in enumerate(kids_i):
+                    for b, kb in enumerate(kids_j):
+                        cost[a, b] = (
+                            metric.base_dist(vi[a], vj[b]) ** metric.p
+                            + values[(t + 1, ka, kb)]
+                        )
+                values[(t, i, j)] = solve_ot(cost, pi, pj).value
+    return values
+
+
+def _dense_nested(mu, nu, metric):
+    """Reference distance and table, on the same canonical pair ordering."""
+    if mu.canonical_key() > nu.canonical_key():
+        distance, values = _dense_nested(nu, mu, metric)
+        return distance, {(t, j, i): v for (t, i, j), v in values.items()}
+    values = _dense_backward(mu, nu, metric)
+    return metric.root(values[(0, mu.root, nu.root)]), values
+
+
+def dyadic_walk(depth, step, up):
+    """Recombining walk from 0 with steps +-step, up-probability ``up``.
+
+    Steps and probabilities are dyadic, so up-then-down equals
+    down-then-up bit for bit and equal levels give equal subtrees.
+    """
+    pairs = []
+    for k in range(2**depth):
+        x, w, path = 0.0, 1.0, []
+        for t in range(depth):
+            if (k >> t) & 1:
+                x, w = x + step, w * up
+            else:
+                x, w = x - step, w * (1.0 - up)
+            path.append(x)
+        pairs.append((tuple(path), w))
+    return build_tree(PathDistribution.from_pairs(pairs))
+
+
+def _engine_cases():
+    rng = np.random.default_rng(4242)
+    metrics = [M1, M2, GroundMetric.truncated(1.0, cap=0.5), GroundMetric.truncated(2.0, cap=1.0)]
+    for k in range(24):
+        yield (*random_tree_pair(rng, int(rng.integers(1, 4))), metrics[k % 4])
+    for depth in (2, 3, 4):
+        for metric in metrics:
+            yield dyadic_walk(depth, 0.5, 0.5), dyadic_walk(depth, 0.25, 0.75), metric
+            yield dyadic_walk(depth, 0.125, 0.375), dyadic_walk(depth, 0.5, 0.625), metric
+
+
+def test_engine_matches_dense_reference_exactly():
+    for mu, nu, metric in _engine_cases():
+        res = nested_distance(mu, nu, metric)
+        distance, values = _dense_nested(mu, nu, metric)
+        assert res.distance == distance
+        assert len(res.table) == len(values)
+        assert dict(res.table.items()) == values
+        for (t, i, j), v in values.items():
+            assert res.table.value(t, i, j) == v
+
+
+def test_lift_matches_tree_exactly():
+    for mu, nu, metric in _engine_cases():
+        lifted = nested_wasserstein(embed(mu), embed(nu), metric)
+        assert lifted == nested_distance(mu, nu, metric).distance
+        assert lifted == nested_wasserstein(embed(nu), embed(mu), metric)
+
+
+def test_value_table_rejects_wrong_stage():
+    fan, merged = fan_vs_merged(2)
+    table = nested_distance(fan, merged, M2).table
+    with pytest.raises(KeyError):
+        table.value(0, fan.leaves[0], merged.root)
+    with pytest.raises(KeyError):
+        table.value(1, fan.nodes_at_stage(1)[0], merged.leaves[0])
+
+
+def _counting_solves(monkeypatch):
+    calls = []
+    real = nestedot.nested.solve_ot
+
+    def counted(cost, a, b):
+        calls.append((len(a), len(b)))
+        return real(cost, a, b)
+
+    monkeypatch.setattr(nestedot.nested, "solve_ot", counted)
+    return calls
+
+
+def test_walk_solves_one_problem_per_class_pair(monkeypatch):
+    calls = _counting_solves(monkeypatch)
+    depth = 5
+    mu, nu = dyadic_walk(depth, 0.5, 0.5), dyadic_walk(depth, 0.25, 0.75)
+    nested_distance(mu, nu, M2)
+    class_pairs = sum(k * k for k in range(1, depth + 1))
+    assert class_pairs == 55
+    assert len(calls) == class_pairs
+    nested_wasserstein(embed(mu), embed(nu), M2)
+    assert len(calls) == 2 * class_pairs
+    assert set(calls) == {(2, 2)}
+
+
+def test_deep_walk_lazy_table(monkeypatch):
+    calls = _counting_solves(monkeypatch)
+    depth = 12
+    mu, nu = dyadic_walk(depth, 0.5, 0.5), dyadic_walk(depth, 0.25, 0.5)
+    res = nested_distance(mu, nu, M2)
+    assert len(calls) == sum(k * k for k in range(1, depth + 1))
+    assert len(res.table) == sum(4**t for t in range(depth + 1))
+    assert len(res.plan) == 2**depth
+    assert M2.root(res.table.value(0, mu.root, nu.root)) == res.distance
+    # equal levels share one class pair, hence one value
+    ups = [mu.node_at_history(h) for h in ((0.5, 0.0), (-0.5, 0.0))]
+    downs = [nu.node_at_history(h) for h in ((0.25, 0.0), (-0.25, 0.0))]
+    assert len({res.table.value(2, i, j) for i in ups for j in downs}) == 1
+    assert res.table.transpose().value(2, downs[0], ups[1]) == res.table.value(2, ups[1], downs[0])

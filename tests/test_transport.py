@@ -8,10 +8,10 @@ from nestedot import (
     DiscreteDistribution,
     GroundMetric,
     ValidationError,
-    quantile_function,
     solve_ot,
     wasserstein_1d,
 )
+from nestedot.transport import _simplex
 
 
 def dd(*atoms):
@@ -30,7 +30,7 @@ def random_distribution(rng, max_atoms=5):
 
 
 def test_quantile_dirac():
-    assert quantile_function(dd((3.0, 1.0)), 0.7) == 3.0
+    assert dd((3.0, 1.0)).quantile(0.7) == 3.0
 
 
 def test_quantile_left_continuity_at_jump():
@@ -257,3 +257,83 @@ def test_solve_ot_deterministic():
         again = solve_ot(cost, [0.5, 0.5], [0.5, 0.5])
         assert np.array_equal(first.plan.matrix, again.plan.matrix)
         assert first.value == again.value
+
+
+# ------------------------------------------------ small-shape closed form
+
+
+def _assert_optimal_certificate(res, cost):
+    """Marginals, dual feasibility, slackness, and the simplex's value."""
+    c = np.asarray(cost, dtype=float)
+    plan = res.plan
+    x, u, v = plan.matrix, plan.row_potentials, plan.col_potentials
+    assert x.min() >= 0.0
+    assert np.abs(x.sum(axis=1) - plan.row_masses).max() <= 1e-12
+    assert np.abs(x.sum(axis=0) - plan.col_masses).max() <= 1e-12
+    assert u[0] == 0.0
+    reduced = c - u[:, None] - v[None, :]
+    assert reduced.min() >= -1e-12
+    assert np.abs(x * reduced).max() <= 1e-12
+    assert res.value == float(np.sum(x * c))
+    x_simplex, _, _ = _simplex(c, plan.row_masses, plan.col_masses)
+    assert res.value == pytest.approx(float(np.sum(x_simplex * c)), abs=1e-12)
+
+
+def _masses(rng, k, zeros):
+    w = rng.integers(0 if zeros else 1, 5, size=k).astype(float)
+    if w.sum() == 0.0:
+        w[int(rng.integers(k))] = 1.0
+    return w / w.sum()
+
+
+@pytest.mark.parametrize("rows", [1, 2, "n"])
+def test_small_shapes_match_simplex(rows):
+    rng = np.random.default_rng({1: 11, 2: 22, "n": 33}[rows])
+    for trial in range(120):
+        n = int(rng.integers(1, 7))
+        m = n if rows == "n" else rows
+        cols = 2 if rows == "n" else n
+        if trial % 3 == 0:  # integer costs: many ties in c[0, j] - c[1, j]
+            cost = rng.integers(0, 4, size=(m, cols)).astype(float)
+        else:
+            cost = rng.uniform(0.0, 5.0, size=(m, cols))
+        zeros = trial % 2 == 0
+        res = solve_ot(cost, _masses(rng, m, zeros), _masses(rng, cols, zeros))
+        _assert_optimal_certificate(res, cost)
+
+
+def test_two_sources_fill_order_and_ties():
+    # c0 - c1 = (1, -1, -1, 0): row 0 takes column 1, then column 2 (tie,
+    # lower index first), then column 3.
+    cost = [[3.0, 0.0, 1.0, 2.0], [2.0, 1.0, 2.0, 2.0]]
+    quarters = [0.25, 0.25, 0.25, 0.25]
+    for a, row0 in (
+        ([0.625, 0.375], [0.0, 0.25, 0.25, 0.125]),
+        ([0.375, 0.625], [0.0, 0.25, 0.125, 0.0]),
+    ):
+        res = solve_ot(cost, a, quarters)
+        assert np.array_equal(res.plan.matrix, [row0, np.subtract(quarters, row0)])
+        _assert_optimal_certificate(res, cost)
+        transposed = solve_ot(np.transpose(cost), quarters, a)
+        assert np.array_equal(transposed.plan.matrix, res.plan.matrix.T)
+        assert transposed.value == res.value
+
+
+def test_two_by_two_flat_objective():
+    # c00 + c11 = c01 + c10: every feasible plan costs
+    # c01 a0 + c10 b0 + c11 (1 - a0 - b0).
+    for (c00, c01), (c10, c11) in (((1.0, 2.0), (3.0, 4.0)), ((2.0, 2.0), (2.0, 2.0))):
+        for a, b in (([0.5, 0.5], [0.5, 0.5]), ([0.25, 0.75], [0.875, 0.125])):
+            res = solve_ot([[c00, c01], [c10, c11]], a, b)
+            _assert_optimal_certificate(res, [[c00, c01], [c10, c11]])
+            flat = c01 * a[0] + c10 * b[0] + c11 * (1.0 - a[0] - b[0])
+            assert res.value == pytest.approx(flat, abs=1e-12)
+
+
+def test_zero_masses_in_small_shapes():
+    res = solve_ot([[7.0, 9.0, 1.0], [3.0, 5.0, 0.0]], [1.0, 0.0], [0.0, 1.0, 0.0])
+    assert res.value == 9.0
+    _assert_optimal_certificate(res, [[7.0, 9.0, 1.0], [3.0, 5.0, 0.0]])
+    res = solve_ot([[7.0, 9.0], [3.0, 5.0], [4.0, 4.0]], [0.0, 0.0, 1.0], [0.5, 0.5])
+    assert res.value == 4.0
+    _assert_optimal_certificate(res, [[7.0, 9.0], [3.0, 5.0], [4.0, 4.0]])

@@ -9,7 +9,6 @@ from nestedot import (
     ScenarioTree,
     ValidationError,
     build_tree,
-    disintegrate,
     tree_to_paths,
 )
 from nestedot.families import fan_vs_merged, random_tree
@@ -134,7 +133,7 @@ def test_uniform_binary_three_stages():
 def test_disintegrate_examples():
     fan, merged = fan_vs_merged(2)
     node = merged.nodes_at_stage(1)[0]
-    dist = disintegrate(merged, node)
+    dist = merged.disintegrate(node)
     assert dist.locations == (-1.0, 1.0)
     assert dist.masses == (0.5, 0.5)
     chain = build_tree(paths_of(((0.0, 1.0), 1.0)))
