@@ -1,8 +1,11 @@
 """Command-line front end: compute distances, check plans, run regressions.
 
 Every command prints one JSON report to stdout (deterministic except for
-the wall-time field) and writes diagnostics to stderr.  Exit codes:
-0 success, 2 invalid input, 3 oracle or regression mismatch, 4 solver
+the wall-time field) and writes diagnostics to stderr.  Each command
+takes only the flags its handler reads, and the report's ``params`` lists
+every one of them except file paths, which appear under ``inputs`` or
+``results``.  The parser is built once per process.  Exit codes: 0
+success, 2 invalid input, 3 oracle or regression mismatch, 4 solver
 failure (the transportation simplex or the oracle LP gave no optimum),
 64 usage.
 """
@@ -10,6 +13,7 @@ failure (the transportation simplex or the oracle LP gave no optimum),
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -17,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .causality import detect_monge, is_bicausal, is_causal, split_non_extreme
+from .causality import is_bicausal, is_causal, split_non_extreme
 from .embedding import embed, nested_wasserstein
 from .errors import OracleMismatchError, ValidationError
 from .families import (
@@ -60,6 +64,13 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Raises on usage errors.  Abbreviations are off, so that a flag a
+    command does not take (``--p`` on ``check coupling``) is rejected
+    instead of read as a prefix of one it does take (``--plan``)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -70,8 +81,12 @@ def _metric_from(args) -> GroundMetric:
     return GroundMetric.truncated(args.p, args.cap)
 
 
-def _add_metric_flags(parser) -> None:
+def _add_p_flag(parser) -> None:
     parser.add_argument("--p", type=float, default=2.0, help="order of the distance")
+
+
+def _add_metric_flags(parser) -> None:
+    _add_p_flag(parser)
     parser.add_argument(
         "--metric", choices=["usual", "truncated"], default="usual",
         help="base metric on the line",
@@ -79,17 +94,37 @@ def _add_metric_flags(parser) -> None:
     parser.add_argument(
         "--cap", type=float, default=1.0, help="cap of the truncated base metric"
     )
+
+
+def _add_tol_flag(parser) -> None:
     parser.add_argument(
         "--tol", type=float, default=1e-9, help="checker and comparison tolerance"
     )
 
 
+# Destinations that are not flags (dispatch) or are file paths (reported
+# under "inputs" or "results"); every other destination is a parameter.
+_NOT_PARAMS = frozenset({
+    "command", "what", "handler",
+    "mu", "nu", "P", "Q", "plan", "csv", "output", "emit_plan", "out_pi", "out_pi_tilde",
+})
+
+
 def _params(args) -> dict:
+    params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS}
+    if params.get("metric") == "usual":
+        params["cap"] = None
+    return params
+
+
+def _report(args, inputs: dict, results: dict) -> dict:
+    what = getattr(args, "what", None)
     return {
-        "p": args.p,
-        "metric": args.metric,
-        "cap": args.cap if args.metric == "truncated" else None,
-        "tol": args.tol,
+        "command": args.command if what is None else f"{args.command} {what}",
+        "inputs": inputs,
+        "params": _params(args),
+        "results": results,
+        "oracle_check": "skipped",
     }
 
 
@@ -115,16 +150,19 @@ def build_parser() -> _Parser:
     csub = compute.add_subparsers(dest="what", required=True)
     for name in ("nested", "wasserstein", "kr"):
         cp = csub.add_parser(name)
+        cp.set_defaults(handler=_cmd_compute_pair)
         cp.add_argument("--mu", required=True, help="tree JSON of the first law")
         cp.add_argument("--nu", required=True, help="tree JSON of the second law")
         _add_metric_flags(cp)
-        cp.add_argument("--emit-plan", help="write the optimal/rearrangement plan JSON here")
+        if name != "wasserstein":
+            cp.add_argument("--emit-plan", help="write the optimal/rearrangement plan JSON here")
         if name == "nested":
             cp.add_argument(
                 "--oracle", action="store_true",
                 help="cross-check against the brute-force bicausal LP",
             )
     lifted = csub.add_parser("lifted")
+    lifted.set_defaults(handler=_cmd_compute_lifted)
     lifted.add_argument("--P", required=True, help="nested-distribution JSON")
     lifted.add_argument("--Q", required=True, help="nested-distribution JSON")
     _add_metric_flags(lifted)
@@ -132,26 +170,29 @@ def build_parser() -> _Parser:
     check = sub.add_parser("check", help="verify properties of a coupling")
     ksub = check.add_subparsers(dest="what", required=True)
     kc = ksub.add_parser("coupling")
+    kc.set_defaults(handler=_cmd_check)
     kc.add_argument("--plan", required=True)
     kc.add_argument("--mu", required=True)
     kc.add_argument("--nu", required=True)
-    _add_metric_flags(kc)
+    _add_tol_flag(kc)
 
     split = sub.add_parser("split", help="split a non-extreme causal coupling")
+    split.set_defaults(handler=_cmd_split)
     split.add_argument("--plan", required=True)
     split.add_argument("--mu", required=True)
     split.add_argument("--nu", required=True)
     split.add_argument("--lambda", dest="lam", type=float, default=None)
     split.add_argument("--out-pi", help="output path for the reshaped component")
     split.add_argument("--out-pi-tilde", help="output path for the remainder component")
-    _add_metric_flags(split)
+    _add_tol_flag(split)
 
     emb = sub.add_parser("embed", help="lift a tree law to a nested distribution")
+    emb.set_defaults(handler=_cmd_embed)
     emb.add_argument("--mu", required=True)
     emb.add_argument("-o", "--output", required=True)
-    _add_metric_flags(emb)
 
     fs = sub.add_parser("from-samples", help="build a tree from a CSV of sample paths")
+    fs.set_defaults(handler=_cmd_from_samples)
     fs.add_argument("--csv", required=True)
     fs.add_argument("--merge-tol", type=float, default=0.0)
     fs.add_argument(
@@ -162,6 +203,7 @@ def build_parser() -> _Parser:
 
     demo = sub.add_parser("demo", help="parameterized regression drivers")
     dsub = demo.add_subparsers(dest="what", required=True)
+    demo.set_defaults(handler=_cmd_demo)
     d1 = dsub.add_parser("incompleteness")
     d1.add_argument("--n-max", type=int, default=10)
     _add_metric_flags(d1)
@@ -171,17 +213,23 @@ def build_parser() -> _Parser:
     d3 = dsub.add_parser("kr-gap")
     d3.add_argument("--n", type=int, default=4)
     d3.add_argument("--discretize", type=int, default=16)
-    _add_metric_flags(d3)
+    _add_p_flag(d3)
     d4 = dsub.add_parser("extreme-split")
     d4.add_argument("--seed", type=int, default=0)
     d4.add_argument("--depth", type=int, default=2)
-    _add_metric_flags(d4)
     d5 = dsub.add_parser("isometry")
     d5.add_argument("--seed", type=int, default=0)
     d5.add_argument("--trials", type=int, default=20)
     d5.add_argument("--depth", type=int, default=3)
     _add_metric_flags(d5)
+    for dp in (d1, d2, d3, d4, d5):
+        _add_tol_flag(dp)
     return parser
+
+
+@functools.cache
+def _parser() -> _Parser:
+    return build_parser()
 
 
 # ------------------------------------------------------------- handlers
@@ -191,13 +239,7 @@ def _cmd_compute_pair(args, started) -> int:
     metric = _metric_from(args)
     mu = load_tree(args.mu)
     nu = load_tree(args.nu)
-    report = {
-        "command": f"compute {args.what}",
-        "inputs": _input_digests(mu=args.mu, nu=args.nu),
-        "params": _params(args),
-        "results": {},
-        "oracle_check": "skipped",
-    }
+    report = _report(args, _input_digests(mu=args.mu, nu=args.nu), {})
     if args.what == "nested":
         res = nested_distance(mu, nu, metric)
         report["results"]["distance"] = res.distance
@@ -216,9 +258,6 @@ def _cmd_compute_pair(args, started) -> int:
             report["results"]["plan_file"] = str(args.emit_plan)
     elif args.what == "wasserstein":
         report["results"]["distance"] = wasserstein_distance(mu, nu, metric)
-        if args.emit_plan:
-            print("--emit-plan is only supported for nested and kr", file=sys.stderr)
-            return VALIDATION_EXIT
     else:  # kr
         plan = kr_coupling(mu, nu)
         report["results"]["distance"] = metric.root(plan.coupling.cost(metric))
@@ -233,14 +272,8 @@ def _cmd_compute_lifted(args, started) -> int:
     metric = _metric_from(args)
     p = load_nested(args.P)
     q = load_nested(args.Q)
-    report = {
-        "command": "compute lifted",
-        "inputs": _input_digests(P=args.P, Q=args.Q),
-        "params": _params(args),
-        "results": {"distance": nested_wasserstein(p, q, metric)},
-        "oracle_check": "skipped",
-    }
-    _emit(report, started)
+    results = {"distance": nested_wasserstein(p, q, metric)}
+    _emit(_report(args, _input_digests(P=args.P, Q=args.Q), results), started)
     return 0
 
 
@@ -269,19 +302,9 @@ def _cmd_check(args, started) -> int:
     mu = load_tree(args.mu)
     nu = load_tree(args.nu)
     gamma = load_coupling(args.plan)
-    rep = is_bicausal(gamma, mu, nu, tol=args.tol)
-    monge = detect_monge(gamma, mu, nu, tol=args.tol)
-    payload = _report_to_json(rep)
-    payload["is_monge_adapted"] = monge.is_monge_adapted
-    payload["is_invertible_monge"] = monge.is_invertible_monge
-    report = {
-        "command": "check coupling",
-        "inputs": _input_digests(plan=args.plan, mu=args.mu, nu=args.nu),
-        "params": _params(args),
-        "results": payload,
-        "oracle_check": "skipped",
-    }
-    _emit(report, started)
+    results = _report_to_json(is_bicausal(gamma, mu, nu, tol=args.tol))
+    inputs = _input_digests(plan=args.plan, mu=args.mu, nu=args.nu)
+    _emit(_report(args, inputs, results), started)
     return 0
 
 
@@ -299,26 +322,21 @@ def _cmd_split(args, started) -> int:
     )
     save_coupling(res.pi, out_pi)
     save_coupling(res.pi_tilde, out_tilde)
-    report = {
-        "command": "split",
-        "inputs": _input_digests(plan=args.plan, mu=args.mu, nu=args.nu),
-        "params": _params(args),
-        "results": {
-            "lambda": res.lam,
-            "pi_file": str(out_pi),
-            "pi_tilde_file": str(out_tilde),
-            "pi_causal": is_causal(res.pi, mu, tol=args.tol).is_causal,
-            "pi_tilde_causal": is_causal(res.pi_tilde, mu, tol=args.tol).is_causal,
-            "stopping_stages": {
-                repr(list(k)): v for k, v in sorted(res.tau_per_history.items())
-            },
-            "thresholds": {
-                repr(list(k)): v for k, v in sorted(res.j_per_history.items())
-            },
+    results = {
+        "lambda": res.lam,
+        "pi_file": str(out_pi),
+        "pi_tilde_file": str(out_tilde),
+        "pi_causal": is_causal(res.pi, mu, tol=args.tol).is_causal,
+        "pi_tilde_causal": is_causal(res.pi_tilde, mu, tol=args.tol).is_causal,
+        "stopping_stages": {
+            repr(list(k)): v for k, v in sorted(res.tau_per_history.items())
         },
-        "oracle_check": "skipped",
+        "thresholds": {
+            repr(list(k)): v for k, v in sorted(res.j_per_history.items())
+        },
     }
-    _emit(report, started)
+    inputs = _input_digests(plan=args.plan, mu=args.mu, nu=args.nu)
+    _emit(_report(args, inputs, results), started)
     return 0
 
 
@@ -326,14 +344,8 @@ def _cmd_embed(args, started) -> int:
     mu = load_tree(args.mu)
     dist = embed(mu)
     save_nested(dist, args.output)
-    report = {
-        "command": "embed",
-        "inputs": _input_digests(mu=args.mu),
-        "params": _params(args),
-        "results": {"output": str(args.output), "atoms": len(dist.atoms), "depth": dist.depth},
-        "oracle_check": "skipped",
-    }
-    _emit(report, started)
+    results = {"output": str(args.output), "atoms": len(dist.atoms), "depth": dist.depth}
+    _emit(_report(args, _input_digests(mu=args.mu), results), started)
     return 0
 
 
@@ -341,33 +353,16 @@ def _cmd_from_samples(args, started) -> int:
     paths = read_samples_csv(args.csv, weight_column=args.weight_column)
     tree = build_tree(paths, merge_tol=args.merge_tol)
     save_tree(tree, args.output)
-    report = {
-        "command": "from-samples",
-        "inputs": _input_digests(csv=args.csv),
-        "params": {"merge_tol": args.merge_tol, "weight_column": args.weight_column},
-        "results": {
-            "output": str(args.output),
-            "depth": tree.depth,
-            "leaves": len(tree.leaves),
-        },
-        "oracle_check": "skipped",
-    }
-    _emit(report, started)
+    results = {"output": str(args.output), "depth": tree.depth, "leaves": len(tree.leaves)}
+    _emit(_report(args, _input_digests(csv=args.csv), results), started)
     return 0
 
 
 def _cmd_demo(args, started) -> int:
-    metric = _metric_from(args)
-    p = args.p
-    report = {
-        "command": f"demo {args.what}",
-        "inputs": {},
-        "params": _params(args),
-        "results": {},
-        "oracle_check": "skipped",
-    }
+    report = _report(args, {}, {})
     ok = True
     if args.what == "incompleteness":
+        metric, p = _metric_from(args), args.p
         rows = []
         trees = [collapsing_fan(n) for n in range(1, args.n_max + 1)]
         merged = merged_limit()
@@ -391,6 +386,7 @@ def _cmd_demo(args, started) -> int:
             "pass": ok,
         }
     elif args.what == "separating":
+        metric, p = _metric_from(args), args.p
         rows = []
         bound = 2 ** (p - 1)
         for eps in args.eps:
@@ -400,9 +396,9 @@ def _cmd_demo(args, started) -> int:
             ok = ok and d**p >= bound - args.tol
         report["results"] = {"rows": rows, "pass": ok}
     elif args.what == "kr-gap":
-        crossed = kr_gap_demo(args.n, p, family="crossed_fans")
+        crossed = kr_gap_demo(args.n, args.p, family="crossed_fans")
         hidden = kr_gap_demo(
-            args.n, p, family="hidden_branch", second_stage_atoms=args.discretize
+            args.n, args.p, family="hidden_branch", second_stage_atoms=args.discretize
         )
         ok = crossed.kr >= crossed.nested - args.tol and hidden.kr >= hidden.nested - args.tol
         report["results"] = {
@@ -438,6 +434,7 @@ def _cmd_demo(args, started) -> int:
             "pass": ok,
         }
     else:  # isometry
+        metric = _metric_from(args)
         rng = np.random.default_rng(args.seed)
         worst = 0.0
         for _ in range(args.trials):
@@ -455,7 +452,7 @@ def _cmd_demo(args, started) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     started = time.perf_counter()
     try:
         args = parser.parse_args(argv)
@@ -464,21 +461,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return USAGE_EXIT
     try:
-        if args.command == "compute":
-            if args.what == "lifted":
-                return _cmd_compute_lifted(args, started)
-            return _cmd_compute_pair(args, started)
-        if args.command == "check":
-            return _cmd_check(args, started)
-        if args.command == "split":
-            return _cmd_split(args, started)
-        if args.command == "embed":
-            return _cmd_embed(args, started)
-        if args.command == "from-samples":
-            return _cmd_from_samples(args, started)
-        if args.command == "demo":
-            return _cmd_demo(args, started)
-        raise _UsageError(f"unknown command {args.command!r}")
+        return args.handler(args, started)
     except ValidationError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return VALIDATION_EXIT
@@ -488,9 +471,6 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return SOLVER_EXIT
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
 
 
 if __name__ == "__main__":

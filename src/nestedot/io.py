@@ -1,8 +1,8 @@
 """File formats: tree JSON, plan JSON, nested-distribution JSON, sample CSV.
 
-All emitters go through :func:`dumps_canonical`, which serializes floats
-with 17 significant digits (lossless round-trip) and sorts object keys, so
-identical data produces byte-identical files.
+All emitters go through :func:`dumps_canonical`, which writes floats as
+their shortest round-trip text (every value reads back bit for bit) and
+sorts object keys, so identical data produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 from pathlib import Path
 from typing import Any
 
@@ -20,55 +19,16 @@ from .nested import Coupling, CouplingEntry
 from .tree import Node, PathDistribution, ScenarioTree
 
 
-def _format_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValidationError(f"cannot serialize non-finite float {x!r}")
-    s = format(x, ".17g")
-    if not any(ch in s for ch in ".eE"):
-        s += ".0"
-    return s
-
-
-def _serialize(obj: Any, out: list[str]) -> None:
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(_format_float(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for k, item in enumerate(obj):
-            if k:
-                out.append(",")
-            _serialize(item, out)
-        out.append("]")
-    elif isinstance(obj, dict):
-        out.append("{")
-        for k, key in enumerate(sorted(obj)):
-            if not isinstance(key, str):
-                raise ValidationError("JSON object keys must be strings")
-            if k:
-                out.append(",")
-            out.append(json.dumps(key))
-            out.append(":")
-            _serialize(obj[key], out)
-        out.append("}")
-    else:
-        raise ValidationError(f"cannot serialize {type(obj).__name__}")
-
-
 def dumps_canonical(obj: Any) -> str:
-    """Deterministic JSON text with 17-significant-digit floats."""
-    out: list[str] = []
-    _serialize(obj, out)
-    return "".join(out)
+    """Deterministic JSON text: sorted keys, no spaces, shortest round-trip floats.
+
+    A non-finite float or a value JSON cannot hold raises
+    :class:`ValidationError`.
+    """
+    try:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"cannot serialize: {exc}") from exc
 
 
 def file_digest(path: str | Path) -> str:

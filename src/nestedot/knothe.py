@@ -16,9 +16,8 @@ from .errors import OracleMismatchError, ValidationError
 from .families import crossed_fans, hidden_branch_pair
 from .metrics import GroundMetric
 from .nested import Coupling, nested_distance
+from .transport import common_refinement
 from .tree import ScenarioTree
-
-SNAP = 1e-12
 
 
 class Segment(NamedTuple):
@@ -39,31 +38,6 @@ class KRCoupling:
 
     coupling: Coupling
     segments: Mapping[tuple[int, int, int], tuple[Segment, ...]]
-
-
-def _refine(cum_a, cum_b):
-    """Common refinement of two cumulative partitions of (0, 1].
-
-    Breakpoints equal within 1e-12 are merged, so cumulative sums of equal
-    probabilities computed in different orders still align.
-    """
-    out = []
-    i = j = 0
-    prev = 0.0
-    while i < len(cum_a) and j < len(cum_b):
-        ca, cb = cum_a[i], cum_b[j]
-        cur = min(ca, cb)
-        if cur - prev > 0.0:
-            out.append((prev, cur, i, j))
-        if abs(ca - cb) <= SNAP:
-            i += 1
-            j += 1
-        elif ca < cb:
-            i += 1
-        else:
-            j += 1
-        prev = cur
-    return out
 
 
 def _cumulative(tree: ScenarioTree, node: int, reverse: bool):
@@ -92,7 +66,7 @@ def _build(mu: ScenarioTree, nu: ScenarioTree, decreasing: bool):
             continue
         kids_i, cum_i = _cumulative(mu, i, False)
         kids_j, cum_j = _cumulative(nu, j, decreasing)
-        segs = _refine(cum_i, cum_j)
+        segs = common_refinement(cum_i, cum_j)
         segments[(t + 1, i, j)] = tuple(
             Segment(lo, hi, kids_i[a], kids_j[b]) for lo, hi, a, b in segs
         )

@@ -70,12 +70,6 @@ class Coupling:
     def total_mass(self) -> float:
         return math.fsum(e.mass for e in self.entries)
 
-    def mu_marginal(self) -> dict[tuple[float, ...], float]:
-        out: dict[tuple[float, ...], float] = {}
-        for e in self.entries:
-            out[e.mu_path] = out.get(e.mu_path, 0.0) + e.mass
-        return out
-
     def nu_marginal(self) -> dict[tuple[float, ...], float]:
         out: dict[tuple[float, ...], float] = {}
         for e in self.entries:
@@ -88,19 +82,6 @@ class Coupling:
     def cost(self, metric: GroundMetric) -> float:
         """Total p-th-power transport cost of the plan."""
         return math.fsum(e.mass * metric.path_cost(e.mu_path, e.nu_path) for e in self.entries)
-
-    def validate_marginals(
-        self, mu: ScenarioTree, nu: ScenarioTree, tol: float = 1e-9
-    ) -> float:
-        """Max deviation of both marginals from the trees' path laws."""
-        dev = 0.0
-        for tree, marginal in ((mu, self.mu_marginal()), (nu, self.nu_marginal())):
-            law = dict(tree.leaf_paths())
-            for path in set(law) | set(marginal):
-                dev = max(dev, abs(law.get(path, 0.0) - marginal.get(path, 0.0)))
-        if dev > tol:
-            raise ValidationError(f"coupling marginals deviate by {dev}")
-        return dev
 
 
 class SubtreeClasses:

@@ -126,6 +126,33 @@ class OTResult(NamedTuple):
     plan: TransportPlan
 
 
+def common_refinement(cum_a, cum_b) -> list[tuple[float, float, int, int]]:
+    """Common refinement of two cumulative partitions of (0, 1].
+
+    Returns the segments ``(lo, hi, i, j)`` of positive width, where ``i``
+    and ``j`` index the cells of ``cum_a`` and ``cum_b`` covering them.
+    Breakpoints equal within ``SNAP`` are merged, so cumulative sums of
+    equal probabilities computed in different orders still align.
+    """
+    out = []
+    i = j = 0
+    prev = 0.0
+    while i < len(cum_a) and j < len(cum_b):
+        ca, cb = cum_a[i], cum_b[j]
+        cur = min(ca, cb)
+        if cur - prev > 0.0:
+            out.append((prev, cur, i, j))
+        if abs(ca - cb) <= SNAP:
+            i += 1
+            j += 1
+        elif ca < cb:
+            i += 1
+        else:
+            j += 1
+        prev = cur
+    return out
+
+
 def wasserstein_1d(
     a: DiscreteDistribution, b: DiscreteDistribution, metric: GroundMetric
 ) -> tuple[float, TransportPlan]:
@@ -137,26 +164,12 @@ def wasserstein_1d(
     a truncated base metric it is the quantile-plan cost only, and solvers
     route such subproblems through :func:`solve_ot` instead.
     """
-    cum_a, cum_b = a.cumulative(), b.cumulative()
     x = np.zeros((len(a), len(b)))
     cost = 0.0
-    i = j = 0
-    prev = 0.0
-    while i < len(a) and j < len(b):
-        ca, cb = cum_a[i], cum_b[j]
-        cur = min(ca, cb)
-        width = cur - prev
-        if width > 0.0:
-            cost += width * metric.base_dist(a.locations[i], b.locations[j]) ** metric.p
-            x[i, j] += width
-        if abs(ca - cb) <= SNAP:
-            i += 1
-            j += 1
-        elif ca < cb:
-            i += 1
-        else:
-            j += 1
-        prev = cur
+    for lo, hi, i, j in common_refinement(a.cumulative(), b.cumulative()):
+        width = hi - lo
+        cost += width * metric.base_dist(a.locations[i], b.locations[j]) ** metric.p
+        x[i, j] += width
     plan = TransportPlan(np.asarray(a.masses), np.asarray(b.masses), x)
     return cost, plan
 

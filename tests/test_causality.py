@@ -181,6 +181,24 @@ def test_product_coupling_not_monge():
     assert not rep.is_monge_adapted
 
 
+def test_bicausal_report_carries_monge_fields():
+    # `check coupling` reads the Monge fields from the bicausal report alone.
+    rng = np.random.default_rng(3)
+    tree = random_tree(rng, 3, max_leaves=8)
+    shifted = {
+        nid: tree.node(nid).value + 0.5 * s
+        for s in range(1, tree.depth + 1)
+        for nid in tree.nodes_at_stage(s)
+    }
+    monge_plan, image = monge_pushforward(tree, shifted)
+    fan, merged = fan_vs_merged(2)
+    cases = [(monge_plan, tree, image, True), (product_coupling(fan, merged), fan, merged, False)]
+    for plan, mu, nu, is_monge in cases:
+        bicausal, monge = is_bicausal(plan, mu, nu), detect_monge(plan, mu, nu)
+        assert bicausal.is_monge_adapted == monge.is_monge_adapted == is_monge
+        assert bicausal.is_invertible_monge == monge.is_invertible_monge == is_monge
+
+
 # ---------------------------------------------------------------- split
 
 

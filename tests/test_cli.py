@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from nestedot import Coupling
+from nestedot import Coupling, cli
 from nestedot.cli import main
 from nestedot.families import fan_vs_merged
 from nestedot.io import (
@@ -182,11 +182,99 @@ def test_from_samples_variants(capsys, tmp_path):
     assert law[(1.0,)] == pytest.approx(0.75)
 
 
+# The settable values commands used to accept and never read; each is now
+# unknown to its command.
+DEAD_FLAGS = [
+    (["compute", "nested", "--mu", "a", "--nu", "b"], ["--tol", "1e-6"]),
+    (["compute", "wasserstein", "--mu", "a", "--nu", "b"], ["--tol", "1e-6"]),
+    (["compute", "kr", "--mu", "a", "--nu", "b"], ["--tol", "1e-6"]),
+    (["compute", "lifted", "--P", "a", "--Q", "b"], ["--tol", "1e-6"]),
+    (["compute", "wasserstein", "--mu", "a", "--nu", "b"], ["--emit-plan", "x"]),
+    *[
+        (cmd, [flag, value])
+        for cmd in (
+            ["check", "coupling", "--plan", "g", "--mu", "a", "--nu", "b"],
+            ["split", "--plan", "g", "--mu", "a", "--nu", "b"],
+            ["demo", "extreme-split"],
+        )
+        for flag, value in (("--p", "1"), ("--metric", "truncated"), ("--cap", "2"))
+    ],
+    *[
+        (["embed", "--mu", "a", "-o", "P"], [flag, value])
+        for flag, value in (("--p", "2"), ("--metric", "truncated"), ("--cap", "2"), ("--tol", "0"))
+    ],
+    (["demo", "kr-gap"], ["--metric", "truncated"]),
+    (["demo", "kr-gap"], ["--cap", "2"]),
+]
+
+
 def test_unknown_flag_exits_64(capsys):
     code = main(["compute", "nested", "--bogus"])
     captured = capsys.readouterr()
     assert code == 64
     assert "usage" in captured.err.lower() or "error" in captured.err.lower()
+    assert len(DEAD_FLAGS) == 20
+    for argv, flag in DEAD_FLAGS:
+        assert main(argv + flag) == 64, argv + flag
+        assert f"error: unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+def test_params_list_every_flag_but_paths():
+    expected = {
+        "compute nested --mu a --nu b": {"p", "metric", "cap", "oracle"},
+        "compute wasserstein --mu a --nu b": {"p", "metric", "cap"},
+        "compute kr --mu a --nu b": {"p", "metric", "cap"},
+        "compute lifted --P a --Q b": {"p", "metric", "cap"},
+        "check coupling --plan g --mu a --nu b": {"tol"},
+        "split --plan g --mu a --nu b": {"lam", "tol"},
+        "embed --mu a -o P": set(),
+        "from-samples --csv s -o t": {"merge_tol", "weight_column"},
+        "demo incompleteness": {"n_max", "p", "metric", "cap", "tol"},
+        "demo separating": {"eps", "p", "metric", "cap", "tol"},
+        "demo kr-gap": {"n", "discretize", "p", "tol"},
+        "demo extreme-split": {"seed", "depth", "tol"},
+        "demo isometry": {"seed", "trials", "depth", "p", "metric", "cap", "tol"},
+    }
+    for argv, keys in expected.items():
+        assert set(cli._params(cli._parser().parse_args(argv.split()))) == keys, argv
+    args = cli._parser().parse_args("compute kr --mu a --nu b --metric truncated".split())
+    assert cli._params(args)["cap"] == 1.0
+    assert cli._params(cli._parser().parse_args("compute kr --mu a --nu b".split()))["cap"] is None
+
+
+def test_parser_built_once_per_process(pair_files, capsys, monkeypatch):
+    mu, nu = pair_files
+    calls = []
+    build = cli.build_parser
+
+    def counting():
+        calls.append(1)
+        return build()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting)
+    try:
+        for _ in range(3):
+            assert main(["compute", "kr", "--mu", str(mu), "--nu", str(nu)]) == 0
+        assert main(["compute", "kr", "--bogus"]) == 64
+    finally:
+        cli._parser.cache_clear()
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+def test_usage_error_leaves_parser_usable(pair_files, capsys):
+    mu, nu = pair_files
+    argv = ["compute", "nested", "--mu", str(mu), "--nu", str(nu), "--p", "2"]
+    code, expected, _ = run(capsys, *argv)
+    assert code == 0
+    for bad in (["compute", "nested", "--bogus"], ["compute"], ["demo", "kr-gap", "--n", "x"]):
+        assert run(capsys, *bad)[0] == 64
+    code, report, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    for rep in (report, expected):
+        rep.pop("wall_time_s")
+    assert report == expected
 
 
 def test_missing_file_exits_2(capsys, tmp_path):
