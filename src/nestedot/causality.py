@@ -6,6 +6,12 @@ exactly as mu's conditional kernel; bicausal adds the mirrored condition.
 On trees this next-step kernel test is equivalent to the measurable-map
 definition by the chain rule of disintegration.  All conditioning is on
 positive-mass histories only.
+
+On a tree a node is its history, so the checkers work on node ids: each
+plan path is matched once to a leaf, and one pass up the stages sums the
+plan's mass onto every pair of same-stage nodes, compares the child
+masses of each pair with the two kernels, and collects the law of y_t
+given each x-history for the Monge tests and the splitter.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import AlreadyExtremeError, NotCausalError, ValidationError
-from .nested import Coupling, CouplingEntry
+from .nested import Coupling
 from .tree import PathDistribution, ScenarioTree, build_tree
 
 KERNEL_TOL = 1e-9
@@ -49,38 +55,49 @@ class CausalityReport:
             raise ValidationError("invertible Monge implies Monge-adapted")
 
 
-def _snap_path(path, law_paths):
-    """Match a plan path to a tree leaf path within tolerance."""
-    if path in law_paths:
-        return path
-    for cand in law_paths:
+def _leaf_masses(
+    gamma: Coupling, mu: ScenarioTree, nu: ScenarioTree
+) -> dict[tuple[int, int], float]:
+    """Plan mass on every (mu leaf, nu leaf) pair.
+
+    Each plan path is matched to a leaf path, exactly or else within
+    ``PATH_MATCH_TOL`` per coordinate.
+    """
+    mu_leaf = {mu.path(k): k for k in mu.leaves}
+    nu_leaf = {nu.path(k): k for k in nu.leaves}
+    out: dict[tuple[int, int], float] = {}
+    for e in gamma.entries:
+        key = (_snap(e.mu_path, mu_leaf), _snap(e.nu_path, nu_leaf))
+        out[key] = out.get(key, 0.0) + e.mass
+    return out
+
+
+def _snap(path: tuple[float, ...], leaf_of: dict[tuple[float, ...], int]) -> int:
+    leaf = leaf_of.get(path)
+    if leaf is not None:
+        return leaf
+    for cand, leaf in leaf_of.items():
         if len(cand) == len(path) and all(
             abs(a - b) <= PATH_MATCH_TOL for a, b in zip(cand, path)
         ):
-            return cand
+            return leaf
     raise ValidationError(f"plan path {path} is not a leaf path of the tree")
 
 
-def _aligned_entries(gamma: Coupling, mu: ScenarioTree, nu: ScenarioTree):
-    mu_paths = {p for p, _ in mu.leaf_paths()}
-    nu_paths = {p for p, _ in nu.leaf_paths()}
-    out: dict[tuple[tuple[float, ...], tuple[float, ...]], float] = {}
-    for e in gamma.entries:
-        key = (_snap_path(e.mu_path, mu_paths), _snap_path(e.nu_path, nu_paths))
-        out[key] = out.get(key, 0.0) + e.mass
-    return [CouplingEntry(x, y, m) for (x, y), m in out.items()]
+def _marginal_deviation(masses, tree: ScenarioTree, side: int) -> float:
+    marg: dict[int, float] = {}
+    for key, m in masses.items():
+        marg[key[side]] = marg.get(key[side], 0.0) + m
+    return max(abs(tree.mass(k) - marg.get(k, 0.0)) for k in tree.leaves)
 
 
-def _marginal_deviation(entries, tree: ScenarioTree, side: int) -> float:
-    marg: dict[tuple[float, ...], float] = {}
-    for e in entries:
-        key = e[side]
-        marg[key] = marg.get(key, 0.0) + e.mass
-    law = dict(tree.leaf_paths())
-    dev = 0.0
-    for path in set(law) | set(marg):
-        dev = max(dev, abs(law.get(path, 0.0) - marg.get(path, 0.0)))
-    return dev
+def _history(tree: ScenarioTree, nid: int) -> list[int]:
+    """The nodes from stage 1 down to ``nid``."""
+    out = []
+    while nid != tree.root:
+        out.append(nid)
+        nid = tree.node(nid).parent
+    return out[::-1]
 
 
 def _nu_from_marginal(gamma: Coupling) -> ScenarioTree:
@@ -89,107 +106,85 @@ def _nu_from_marginal(gamma: Coupling) -> ScenarioTree:
 
 
 class _Analysis:
-    """One pass over a coupling: kernel deviations, Monge structure, stops."""
+    """One bottom-up pass over a coupling: kernel deviations, Monge structure.
+
+    ``masses`` holds the plan's mass on every (mu leaf, nu leaf) pair, and
+    ``y_law`` maps every mu node i of stage t in the plan's x-support to
+    the conditional law of y_t given the x-history i, as ``{value: mass}``.
+    """
 
     def __init__(self, gamma: Coupling, mu: ScenarioTree, nu: ScenarioTree, tol: float):
         self.mu = mu
         self.nu = nu
-        self.tol = tol
-        self.entries = _aligned_entries(gamma, mu, nu)
-        self.depth = mu.depth
-        dev = _marginal_deviation(self.entries, mu, 0)
+        self.masses = _leaf_masses(gamma, mu, nu)
+        dev = _marginal_deviation(self.masses, mu, 0)
         if dev > tol:
             raise ValidationError(
                 f"coupling mu-marginal deviates from the tree path law by {dev}"
             )
-        self._scan_kernels()
+        self._scan(tol)
         self._scan_monge()
 
-    def _scan_kernels(self):
-        depth, tol = self.depth, self.tol
+    def _scan(self, tol: float):
+        # From the leaves up, each stage sums the mass of every pair of
+        # stage-t nodes onto the pair of their parents, then compares each
+        # parent pair's child masses with the two trees' kernels.
+        mu, nu = self.mu, self.nu
         violations: list[Violation] = []
-        max_mu = max_nu = 0.0
-        for t in range(depth):
-            cells: dict[tuple, dict] = {}
-            for e in self.entries:
-                key = (e.mu_path[:t], e.nu_path[:t])
-                cell = cells.get(key)
+        worst = {"mu": 0.0, "nu": 0.0}
+        self.y_law: dict[int, dict[float, float]] = {}
+        cells = self.masses
+        for t in range(mu.depth, 0, -1):
+            parents: dict[tuple[int, int], list] = {}
+            for (i, j), m in cells.items():
+                law = self.y_law.setdefault(i, {})
+                y = nu.node(j).value
+                law[y] = law.get(y, 0.0) + m
+                key = (mu.node(i).parent, nu.node(j).parent)
+                cell = parents.get(key)
                 if cell is None:
-                    cell = cells[key] = {"mass": 0.0, "x": {}, "y": {}}
-                cell["mass"] += e.mass
-                xn, yn = e.mu_path[t], e.nu_path[t]
-                cell["x"][xn] = cell["x"].get(xn, 0.0) + e.mass
-                cell["y"][yn] = cell["y"].get(yn, 0.0) + e.mass
-            for (xh, yh), cell in cells.items():
-                mass = cell["mass"]
-                if mass <= 0.0:
-                    continue
-                for side, tree, hist, nxt in (
-                    ("mu", self.mu, xh, cell["x"]),
-                    ("nu", self.nu, yh, cell["y"]),
+                    cell = parents[key] = [0.0, {}, {}]
+                cell[0] += m
+                cell[1][i] = cell[1].get(i, 0.0) + m
+                cell[2][j] = cell[2].get(j, 0.0) + m
+            for (pi, pj), (mass, x_kids, y_kids) in parents.items():
+                for side, tree, node, kids in (
+                    ("mu", mu, pi, x_kids),
+                    ("nu", nu, pj, y_kids),
                 ):
-                    node = tree.node_at_history(hist)
-                    target = {
-                        tree.node(k).value: tree.node(k).cond_prob
+                    dev = max(
+                        abs(kids.get(k, 0.0) / mass - tree.node(k).cond_prob)
                         for k in tree.children(node)
-                    }
-                    dev = 0.0
-                    for v in set(target) | set(nxt):
-                        dev = max(
-                            dev, abs(nxt.get(v, 0.0) / mass - target.get(v, 0.0))
-                        )
-                    if side == "mu":
-                        max_mu = max(max_mu, dev)
-                    else:
-                        max_nu = max(max_nu, dev)
+                    )
+                    worst[side] = max(worst[side], dev)
                     if dev > tol:
-                        violations.append(Violation(t + 1, xh, yh, side, dev))
+                        violations.append(Violation(t, mu.path(pi), nu.path(pj), side, dev))
+            cells = {key: cell[0] for key, cell in parents.items()}
         violations.sort(key=lambda v: (v.stage, v.side, v.x_history, v.y_history))
         self.violations = tuple(violations)
-        self.max_mu_deviation = max_mu
-        self.max_nu_deviation = max_nu
-        self.causal = max_mu <= tol
-        self.bicausal = self.causal and max_nu <= tol
+        self.max_mu_deviation = worst["mu"]
+        self.max_nu_deviation = worst["nu"]
+        self.causal = worst["mu"] <= tol
+        self.bicausal = self.causal and worst["nu"] <= tol
 
     def _scan_monge(self):
-        # Conditional law of y_t given the x-history x_{1:t}, per stage.
-        self.y_given_x: dict[tuple[float, ...], dict[float, float]] = {}
-        for t in range(1, self.depth + 1):
-            for e in self.entries:
-                hist = e.mu_path[:t]
-                law = self.y_given_x.setdefault(hist, {})
-                yv = e.nu_path[t - 1]
-                law[yv] = law.get(yv, 0.0) + e.mass
-        monge = True
-        ymap: dict[tuple[float, ...], float] = {}
-        for hist, law in self.y_given_x.items():
-            total = math.fsum(law.values())
-            ranked = sorted(law.values(), reverse=True)
-            if len(ranked) > 1 and ranked[1] / total >= POINT_MASS_TOL:
-                monge = False
-            ymap[hist] = max(law, key=lambda v: (law[v], -v))
-        self.monge = monge
-        self.invertible = False
-        if monge:
-            support = sorted({e.mu_path for e in self.entries})
-            images = {x: tuple(ymap[x[:t]] for t in range(1, self.depth + 1)) for x in support}
-            injective = len(set(images.values())) == len(support)
-            adapted_inverse = True
-            for t in range(1, self.depth + 1):
-                seen: dict[tuple[float, ...], tuple[float, ...]] = {}
-                for x in support:
-                    ypre = images[x][:t]
-                    xpre = x[:t]
-                    if ypre in seen and seen[ypre] != xpre:
-                        adapted_inverse = False
-                        break
-                    seen[ypre] = xpre
-                if not adapted_inverse:
-                    break
-            self.invertible = injective and adapted_inverse
+        self.monge = all(self.support_size(i) == 1 for i in self.y_law)
+        self.invertible = self.monge
+        # The adapted map sends each x-history to the y-history of its
+        # atoms; it is invertible with an adapted inverse when distinct
+        # stage-t x-histories always have distinct images.
+        images: dict[int, tuple[float, ...]] = {self.mu.root: ()}
+        for t in range(1, self.mu.depth + 1):
+            if not self.invertible:
+                break
+            stage = [i for i in self.mu.nodes_at_stage(t) if i in self.y_law]
+            for i in stage:
+                law = self.y_law[i]
+                images[i] = images[self.mu.node(i).parent] + (max(law, key=law.get),)
+            self.invertible = len({images[i] for i in stage}) == len(stage)
 
-    def support_size(self, hist: tuple[float, ...]) -> int:
-        law = self.y_given_x[hist]
+    def support_size(self, node: int) -> int:
+        law = self.y_law[node]
         total = math.fsum(law.values())
         return sum(1 for m in law.values() if m / total >= POINT_MASS_TOL)
 
@@ -234,7 +229,7 @@ def is_bicausal(
 ) -> CausalityReport:
     """Check both information constraints; requires both trees."""
     analysis = _analyze(gamma, mu, nu, tol)
-    dev = _marginal_deviation(analysis.entries, nu, 1)
+    dev = _marginal_deviation(analysis.masses, nu, 1)
     if dev > tol:
         raise ValidationError(
             f"coupling nu-marginal deviates from the tree path law by {dev}"
@@ -292,33 +287,23 @@ def split_non_extreme(
     if analysis.monge:
         raise AlreadyExtremeError("already extreme: coupling is Monge-adapted")
 
-    depth = analysis.depth
-    entries = analysis.entries
+    mu, nu = analysis.mu, analysis.nu
 
-    tau: dict[tuple[float, ...], int] = {}
-    jmap: dict[tuple[float, ...], float] = {}
-    triggers: set[tuple[float, ...]] = set()
-    for e in entries:
-        x = e.mu_path
-        if x in tau:
-            continue
-        stop = depth + 1
-        for t in range(1, depth + 1):
-            if analysis.support_size(x[:t]) > 1:
-                stop = t
-                triggers.add(x[:t])
-                break
-        tau[x] = stop
-        jmap[x] = 0.0
+    # Per x-leaf, the first x-node along its history whose y-law is not a
+    # point mass (None if there is none); its stage is the stopping stage.
+    trigger = {
+        leaf: next((k for k in _history(mu, leaf) if analysis.support_size(k) > 1), None)
+        for leaf in dict.fromkeys(i for i, _ in analysis.masses)
+    }
 
-    below: dict[tuple[float, ...], float] = {}
-    mean: dict[tuple[float, ...], float] = {}
-    for hist in triggers:
-        law = analysis.y_given_x[hist]
+    below: dict[int, float] = {}
+    mean: dict[int, float] = {}
+    for node in set(trigger.values()) - {None}:
+        law = analysis.y_law[node]
         total = math.fsum(law.values())
         z = math.fsum(v * m for v, m in law.items()) / total
-        mean[hist] = z
-        below[hist] = math.fsum(m for v, m in law.items() if v < z) / total
+        mean[node] = z
+        below[node] = math.fsum(m for v, m in law.items() if v < z) / total
 
     if lam is None:
         lam = 0.5 * min(min(c, 1.0 - c) for c in below.values())
@@ -330,34 +315,28 @@ def split_non_extreme(
                 "lambda leaves no triggering branch active; the split would be vacuous"
             )
 
-    for x, stop in tau.items():
-        if stop <= depth:
-            jmap[x] = mean[x[:stop]]
-
     pi_masses: dict[tuple, float] = {}
-    for e in entries:
-        x, y, m = e.mu_path, e.nu_path, e.mass
-        stop = tau[x]
-        if stop == depth + 1:
-            pi_masses[(x, y)] = m
-            continue
-        hist = x[:stop]
-        c = below[hist]
-        if c > lam:
-            if y[stop - 1] < mean[hist]:
-                pi_masses[(x, y)] = m / c
-        else:
-            pi_masses[(x, y)] = m
-
     tilde_masses: dict[tuple, float] = {}
-    for e in entries:
-        key = (e.mu_path, e.nu_path)
-        rest = (e.mass - lam * pi_masses.get(key, 0.0)) / (1.0 - lam)
+    for (i, j), m in analysis.masses.items():
+        key = (mu.path(i), nu.path(j))
+        node = trigger[i]
+        if node is None or below[node] <= lam:
+            pi_masses[key] = m
+        elif nu.path(j)[mu.node(node).stage - 1] < mean[node]:
+            pi_masses[key] = m / below[node]
+        rest = (m - lam * pi_masses.get(key, 0.0)) / (1.0 - lam)
         if rest > 0.0:
             tilde_masses[key] = rest
 
     pi = Coupling.from_mass_map(pi_masses)
     pi_tilde = Coupling.from_mass_map(tilde_masses)
-    if sorted(pi.entries) == sorted(pi_tilde.entries):
+    if pi.entries == pi_tilde.entries:
         raise RuntimeError("split produced identical components")
-    return SplitResult(lam, pi, pi_tilde, dict(tau), dict(jmap))
+    tau = {
+        mu.path(leaf): mu.depth + 1 if node is None else mu.node(node).stage
+        for leaf, node in trigger.items()
+    }
+    jmap = {
+        mu.path(leaf): 0.0 if node is None else mean[node] for leaf, node in trigger.items()
+    }
+    return SplitResult(lam, pi, pi_tilde, tau, jmap)

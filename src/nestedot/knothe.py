@@ -15,7 +15,7 @@ from typing import Mapping, NamedTuple
 from .errors import OracleMismatchError, ValidationError
 from .families import crossed_fans, hidden_branch_pair
 from .metrics import GroundMetric
-from .nested import Coupling, nested_distance
+from .nested import Coupling, compose_plan, nested_distance
 from .transport import common_refinement
 from .tree import ScenarioTree
 
@@ -54,53 +54,34 @@ def _cumulative(tree: ScenarioTree, node: int, reverse: bool):
 
 
 def _build(mu: ScenarioTree, nu: ScenarioTree, decreasing: bool):
-    depth = mu.depth
-    masses: dict[tuple[tuple[float, ...], tuple[float, ...]], float] = {}
+    if mu.depth != nu.depth:
+        raise ValidationError(f"depth mismatch: {mu.depth} vs {nu.depth}")
     segments: dict[tuple[int, int, int], tuple[Segment, ...]] = {}
-    stack = [(mu.root, nu.root, 1.0, 0)]
-    while stack:
-        i, j, mass, t = stack.pop()
-        if t == depth:
-            key = (mu.path(i), nu.path(j))
-            masses[key] = masses.get(key, 0.0) + mass
-            continue
+
+    def cells(i: int, j: int) -> list[tuple[int, int, float]]:
         kids_i, cum_i = _cumulative(mu, i, False)
         kids_j, cum_j = _cumulative(nu, j, decreasing)
-        segs = common_refinement(cum_i, cum_j)
-        segments[(t + 1, i, j)] = tuple(
-            Segment(lo, hi, kids_i[a], kids_j[b]) for lo, hi, a, b in segs
+        segs = segments[mu.node(i).stage + 1, i, j] = tuple(
+            Segment(lo, hi, kids_i[a], kids_j[b])
+            for lo, hi, a, b in common_refinement(cum_i, cum_j)
         )
-        for lo, hi, a, b in segs:
-            stack.append((kids_i[a], kids_j[b], mass * (hi - lo), t + 1))
-    return Coupling.from_mass_map(masses), segments
+        return [(s.mu_child, s.nu_child, s.hi - s.lo) for s in segs]
+
+    return compose_plan(mu, nu, cells), segments
 
 
 def kr_coupling(mu: ScenarioTree, nu: ScenarioTree) -> KRCoupling:
     """Increasing Knothe-Rosenblatt rearrangement of the two laws.
 
-    Computed on the canonically ordered pair and transposed back, so the
-    construction is exactly symmetric in its arguments.
+    The common refinement treats both partitions alike, so swapping the
+    arguments transposes the plan and mirrors the segments exactly.
     """
-    if mu.depth != nu.depth:
-        raise ValidationError(f"depth mismatch: {mu.depth} vs {nu.depth}")
-    swapped = mu.canonical_key() > nu.canonical_key()
-    first, second = (nu, mu) if swapped else (mu, nu)
-    coupling, segments = _build(first, second, decreasing=False)
-    if swapped:
-        coupling = coupling.transpose()
-        segments = {
-            (t, j, i): tuple(Segment(s.lo, s.hi, s.nu_child, s.mu_child) for s in segs)
-            for (t, i, j), segs in segments.items()
-        }
-    return KRCoupling(coupling, segments)
+    return KRCoupling(*_build(mu, nu, decreasing=False))
 
 
 def antitone_coupling(mu: ScenarioTree, nu: ScenarioTree) -> Coupling:
     """Stagewise decreasing rearrangement (internal helper, not a metric)."""
-    if mu.depth != nu.depth:
-        raise ValidationError(f"depth mismatch: {mu.depth} vs {nu.depth}")
-    coupling, _ = _build(mu, nu, decreasing=True)
-    return coupling
+    return _build(mu, nu, decreasing=True)[0]
 
 
 def kr_distance(mu: ScenarioTree, nu: ScenarioTree, metric: GroundMetric) -> float:

@@ -7,15 +7,16 @@ depends only on the two subtrees, so the backward recursion runs over
 pairs of exact subtree classes (the atoms of the nested distributions)
 and serves both scenario trees and their lifts.  An optimal bicausal
 coupling is assembled by composing the one-stage plans down the node
-pairs.  ``brute_force_bicausal`` solves the same problem as a single
-linear program over all path pairs and serves as an independent oracle.
+pairs (``compose_plan``, shared with the Knothe-Rosenblatt plans).
+``brute_force_bicausal`` solves the same problem as a single linear
+program over all path pairs and serves as an independent oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -221,28 +222,29 @@ def _check_pair(mu: ScenarioTree, nu: ScenarioTree) -> None:
         raise ValidationError(f"depth mismatch: {mu.depth} vs {nu.depth}")
 
 
-def _compose_plan(
+def compose_plan(
     mu: ScenarioTree,
     nu: ScenarioTree,
-    mu_class: Mapping[int, int],
-    nu_class: Mapping[int, int],
-    solved: Solved,
+    cells: Callable[[int, int], Iterable[tuple[int, int, float]]],
 ) -> Coupling:
+    """Compose a coupling top-down from one-stage plans on node pairs.
+
+    ``cells(i, j)`` is the one-stage plan of the same-stage node pair
+    (i of mu, j of nu): triples ``(child of i, child of j, fraction)``
+    with positive fractions summing to one.  A node is its history, so a
+    leaf pair is reached once, with the product of the fractions along
+    its history pair as mass.
+    """
     depth = mu.depth
     masses: dict[tuple[tuple[float, ...], tuple[float, ...]], float] = {}
     stack = [(mu.root, nu.root, 1.0, 0)]
     while stack:
         i, j, mass, t = stack.pop()
         if t == depth:
-            key = (mu.path(i), nu.path(j))
-            masses[key] = masses.get(key, 0.0) + mass
+            masses[mu.path(i), nu.path(j)] = mass
             continue
-        x = solved[mu_class[i], nu_class[j]][1]
-        for a, ka in enumerate(mu.children(i)):
-            for b, kb in enumerate(nu.children(j)):
-                frac = x[a, b]
-                if frac > 0.0:
-                    stack.append((ka, kb, mass * frac, t + 1))
+        for a, b, frac in cells(i, j):
+            stack.append((a, b, mass * frac, t + 1))
     return Coupling.from_mass_map(masses)
 
 
@@ -264,7 +266,18 @@ def nested_distance(
     classes_1, of_1 = tree_classes(first)
     classes_2, of_2 = tree_classes(second)
     solved = backward(classes_1, classes_2, metric)
-    plan = _compose_plan(first, second, of_1, of_2, solved)
+
+    def cells(i: int, j: int) -> list[tuple[int, int, float]]:
+        x = solved[of_1[i], of_2[j]][1].tolist()
+        kids_j = second.children(j)
+        return [
+            (ka, kb, frac)
+            for ka, row in zip(first.children(i), x)
+            for kb, frac in zip(kids_j, row)
+            if frac > 0.0
+        ]
+
+    plan = compose_plan(first, second, cells)
     table = ValueTable(first, second, of_1, of_2, solved)
     total = solved[of_1[first.root], of_2[second.root]][0]
     if swapped:

@@ -267,7 +267,10 @@ def _two_sources(c: np.ndarray, a: np.ndarray, b: np.ndarray):
     Row 0 takes the columns in ascending order of ``c[0, j] - c[1, j]``
     (ties by lowest index) until its mass runs out; row 1 takes the rest.
     This is optimal because the problem reduces to a fractional knapsack
-    over row 0.  The dual pair puts the threshold difference on row 1.
+    over row 0.  When the mass row 0 has left and the next column's mass
+    differ by at most ``SNAP``, the column goes to row 0 whole: what
+    either would keep is rounding, not a plan cell.  The dual pair puts
+    the threshold difference on row 1.
     """
     n = c.shape[1]
     diff = c[0] - c[1]
@@ -278,10 +281,13 @@ def _two_sources(c: np.ndarray, a: np.ndarray, b: np.ndarray):
     for pos, j in enumerate(order):
         if left <= 0.0:
             break
+        split = pos
+        if abs(left - b[j]) <= SNAP:
+            x[0, j] = b[j]
+            break
         take = min(b[j], left)
         x[0, j] = take
         left -= take
-        split = pos
     x[1] = b - x[0]
     threshold = diff[order[split]]
     u = np.array([0.0, -threshold])

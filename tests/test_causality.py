@@ -6,6 +6,7 @@ import pytest
 from nestedot import (
     AlreadyExtremeError,
     Coupling,
+    CouplingEntry,
     GroundMetric,
     NotCausalError,
     ValidationError,
@@ -131,6 +132,35 @@ def test_marginal_mismatch_rejected():
         is_causal(
             Coupling.from_mass_map({((7.0, 7.0), (0.0, 1.0)): 1.0}), fan, merged
         )
+
+
+def test_plan_paths_snap_to_leaf_paths():
+    mu_eps, mu = perturbed_pair(0.1)
+    plan = Coupling.from_mass_map(
+        {
+            ((0.1, 1.0), (0.0, 1.0)): 0.5,
+            ((-0.1, -1.0), (0.0, -1.0)): 0.5,
+        }
+    )
+
+    def moved(shift, extra=()):
+        return Coupling(
+            tuple(
+                CouplingEntry(
+                    tuple(v + shift for v in e.mu_path) + extra,
+                    tuple(v - shift for v in e.nu_path),
+                    e.mass,
+                )
+                for e in plan.entries
+            )
+        )
+
+    exact = is_bicausal(plan, mu_eps, mu)
+    assert exact.violations
+    assert is_bicausal(moved(1e-12), mu_eps, mu) == exact
+    for far in (moved(1e-6), moved(0.0, extra=(0.0,))):
+        with pytest.raises(ValidationError, match="not a leaf path"):
+            is_bicausal(far, mu_eps, mu)
 
 
 # ---------------------------------------------------------------- Monge

@@ -23,6 +23,8 @@ from nestedot.families import (
     random_tree,
     random_tree_pair,
 )
+from nestedot.knothe import Segment
+from test_nested import dyadic_walk
 
 M1 = GroundMetric.usual(1.0)
 M2 = GroundMetric.usual(2.0)
@@ -86,6 +88,16 @@ def test_rearrangement_always_bicausal():
 
 
 def test_metric_axioms():
+    def assert_mirrored(a, b):
+        # The construction is symmetric: swapping the arguments transposes
+        # the plan and mirrors the segments bit for bit.
+        ab, ba = kr_coupling(a, b), kr_coupling(b, a)
+        assert ba.coupling.entries == ab.coupling.transpose().entries
+        assert ba.segments == {
+            (t, j, i): tuple(Segment(s.lo, s.hi, s.nu_child, s.mu_child) for s in segs)
+            for (t, i, j), segs in ab.segments.items()
+        }
+
     rng = np.random.default_rng(21)
     for _ in range(10):
         a = random_tree(rng, 2)
@@ -93,10 +105,12 @@ def test_metric_axioms():
         c = random_tree(rng, 2)
         dab = kr_distance(a, b, M2)
         assert dab == kr_distance(b, a, M2)  # exact symmetry
+        assert_mirrored(a, b)
         assert kr_distance(a, a, M2) == 0.0
         assert dab <= kr_distance(a, c, M2) + kr_distance(c, b, M2) + 1e-9
         if a.canonical_key() != b.canonical_key():
             assert dab > 0.0
+    assert_mirrored(dyadic_walk(4, 0.5, 0.5), dyadic_walk(4, 0.25, 0.75))
 
 
 def test_dominates_nested():

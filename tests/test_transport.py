@@ -337,3 +337,14 @@ def test_zero_masses_in_small_shapes():
     res = solve_ot([[7.0, 9.0], [3.0, 5.0], [4.0, 4.0]], [0.0, 0.0, 1.0], [0.5, 0.5])
     assert res.value == 4.0
     _assert_optimal_certificate(res, [[7.0, 9.0], [3.0, 5.0], [4.0, 4.0]])
+
+
+def test_two_sources_drop_rounding_leftovers():
+    # 0.3 - 0.1 rounds to just below 0.2, so filling row 0 used to leave
+    # 2.8e-17 of column 1 to row 1 as an extra plan cell.
+    cost = np.array([[0.0, 1.0, 2.0, 3.0], [3.0, 2.0, 1.0, 0.0]])
+    a, b = [0.3, 0.7], [0.1, 0.2, 0.3, 1 - (0.1 + 0.2 + 0.3)]
+    for res, c in ((solve_ot(cost, a, b), cost), (solve_ot(cost.T, b, a), cost.T)):
+        x = res.plan.matrix
+        assert not np.any((x > 0.0) & (x < 1e-15))
+        _assert_optimal_certificate(res, c)
