@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from .errors import ValidationError
 from .metrics import GroundMetric
 from .nested import SubtreeClasses, backward
+from .transport import MASS_TOL
 from .tree import PathDistribution, ScenarioTree, build_tree
 
 MERGE_TOL = 1e-12
-MASS_TOL = 1e-9
 _ROUNDING = 4 * sys.float_info.epsilon
 
 

@@ -9,7 +9,8 @@ and serves both scenario trees and their lifts.  An optimal bicausal
 coupling is assembled by composing the one-stage plans down the node
 pairs (``compose_plan``, shared with the Knothe-Rosenblatt plans).
 ``brute_force_bicausal`` solves the same problem as a single linear
-program over all path pairs and serves as an independent oracle.
+program over all same-stage node pairs, with one kernel row per child of
+either node of a pair, and serves as an independent oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from scipy.optimize import linprog
 
 from .errors import SizeGuardError, ValidationError
 from .metrics import GroundMetric
-from .transport import solve_ot
+from .transport import SNAP, solve_ot
 from .tree import ScenarioTree
 
 ORACLE_SIZE_GUARD = 10_000
@@ -305,98 +306,60 @@ def wasserstein_distance(
 def brute_force_bicausal(
     mu: ScenarioTree, nu: ScenarioTree, metric: GroundMetric
 ) -> OracleResult:
-    """Exact bicausal optimum as one linear program over path pairs.
+    """Exact bicausal optimum as one linear program over same-stage node pairs.
 
-    Bicausality enters as linear equalities: for every stage t and every
-    pair of stage-t histories, the joint mass on (history pair, next x
-    child) equals the child's conditional probability times the history
-    pair's mass, and symmetrically on the y side.  Conditioning on
-    zero-mass history pairs is then automatically unconstrained.
+    A node is its history, so the LP has one variable π_t(i, j) per stage t
+    and pair of stage-t nodes (i of mu, j of nu).  The root pair has mass
+    one.  Bicausality enters as kernel rows: for every pair (i, j) before
+    the last stage and every child c of i, the masses π_{t+1}(c, l) summed
+    over the children l of j equal p(c)·π_t(i, j), and symmetrically for
+    every child of j.  Conditioning on zero-mass pairs is then
+    automatically unconstrained.  The cost is the per-stage base cost
+    d(x_i, y_j)^p summed over the pairs of stages 1..N, and the plan is
+    read off the stage-N pairs.  The size guard counts leaf pairs.
     """
     _check_pair(mu, nu)
-    mu_paths = mu.leaf_paths()
-    nu_paths = nu.leaf_paths()
-    m, n = len(mu_paths), len(nu_paths)
-    if m * n > ORACLE_SIZE_GUARD:
+    if len(mu.leaves) * len(nu.leaves) > ORACLE_SIZE_GUARD:
         raise SizeGuardError("instance too large for the brute-force oracle")
+    pairs = [
+        (i, j)
+        for t in range(mu.depth + 1)
+        for i in mu.nodes_at_stage(t)
+        for j in nu.nodes_at_stage(t)
+    ]
+    col = {pair: k for k, pair in enumerate(pairs)}
+    # CSR rows; row 0 is the root row π_0(root, root) = 1
+    indptr, indices, data = [0, 1], [0], [1.0]
 
-    def var(k: int, l: int) -> int:
-        return k * n + l
+    def kernel_row(pair: tuple[int, int], prob: float, child_pairs: list[tuple[int, int]]):
+        indices.append(col[pair])
+        indices.extend(col[q] for q in child_pairs)
+        data.append(-prob)
+        data.extend([1.0] * len(child_pairs))
+        indptr.append(len(indices))
 
-    c = np.array(
-        [metric.path_cost(x, y) for x, _ in mu_paths for y, _ in nu_paths]
-    )
+    for i, j in pairs:
+        kids_i, kids_j = mu.children(i), nu.children(j)
+        for c in kids_i:
+            kernel_row((i, j), mu.node(c).cond_prob, [(c, l) for l in kids_j])
+        for l in kids_j:
+            kernel_row((i, j), nu.node(l).cond_prob, [(c, l) for c in kids_i])
 
-    mu_leaf_index = {leaf: k for k, leaf in enumerate(mu.leaves)}
-    nu_leaf_index = {leaf: l for l, leaf in enumerate(nu.leaves)}
-
-    def leaves_under(tree: ScenarioTree, nid: int, index: dict[int, int]) -> list[int]:
-        out = []
-        stack = [nid]
-        while stack:
-            cur = stack.pop()
-            kids = tree.children(cur)
-            if not kids:
-                out.append(index[cur])
-            else:
-                stack.extend(kids)
-        return out
-
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[float] = []
-    rhs: list[float] = []
-    row_id = 0
-
-    def add(entries: Iterable[tuple[int, float]], b: float):
-        nonlocal row_id
-        for col, coef in entries:
-            rows.append(row_id)
-            cols.append(col)
-            data.append(coef)
-        rhs.append(b)
-        row_id += 1
-
-    for k, (_, w) in enumerate(mu_paths):
-        add(((var(k, l), 1.0) for l in range(n)), w)
-    for l, (_, w) in enumerate(nu_paths):
-        add(((var(k, l), 1.0) for k in range(m)), w)
-
-    for t in range(1, mu.depth):
-        for i in mu.nodes_at_stage(t):
-            block_i = leaves_under(mu, i, mu_leaf_index)
-            for j in nu.nodes_at_stage(t):
-                block_j = leaves_under(nu, j, nu_leaf_index)
-                for child in mu.children(i):
-                    p_child = mu.node(child).cond_prob
-                    child_leaves = set(leaves_under(mu, child, mu_leaf_index))
-                    coefs: dict[int, float] = {}
-                    for k in block_i:
-                        base = 1.0 if k in child_leaves else 0.0
-                        for l in block_j:
-                            coefs[var(k, l)] = base - p_child
-                    add(coefs.items(), 0.0)
-                for child in nu.children(j):
-                    p_child = nu.node(child).cond_prob
-                    child_leaves = set(leaves_under(nu, child, nu_leaf_index))
-                    coefs = {}
-                    for l in block_j:
-                        base = 1.0 if l in child_leaves else 0.0
-                        for k in block_i:
-                            coefs[var(k, l)] = base - p_child
-                    add(coefs.items(), 0.0)
-
-    a_eq = sp.csr_matrix((data, (rows, cols)), shape=(row_id, m * n))
-    res = linprog(c, A_eq=a_eq, b_eq=np.array(rhs), bounds=(0.0, None), method="highs")
+    cost = [0.0] + [
+        metric.base_dist(mu.node(i).value, nu.node(j).value) ** metric.p for i, j in pairs[1:]
+    ]
+    a_eq = sp.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, len(pairs)))
+    b_eq = np.zeros(a_eq.shape[0])
+    b_eq[0] = 1.0
+    res = linprog(np.array(cost), A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
     if not res.success:
         raise RuntimeError(f"bicausal oracle LP failed: {res.message}")
-    z = res.x
-    masses: dict[tuple[tuple[float, ...], tuple[float, ...]], float] = {}
-    for k, (x, _) in enumerate(mu_paths):
-        for l, (y, _) in enumerate(nu_paths):
-            mass = z[var(k, l)]
-            if mass > 1e-12:
-                masses[(x, y)] = mass
+    first_leaf_pair = len(pairs) - len(mu.leaves) * len(nu.leaves)
+    masses = {
+        (mu.path(i), nu.path(j)): mass
+        for (i, j), mass in zip(pairs[first_leaf_pair:], res.x[first_leaf_pair:].tolist())
+        if mass > SNAP
+    }
     return OracleResult(metric.root(float(res.fun)), Coupling.from_mass_map(masses))
 
 

@@ -1,12 +1,12 @@
 """Exact solvers for small discrete optimal transport subproblems.
 
-Two routes are provided: a closed-form quantile (comonotone) coupling for
-one-dimensional marginals, and :func:`solve_ot` for general nonnegative
-cost matrices, which solves problems with at most two sources or two
-targets in closed form and larger ones by a dense transportation simplex.
+:func:`solve_ot` is the one solver route, for general nonnegative cost
+matrices: problems with at most two sources or two targets are solved in
+closed form and larger ones by a dense transportation simplex.
 Subproblem sizes here are tree branching factors, so exactness is
-preferred over large-scale approximation.  All functions are pure and
-reentrant.
+preferred over large-scale approximation.  :func:`wasserstein_1d` gives
+the cost of the quantile (comonotone) coupling of two distributions on
+the line; no solver uses it.  All functions are pure and reentrant.
 """
 
 from __future__ import annotations
@@ -161,8 +161,7 @@ def wasserstein_1d(
     The integral of d(F_a^{-1}(u), F_b^{-1}(u))^p over (0, 1] is computed
     exactly by splitting at the cumulative breakpoints of both marginals.
     For the usual base metric this is the optimal cost over all plans; for
-    a truncated base metric it is the quantile-plan cost only, and solvers
-    route such subproblems through :func:`solve_ot` instead.
+    a truncated base metric it is the quantile-plan cost only.
     """
     x = np.zeros((len(a), len(b)))
     cost = 0.0
@@ -182,7 +181,7 @@ def _northwest_corner(a: np.ndarray, b: np.ndarray):
     ra, rb = a[0], b[0]
     while True:
         t = min(ra, rb)
-        x[i, j] = max(t, 0.0)
+        x[i, j] = t if t > SNAP else 0.0
         basis.append((i, j))
         ra -= t
         rb -= t
@@ -311,7 +310,12 @@ def _small_plan(c: np.ndarray, a: np.ndarray, b: np.ndarray):
 
 
 def _simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Optimal basic plan and dual pair by the transportation simplex."""
+    """Optimal basic plan and dual pair by the transportation simplex.
+
+    A cell that the northwest-corner start or a pivot leaves at or below
+    ``SNAP`` is set to exactly zero and stays basic as a degenerate cell:
+    such a remainder is rounding, not a plan cell.
+    """
     m, n = c.shape
     x, basis = _northwest_corner(a, b)
     max_iter = 2000 + 40 * (m + n) ** 2
@@ -334,16 +338,13 @@ def _simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray):
         theta = min(x[cell] for cell in minus)
         leave = min(cell for cell in minus if x[cell] <= theta)
         for k, cell in enumerate(cycle):
-            if k % 2 == 0:
-                x[cell] += theta
-            else:
-                x[cell] -= theta
-        x[leave] = 0.0
+            x[cell] += theta if k % 2 == 0 else -theta
+            if x[cell] <= SNAP:
+                x[cell] = 0.0
         basis = [cell for cell in basis if cell != leave]
         basis.append(enter)
     else:
         raise RuntimeError("transportation simplex did not converge")
-    np.clip(x, 0.0, None, out=x)
     return x, u, v
 
 

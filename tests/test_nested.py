@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -21,11 +23,13 @@ from nestedot import (
 from nestedot.families import (
     collapsing_fan,
     fan_vs_merged,
+    hidden_branch_pair,
     merged_limit,
     perturbed_pair,
     random_tree,
     random_tree_pair,
 )
+from path_pair_oracle import path_pair_bicausal
 
 M1 = GroundMetric.usual(1.0)
 M2 = GroundMetric.usual(2.0)
@@ -174,6 +178,64 @@ def test_size_guard():
         brute_force_bicausal(big, big, M1)
     with pytest.raises(SizeGuardError):
         wasserstein_distance(big, big, M1)
+
+
+def _oracle_reference_pairs():
+    rng = np.random.default_rng(606)
+    for _ in range(20):
+        yield random_tree_pair(rng, int(rng.integers(1, 4)))
+    for n in (1, 2, 3):
+        yield fan_vs_merged(n)
+    for n, m in ((1, 2), (2, 3), (3, 5)):
+        yield collapsing_fan(n), collapsing_fan(m)
+    for n in (1, 2, 4, 8):
+        yield hidden_branch_pair(n)
+
+
+def test_oracle_matches_path_pair_reference():
+    # The node-pair LP against the path-pair LP, an independent formulation
+    for mu, nu in _oracle_reference_pairs():
+        for metric in (M1, M2, GroundMetric.truncated(2.0, cap=0.5)):
+            node = brute_force_bicausal(mu, nu, metric)
+            path = path_pair_bicausal(mu, nu, metric)
+            assert node.distance == pytest.approx(path.distance, abs=1e-10)
+            for res in (node, path):
+                assert is_bicausal(res.plan, mu, nu).is_bicausal
+                assert res.plan.cost(metric) == pytest.approx(res.distance**metric.p, abs=1e-12)
+
+
+def full_tree(branching, weights, values):
+    """Full tree with ``branching[t]`` children per stage-t node; the k-th
+    child at stage t has conditional weight ``weights(t, k)`` (normalized
+    per sibling group) and value ``values(t, k)``."""
+    pairs = []
+    for idx in itertools.product(*(range(b) for b in branching)):
+        w = 1.0
+        for t, k in enumerate(idx):
+            w *= weights(t, k) / sum(weights(t, r) for r in range(branching[t]))
+        pairs.append((tuple(values(t, k) for t, k in enumerate(idx)), w))
+    return build_tree(PathDistribution.from_pairs(pairs))
+
+
+def test_oracle_lp_call_and_size(monkeypatch):
+    # One HiGHS call with ``A_eq`` as a keyword, one column per same-stage
+    # node pair and a few nonzeros per column.
+    calls = []
+    real = nestedot.nested.linprog
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nestedot.nested, "linprog", recording)
+    mu = full_tree([4, 3, 3], lambda t, k: 1.0, lambda t, k: k + 0.25 * t)
+    nu = full_tree([4, 3, 3], lambda t, k: 1.0 + k, lambda t, k: 0.5 * k - t)
+    oracle = brute_force_bicausal(mu, nu, M2)
+    assert len(calls) == 1
+    a_eq = calls[0]["A_eq"]
+    assert a_eq.shape[1] == 1 + 16 + 144 + 1296
+    assert a_eq.nnz <= 4000
+    assert oracle.distance == pytest.approx(nested_distance(mu, nu, M2).distance, abs=1e-8)
 
 
 def test_cauchy_check_matrix():
