@@ -31,7 +31,7 @@ from .errors import (
     SizeGuardError,
     ValidationError,
 )
-from .knothe import KRCoupling, antitone_coupling, kr_coupling, kr_distance, kr_gap_demo
+from .knothe import KRCoupling, kr_coupling, kr_distance, kr_gap_demo
 from .metrics import GroundMetric
 from .nested import (
     Coupling,
@@ -44,20 +44,8 @@ from .nested import (
     nested_distance,
     wasserstein_distance,
 )
-from .transport import (
-    DiscreteDistribution,
-    OTResult,
-    TransportPlan,
-    solve_ot,
-    wasserstein_1d,
-)
-from .tree import (
-    Node,
-    PathDistribution,
-    ScenarioTree,
-    build_tree,
-    tree_to_paths,
-)
+from .transport import OTResult, TransportPlan, solve_ot
+from .tree import Node, PathDistribution, ScenarioTree, build_tree
 
 __version__ = "0.1.0"
 
@@ -66,7 +54,6 @@ __all__ = [
     "CausalityReport",
     "Coupling",
     "CouplingEntry",
-    "DiscreteDistribution",
     "GroundMetric",
     "KRCoupling",
     "NestedAtom",
@@ -85,7 +72,6 @@ __all__ = [
     "ValidationError",
     "ValueTable",
     "Violation",
-    "antitone_coupling",
     "brute_force_bicausal",
     "build_tree",
     "cauchy_check",
@@ -101,7 +87,5 @@ __all__ = [
     "nested_wasserstein",
     "solve_ot",
     "split_non_extreme",
-    "tree_to_paths",
-    "wasserstein_1d",
     "wasserstein_distance",
 ]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .embedding import NestedAtom, NestedDistribution
@@ -34,7 +36,12 @@ def fan_vs_merged(n: int) -> tuple[ScenarioTree, ScenarioTree]:
 
 
 def perturbed_pair(eps: float, depth: int = 2) -> tuple[ScenarioTree, ScenarioTree]:
-    """Chains (eps,...,eps,+-1) versus (0,...,0,+-1), each two branches."""
+    """Chains (eps,...,eps,+-1) versus (0,...,0,+-1), each two branches.
+
+    ``eps`` must be finite and nonzero: at 0 the two laws are equal.
+    """
+    if not (math.isfinite(eps) and eps != 0.0):
+        raise ValidationError(f"eps must be finite and nonzero, got {eps!r}")
     if depth < 2:
         raise ValidationError("perturbed_pair needs depth >= 2")
     up = tuple([eps] * (depth - 1) + [1.0])

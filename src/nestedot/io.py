@@ -35,6 +35,13 @@ def file_digest(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _array(value: Any, what: str) -> list:
+    """``value`` itself if it is a JSON array, else :class:`ValidationError`."""
+    if not isinstance(value, list):
+        raise ValidationError(f"{what} must be a JSON array, got {type(value).__name__}")
+    return value
+
+
 # ---------------------------------------------------------------- trees
 
 
@@ -65,7 +72,7 @@ def tree_from_json(obj: dict) -> ScenarioTree:
     if not isinstance(depth, int):
         raise ValidationError("tree depth must be an integer")
     nodes = []
-    for d in raw:
+    for d in _array(raw, "tree 'nodes'"):
         try:
             value = d["value"]
             prob = d["prob"]
@@ -106,15 +113,13 @@ def coupling_to_json(coupling: Coupling) -> list[dict]:
 
 
 def coupling_from_json(obj: Any) -> Coupling:
-    if not isinstance(obj, list):
-        raise ValidationError("plan JSON must be an array of entries")
     entries = []
-    for d in obj:
+    for d in _array(obj, "plan JSON"):
         try:
             entries.append(
                 CouplingEntry(
-                    tuple(float(v) for v in d["mu_path"]),
-                    tuple(float(v) for v in d["nu_path"]),
+                    tuple(float(v) for v in _array(d["mu_path"], "'mu_path'")),
+                    tuple(float(v) for v in _array(d["nu_path"], "'nu_path'")),
                     float(d["mass"]),
                 )
             )
@@ -156,7 +161,7 @@ def nested_from_json(obj: Any) -> NestedDistribution:
         raise ValidationError("nested-distribution JSON must be {'atoms': [...]}")
     atoms = []
     depth = None
-    for d in obj["atoms"]:
+    for d in _array(obj["atoms"], "nested 'atoms'"):
         try:
             nxt = d["next"]
             atom_next = None if nxt is None else nested_from_json(nxt)

@@ -40,10 +40,8 @@ class KRCoupling:
     segments: Mapping[tuple[int, int, int], tuple[Segment, ...]]
 
 
-def _cumulative(tree: ScenarioTree, node: int, reverse: bool):
+def _cumulative(tree: ScenarioTree, node: int):
     kids = tree.children(node)
-    if reverse:
-        kids = tuple(reversed(kids))
     cum = []
     acc = 0.0
     for k in kids:
@@ -53,35 +51,26 @@ def _cumulative(tree: ScenarioTree, node: int, reverse: bool):
     return kids, cum
 
 
-def _build(mu: ScenarioTree, nu: ScenarioTree, decreasing: bool):
-    if mu.depth != nu.depth:
-        raise ValidationError(f"depth mismatch: {mu.depth} vs {nu.depth}")
-    segments: dict[tuple[int, int, int], tuple[Segment, ...]] = {}
-
-    def cells(i: int, j: int) -> list[tuple[int, int, float]]:
-        kids_i, cum_i = _cumulative(mu, i, False)
-        kids_j, cum_j = _cumulative(nu, j, decreasing)
-        segs = segments[mu.node(i).stage + 1, i, j] = tuple(
-            Segment(lo, hi, kids_i[a], kids_j[b])
-            for lo, hi, a, b in common_refinement(cum_i, cum_j)
-        )
-        return [(s.mu_child, s.nu_child, s.hi - s.lo) for s in segs]
-
-    return compose_plan(mu, nu, cells), segments
-
-
 def kr_coupling(mu: ScenarioTree, nu: ScenarioTree) -> KRCoupling:
     """Increasing Knothe-Rosenblatt rearrangement of the two laws.
 
     The common refinement treats both partitions alike, so swapping the
     arguments transposes the plan and mirrors the segments exactly.
     """
-    return KRCoupling(*_build(mu, nu, decreasing=False))
+    if mu.depth != nu.depth:
+        raise ValidationError(f"depth mismatch: {mu.depth} vs {nu.depth}")
+    segments: dict[tuple[int, int, int], tuple[Segment, ...]] = {}
 
+    def cells(i: int, j: int) -> list[tuple[int, int, float]]:
+        kids_i, cum_i = _cumulative(mu, i)
+        kids_j, cum_j = _cumulative(nu, j)
+        segs = segments[mu.node(i).stage + 1, i, j] = tuple(
+            Segment(lo, hi, kids_i[a], kids_j[b])
+            for lo, hi, a, b in common_refinement(cum_i, cum_j)
+        )
+        return [(s.mu_child, s.nu_child, s.hi - s.lo) for s in segs]
 
-def antitone_coupling(mu: ScenarioTree, nu: ScenarioTree) -> Coupling:
-    """Stagewise decreasing rearrangement (internal helper, not a metric)."""
-    return _build(mu, nu, decreasing=True)[0]
+    return KRCoupling(compose_plan(mu, nu, cells), segments)
 
 
 def kr_distance(mu: ScenarioTree, nu: ScenarioTree, metric: GroundMetric) -> float:

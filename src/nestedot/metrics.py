@@ -45,10 +45,6 @@ class GroundMetric:
     def truncated(cls, p: float = 2.0, cap: float = 1.0) -> "GroundMetric":
         return cls(kind=TRUNCATED, p=float(p), cap=float(cap))
 
-    @property
-    def is_usual(self) -> bool:
-        return self.kind == USUAL
-
     def base_dist(self, a: float, b: float) -> float:
         """Base distance of two reals."""
         d = abs(a - b)

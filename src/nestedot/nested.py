@@ -68,10 +68,6 @@ class Coupling:
     def __len__(self):
         return len(self.entries)
 
-    @property
-    def total_mass(self) -> float:
-        return math.fsum(e.mass for e in self.entries)
-
     def nu_marginal(self) -> dict[tuple[float, ...], float]:
         out: dict[tuple[float, ...], float] = {}
         for e in self.entries:

@@ -4,14 +4,12 @@
 matrices: problems with at most two sources or two targets are solved in
 closed form and larger ones by a dense transportation simplex.
 Subproblem sizes here are tree branching factors, so exactness is
-preferred over large-scale approximation.  :func:`wasserstein_1d` gives
-the cost of the quantile (comonotone) coupling of two distributions on
-the line; no solver uses it.  All functions are pure and reentrant.
+preferred over large-scale approximation.  All functions are pure and
+reentrant.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -19,80 +17,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .metrics import GroundMetric
 
 MASS_TOL = 1e-9
 SNAP = 1e-12
 _REDUCED_TOL = 1e-12
-
-
-class DiscreteDistribution:
-    """Finitely supported distribution on the line.
-
-    Atoms are aggregated by location, sorted increasingly and the masses
-    renormalized exactly (after validating that they sum to 1 within 1e-9).
-    """
-
-    __slots__ = ("locations", "masses", "_cumulative")
-
-    def __init__(self, atoms: Sequence[tuple[float, float]]):
-        agg: dict[float, float] = {}
-        for loc, m in atoms:
-            loc, m = float(loc), float(m)
-            if not math.isfinite(loc):
-                raise ValidationError(f"non-finite atom location {loc!r}")
-            if not (math.isfinite(m) and m > 0.0):
-                raise ValidationError(f"atom mass must be positive, got {m!r}")
-            agg[loc] = agg.get(loc, 0.0) + m
-        if not agg:
-            raise ValidationError("distribution needs at least one atom")
-        total = math.fsum(agg.values())
-        if abs(total - 1.0) > MASS_TOL:
-            raise ValidationError(f"masses sum to {total}, expected 1")
-        locs = sorted(agg)
-        self.locations = tuple(locs)
-        self.masses = tuple(agg[x] / total for x in locs)
-        cum = list(np.cumsum(self.masses))
-        cum[-1] = 1.0
-        self._cumulative = tuple(cum)
-
-    @classmethod
-    def uniform(cls, locations: Sequence[float]) -> "DiscreteDistribution":
-        n = len(locations)
-        return cls([(x, 1.0 / n) for x in locations])
-
-    @classmethod
-    def dirac(cls, location: float) -> "DiscreteDistribution":
-        return cls([(location, 1.0)])
-
-    def __len__(self):
-        return len(self.locations)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DiscreteDistribution)
-            and self.locations == other.locations
-            and self.masses == other.masses
-        )
-
-    def __repr__(self):
-        atoms = ", ".join(f"{x}:{m:.6g}" for x, m in zip(self.locations, self.masses))
-        return f"DiscreteDistribution({atoms})"
-
-    def cumulative(self) -> tuple[float, ...]:
-        return self._cumulative
-
-    def mean(self) -> float:
-        return math.fsum(x * m for x, m in zip(self.locations, self.masses))
-
-    def quantile(self, u: float) -> float:
-        """Left-continuous generalized inverse of the CDF at u in (0, 1]."""
-        if not (0.0 < u <= 1.0):
-            raise ValidationError(f"quantile level must lie in (0, 1], got {u!r}")
-        idx = bisect.bisect_left(self._cumulative, u)
-        if idx >= len(self.locations):
-            idx = len(self.locations) - 1
-        return self.locations[idx]
 
 
 @dataclass
@@ -100,7 +28,7 @@ class TransportPlan:
     """Dense mass assignment between two finite marginals.
 
     ``row_potentials`` and ``col_potentials`` carry the optimal dual pair
-    when the plan comes from the simplex solver.
+    that :func:`solve_ot` attaches.
     """
 
     row_masses: np.ndarray
@@ -108,17 +36,6 @@ class TransportPlan:
     matrix: np.ndarray
     row_potentials: np.ndarray | None = None
     col_potentials: np.ndarray | None = None
-
-    def validate(self, tol: float = MASS_TOL) -> None:
-        x = self.matrix
-        if x.shape != (len(self.row_masses), len(self.col_masses)):
-            raise ValidationError("plan shape does not match marginals")
-        if np.any(x < -tol):
-            raise ValidationError("plan has negative entries")
-        if np.max(np.abs(x.sum(axis=1) - self.row_masses), initial=0.0) > tol:
-            raise ValidationError("row sums do not match source masses")
-        if np.max(np.abs(x.sum(axis=0) - self.col_masses), initial=0.0) > tol:
-            raise ValidationError("column sums do not match target masses")
 
 
 class OTResult(NamedTuple):
@@ -151,26 +68,6 @@ def common_refinement(cum_a, cum_b) -> list[tuple[float, float, int, int]]:
             j += 1
         prev = cur
     return out
-
-
-def wasserstein_1d(
-    a: DiscreteDistribution, b: DiscreteDistribution, metric: GroundMetric
-) -> tuple[float, TransportPlan]:
-    """Cost and plan of the quantile (comonotone) coupling.
-
-    The integral of d(F_a^{-1}(u), F_b^{-1}(u))^p over (0, 1] is computed
-    exactly by splitting at the cumulative breakpoints of both marginals.
-    For the usual base metric this is the optimal cost over all plans; for
-    a truncated base metric it is the quantile-plan cost only.
-    """
-    x = np.zeros((len(a), len(b)))
-    cost = 0.0
-    for lo, hi, i, j in common_refinement(a.cumulative(), b.cumulative()):
-        width = hi - lo
-        cost += width * metric.base_dist(a.locations[i], b.locations[j]) ** metric.p
-        x[i, j] += width
-    plan = TransportPlan(np.asarray(a.masses), np.asarray(b.masses), x)
-    return cost, plan
 
 
 def _northwest_corner(a: np.ndarray, b: np.ndarray):

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
-from .transport import DiscreteDistribution
 
 PROB_TOL = 1e-9
 
@@ -173,7 +172,6 @@ class ScenarioTree:
                 order.append(k)
         if len(order) != len(node_list):
             raise ValidationError("tree contains nodes unreachable from the root")
-        self._by_history = {self._paths[nid]: nid for nid in order}
         self._leaves = tuple(
             nid for nid in self._dfs(root.id) if self._nodes[nid].stage == depth
         )
@@ -206,43 +204,13 @@ class ScenarioTree:
         """Unconditional probability of reaching the node."""
         return self._masses[nid]
 
-    def node_at_history(self, history: Sequence[float]) -> int:
-        key = tuple(float(v) for v in history)
-        nid = self._by_history.get(key)
-        if nid is None:
-            raise ValidationError(f"no node with history {key}")
-        return nid
-
-    def has_history(self, history: Sequence[float]) -> bool:
-        return tuple(float(v) for v in history) in self._by_history
-
     def leaf_paths(self) -> list[tuple[tuple[float, ...], float]]:
         """Root-to-leaf paths with their unconditional weights."""
         return [(self._paths[k], self._masses[k]) for k in self._leaves]
 
-    def disintegrate(self, nid: int) -> DiscreteDistribution:
-        """One-stage conditional distribution at a non-leaf node."""
-        kids = self._children[nid]
-        if not kids:
-            raise ValidationError("cannot disintegrate at a leaf node")
-        return DiscreteDistribution(
-            [(self._nodes[k].value, self._nodes[k].cond_prob) for k in kids]
-        )
-
     def canonical_key(self) -> str:
         """Total-order key; equal keys mean equal trees (same path law)."""
         return repr(tuple(self.leaf_paths()))
-
-    def same_law(self, other: "ScenarioTree", tol: float = 0.0) -> bool:
-        a, b = self.leaf_paths(), other.leaf_paths()
-        if self.depth != other.depth or len(a) != len(b):
-            return False
-        for (pa, wa), (pb, wb) in zip(a, b):
-            if abs(wa - wb) > max(tol, 1e-12):
-                return False
-            if any(abs(x - y) > tol for x, y in zip(pa, pb)):
-                return False
-        return True
 
     def __repr__(self):
         return (
@@ -309,9 +277,3 @@ def build_tree(paths: PathDistribution, merge_tol: float = 0.0) -> ScenarioTree:
             nodes.append(Node(nid, pid, stage + 1, value, mass / total))
             queue.append((nid, group, stage + 1))
     return ScenarioTree(depth, nodes)
-
-
-def tree_to_paths(tree: ScenarioTree) -> PathDistribution:
-    """Flatten a tree back to its path law."""
-    pairs = tree.leaf_paths()
-    return PathDistribution(tuple(p for p, _ in pairs), tuple(w for _, w in pairs))

@@ -1,0 +1,88 @@
+"""Independent references the tests check the solvers against.
+
+A law on the line with its left-continuous quantile, the cost of the
+quantile (comonotone) coupling of two such laws, the flat path law of a
+tree, a leaf-law comparison of two trees and a lookup from history to
+node.  None of these is a solver route; they exist so that each check
+has a second computation to compare with.
+"""
+
+from __future__ import annotations
+
+import bisect
+import math
+
+import numpy as np
+
+from nestedot import GroundMetric, PathDistribution, ScenarioTree
+from nestedot.transport import common_refinement
+
+
+class LineLaw:
+    """Finitely supported law on the line.
+
+    Atoms are aggregated by location and sorted; masses are renormalized
+    to sum to 1.
+    """
+
+    def __init__(self, atoms):
+        agg: dict[float, float] = {}
+        for loc, m in atoms:
+            agg[float(loc)] = agg.get(float(loc), 0.0) + float(m)
+        total = math.fsum(agg.values())
+        self.locations = tuple(sorted(agg))
+        self.masses = tuple(agg[x] / total for x in self.locations)
+        cum = list(np.cumsum(self.masses))
+        cum[-1] = 1.0
+        self.cumulative = tuple(cum)
+
+    def quantile(self, u: float) -> float:
+        """Left-continuous generalized inverse of the CDF at u in (0, 1]."""
+        idx = bisect.bisect_left(self.cumulative, u)
+        return self.locations[min(idx, len(self.locations) - 1)]
+
+
+def child_law(tree: ScenarioTree, nid: int) -> LineLaw:
+    """One-stage conditional law of the children of a non-leaf node."""
+    return LineLaw((tree.node(k).value, tree.node(k).cond_prob) for k in tree.children(nid))
+
+
+def quantile_cost(a: LineLaw, b: LineLaw, metric: GroundMetric) -> tuple[float, np.ndarray]:
+    """Cost and plan matrix of the quantile coupling of two laws on the line.
+
+    The integral of d(F_a^{-1}(u), F_b^{-1}(u))^p over (0, 1] is computed
+    exactly by splitting at the cumulative breakpoints of both laws.  For
+    the usual base metric this is the optimal cost over all plans; for a
+    truncated base metric it is the quantile-plan cost only.
+    """
+    x = np.zeros((len(a.locations), len(b.locations)))
+    cost = 0.0
+    for lo, hi, i, j in common_refinement(a.cumulative, b.cumulative):
+        width = hi - lo
+        cost += width * metric.base_dist(a.locations[i], b.locations[j]) ** metric.p
+        x[i, j] += width
+    return cost, x
+
+
+def tree_to_paths(tree: ScenarioTree) -> PathDistribution:
+    """Flatten a tree back to its path law."""
+    pairs = tree.leaf_paths()
+    return PathDistribution(tuple(p for p, _ in pairs), tuple(w for _, w in pairs))
+
+
+def same_law(a: ScenarioTree, b: ScenarioTree) -> bool:
+    """Equal leaf paths, and leaf weights equal within 1e-12."""
+    pa, pb = a.leaf_paths(), b.leaf_paths()
+    if a.depth != b.depth or len(pa) != len(pb):
+        return False
+    return all(
+        x == y and abs(wx - wy) <= 1e-12 for (x, wx), (y, wy) in zip(pa, pb)
+    )
+
+
+def node_at(tree: ScenarioTree, history) -> int:
+    """Id of the node whose history is ``history``, found by descending."""
+    nid = tree.root
+    for value in history:
+        nid = next(k for k in tree.children(nid) if tree.node(k).value == value)
+    return nid

@@ -21,7 +21,6 @@ from nestedot import (
     nested_distance,
     nested_wasserstein,
     split_non_extreme,
-    wasserstein_1d,
     wasserstein_distance,
 )
 from nestedot.families import (
@@ -36,6 +35,7 @@ from nestedot.families import (
     random_tree,
     random_tree_pair,
 )
+from reference import child_law, quantile_cost
 
 M1 = GroundMetric.usual(1.0)
 M2 = GroundMetric.usual(2.0)
@@ -207,9 +207,7 @@ def test_criterion_10_single_stage_degeneracy():
         nd = nested_distance(mu, nu, M2).distance
         kr = kr_distance(mu, nu, M2)
         w = wasserstein_distance(mu, nu, M2)
-        quantile_cost, _ = wasserstein_1d(
-            mu.disintegrate(mu.root), nu.disintegrate(nu.root), M2
-        )
-        reference = M2.root(quantile_cost)
+        cost, _ = quantile_cost(child_law(mu, mu.root), child_law(nu, nu.root), M2)
+        reference = M2.root(cost)
         for value in (nd, kr, w):
             assert abs(value - reference) <= 1e-10

@@ -27,6 +27,7 @@ from nestedot.families import (
     random_tree,
     random_tree_pair,
 )
+from reference import node_at
 
 M2 = GroundMetric.usual(2.0)
 
@@ -368,7 +369,7 @@ def test_kernel_reduction_matches_lp_constraints():
                 mass = math.fsum(e.mass for e in grp)
                 for tree, side in ((mu, 0), (nu, 1)):
                     hist = xh if side == 0 else yh
-                    node = tree.node_at_history(hist)
+                    node = node_at(tree, hist)
                     for child in tree.children(node):
                         val = tree.node(child).value
                         prob = tree.node(child).cond_prob

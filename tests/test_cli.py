@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import pytest
@@ -46,7 +47,7 @@ def test_compute_nested_with_oracle(pair_files, capsys, tmp_path):
     assert report["params"]["p"] == 2.0
     assert report["params"]["metric"] == "usual"
     plan = load_coupling(plan_file)
-    assert plan.total_mass == pytest.approx(1.0, abs=1e-9)
+    assert math.fsum(e.mass for e in plan.entries) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_compute_wasserstein_and_kr(pair_files, capsys):
@@ -284,6 +285,33 @@ def test_missing_file_exits_2(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 2
     assert "invalid input" in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, flags, body",
+    [
+        (("compute", "nested"), ("--mu", "--nu"), {"depth": 1, "nodes": 5}),
+        (("embed",), ("--mu",), {"depth": 1, "nodes": 5}),
+        (("compute", "lifted"), ("--P", "--Q"), {"atoms": 3}),
+    ],
+)
+def test_malformed_json_shape_exits_2(capsys, tmp_path, command, flags, body):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(body))
+    argv = [*command]
+    for flag in flags:
+        argv += [flag, str(bad)]
+    if command == ("embed",):
+        argv += ["-o", str(tmp_path / "out.json")]
+    code = main(argv)
+    assert code == 2
+    assert "must be a JSON array" in capsys.readouterr().err
+
+
+def test_separating_demo_rejects_zero_eps(capsys):
+    code = main(["demo", "separating", "--eps", "0.1", "0"])
+    assert code == 2
+    assert "eps must be finite and nonzero" in capsys.readouterr().err
 
 
 def test_solver_failure_exits_4(pair_files, capsys, monkeypatch):

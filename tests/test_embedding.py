@@ -16,7 +16,6 @@ from nestedot import (
     embed,
     nested_distance,
     nested_wasserstein,
-    wasserstein_1d,
 )
 from nestedot.embedding import _same_distribution
 from nestedot.families import (
@@ -29,6 +28,7 @@ from nestedot.families import (
 )
 from nestedot.io import dumps_canonical, nested_from_json, nested_to_json
 from nestedot.tree import Node
+from reference import LineLaw, quantile_cost
 
 M1 = GroundMetric.usual(1.0)
 M2 = GroundMetric.usual(2.0)
@@ -88,13 +88,7 @@ def test_depth_one_reduces_to_line_transport():
     p = leaf_dist((0.0, 0.5), (1.0, 0.5))
     q = leaf_dist((0.5, 1.0))
     got = nested_wasserstein(p, q, M2)
-    from nestedot import DiscreteDistribution
-
-    cost, _ = wasserstein_1d(
-        DiscreteDistribution([(0.0, 0.5), (1.0, 0.5)]),
-        DiscreteDistribution([(0.5, 1.0)]),
-        M2,
-    )
+    cost, _ = quantile_cost(LineLaw([(0.0, 0.5), (1.0, 0.5)]), LineLaw([(0.5, 1.0)]), M2)
     assert got == pytest.approx(cost**0.5, abs=1e-12)
 
 

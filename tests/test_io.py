@@ -5,15 +5,18 @@ import pytest
 
 from nestedot import Coupling, PathDistribution, ValidationError, build_tree, embed
 from nestedot.io import (
+    coupling_from_json,
     coupling_to_json,
     dumps_canonical,
     load_coupling,
     load_nested,
     load_tree,
+    nested_from_json,
     nested_to_json,
     save_coupling,
     save_nested,
     save_tree,
+    tree_from_json,
     tree_to_json,
 )
 
@@ -67,3 +70,22 @@ def test_dumps_canonical_is_sorted_and_compact():
 def test_dumps_canonical_rejects_what_json_cannot_hold(bad):
     with pytest.raises(ValidationError):
         dumps_canonical(bad)
+
+
+def test_tree_nodes_must_be_an_array():
+    with pytest.raises(ValidationError, match="must be a JSON array"):
+        tree_from_json({"depth": 1, "nodes": 5})
+
+
+def test_nested_atoms_must_be_an_array():
+    with pytest.raises(ValidationError, match="must be a JSON array"):
+        nested_from_json({"atoms": 3})
+
+
+@pytest.mark.parametrize("key", ["mu_path", "nu_path"])
+def test_plan_paths_must_be_arrays(key):
+    entry = {"mu_path": [1.0, 2.0], "nu_path": [1.0, 2.0], "mass": 1.0}
+    assert len(coupling_from_json([entry])) == 1
+    entry[key] = "12"  # used to read as the path (1.0, 2.0)
+    with pytest.raises(ValidationError):
+        coupling_from_json([entry])

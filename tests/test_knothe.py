@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from nestedot import (
+    Coupling,
     GroundMetric,
     PathDistribution,
     ValidationError,
-    antitone_coupling,
     build_tree,
     is_bicausal,
     kr_coupling,
@@ -146,9 +146,18 @@ def test_segments_partition_unit_interval():
 
 
 def test_antitone_upper_bound_for_crossed_fans():
+    # The stagewise decreasing rearrangement matches +1/n with -1/n at
+    # stage 1 and the equal stage-2 values after it: a bicausal plan of
+    # cost 2/n, so the nested distance is at most 2/n.
     for n in (2, 3, 5):
         mu, nu = crossed_fans(n)
-        plan = antitone_coupling(mu, nu)
+        plan = Coupling.from_mass_map(
+            {
+                ((1.0 / n, n / 2.0), (-1.0 / n, n / 2.0)): 0.5,
+                ((-1.0 / n, -n / 2.0), (1.0 / n, -n / 2.0)): 0.5,
+            }
+        )
+        assert is_bicausal(plan, mu, nu).is_bicausal
         cost = plan.cost(M1)
         assert cost == pytest.approx(2.0 / n, abs=1e-12)
         assert nested_distance(mu, nu, M1).distance <= cost + 1e-12
@@ -200,7 +209,7 @@ def test_quantile_alignment_with_uneven_masses():
     )
     nu = build_tree(PathDistribution.from_pairs([((0.0,), 0.5), ((4.0,), 0.5)]))
     plan = kr_coupling(mu, nu).coupling
-    assert plan.total_mass == pytest.approx(1.0, abs=1e-12)
+    assert math.fsum(e.mass for e in plan.entries) == pytest.approx(1.0, abs=1e-12)
     masses = {(e.mu_path, e.nu_path): e.mass for e in plan.entries}
     assert masses[((0.0,), (0.0,))] == pytest.approx(1 / 3, abs=1e-12)
     assert masses[((1.0,), (0.0,))] == pytest.approx(1 / 6, abs=1e-12)

@@ -30,6 +30,7 @@ from nestedot.families import (
     random_tree_pair,
 )
 from path_pair_oracle import path_pair_bicausal
+from reference import node_at
 
 M1 = GroundMetric.usual(1.0)
 M2 = GroundMetric.usual(2.0)
@@ -267,6 +268,13 @@ def test_cauchy_check_separating_family():
         cauchy_check([merged_limit()], M1)
 
 
+def test_perturbed_pair_rejects_degenerate_eps():
+    # At eps = 0 the two laws are equal and the separating bound fails.
+    for eps in (0.0, -0.0, float("inf"), float("nan")):
+        with pytest.raises(ValidationError, match="eps must be finite and nonzero"):
+            perturbed_pair(eps)
+
+
 def test_monotone_information_gap():
     # The fans converge to each other but not to the merged tree.
     fans = [collapsing_fan(n) for n in (1, 2, 4, 8, 16)]
@@ -418,7 +426,7 @@ def test_deep_walk_lazy_table(monkeypatch):
     assert len(res.plan) == 2**depth
     assert M2.root(res.table.value(0, mu.root, nu.root)) == res.distance
     # equal levels share one class pair, hence one value
-    ups = [mu.node_at_history(h) for h in ((0.5, 0.0), (-0.5, 0.0))]
-    downs = [nu.node_at_history(h) for h in ((0.25, 0.0), (-0.25, 0.0))]
+    ups = [node_at(mu, h) for h in ((0.5, 0.0), (-0.5, 0.0))]
+    downs = [node_at(nu, h) for h in ((0.25, 0.0), (-0.25, 0.0))]
     assert len({res.table.value(2, i, j) for i in ups for j in downs}) == 1
     assert res.table.transpose().value(2, downs[0], ups[1]) == res.table.value(2, ups[1], downs[0])

