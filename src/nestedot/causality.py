@@ -22,11 +22,8 @@ from typing import Mapping
 
 from .errors import AlreadyExtremeError, NotCausalError, ValidationError
 from .nested import Coupling
+from .tolerances import SNAP, TOL
 from .tree import PathDistribution, ScenarioTree, build_tree
-
-KERNEL_TOL = 1e-9
-POINT_MASS_TOL = 1e-12
-PATH_MATCH_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -61,7 +58,7 @@ def _leaf_masses(
     """Plan mass on every (mu leaf, nu leaf) pair.
 
     Each plan path is matched to a leaf path, exactly or else within
-    ``PATH_MATCH_TOL`` per coordinate.
+    ``TOL`` per coordinate.
     """
     mu_leaf = {mu.path(k): k for k in mu.leaves}
     nu_leaf = {nu.path(k): k for k in nu.leaves}
@@ -78,7 +75,7 @@ def _snap(path: tuple[float, ...], leaf_of: dict[tuple[float, ...], int]) -> int
         return leaf
     for cand, leaf in leaf_of.items():
         if len(cand) == len(path) and all(
-            abs(a - b) <= PATH_MATCH_TOL for a, b in zip(cand, path)
+            abs(a - b) <= TOL for a, b in zip(cand, path)
         ):
             return leaf
     raise ValidationError(f"plan path {path} is not a leaf path of the tree")
@@ -186,7 +183,7 @@ class _Analysis:
     def support_size(self, node: int) -> int:
         law = self.y_law[node]
         total = math.fsum(law.values())
-        return sum(1 for m in law.values() if m / total >= POINT_MASS_TOL)
+        return sum(1 for m in law.values() if m / total >= SNAP)
 
     def report(self) -> CausalityReport:
         return CausalityReport(
@@ -210,7 +207,7 @@ def is_causal(
     gamma: Coupling,
     mu: ScenarioTree,
     nu: ScenarioTree | None = None,
-    tol: float = KERNEL_TOL,
+    tol: float = TOL,
 ) -> CausalityReport:
     """Check the one-sided (mu to nu) information constraint.
 
@@ -225,7 +222,7 @@ def is_bicausal(
     gamma: Coupling,
     mu: ScenarioTree,
     nu: ScenarioTree,
-    tol: float = KERNEL_TOL,
+    tol: float = TOL,
 ) -> CausalityReport:
     """Check both information constraints; requires both trees."""
     analysis = _analyze(gamma, mu, nu, tol)
@@ -241,13 +238,13 @@ def detect_monge(
     gamma: Coupling,
     mu: ScenarioTree,
     nu: ScenarioTree | None = None,
-    tol: float = KERNEL_TOL,
+    tol: float = TOL,
 ) -> CausalityReport:
     """Detect whether the plan is concentrated on an adapted map.
 
     Monge-adapted: conditionally on every positive-mass x-history the
     current y coordinate is a point mass (second-largest conditional atom
-    below 1e-12).  Invertible additionally requires the induced path map
+    below ``SNAP``).  Invertible additionally requires the induced path map
     to be injective on the support with an adapted inverse.
     """
     return _analyze(gamma, mu, nu, tol).report()
@@ -269,7 +266,7 @@ def split_non_extreme(
     mu: ScenarioTree,
     nu: ScenarioTree | None = None,
     lam: float | None = None,
-    tol: float = KERNEL_TOL,
+    tol: float = TOL,
 ) -> SplitResult:
     """Split a causal, non-Monge coupling into two distinct causal parts.
 

@@ -5,9 +5,9 @@ the wall-time field) and writes diagnostics to stderr.  Each command
 takes only the flags its handler reads, and the report's ``params`` lists
 every one of them except file paths, which appear under ``inputs`` or
 ``results``.  The parser is built once per process.  Exit codes: 0
-success, 2 invalid input, 3 oracle or regression mismatch, 4 solver
-failure (the transportation simplex or the oracle LP gave no optimum),
-64 usage.
+success, 2 invalid input (also input too deep for the recursive lift),
+3 oracle or regression mismatch, 4 solver failure (the transportation
+simplex or the oracle LP gave no optimum), 64 usage.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .nested import (
     nested_distance,
     wasserstein_distance,
 )
+from .tolerances import ORACLE_TOL, SNAP, TOL
 from .tree import build_tree
 
 USAGE_EXIT = 64
@@ -98,7 +99,7 @@ def _add_metric_flags(parser) -> None:
 
 def _add_tol_flag(parser) -> None:
     parser.add_argument(
-        "--tol", type=float, default=1e-9, help="checker and comparison tolerance"
+        "--tol", type=float, default=TOL, help="checker and comparison tolerance"
     )
 
 
@@ -247,10 +248,10 @@ def _cmd_compute_pair(args, started) -> int:
             oracle = brute_force_bicausal(mu, nu, metric)
             gap = abs(oracle.distance - res.distance)
             report["results"]["oracle_distance"] = oracle.distance
-            report["oracle_check"] = "ok" if gap <= 1e-8 else "mismatch"
-            if gap > 1e-8:
+            report["oracle_check"] = "ok" if gap <= ORACLE_TOL else "mismatch"
+            if gap > ORACLE_TOL:
                 _emit(report, started)
-                print(f"oracle mismatch: |{res.distance} - {oracle.distance}| > 1e-8",
+                print(f"oracle mismatch: |{res.distance} - {oracle.distance}| > {ORACLE_TOL}",
                       file=sys.stderr)
                 return MISMATCH_EXIT
         if args.emit_plan:
@@ -378,7 +379,7 @@ def _cmd_demo(args, started) -> int:
                 pair_dev = max(
                     pair_dev, pairwise[n - 1, mm - 1] - abs(1.0 / n - 1.0 / mm)
                 )
-        ok = ok and pair_dev <= 1e-12
+        ok = ok and pair_dev <= SNAP
         report["results"] = {
             "rows": rows,
             "pairwise_distances": [[float(v) for v in row] for row in pairwise],
@@ -424,7 +425,7 @@ def _cmd_demo(args, started) -> int:
         )
         pi_ok = is_causal(res.pi, tree, tol=args.tol).is_causal
         tilde_ok = is_causal(res.pi_tilde, tree, tol=args.tol).is_causal
-        ok = recon <= 1e-12 and pi_ok and tilde_ok
+        ok = recon <= SNAP and pi_ok and tilde_ok
         report["results"] = {
             "mixture_weight": alpha,
             "lambda": res.lam,
@@ -468,6 +469,9 @@ def main(argv=None) -> int:
     except OracleMismatchError as exc:
         print(f"mismatch: {exc}", file=sys.stderr)
         return MISMATCH_EXIT
+    except RecursionError:  # a RuntimeError, but the input's fault
+        print("invalid input: the input nests too deeply for the lift", file=sys.stderr)
+        return VALIDATION_EXIT
     except RuntimeError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return SOLVER_EXIT

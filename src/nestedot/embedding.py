@@ -2,26 +2,24 @@
 
 A nested distribution of depth N is a finite distribution over elements
 (value, nested distribution of depth N-1), bottoming out in plain reals.
-Lifting a tree replaces every node by (its value, the lift of its child
-law); the recursive Wasserstein distance between lifts reproduces the
-nested distance exactly, and the lifted space also contains the limits
-that the tree laws themselves miss.
+Two atoms merge, adding their masses, only when their values and
+continuations are exactly equal, and distributions compare by the
+dataclasses' own ``==``, masses included.  Lifting a tree replaces every
+node by (its value, the lift of its child law); the recursive Wasserstein
+distance between lifts reproduces the nested distance exactly, and the
+lifted space also contains the limits that the tree laws themselves miss.
 """
 
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ValidationError
 from .metrics import GroundMetric
 from .nested import SubtreeClasses, backward
-from .transport import MASS_TOL
+from .tolerances import ROUNDING, TOL
 from .tree import PathDistribution, ScenarioTree, build_tree
-
-MERGE_TOL = 1e-12
-_ROUNDING = 4 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -33,33 +31,30 @@ class NestedAtom:
 
 @dataclass(frozen=True)
 class NestedDistribution:
-    """Finite distribution over (value, deeper nested distribution) pairs."""
+    """Finite distribution over (value, deeper nested distribution) pairs.
+
+    The depth is read off the atoms, whose continuations must agree on it.
+    """
 
     atoms: tuple[NestedAtom, ...]
-    depth: int
+    depth: int = field(init=False)
 
     def __post_init__(self):
-        if self.depth < 1:
-            raise ValidationError("nested distribution depth must be >= 1")
         if not self.atoms:
             raise ValidationError("nested distribution needs at least one atom")
+        head = self.atoms[0].next
+        depth = 1 if head is None else head.depth + 1
         for a in self.atoms:
             if not (math.isfinite(a.mass) and a.mass > 0.0):
                 raise ValidationError(f"atom mass must be positive, got {a.mass!r}")
             if not math.isfinite(a.value):
                 raise ValidationError(f"atom value must be finite, got {a.value!r}")
-            if self.depth == 1:
-                if a.next is not None:
-                    raise ValidationError("depth-1 atoms must not have a continuation")
-            else:
-                if a.next is None or a.next.depth != self.depth - 1:
-                    raise ValidationError(
-                        f"atoms at depth {self.depth} need depth-{self.depth - 1} continuations"
-                    )
+            if (1 if a.next is None else a.next.depth + 1) != depth:
+                raise ValidationError("nested atoms disagree on recursion depth")
         total = math.fsum(a.mass for a in self.atoms)
-        if abs(total - 1.0) > MASS_TOL:
+        if abs(total - 1.0) > TOL:
             raise ValidationError(f"atom masses sum to {total}, expected 1")
-        if abs(total - 1.0) <= _ROUNDING:
+        if abs(total - 1.0) <= ROUNDING:
             # Already normalized up to rounding, as the probabilities of a
             # validated tree are: keep them bit for bit, so that a lift
             # reproduces its tree's distances exactly.
@@ -68,37 +63,18 @@ class NestedDistribution:
             [NestedAtom(a.mass / total, float(a.value), a.next) for a in self.atoms]
         )
         object.__setattr__(self, "atoms", tuple(atoms))
-
-
-def _same_element(a: NestedAtom, b: NestedAtom, tol: float = MERGE_TOL) -> bool:
-    """Equality of (value, continuation), ignoring the atom masses."""
-    if abs(a.value - b.value) > tol:
-        return False
-    if (a.next is None) != (b.next is None):
-        return False
-    if a.next is None:
-        return True
-    return _same_distribution(a.next, b.next, tol)
-
-
-def _same_distribution(
-    p: NestedDistribution, q: NestedDistribution, tol: float = MERGE_TOL
-) -> bool:
-    if p.depth != q.depth or len(p.atoms) != len(q.atoms):
-        return False
-    for a, b in zip(p.atoms, q.atoms):
-        if abs(a.mass - b.mass) > tol or not _same_element(a, b, tol):
-            return False
-    return True
+        object.__setattr__(self, "depth", depth)
 
 
 def _merge_atoms(atoms: list[NestedAtom]) -> list[NestedAtom]:
-    """Merge atoms with identical (value, continuation), adding masses."""
-    atoms = sorted(atoms, key=lambda a: a.value)
+    """Sort atoms by value; merge exactly equal (value, continuation), adding masses."""
     out: list[NestedAtom] = []
-    for a in atoms:
-        for k, b in enumerate(out):
-            if _same_element(a, b):
+    for a in sorted(atoms, key=lambda a: a.value):
+        k = len(out)
+        while k and out[k - 1].value == a.value:  # the run of a's value
+            k -= 1
+            b = out[k]
+            if b.next == a.next:
                 out[k] = NestedAtom(b.mass + a.mass, b.value, b.next)
                 break
         else:
@@ -110,20 +86,19 @@ def embed(tree: ScenarioTree) -> NestedDistribution:
     """Lift a tree law to its nested distribution.
 
     Each stage-t node becomes (value, distribution of its lifted
-    children); lifted siblings that coincide are merged with summed mass,
-    which is exactly what identifies laws with the same information
-    structure.
+    children).  Sibling values are distinct, so no atoms merge and the
+    lifted masses are the tree's probabilities bit for bit.
     """
 
-    def lift(node: int, stage: int) -> NestedDistribution:
+    def lift(node: int) -> NestedDistribution:
         atoms = []
         for k in tree.children(node):
             child = tree.node(k)
-            nxt = None if stage + 1 == tree.depth else lift(k, stage + 1)
+            nxt = None if child.stage == tree.depth else lift(k)
             atoms.append(NestedAtom(child.cond_prob, child.value, nxt))
-        return NestedDistribution(tuple(atoms), tree.depth - stage)
+        return NestedDistribution(tuple(atoms))
 
-    return lift(tree.root, 0)
+    return lift(tree.root)
 
 
 def _leaf_key(p: NestedDistribution) -> str:

@@ -94,11 +94,9 @@ def fan_limit_nested() -> NestedDistribution:
     the lift of any tree because two atoms share the value 0 with
     different continuations.
     """
-    up = NestedDistribution((NestedAtom(1.0, 1.0, None),), 1)
-    down = NestedDistribution((NestedAtom(1.0, -1.0, None),), 1)
-    return NestedDistribution(
-        (NestedAtom(0.5, 0.0, up), NestedAtom(0.5, 0.0, down)), 2
-    )
+    up = NestedDistribution((NestedAtom(1.0, 1.0, None),))
+    down = NestedDistribution((NestedAtom(1.0, -1.0, None),))
+    return NestedDistribution((NestedAtom(0.5, 0.0, up), NestedAtom(0.5, 0.0, down)))
 
 
 def random_tree(

@@ -42,6 +42,34 @@ def _array(value: Any, what: str) -> list:
     return value
 
 
+# What JSON numbers load as; ``bool`` is a subclass of ``int``, not one of these.
+_NUMBER = frozenset((float, int))
+_INTEGER = frozenset((int,))
+
+
+def _typed(value: Any, types: frozenset = _NUMBER) -> Any:
+    """``value`` itself if its type is one of ``types``, else TypeError."""
+    if type(value) not in types:
+        raise TypeError(f"unexpected JSON type {type(value).__name__}")
+    return value
+
+
+def _numbers(value: Any, what: str) -> tuple[float, ...]:
+    """A JSON array of numbers as a tuple of floats, else TypeError."""
+    if not _NUMBER.issuperset(map(type, _array(value, what))):
+        raise TypeError(f"{what} must hold numbers only, got {value!r}")
+    return tuple(map(float, value))
+
+
+def _read_json(path: str | Path, what: str) -> Any:
+    """The JSON value in a file.  A ValueError is bad JSON or an integer
+    too long to read; both are :class:`ValidationError`."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read {what} file {path}: {exc}") from exc
+
+
 # ---------------------------------------------------------------- trees
 
 
@@ -69,8 +97,8 @@ def tree_from_json(obj: dict) -> ScenarioTree:
         raw = obj["nodes"]
     except (TypeError, KeyError) as exc:
         raise ValidationError("tree JSON needs 'depth' and 'nodes'") from exc
-    if not isinstance(depth, int):
-        raise ValidationError("tree depth must be an integer")
+    if type(depth) not in _INTEGER:
+        raise ValidationError(f"tree depth must be an integer, got {depth!r}")
     nodes = []
     for d in _array(raw, "tree 'nodes'"):
         try:
@@ -78,14 +106,14 @@ def tree_from_json(obj: dict) -> ScenarioTree:
             prob = d["prob"]
             nodes.append(
                 Node(
-                    id=int(d["id"]),
-                    parent=None if d["parent"] is None else int(d["parent"]),
-                    stage=int(d["stage"]),
-                    value=None if value is None else float(value),
-                    cond_prob=None if prob is None else float(prob),
+                    id=_typed(d["id"], _INTEGER),
+                    parent=None if d["parent"] is None else _typed(d["parent"], _INTEGER),
+                    stage=_typed(d["stage"], _INTEGER),
+                    value=None if value is None else float(_typed(value)),
+                    cond_prob=None if prob is None else float(_typed(prob)),
                 )
             )
-        except (TypeError, KeyError, ValueError) as exc:
+        except (TypeError, KeyError, OverflowError) as exc:
             raise ValidationError(f"malformed tree node record {d!r}") from exc
     return ScenarioTree(depth, nodes)
 
@@ -95,11 +123,7 @@ def save_tree(tree: ScenarioTree, path: str | Path) -> None:
 
 
 def load_tree(path: str | Path) -> ScenarioTree:
-    try:
-        obj = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read tree file {path}: {exc}") from exc
-    return tree_from_json(obj)
+    return tree_from_json(_read_json(path, "tree"))
 
 
 # ---------------------------------------------------------------- plans
@@ -118,12 +142,12 @@ def coupling_from_json(obj: Any) -> Coupling:
         try:
             entries.append(
                 CouplingEntry(
-                    tuple(float(v) for v in _array(d["mu_path"], "'mu_path'")),
-                    tuple(float(v) for v in _array(d["nu_path"], "'nu_path'")),
-                    float(d["mass"]),
+                    _numbers(d["mu_path"], "'mu_path'"),
+                    _numbers(d["nu_path"], "'nu_path'"),
+                    float(_typed(d["mass"])),
                 )
             )
-        except (TypeError, KeyError, ValueError) as exc:
+        except (TypeError, KeyError, OverflowError) as exc:
             raise ValidationError(f"malformed plan entry {d!r}") from exc
     return Coupling(tuple(entries))
 
@@ -133,11 +157,7 @@ def save_coupling(coupling: Coupling, path: str | Path) -> None:
 
 
 def load_coupling(path: str | Path) -> Coupling:
-    try:
-        obj = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read plan file {path}: {exc}") from exc
-    return coupling_from_json(obj)
+    return coupling_from_json(_read_json(path, "plan"))
 
 
 # ------------------------------------------------- nested distributions
@@ -157,25 +177,19 @@ def nested_to_json(dist: NestedDistribution) -> dict:
 
 
 def nested_from_json(obj: Any) -> NestedDistribution:
+    """Read ``{"atoms": [{"mass", "value", "next"}, ...]}``, ``next`` null or
+    of the same form; the depth is read off the atoms, not stored."""
     if not isinstance(obj, dict) or "atoms" not in obj:
         raise ValidationError("nested-distribution JSON must be {'atoms': [...]}")
     atoms = []
-    depth = None
     for d in _array(obj["atoms"], "nested 'atoms'"):
         try:
-            nxt = d["next"]
+            mass, value, nxt = _typed(d["mass"]), _typed(d["value"]), d["next"]
             atom_next = None if nxt is None else nested_from_json(nxt)
-            atoms.append(NestedAtom(float(d["mass"]), float(d["value"]), atom_next))
-        except (TypeError, KeyError, ValueError) as exc:
+            atoms.append(NestedAtom(float(mass), float(value), atom_next))
+        except (TypeError, KeyError, OverflowError) as exc:
             raise ValidationError(f"malformed nested atom {d!r}") from exc
-        d_depth = 1 if atom_next is None else atom_next.depth + 1
-        if depth is None:
-            depth = d_depth
-        elif depth != d_depth:
-            raise ValidationError("nested atoms disagree on recursion depth")
-    if depth is None:
-        raise ValidationError("nested distribution needs at least one atom")
-    return NestedDistribution(tuple(atoms), depth)
+    return NestedDistribution(tuple(atoms))
 
 
 def save_nested(dist: NestedDistribution, path: str | Path) -> None:
@@ -183,11 +197,7 @@ def save_nested(dist: NestedDistribution, path: str | Path) -> None:
 
 
 def load_nested(path: str | Path) -> NestedDistribution:
-    try:
-        obj = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read nested-distribution file {path}: {exc}") from exc
-    return nested_from_json(obj)
+    return nested_from_json(_read_json(path, "nested-distribution"))
 
 
 # ----------------------------------------------------------------- csv

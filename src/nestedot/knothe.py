@@ -16,6 +16,7 @@ from .errors import OracleMismatchError, ValidationError
 from .families import crossed_fans, hidden_branch_pair
 from .metrics import GroundMetric
 from .nested import Coupling, compose_plan, nested_distance
+from .tolerances import TOL
 from .transport import common_refinement
 from .tree import ScenarioTree
 
@@ -110,7 +111,7 @@ def kr_gap_demo(
     metric = GroundMetric.usual(p)
     kr = kr_distance(mu, nu, metric)
     nd = nested_distance(mu, nu, metric).distance
-    if kr < nd - 1e-9:
+    if kr < nd - TOL:
         raise OracleMismatchError(
             f"rearrangement cost {kr} fell below the nested distance {nd}"
         )

@@ -25,7 +25,8 @@ from scipy.optimize import linprog
 
 from .errors import SizeGuardError, ValidationError
 from .metrics import GroundMetric
-from .transport import SNAP, solve_ot
+from .tolerances import SNAP
+from .transport import solve_ot
 from .tree import ScenarioTree
 
 ORACLE_SIZE_GUARD = 10_000

@@ -17,10 +17,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ValidationError
-
-MASS_TOL = 1e-9
-SNAP = 1e-12
-_REDUCED_TOL = 1e-12
+from .tolerances import SNAP, TOL
 
 
 @dataclass
@@ -222,10 +219,10 @@ def _simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray):
         reduced = c - u[:, None] - v[None, :]
         if it < bland_after:
             enter = np.unravel_index(int(np.argmin(reduced)), reduced.shape)
-            if reduced[enter] >= -_REDUCED_TOL:
+            if reduced[enter] >= -SNAP:
                 break
         else:
-            candidates = np.argwhere(reduced < -_REDUCED_TOL)
+            candidates = np.argwhere(reduced < -SNAP)
             if len(candidates) == 0:
                 break
             enter = tuple(candidates[0])
@@ -278,7 +275,7 @@ def solve_ot(
     if np.any(av < 0.0) or np.any(bv < 0.0):
         raise ValidationError("masses must be nonnegative")
     sa, sb = float(av.sum()), float(bv.sum())
-    if abs(sa - 1.0) > MASS_TOL or abs(sb - 1.0) > MASS_TOL:
+    if abs(sa - 1.0) > TOL or abs(sb - 1.0) > TOL:
         raise ValidationError(f"mass mismatch: marginals sum to {sa} and {sb}")
     av = av / sa
     bv = bv / sb

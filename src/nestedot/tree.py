@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
-
-PROB_TOL = 1e-9
+from .tolerances import TOL
 
 
 @dataclass(frozen=True)
@@ -33,7 +32,7 @@ class Node:
 class PathDistribution:
     """Flat view of a process law: distinct paths with positive weights.
 
-    Weights are validated to sum to 1 within 1e-9 and then renormalized
+    Weights are validated to sum to 1 within ``TOL`` and then renormalized
     exactly; paths are kept in lexicographic order.
     """
 
@@ -58,7 +57,7 @@ class PathDistribution:
             if not (math.isfinite(w) and w > 0.0):
                 raise ValidationError(f"nonpositive weight {w!r}")
         total = math.fsum(self.weights)
-        if abs(total - 1.0) > PROB_TOL:
+        if abs(total - 1.0) > TOL:
             raise ValidationError(f"weights sum to {total}, expected 1")
         order = sorted(range(len(self.paths)), key=lambda k: self.paths[k])
         paths = tuple(tuple(float(v) for v in self.paths[k]) for k in order)
@@ -129,7 +128,7 @@ class ScenarioTree:
                 raise ValidationError(f"node {n.id} has stage {n.stage} outside 1..{depth}")
             if n.value is None or not math.isfinite(n.value):
                 raise ValidationError(f"node {n.id} needs a finite value")
-            if n.cond_prob is None or not (0.0 < n.cond_prob <= 1.0 + PROB_TOL):
+            if n.cond_prob is None or not (0.0 < n.cond_prob <= 1.0 + TOL):
                 raise ValidationError(f"node {n.id} needs a probability in (0, 1]")
             children[n.parent].append(n.id)
 
@@ -142,7 +141,7 @@ class ScenarioTree:
             if by_id[pid].stage == depth:
                 raise ValidationError(f"node {pid} at stage {depth} cannot have children")
             total = math.fsum(by_id[k].cond_prob for k in kids)
-            if abs(total - 1.0) > PROB_TOL:
+            if abs(total - 1.0) > TOL:
                 raise ValidationError(
                     f"children of node {pid} have probabilities summing to {total}"
                 )

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 
 import pytest
 
@@ -306,6 +307,66 @@ def test_malformed_json_shape_exits_2(capsys, tmp_path, command, flags, body):
     code = main(argv)
     assert code == 2
     assert "must be a JSON array" in capsys.readouterr().err
+
+
+def test_non_numbers_in_numeric_fields_exit_2(capsys, tmp_path):
+    # Both one-leaf trees used to load: the strings and booleans read as numbers.
+    root = {"id": 0, "parent": None, "stage": 0, "value": None, "prob": None}
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps({"depth": 1, "nodes": [
+        root, {"id": 1, "parent": 0, "stage": 1, "value": 0.5, "prob": 1.0}]}))
+    bad.write_text(json.dumps({"depth": 1, "nodes": [
+        root, {"id": 1, "parent": 0, "stage": 1, "value": "0.5", "prob": True}]}))
+    assert main(["compute", "nested", "--mu", str(good), "--nu", str(good)]) == 0
+    capsys.readouterr()
+    code = main(["compute", "nested", "--mu", str(bad), "--nu", str(good)])
+    assert code == 2
+    assert "malformed tree node record" in capsys.readouterr().err
+
+
+def test_mixed_depth_nested_json_exits_2(capsys, tmp_path):
+    leaf = {"mass": 0.5, "value": 0.0, "next": None}
+    deep = {"mass": 0.5, "value": 1.0, "next": {"atoms": [{"mass": 1.0, "value": 0.0, "next": None}]}}
+    bad = tmp_path / "mixed.json"
+    bad.write_text(json.dumps({"atoms": [leaf, deep]}))
+    code = main(["compute", "lifted", "--P", str(bad), "--Q", str(bad)])
+    assert code == 2
+    assert "disagree on recursion depth" in capsys.readouterr().err
+
+
+def _deep_nested_text(depth):
+    text = "null"
+    for _ in range(depth):
+        text = '{"atoms":[{"mass":1.0,"value":0.0,"next":' + text + "}]}"
+    return text
+
+
+def _chain_tree_text(depth):
+    nodes = [{"id": 0, "parent": None, "stage": 0, "value": None, "prob": None}]
+    nodes += [
+        {"id": k, "parent": k - 1, "stage": k, "value": 0.0, "prob": 1.0}
+        for k in range(1, depth + 1)
+    ]
+    return json.dumps({"depth": depth, "nodes": nodes})
+
+
+@pytest.mark.parametrize("command", ["compute lifted", "embed"])
+def test_too_deep_input_exits_2_not_4(capsys, tmp_path, command):
+    # The lift recurses once per stage; past the interpreter's recursion
+    # limit that is the input's fault, not a solver failure.
+    depth = sys.getrecursionlimit() + 200
+    src = tmp_path / "deep.json"
+    if command == "embed":
+        src.write_text(_chain_tree_text(depth))
+        argv = ["embed", "--mu", str(src), "-o", str(tmp_path / "out.json")]
+    else:
+        src.write_text(_deep_nested_text(depth))
+        argv = ["compute", "lifted", "--P", str(src), "--Q", str(src)]
+    code = main(argv)
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "invalid input: the input nests too deeply for the lift"
+    ]
 
 
 def test_separating_demo_rejects_zero_eps(capsys):

@@ -17,7 +17,6 @@ from nestedot import (
     nested_distance,
     nested_wasserstein,
 )
-from nestedot.embedding import _same_distribution
 from nestedot.families import (
     collapsing_fan,
     fan_limit_nested,
@@ -35,7 +34,7 @@ M2 = GroundMetric.usual(2.0)
 
 
 def leaf_dist(*atoms):
-    return NestedDistribution(tuple(NestedAtom(m, v, None) for v, m in atoms), 1)
+    return NestedDistribution(tuple(NestedAtom(m, v, None) for v, m in atoms))
 
 
 def test_embed_single_path():
@@ -71,7 +70,7 @@ def test_embed_injective_on_laws():
         a = random_tree(rng, 2)
         b = random_tree(rng, 2)
         same_tree = a.canonical_key() == b.canonical_key()
-        assert _same_distribution(embed(a), embed(b)) == same_tree
+        assert (embed(a) == embed(b)) == same_tree
 
 
 def test_nested_wasserstein_identity():
@@ -129,9 +128,9 @@ def test_completion_witness():
         assert nested_distance(fan, merged, M1).distance >= 1.0
     values = [a.value for a in limit.atoms]
     assert values[0] == values[1]
-    assert not _same_distribution(limit.atoms[0].next, limit.atoms[1].next)
+    assert limit.atoms[0].next != limit.atoms[1].next
     for n in (1, 2, 4):
-        assert not _same_distribution(embed(collapsing_fan(n)), limit)
+        assert embed(collapsing_fan(n)) != limit
 
 
 def test_lifted_cauchy_matches_unlifted():
@@ -162,9 +161,7 @@ def test_dirac_approximation_separates_equal_values():
 
 
 def test_dirac_approximation_single_atom_chain():
-    p = NestedDistribution(
-        (NestedAtom(1.0, 0.25, leaf_dist((2.0, 1.0))),), 2
-    )
+    p = NestedDistribution((NestedAtom(1.0, 0.25, leaf_dist((2.0, 1.0))),))
     tree = dirac_approximation(p, 0.125)
     assert len(tree.leaves) == 1
     assert tree.leaf_paths()[0][0] == (0.375, 2.0)
@@ -182,32 +179,48 @@ def test_dirac_approximation_validation():
 
 def test_nested_distribution_validation():
     with pytest.raises(ValidationError):
-        NestedDistribution((), 1)
+        NestedDistribution(())
     with pytest.raises(ValidationError):
-        NestedDistribution((NestedAtom(0.4, 0.0, None),), 1)
-    with pytest.raises(ValidationError):
-        NestedDistribution((NestedAtom(1.0, 0.0, leaf_dist((0.0, 1.0))),), 1)
-    with pytest.raises(ValidationError):
-        NestedDistribution((NestedAtom(1.0, 0.0, None),), 2)
+        NestedDistribution((NestedAtom(0.4, 0.0, None),))
+    # A leaf atom next to an atom with a continuation: no common depth.
+    with pytest.raises(ValidationError, match="depth"):
+        NestedDistribution(
+            (NestedAtom(0.5, 0.0, leaf_dist((0.0, 1.0))), NestedAtom(0.5, 1.0, None))
+        )
+
+
+def test_depth_read_off_atoms():
+    assert leaf_dist((0.0, 1.0)).depth == 1
+    chain = NestedDistribution((NestedAtom(1.0, 0.0, leaf_dist((0.0, 1.0))),))
+    assert chain.depth == 2
+    assert NestedDistribution((NestedAtom(1.0, 0.0, chain),)).depth == 3
 
 
 def test_duplicate_atoms_merged():
+    # Exact duplicates merge, with their masses summed.
     dist = NestedDistribution(
-        (NestedAtom(0.25, 1.0, None), NestedAtom(0.25, 1.0, None), NestedAtom(0.5, 2.0, None)),
-        1,
+        (NestedAtom(0.25, 1.0, None), NestedAtom(0.25, 1.0, None), NestedAtom(0.5, 2.0, None))
     )
-    assert len(dist.atoms) == 2
-    assert dist.atoms[0].mass == pytest.approx(0.5)
+    assert dist.atoms == (NestedAtom(0.5, 1.0, None), NestedAtom(0.5, 2.0, None))
+    assert dist == leaf_dist((2.0, 0.5), (1.0, 0.25), (1.0, 0.25))
+    # Equal values with different continuations stay apart.
+    up, down = leaf_dist((1.0, 1.0)), leaf_dist((-1.0, 1.0))
+    pair = NestedDistribution((NestedAtom(0.5, 0.0, up), NestedAtom(0.5, 0.0, down)))
+    assert len(pair.atoms) == 2
+    # The merge rule is exact: values 1e-13 apart are two atoms.
+    near = leaf_dist((1.0, 0.5), (1.0 + 1e-13, 0.5))
+    assert [a.value for a in near.atoms] == [1.0, 1.0 + 1e-13]
+    assert near != leaf_dist((1.0, 1.0))
 
 
 def test_json_round_trip():
     dist = embed(collapsing_fan(3))
     text = dumps_canonical(nested_to_json(dist))
     back = nested_from_json(json.loads(text))
-    assert _same_distribution(dist, back)
+    assert dist == back
     limit = fan_limit_nested()
     back2 = nested_from_json(json.loads(dumps_canonical(nested_to_json(limit))))
-    assert _same_distribution(limit, back2)
+    assert limit == back2
 
 
 def test_lift_keeps_tree_probabilities_bit_for_bit():

@@ -89,3 +89,70 @@ def test_plan_paths_must_be_arrays(key):
     entry[key] = "12"  # used to read as the path (1.0, 2.0)
     with pytest.raises(ValidationError):
         coupling_from_json([entry])
+
+
+def _tree_json(depth=1, **leaf):
+    """A one-leaf tree in JSON form, with fields of the leaf replaced."""
+    return {
+        "depth": depth,
+        "nodes": [
+            {"id": 0, "parent": None, "stage": 0, "value": None, "prob": None},
+            {"id": 1, "parent": 0, "stage": 1, "value": 0.5, "prob": 1.0, **leaf},
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"depth": True},
+        {"id": "1"},
+        {"id": 2.7},  # used to load as node 2
+        {"id": True},
+        {"parent": "0"},
+        {"parent": 0.0},
+        {"stage": True},
+        {"value": "0.5"},
+        {"value": True},
+        {"prob": True},
+        {"prob": "1"},
+    ],
+)
+def test_tree_loader_reads_only_json_numbers(fields):
+    assert tree_from_json(_tree_json(value=1, prob=1)).leaf_paths()[0] == ((1.0,), 1.0)
+    with pytest.raises(ValidationError):
+        tree_from_json(_tree_json(**fields))
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"mu_path": ["1", 2]},
+        {"nu_path": [True]},
+        {"mass": "1"},
+        {"mass": True},
+    ],
+)
+def test_plan_loader_reads_only_json_numbers(fields):
+    entry = {"mu_path": [1, 2.0], "nu_path": [1.0], "mass": 1}
+    assert coupling_from_json([entry]).entries[0] == ((1.0, 2.0), (1.0,), 1.0)
+    with pytest.raises(ValidationError, match="malformed plan entry"):
+        coupling_from_json([{**entry, **fields}])
+
+
+@pytest.mark.parametrize("fields", [{"mass": "1"}, {"mass": True}, {"value": "0"}, {"value": False}])
+def test_nested_loader_reads_only_json_numbers(fields):
+    atom = {"mass": 1, "value": 0, "next": None}
+    assert nested_from_json({"atoms": [atom]}).atoms[0].value == 0.0
+    with pytest.raises(ValidationError, match="malformed nested atom"):
+        nested_from_json({"atoms": [{**atom, **fields}]})
+
+
+@pytest.mark.parametrize("digits", [400, 5000])
+def test_loaders_reject_integers_too_large_to_read(tmp_path, digits):
+    # 400 digits overflow float(); 5000 exceed int()'s digit limit in json.
+    text = json.dumps(_tree_json()).replace('"value": 0.5', '"value": 1' + "0" * digits)
+    path = tmp_path / "big.json"
+    path.write_text(text)
+    with pytest.raises(ValidationError):
+        load_tree(path)

@@ -1,5 +1,6 @@
 """The package's public surface and the names the benchmark tracer binds."""
 
+import ast
 import importlib
 import sys
 from pathlib import Path
@@ -41,3 +42,13 @@ def test_tracer_binds_every_traced_name(monkeypatch):
     for mod_name, cls_name, attr, *_ in spans.METHODS:
         cls = getattr(importlib.import_module(mod_name), cls_name)
         assert any(owner is cls and name == attr for owner, name, *_ in sites), attr
+
+
+def test_tree_and_transport_sit_below_the_solvers():
+    # The two base modules import nothing of the package but its errors
+    # and its tolerances.
+    src = Path(nestedot.__file__).parent
+    for name in ("tree.py", "transport.py"):
+        tree = ast.parse((src / name).read_text())
+        local = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level}
+        assert local == {"errors", "tolerances"}, name
