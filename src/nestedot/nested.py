@@ -24,7 +24,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from .errors import SizeGuardError, ValidationError
-from .metrics import GroundMetric
+from .metrics import TRUNCATED, GroundMetric
 from .tolerances import SNAP
 from .transport import solve_ot
 from .tree import ScenarioTree
@@ -293,9 +293,12 @@ def wasserstein_distance(
     nu_paths = nu.leaf_paths()
     if len(mu_paths) * len(nu_paths) > ORACLE_SIZE_GUARD:
         raise SizeGuardError("instance too large for the dense path-pair solver")
-    cost = np.array(
-        [[metric.path_cost(x, y) for y, _ in nu_paths] for x, _ in mu_paths]
-    )
+    x = np.array([path for path, _ in mu_paths])
+    y = np.array([path for path, _ in nu_paths])
+    gap = np.abs(x[:, None, :] - y[None, :, :])
+    if metric.kind == TRUNCATED:
+        gap = np.minimum(gap, metric.cap)
+    cost = (gap ** metric.p).sum(axis=2)
     res = solve_ot(cost, [w for _, w in mu_paths], [w for _, w in nu_paths])
     return metric.root(res.value)
 

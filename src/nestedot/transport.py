@@ -2,15 +2,15 @@
 
 :func:`solve_ot` is the one solver route, for general nonnegative cost
 matrices: problems with at most two sources or two targets are solved in
-closed form and larger ones by a dense transportation simplex.
-Subproblem sizes here are tree branching factors, so exactness is
-preferred over large-scale approximation.  All functions are pure and
-reentrant.
+closed form and larger ones by the transportation simplex, whose basis
+is a spanning tree over rows and columns kept across pivots, so a pivot
+re-derives only the potentials below the leaving cell.  Subproblem sizes
+here are tree branching factors, so exactness is preferred over
+large-scale approximation.  All functions are pure and reentrant.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -67,15 +67,15 @@ def common_refinement(cum_a, cum_b) -> list[tuple[float, float, int, int]]:
     return out
 
 
-def _northwest_corner(a: np.ndarray, b: np.ndarray):
+def _northwest_corner(a: list[float], b: list[float]):
     m, n = len(a), len(b)
-    x = np.zeros((m, n))
+    flow = [[0.0] * n for _ in range(m)]
     basis: list[tuple[int, int]] = []
     i = j = 0
     ra, rb = a[0], b[0]
     while True:
         t = min(ra, rb)
-        x[i, j] = t if t > SNAP else 0.0
+        flow[i][j] = t if t > SNAP else 0.0
         basis.append((i, j))
         ra -= t
         rb -= t
@@ -90,68 +90,7 @@ def _northwest_corner(a: np.ndarray, b: np.ndarray):
         else:
             i += 1
             ra = a[i]
-    return x, basis
-
-
-def _dual_potentials(basis, cost, m, n):
-    rows_adj: list[list[int]] = [[] for _ in range(m)]
-    cols_adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in basis:
-        rows_adj[i].append(j)
-        cols_adj[j].append(i)
-    u = np.full(m, np.nan)
-    v = np.full(n, np.nan)
-    u[0] = 0.0
-    stack = [("r", 0)]
-    while stack:
-        side, k = stack.pop()
-        if side == "r":
-            for j in rows_adj[k]:
-                if math.isnan(v[j]):
-                    v[j] = cost[k, j] - u[k]
-                    stack.append(("c", j))
-        else:
-            for i in cols_adj[k]:
-                if math.isnan(u[i]):
-                    u[i] = cost[i, k] - v[k]
-                    stack.append(("r", i))
-    if np.any(np.isnan(u)) or np.any(np.isnan(v)):
-        raise RuntimeError("basis graph is not a spanning tree")
-    return u, v
-
-
-def _find_cycle(basis, enter, m):
-    """Unique alternating cycle created by the entering cell."""
-    adj: dict[tuple[str, int], list[tuple[str, int]]] = {}
-    for i, j in basis:
-        adj.setdefault(("r", i), []).append(("c", j))
-        adj.setdefault(("c", j), []).append(("r", i))
-    start, target = ("r", enter[0]), ("c", enter[1])
-    parents = {start: None}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for nb in adj.get(node, ()):
-                if nb not in parents:
-                    parents[nb] = node
-                    nxt.append(nb)
-        if target in parents:
-            break
-        frontier = nxt
-    if target not in parents:
-        raise RuntimeError("entering cell is not connected to the basis tree")
-    path = [target]
-    while parents[path[-1]] is not None:
-        path.append(parents[path[-1]])
-    path.reverse()
-    cells = []
-    for kpre, knext in zip(path, path[1:]):
-        if kpre[0] == "r":
-            cells.append((kpre[1], knext[1]))
-        else:
-            cells.append((knext[1], kpre[1]))
-    return [enter] + cells[::-1]
+    return flow, basis
 
 
 def _two_sources(c: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -206,40 +145,100 @@ def _small_plan(c: np.ndarray, a: np.ndarray, b: np.ndarray):
 def _simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Optimal basic plan and dual pair by the transportation simplex.
 
+    The basis is a spanning tree on rows ``0..m-1`` and columns
+    ``m..m+n-1``, rooted at row 0 (potential zero).  Each node keeps its
+    parent, depth and potential (its parent cell's cost minus the parent's
+    potential) across pivots.  An entering cell's cycle runs from its row
+    and column up to their common ancestor.  The leaving cell cuts one
+    subtree off, the entering cell hangs it back on, and only that
+    subtree's potentials are re-derived: each depends only on its root path.
+
     A cell that the northwest-corner start or a pivot leaves at or below
     ``SNAP`` is set to exactly zero and stays basic as a degenerate cell:
     such a remainder is rounding, not a plan cell.
     """
     m, n = c.shape
-    x, basis = _northwest_corner(a, b)
+    flow, basis = _northwest_corner(a.tolist(), b.tolist())
+    cost = c.tolist()
+    basic = np.zeros((m, n), dtype=bool)
+    adj: list[list[int]] = [[] for _ in range(m + n)]
+    for i, j in basis:
+        basic[i, j] = True
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+    parent, depth, pot = [-1] * (m + n), [0] * (m + n), [0.0] * (m + n)
+
+    def hang(top):  # re-derive the subtree below ``top`` from ``top`` itself
+        stack, reached = [top], 1
+        while stack:
+            k = stack.pop()
+            up, d, pk = parent[k], depth[k] + 1, pot[k]
+            for nb in adj[k]:
+                if nb != up:
+                    parent[nb], depth[nb] = k, d
+                    pot[nb] = (cost[k][nb - m] if k < m else cost[nb][k - m]) - pk
+                    stack.append(nb)
+                    reached += 1
+        return reached
+
+    def cell(k):  # the basis cell joining node k to its parent
+        return (k, parent[k] - m) if k < m else (parent[k], k - m)
+
+    if hang(0) != m + n:
+        raise RuntimeError("basis graph is not a spanning tree")
     max_iter = 2000 + 40 * (m + n) ** 2
     bland_after = 200 + 10 * (m + n) ** 2
     for it in range(max_iter):
-        u, v = _dual_potentials(basis, c, m, n)
-        reduced = c - u[:, None] - v[None, :]
+        u, v = np.array(pot[:m]), np.array(pot[m:])
+        reduced = c - u[:, None]
+        reduced -= v
+        # A basic cell prices out at zero; entering one on its rounding stalls.
+        np.putmask(reduced, basic, 0.0)
         if it < bland_after:
-            enter = np.unravel_index(int(np.argmin(reduced)), reduced.shape)
-            if reduced[enter] >= -SNAP:
+            k = int(reduced.argmin())
+            if reduced.item(k) >= -SNAP:
                 break
         else:
-            candidates = np.argwhere(reduced < -SNAP)
+            candidates = np.flatnonzero(reduced < -SNAP)
             if len(candidates) == 0:
                 break
-            enter = tuple(candidates[0])
-        enter = (int(enter[0]), int(enter[1]))
-        cycle = _find_cycle(basis, enter, m)
-        minus = cycle[1::2]
-        theta = min(x[cell] for cell in minus)
-        leave = min(cell for cell in minus if x[cell] <= theta)
-        for k, cell in enumerate(cycle):
-            x[cell] += theta if k % 2 == 0 else -theta
-            if x[cell] <= SNAP:
-                x[cell] = 0.0
-        basis = [cell for cell in basis if cell != leave]
-        basis.append(enter)
+            k = int(candidates[0])
+        i, j = divmod(k, n)
+        # Counted from the entering cell's row or column, the tree cells at
+        # even steps of the climb lose theta and those at odd steps gain it.
+        p, q, row_side, col_side = i, m + j, [], []
+        while depth[p] > depth[q]:
+            row_side.append(cell(p))
+            p = parent[p]
+        while depth[q] > depth[p]:
+            col_side.append(cell(q))
+            q = parent[q]
+        while p != q:
+            row_side.append(cell(p))
+            col_side.append(cell(q))
+            p, q = parent[p], parent[q]
+        minus = row_side[0::2] + col_side[0::2]
+        theta = min(flow[r][s] for r, s in minus)
+        leave = min((r, s) for r, s in minus if flow[r][s] <= theta)
+        plus = [(i, j)] + row_side[1::2] + col_side[1::2]
+        for cells, step in ((plus, theta), (minus, -theta)):
+            for r, s in cells:
+                flow[r][s] += step
+                if flow[r][s] <= SNAP:
+                    flow[r][s] = 0.0
+        r, s = leave
+        basic[r, s], basic[i, j] = False, True
+        adj[r].remove(m + s)
+        adj[m + s].remove(r)
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+        top, above = (i, m + j) if leave in row_side else (m + j, i)
+        parent[top], depth[top] = above, depth[above] + 1
+        pot[top] = cost[i][j] - pot[above]
+        hang(top)
     else:
         raise RuntimeError("transportation simplex did not converge")
-    return x, u, v
+    return np.array(flow), u, v
 
 
 def solve_ot(
@@ -254,26 +253,27 @@ def solve_ot(
     ``c[0, j] - c[1, j]`` (ties by lowest index), and two targets are
     handled as the transposed problem.  Larger problems use the
     transportation simplex with a northwest-corner start and the u-v
-    (MODI) optimality test; ties, both for entering and leaving cells, are
-    broken by lowest (row, col) index.  Either route returns a
-    reproducible optimal plan with an optimal dual pair attached (row 0
-    potential zero).  Where ties allow several optimal plans the two
-    routes may pick different ones, but with equal value.
+    (MODI) optimality test on a rooted basis tree, whose potentials a
+    pivot re-derives only below the leaving cell; ties, both for entering
+    and leaving cells, are broken by lowest (row, col) index.  Either
+    route returns a reproducible optimal plan with an optimal dual pair
+    attached (row 0 potential zero).  Where ties allow several optimal
+    plans the two routes may pick different ones, but with equal value.
     """
     c = np.asarray(cost, dtype=float)
     if c.ndim != 2 or c.size == 0:
         raise ValidationError("cost must be a nonempty 2-d matrix")
-    if np.any(~np.isfinite(c)):
+    if not np.isfinite(c).all():
         raise ValidationError("cost entries must be finite")
-    if np.any(c < 0.0):
+    if c.min() < 0.0:
         raise ValidationError("negative cost entries rejected")
     av = np.asarray(a, dtype=float)
     bv = np.asarray(b, dtype=float)
     m, n = c.shape
     if av.shape != (m,) or bv.shape != (n,):
         raise ValidationError("marginal lengths do not match the cost matrix")
-    if np.any(av < 0.0) or np.any(bv < 0.0):
-        raise ValidationError("masses must be nonnegative")
+    if not (av.min() >= 0.0 and bv.min() >= 0.0):
+        raise ValidationError("masses must be finite and nonnegative")
     sa, sb = float(av.sum()), float(bv.sum())
     if abs(sa - 1.0) > TOL or abs(sb - 1.0) > TOL:
         raise ValidationError(f"mass mismatch: marginals sum to {sa} and {sb}")

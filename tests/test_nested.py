@@ -153,6 +153,27 @@ def test_wasserstein_examples():
     assert wasserstein_distance(mu, nu, M1) <= nested_distance(mu, nu, M1).distance + 1e-9
 
 
+@pytest.mark.parametrize(
+    "metric, rel",
+    [
+        (M1, 0.0),
+        (M2, 0.0),
+        (GroundMetric.truncated(2.0, cap=0.5), 0.0),
+        # numpy's power at p = 1.5 is not libm's pow: last-digit differences
+        (GroundMetric.usual(1.5), 1e-14),
+    ],
+)
+def test_wasserstein_cost_matches_path_cost_loop(metric, rel):
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        mu, nu = random_tree_pair(rng, int(rng.integers(1, 4)))
+        mu_paths, nu_paths = mu.leaf_paths(), nu.leaf_paths()
+        cost = [[metric.path_cost(x, y) for y, _ in nu_paths] for x, _ in mu_paths]
+        res = solve_ot(cost, [w for _, w in mu_paths], [w for _, w in nu_paths])
+        w = wasserstein_distance(mu, nu, metric)
+        assert w == pytest.approx(metric.root(res.value), rel=rel, abs=0.0)
+
+
 def test_truncated_metric_pair():
     fan, merged = fan_vs_merged(2)
     metric = GroundMetric.truncated(1.0, cap=1.0)

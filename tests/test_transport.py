@@ -1,10 +1,22 @@
+import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
-from nestedot import GroundMetric, ValidationError, nested_distance, solve_ot
+from nestedot import (
+    GroundMetric,
+    ValidationError,
+    nested_distance,
+    solve_ot,
+    wasserstein_distance,
+)
 from nestedot.families import random_tree_pair
+from nestedot.io import tree_from_json
+from nestedot.tolerances import TOL
 from nestedot.transport import _simplex
 from reference import LineLaw, quantile_cost
 
@@ -114,6 +126,20 @@ def test_solve_ot_rejects_bad_input():
         solve_ot([[1.0]], [1.0], [1.0, 0.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_solve_ot_rejects_nonfinite_masses(bad):
+    # ``nan < 0`` and ``abs(nan - 1) > tol`` are both false, so a NaN mass
+    # once passed validation.
+    for cost, a, b in (
+        ([[1.0, 2.0]], [bad], [0.5, 0.5]),
+        ([[1.0, 2.0]], [1.0], [0.5, bad]),
+        (np.ones((3, 3)), [0.5, bad, 0.5], [0.5, 0.25, 0.25]),
+        (np.ones((3, 3)), [0.5, 0.25, 0.25], [bad, 0.5, 0.5]),
+    ):
+        with pytest.raises(ValidationError):
+            solve_ot(cost, a, b)
+
+
 def _random_instance(rng, m, n):
     cost = rng.uniform(0.0, 5.0, size=(m, n))
     a = rng.integers(1, 6, size=m).astype(float)
@@ -219,18 +245,23 @@ def test_solve_ot_deterministic():
 # ------------------------------------------------ small-shape closed form
 
 
-def _assert_optimal_certificate(res, cost):
-    """Marginals, dual feasibility, slackness, and the simplex's value."""
+def _assert_optimal_certificate(res, cost, scale=1.0, mass_tol=1e-12):
+    """Marginals, dual feasibility, slackness, and the simplex's value.
+
+    Reduced costs and slackness are checked to ``1e-12 * scale``: the
+    potentials are sums of costs, so they carry rounding of the order of
+    the largest cost times the machine epsilon.
+    """
     c = np.asarray(cost, dtype=float)
     plan = res.plan
     x, u, v = plan.matrix, plan.row_potentials, plan.col_potentials
     assert x.min() >= 0.0
-    assert np.abs(x.sum(axis=1) - plan.row_masses).max() <= 1e-12
-    assert np.abs(x.sum(axis=0) - plan.col_masses).max() <= 1e-12
+    assert np.abs(x.sum(axis=1) - plan.row_masses).max() <= mass_tol
+    assert np.abs(x.sum(axis=0) - plan.col_masses).max() <= mass_tol
     assert u[0] == 0.0
     reduced = c - u[:, None] - v[None, :]
-    assert reduced.min() >= -1e-12
-    assert np.abs(x * reduced).max() <= 1e-12
+    assert reduced.min() >= -1e-12 * scale
+    assert np.abs(x * reduced).max() <= 1e-12 * scale
     assert res.value == float(np.sum(x * c))
     x_simplex, _, _ = _simplex(c, plan.row_masses, plan.col_masses)
     assert res.value == pytest.approx(float(np.sum(x_simplex * c)), abs=1e-12)
@@ -316,3 +347,187 @@ def test_simplex_drops_rounding_residue():
         mu, nu = random_tree_pair(rng, int(rng.integers(1, 4)))
         plan = nested_distance(mu, nu, metric).plan
         assert min(e.mass for e in plan.entries) >= 1e-15
+
+
+# ------------------------------------------- simplex on degenerate inputs
+
+
+def _highs_value(c, a, b):
+    """Optimal value of the same transport LP by HiGHS, at its tightest
+    feasibility tolerances (the defaults, 1e-7, miss cost gaps of 2e-8)."""
+    m, n = c.shape
+    rows = np.kron(np.eye(m), np.ones((1, n)))
+    cols = np.kron(np.ones((1, m)), np.eye(n))
+    res = linprog(
+        c.ravel(), A_eq=np.vstack([rows, cols]), b_eq=np.concatenate([a, b]),
+        bounds=(0, None), method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.status == 0
+    return res.fun
+
+
+def _assert_matches_highs(cost, a, b):
+    """Value to 1e-9 relative and the optimality certificate.
+
+    Each cell a pivot leaves at or below ``SNAP`` is zeroed as rounding, so
+    with masses near ``SNAP`` a plan can drop a few multiples of it.  The
+    marginals are then held to ``TOL``, as everywhere in the package, and
+    the value may also differ by the dropped mass times the largest cost.
+    """
+    res = solve_ot(cost, a, b)
+    c = np.asarray(cost, dtype=float)
+    plan = res.plan
+    top = max(1.0, float(c.max()))
+    dropped = float(np.abs(plan.matrix.sum(axis=1) - plan.row_masses).sum())
+    expected = _highs_value(c, plan.row_masses, plan.col_masses)
+    assert res.value == pytest.approx(expected, rel=1e-9, abs=(dropped + 1e-15) * top)
+    _assert_optimal_certificate(res, c, scale=top, mass_tol=TOL)
+
+
+@st.composite
+def _degenerate_instances(draw):
+    m, n = draw(st.integers(3, 8)), draw(st.integers(3, 8))
+    if draw(st.booleans()):  # integer costs: tied reduced costs
+        cost = draw(st.lists(st.integers(0, 4), min_size=m * n, max_size=m * n))
+    else:  # costs spanning 1e-6 to 1e6
+        exps = draw(st.lists(st.floats(-6.0, 6.0), min_size=m * n, max_size=m * n))
+        cost = [10.0**e for e in exps]
+    kind = draw(st.sampled_from(["zeros", "tiny", "tenths"]))
+
+    def marginal(k):
+        if kind == "zeros":
+            w = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
+            w[draw(st.integers(0, k - 1))] += 1
+            return [x / sum(w) for x in w]
+        if kind == "tiny":
+            w = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+            small = draw(st.integers(0, k - 1))
+            out = [(1.0 - 1e-12) * x / (sum(w) - w[small]) for x in w]
+            out[small] = 1e-12
+            return out
+        # tenths: both sides' cumulative sums meet at multiples of 0.1,
+        # equal only within rounding
+        cuts = sorted(draw(st.lists(st.integers(0, 10), min_size=k - 1, max_size=k - 1)))
+        return [(hi - lo) / 10 for lo, hi in zip([0] + cuts, cuts + [10])]
+
+    return np.reshape(np.array(cost, dtype=float), (m, n)), marginal(m), marginal(n)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_degenerate_instances())
+def test_simplex_matches_highs_on_degenerate_inputs(instance):
+    _assert_matches_highs(*instance)
+
+
+def test_simplex_converges_on_wide_cost_ranges():
+    # Potentials of 1e6-scale costs carry about 1e-10 of rounding, so a
+    # basic cell's reduced cost can read as -8e-12: entering it changed
+    # nothing, and the simplex re-entered it until it gave up.
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        m, n = (int(k) for k in rng.integers(3, 9, size=2))
+        cost = 10.0 ** rng.uniform(-6.0, 6.0, size=(m, n))
+        _assert_matches_highs(cost, _masses(rng, m, False), _masses(rng, n, False))
+
+
+def _path_oracle_tree(rng):
+    """A tree drawn as the path-oracle benchmark draws its pool: branching
+    4, 3, 3, sibling values distinct on the 1/8 lattice, weights 1..8."""
+    nodes = [{"id": 0, "parent": None, "stage": 0, "value": None, "prob": None}]
+    frontier = [0]
+    for stage, width in enumerate((4, 3, 3), start=1):
+        nxt = []
+        for parent in frontier:
+            values = rng.sample(range(-24, 25), width)
+            weights = [rng.randint(1, 8) for _ in range(width)]
+            for value, w in zip(values, weights):
+                nxt.append(len(nodes))
+                nodes.append({"id": len(nodes), "parent": parent, "stage": stage,
+                              "value": value / 8, "prob": w / sum(weights)})
+        frontier = nxt
+    return tree_from_json({"depth": 3, "nodes": nodes})
+
+
+def _path_oracle_w_problem():
+    """The 36x36 path-level W problem of the first seed-1 path-oracle pair
+    under the usual metric, p = 2."""
+    pair = random.Random("path-oracle:1")
+    mu, nu = _path_oracle_tree(pair), _path_oracle_tree(pair)
+    x = np.array([path for path, _ in mu.leaf_paths()])
+    y = np.array([path for path, _ in nu.leaf_paths()])
+    cost = ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2)
+    return mu, nu, cost, [w for _, w in mu.leaf_paths()], [w for _, w in nu.leaf_paths()]
+
+
+def _pinned_instances():
+    """29 seeded simplex instances, then the path-oracle W problem."""
+    rng = np.random.default_rng(2718)
+    for trial in range(29):
+        m, n = (int(k) for k in rng.integers(3, 12, size=2))
+        if trial % 3 == 0:
+            cost = rng.integers(0, 4, size=(m, n)).astype(float)
+        elif trial % 3 == 1:
+            cost = rng.uniform(0.0, 5.0, size=(m, n))
+        else:
+            cost = rng.integers(0, 16, size=(m, n)) / 8
+        zeros = trial % 2 == 0
+        yield cost, _masses(rng, m, zeros), _masses(rng, n, zeros)
+    yield _path_oracle_w_problem()[2:]
+
+
+def _fingerprint(res):
+    digest = [
+        hashlib.sha256(arr.tobytes()).hexdigest()[:16]
+        for arr in (res.plan.matrix, res.plan.row_potentials, res.plan.col_potentials)
+    ]
+    return (res.value.hex(), *digest)
+
+
+# (value, sha256 prefixes of plan, row and column potential bytes)
+PINNED = [
+    ('0x1.3f3f3f3f3f3f4p-1', '5b3b16905338988b', '05c88793d2205dcb', '06aced8309519979'),
+    ('0x1.2f07860e36999p+0', 'c063a1fcb54ade79', 'cc58fadcdb6dfbd2', '86b413b6efbd8799'),
+    ('0x1.09745d1745d18p-1', 'ea414accdbfb90da', '7f3486ab533e9e0c', '981efcdd412f7ed8'),
+    ('0x1.0563b48c20564p-1', 'e48169e64db9f3b2', '0151ea329cf3bdd9', '1b11810b413b0463'),
+    ('0x1.255bb60a1626ep-1', '3fbdb14b0c363891', '7e6164ad72b1908e', 'bda788397a61ec9d'),
+    ('0x1.23bb0f8da967ep-1', '70c47a670955ffae', 'ac9fe397751fda24', '8975e5342a9f3767'),
+    ('0x1.d9364d9364d94p-2', '9124b0443a677822', '06414d0ddfa26542', '4709395ecf1e997a'),
+    ('0x1.26cad9cfffdd8p+0', '948a37acab835ba6', '1670ed60e02087d5', '753ae31c7feac992'),
+    ('0x1.cccccccccccccp-1', '38eba2334c0b4bb0', 'f81d29b8b72ee9df', '7d7abdab655bcbc6'),
+    ('0x1.4975fb8c3e549p-3', '08960a5aa19dc94e', 'c263f9edbcf4d840', '921f16d5054d61a6'),
+    ('0x1.1434cf9a793ffp+1', 'c8708c4b74f914f5', '34615ecc32b35683', 'c38be6955358a84b'),
+    ('0x1.5ba2e8ba2e8bap-1', '5dde1c7395d12c61', 'd76725026973bde9', '0648f2810a9a0414'),
+    ('0x1.6e0b956e0b957p-2', 'd7e9f63262406b23', 'cdf50580467d1f72', '51b7e156b4274908'),
+    ('0x1.9f931bdfd8044p-1', '023999f235abf7cf', '7640fbb0a7fd2834', '12e6463cf08ff7e7'),
+    ('0x1.fdddddddddddcp-2', '97ae2c757c426ccb', '703ad118addb9dac', 'bdddd96dfa383140'),
+    ('0x1.4c3b2a1907f6dp-1', '177fd13eb04cb3a8', '93e9cf8ede286211', 'b8bc5f46f153cb93'),
+    ('0x1.22d3169b1ad3dp+0', 'cea125937c2866bf', 'd03902d113df8f7c', '39c28eeb883bff8d'),
+    ('0x1.d884fcace213ep-2', 'fd187c93bcb4160a', 'adf201b47e89b786', '174b44ff0024ad8e'),
+    ('0x1.4fa4fa4fa4fa4p-1', 'dbb331c3e16afc45', '5ad2194aef9b5946', '66deed6fdfb45f84'),
+    ('0x1.130280273ecbcp+0', '86b9f0b0f3cfcf91', 'd837b4d630ae4ca0', '36c3e9ed45b9fd48'),
+    ('0x1.5dddddddddddep-2', '10215fd76bdf3e50', '2e6232b0ebb7fecd', '289a0649aabd834b'),
+    ('0x1.15e15e15e15e1p+0', 'fa45400846d6f843', '9ac67e978049ddc6', 'e7baeb7909609738'),
+    ('0x1.c16da518511fap+0', 'bd6135f5541a4dce', '53e7458d6ce52d0f', '947d97b9c96295c7'),
+    ('0x1.9681681681681p-1', '9e8e8959d1b57725', '0d72beb7fdb9cccf', '9ffb1db7eaabfb83'),
+    ('0x1.3555555555556p+0', 'a2fc668786aae49c', 'ce16b0b89ad03fd0', 'a68de4b5e96a60c8'),
+    ('0x1.033b500b710dep+1', '27b5345f4776dc7c', '65f5eeeb7162ffe2', '2df9572b5ac4013a'),
+    ('0x1.1681681681682p-1', '44f7dabb94f79e05', '266c1e1cfb6419a3', '2d3fd640ee01607c'),
+    ('0x1.2f171df770291p-1', '44c8738f9a3f139c', '93cb1f49100312d5', 'bf5fc335b5ac65af'),
+    ('0x1.aea0fda663a6ep-1', 'cd239c02f24df8a4', 'af7109d2488e3bf4', 'f975d097281d141c'),
+    ('0x1.148650ad845c8p+3', '95112153ac3450c0', '7d9281495315969b', '3b7d188d723d1cd3'),
+]
+
+
+def test_simplex_pivot_sequence_pinned():
+    # Any change to the start, the entering or leaving rule, a tie-break
+    # or the rounding of a pivot shows up as a different plan or dual pair.
+    got = [_fingerprint(solve_ot(*inst)) for inst in _pinned_instances()]
+    assert got == PINNED
+
+
+def test_wasserstein_solves_the_pinned_problem():
+    mu, nu, cost, a, b = _path_oracle_w_problem()
+    assert cost.shape == (36, 36)
+    metric = GroundMetric.usual(2.0)
+    assert wasserstein_distance(mu, nu, metric) == metric.root(solve_ot(cost, a, b).value)
