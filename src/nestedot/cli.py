@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 import time
 from pathlib import Path
@@ -101,6 +102,17 @@ def _add_tol_flag(parser) -> None:
     parser.add_argument(
         "--tol", type=float, default=TOL, help="checker and comparison tolerance"
     )
+
+
+def _check_flags(args) -> None:
+    """Reject flag values that the parser accepts but no check can use."""
+    tol = getattr(args, "tol", None)
+    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+        raise ValidationError(f"--tol must be finite and >= 0, got {tol!r}")
+    if getattr(args, "trials", 1) < 1:
+        raise ValidationError(f"--trials must be >= 1, got {args.trials}")
+    if getattr(args, "n_max", 2) < 2:
+        raise ValidationError(f"--n-max must be >= 2, got {args.n_max}")
 
 
 # Destinations that are not flags (dispatch) or are file paths (reported
@@ -372,7 +384,7 @@ def _cmd_demo(args, started) -> int:
             closed = (2 ** (p - 1) + n ** (-p)) ** (1.0 / p)
             rows.append({"n": n, "distance_to_merged": d, "closed_form": closed})
             ok = ok and abs(d - closed) <= args.tol
-        pairwise = cauchy_check(trees, metric) if len(trees) > 1 else np.zeros((1, 1))
+        pairwise = cauchy_check(trees, metric)
         pair_dev = 0.0
         for n in range(1, args.n_max + 1):
             for mm in range(n + 1, args.n_max + 1):
@@ -462,6 +474,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return USAGE_EXIT
     try:
+        _check_flags(args)
         return args.handler(args, started)
     except ValidationError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .errors import ValidationError
 from .metrics import GroundMetric
-from .nested import SubtreeClasses, backward
+from .nested import SubtreeClasses, backward, check_depths
 from .tolerances import ROUNDING, TOL
 from .tree import PathDistribution, ScenarioTree, build_tree
 
@@ -101,25 +101,6 @@ def embed(tree: ScenarioTree) -> NestedDistribution:
     return lift(tree.root)
 
 
-def _leaf_key(p: NestedDistribution) -> str:
-    """The ``canonical_key`` of the tree whose lift is ``p``.
-
-    Lifted masses are the tree's probabilities bit for bit, so a lift is
-    ordered against another exactly as its tree is.
-    """
-    leaves: list[tuple[tuple[float, ...], float]] = []
-
-    def walk(d: NestedDistribution, path: tuple[float, ...], mass: float) -> None:
-        for a in d.atoms:
-            if a.next is None:
-                leaves.append((path + (a.value,), mass * a.mass))
-            else:
-                walk(a.next, path + (a.value,), mass * a.mass)
-
-    walk(p, (), 1.0)
-    return repr(tuple(leaves))
-
-
 def nested_wasserstein(
     p: NestedDistribution, q: NestedDistribution, metric: GroundMetric
 ) -> float:
@@ -129,14 +110,12 @@ def nested_wasserstein(
     transport cost between the continuations.  This is the backward
     recursion of :func:`nested_distance`, run over the exact atom classes
     of the two distributions (keyed by mass, value and the class of the
-    continuation), so equal sub-distributions are solved once.  The pair is
-    ordered as the trees are, hence the lift of two trees gives their
-    nested distance bit for bit.
+    continuation), so equal sub-distributions are solved once.  Lifted
+    masses are the tree's probabilities bit for bit and each subproblem
+    picks its own orientation, so the lift of two trees gives their nested
+    distance bit for bit, in either order.
     """
-    if p.depth != q.depth:
-        raise ValidationError(f"depth mismatch: {p.depth} vs {q.depth}")
-    if _leaf_key(p) > _leaf_key(q):
-        p, q = q, p
+    check_depths(p, q)
 
     def intern(classes: SubtreeClasses, d: NestedDistribution) -> int:
         return classes.intern(

@@ -15,7 +15,7 @@ from typing import Mapping, NamedTuple
 from .errors import OracleMismatchError, ValidationError
 from .families import crossed_fans, hidden_branch_pair
 from .metrics import GroundMetric
-from .nested import Coupling, compose_plan, nested_distance
+from .nested import Coupling, check_depths, compose_plan, nested_distance
 from .tolerances import TOL
 from .transport import common_refinement
 from .tree import ScenarioTree
@@ -58,8 +58,7 @@ def kr_coupling(mu: ScenarioTree, nu: ScenarioTree) -> KRCoupling:
     The common refinement treats both partitions alike, so swapping the
     arguments transposes the plan and mirrors the segments exactly.
     """
-    if mu.depth != nu.depth:
-        raise ValidationError(f"depth mismatch: {mu.depth} vs {nu.depth}")
+    check_depths(mu, nu)
     segments: dict[tuple[int, int, int], tuple[Segment, ...]] = {}
 
     def cells(i: int, j: int) -> list[tuple[int, int, float]]:

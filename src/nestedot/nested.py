@@ -8,9 +8,12 @@ pairs of exact subtree classes (the atoms of the nested distributions)
 and serves both scenario trees and their lifts.  An optimal bicausal
 coupling is assembled by composing the one-stage plans down the node
 pairs (``compose_plan``, shared with the Knothe-Rosenblatt plans).
-``brute_force_bicausal`` solves the same problem as a single linear
-program over all same-stage node pairs, with one kernel row per child of
-either node of a pair, and serves as an independent oracle.
+Each one-stage problem is solved in the orientation that ``_solve``
+picks from its content alone, so swapping the operands, or lifting
+them, gives the same bits.  ``brute_force_bicausal`` solves the same
+problem as a single linear program over all same-stage node pairs, with
+one kernel row per child of either node of a pair, and serves as an
+independent oracle.
 """
 
 from __future__ import annotations
@@ -75,9 +78,6 @@ class Coupling:
             out[e.nu_path] = out.get(e.nu_path, 0.0) + e.mass
         return out
 
-    def transpose(self) -> "Coupling":
-        return Coupling(tuple(CouplingEntry(e.nu_path, e.mu_path, e.mass) for e in self.entries))
-
     def cost(self, metric: GroundMetric) -> float:
         """Total p-th-power transport cost of the plan."""
         return math.fsum(e.mass * metric.path_cost(e.mu_path, e.nu_path) for e in self.entries)
@@ -128,6 +128,24 @@ def tree_classes(tree: ScenarioTree) -> tuple[SubtreeClasses, dict[int, int]]:
 Solved = dict[tuple[int, int], tuple[float, np.ndarray | None]]
 
 
+def _solve(cost: np.ndarray, a: list[float], b: list[float]) -> tuple[float, np.ndarray]:
+    """Optimal value and plan of one transport subproblem.
+
+    The problem and its transpose ``(cost.T, b, a)`` have the same optimum,
+    but a solver breaks ties and adds up in the orientation it is given.
+    Of the two, the one whose masses, then cost rows, compare lower is
+    solved (the transpose as a C-contiguous copy), and the plan is returned
+    in the caller's orientation.  The transposed call thus gives the same
+    value bit for bit and exactly the transposed plan.
+    """
+    flipped = cost.T
+    if b < a or (b == a and flipped.tolist() < cost.tolist()):
+        res = solve_ot(np.ascontiguousarray(flipped), b, a)
+        return res.value, res.plan.matrix.T
+    res = solve_ot(cost, a, b)
+    return res.value, res.plan.matrix
+
+
 def backward(first: SubtreeClasses, second: SubtreeClasses, metric: GroundMetric) -> Solved:
     """Backward recursion over pairs of same-height subtree classes.
 
@@ -150,8 +168,7 @@ def backward(first: SubtreeClasses, second: SubtreeClasses, metric: GroundMetric
                 for r, (va, _, sa) in enumerate(kids_a):
                     for s, (vb, _, sb) in enumerate(kids_b):
                         cost[r, s] = metric.base_dist(va, vb) ** power + solved[sa, sb][0]
-                res = solve_ot(cost, mass_a, mass_b)
-                solved[ca, cb] = (res.value, res.plan.matrix)
+                solved[ca, cb] = _solve(cost, mass_a, mass_b)
     return solved
 
 
@@ -172,30 +189,22 @@ class ValueTable:
         mu_class: Mapping[int, int],
         nu_class: Mapping[int, int],
         solved: Solved,
-        swapped: bool = False,
     ):
         self.depth = mu.depth
         self._mu, self._nu = mu, nu
         self._mu_class, self._nu_class = mu_class, nu_class
         self._solved = solved
-        self._swapped = swapped
 
     def value(self, stage: int, mu_node: int, nu_node: int) -> float:
         if self._mu.node(mu_node).stage != stage or self._nu.node(nu_node).stage != stage:
             raise KeyError((stage, mu_node, nu_node))
-        ci, cj = self._mu_class[mu_node], self._nu_class[nu_node]
-        return self._solved[(cj, ci) if self._swapped else (ci, cj)][0]
+        return self._solved[self._mu_class[mu_node], self._nu_class[nu_node]][0]
 
     def items(self):
         for t in range(self.depth + 1):
             for i in self._mu.nodes_at_stage(t):
                 for j in self._nu.nodes_at_stage(t):
                     yield (t, i, j), self.value(t, i, j)
-
-    def transpose(self) -> "ValueTable":
-        return ValueTable(
-            self._nu, self._mu, self._nu_class, self._mu_class, self._solved, not self._swapped
-        )
 
     def __len__(self):
         return sum(
@@ -215,9 +224,10 @@ class OracleResult(NamedTuple):
     plan: Coupling
 
 
-def _check_pair(mu: ScenarioTree, nu: ScenarioTree) -> None:
-    if mu.depth != nu.depth:
-        raise ValidationError(f"depth mismatch: {mu.depth} vs {nu.depth}")
+def check_depths(first, second) -> None:
+    """Reject two operands (trees or nested distributions) of unequal depth."""
+    if first.depth != second.depth:
+        raise ValidationError(f"depth mismatch: {first.depth} vs {second.depth}")
 
 
 def compose_plan(
@@ -254,41 +264,35 @@ def nested_distance(
     The recursion solves one transport problem per pair of subtree
     classes (see :class:`SubtreeClasses`) rather than per node pair, and
     the plan is composed down the node pairs from the class pairs' plans.
-    It runs on the canonically ordered pair (results are transposed back
-    when the arguments are swapped), which makes the returned distance
-    exactly symmetric in its arguments.
+    Each class pair is solved in the orientation its content decides, so
+    ``nested_distance(nu, mu)`` mirrors the distance, the plan and every
+    table value bit for bit.
     """
-    _check_pair(mu, nu)
-    swapped = mu.canonical_key() > nu.canonical_key()
-    first, second = (nu, mu) if swapped else (mu, nu)
-    classes_1, of_1 = tree_classes(first)
-    classes_2, of_2 = tree_classes(second)
-    solved = backward(classes_1, classes_2, metric)
+    check_depths(mu, nu)
+    classes_mu, of_mu = tree_classes(mu)
+    classes_nu, of_nu = tree_classes(nu)
+    solved = backward(classes_mu, classes_nu, metric)
 
     def cells(i: int, j: int) -> list[tuple[int, int, float]]:
-        x = solved[of_1[i], of_2[j]][1].tolist()
-        kids_j = second.children(j)
+        x = solved[of_mu[i], of_nu[j]][1].tolist()
+        kids_j = nu.children(j)
         return [
             (ka, kb, frac)
-            for ka, row in zip(first.children(i), x)
+            for ka, row in zip(mu.children(i), x)
             for kb, frac in zip(kids_j, row)
             if frac > 0.0
         ]
 
-    plan = compose_plan(first, second, cells)
-    table = ValueTable(first, second, of_1, of_2, solved)
-    total = solved[of_1[first.root], of_2[second.root]][0]
-    if swapped:
-        plan = plan.transpose()
-        table = table.transpose()
-    return NestedResult(metric.root(total), table, plan)
+    table = ValueTable(mu, nu, of_mu, of_nu, solved)
+    total = solved[of_mu[mu.root], of_nu[nu.root]][0]
+    return NestedResult(metric.root(total), table, compose_plan(mu, nu, cells))
 
 
 def wasserstein_distance(
     mu: ScenarioTree, nu: ScenarioTree, metric: GroundMetric
 ) -> float:
     """Classical transport distance over unconstrained path couplings."""
-    _check_pair(mu, nu)
+    check_depths(mu, nu)
     mu_paths = mu.leaf_paths()
     nu_paths = nu.leaf_paths()
     if len(mu_paths) * len(nu_paths) > ORACLE_SIZE_GUARD:
@@ -318,7 +322,7 @@ def brute_force_bicausal(
     d(x_i, y_j)^p summed over the pairs of stages 1..N, and the plan is
     read off the stage-N pairs.  The size guard counts leaf pairs.
     """
-    _check_pair(mu, nu)
+    check_depths(mu, nu)
     if len(mu.leaves) * len(nu.leaves) > ORACLE_SIZE_GUARD:
         raise SizeGuardError("instance too large for the brute-force oracle")
     pairs = [

@@ -171,16 +171,8 @@ class ScenarioTree:
                 order.append(k)
         if len(order) != len(node_list):
             raise ValidationError("tree contains nodes unreachable from the root")
-        self._leaves = tuple(
-            nid for nid in self._dfs(root.id) if self._nodes[nid].stage == depth
-        )
-
-    def _dfs(self, start: int):
-        stack = [start]
-        while stack:
-            nid = stack.pop()
-            yield nid
-            stack.extend(reversed(self._children[nid]))
+        # Children are in value order, so each stage is in history order.
+        self._leaves = tuple(self._stages[depth])
 
     def node(self, nid: int) -> Node:
         return self._nodes[nid]
@@ -208,7 +200,11 @@ class ScenarioTree:
         return [(self._paths[k], self._masses[k]) for k in self._leaves]
 
     def canonical_key(self) -> str:
-        """Total-order key; equal keys mean equal trees (same path law)."""
+        """Total-order key; equal keys mean equal trees (same path law).
+
+        No solver orders its operands by it: each subproblem of the
+        recursion picks its own orientation (``nested._solve``).
+        """
         return repr(tuple(self.leaf_paths()))
 
     def __repr__(self):

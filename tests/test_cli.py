@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from nestedot import Coupling, cli
+from nestedot import Coupling, GroundMetric, cli, nested_distance
 from nestedot.cli import main
 from nestedot.families import fan_vs_merged
 from nestedot.io import (
@@ -373,6 +373,34 @@ def test_separating_demo_rejects_zero_eps(capsys):
     code = main(["demo", "separating", "--eps", "0.1", "0"])
     assert code == 2
     assert "eps must be finite and nonzero" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["check", "coupling", "--tol", "nan"], "--tol"),
+        (["check", "coupling", "--tol", "inf"], "--tol"),
+        (["check", "coupling", "--tol", "-1"], "--tol"),
+        (["split", "--tol", "nan"], "--tol"),
+        (["demo", "kr-gap", "--tol=-inf"], "--tol"),
+        (["demo", "isometry", "--trials", "0"], "--trials"),
+        (["demo", "incompleteness", "--n-max", "0"], "--n-max"),
+        (["demo", "incompleteness", "--n-max", "1"], "--n-max"),
+    ],
+)
+def test_bad_flag_values_exit_2(pair_files, capsys, tmp_path, argv, flag):
+    # Each value used to run: a NaN or negative tolerance misjudged valid
+    # plans, and an empty demo passed after checking nothing.
+    if argv[0] in ("check", "split"):
+        mu, nu = pair_files
+        plan = tmp_path / "plan.json"
+        save_coupling(
+            nested_distance(load_tree(mu), load_tree(nu), GroundMetric.usual(2.0)).plan, plan
+        )
+        argv = [*argv, "--plan", str(plan), "--mu", str(mu), "--nu", str(nu)]
+    code, report, err = run(capsys, *argv)
+    assert code == 2 and report is None
+    assert err.startswith(f"invalid input: {flag} must be ")
 
 
 def test_solver_failure_exits_4(pair_files, capsys, monkeypatch):

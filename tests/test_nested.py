@@ -29,8 +29,10 @@ from nestedot.families import (
     random_tree,
     random_tree_pair,
 )
+from nestedot.nested import _solve
 from path_pair_oracle import path_pair_bicausal
 from reference import node_at
+from test_transport import _masses, _pinned_instances
 
 M1 = GroundMetric.usual(1.0)
 M2 = GroundMetric.usual(2.0)
@@ -186,10 +188,16 @@ def test_truncated_metric_pair():
 
 
 def test_depth_mismatch_rejected():
-    with pytest.raises(ValidationError):
-        nested_distance(chain(0.0), chain(0.0, 1.0), M1)
-    with pytest.raises(ValidationError):
-        brute_force_bicausal(chain(0.0), chain(0.0, 1.0), M1)
+    short, long = chain(0.0), chain(0.0, 1.0)
+    for call in (
+        lambda: nested_distance(short, long, M1),
+        lambda: wasserstein_distance(short, long, M1),
+        lambda: brute_force_bicausal(short, long, M1),
+        lambda: kr_distance(short, long, M1),
+        lambda: nested_wasserstein(embed(short), embed(long), M1),
+    ):
+        with pytest.raises(ValidationError, match="depth mismatch: 1 vs 2"):
+            call()
 
 
 def test_size_guard():
@@ -342,15 +350,12 @@ def _dense_backward(mu, nu, metric):
                             metric.base_dist(vi[a], vj[b]) ** metric.p
                             + values[(t + 1, ka, kb)]
                         )
-                values[(t, i, j)] = solve_ot(cost, pi, pj).value
+                values[(t, i, j)] = _solve(cost, pi, pj)[0]
     return values
 
 
 def _dense_nested(mu, nu, metric):
-    """Reference distance and table, on the same canonical pair ordering."""
-    if mu.canonical_key() > nu.canonical_key():
-        distance, values = _dense_nested(nu, mu, metric)
-        return distance, {(t, j, i): v for (t, i, j), v in values.items()}
+    """Reference distance and table; each subproblem oriented as the engine does."""
     values = _dense_backward(mu, nu, metric)
     return metric.root(values[(0, mu.root, nu.root)]), values
 
@@ -394,6 +399,42 @@ def test_engine_matches_dense_reference_exactly():
         assert dict(res.table.items()) == values
         for (t, i, j), v in values.items():
             assert res.table.value(t, i, j) == v
+
+
+def _mirror_cases():
+    yield from _pinned_instances()
+    rng = np.random.default_rng(606)
+    for trial in range(60):
+        n = int(rng.integers(1, 7))
+        cost = rng.integers(0, 4, size=(2, n)) / 4 if trial % 2 else rng.uniform(0, 3, (2, n))
+        yield cost, _masses(rng, 2, trial % 3 == 0), _masses(rng, n, trial % 3 == 0)
+    for k in (2, 3, 5):
+        # equal masses: the cost rows decide
+        cost = rng.uniform(0.0, 2.0, size=(k, k))
+        yield cost, np.full(k, 1.0 / k), np.full(k, 1.0 / k)
+        # symmetric cost with a zero diagonal: both orientations are one problem
+        x = rng.uniform(0.0, 1.0, size=k)
+        yield (x[:, None] - x[None, :]) ** 2, np.full(k, 1.0 / k), np.full(k, 1.0 / k)
+
+
+def test_solve_mirrors_the_transposed_problem():
+    for cost, a, b in _mirror_cases():
+        a, b = list(map(float, a)), list(map(float, b))
+        value, plan = _solve(cost, a, b)
+        value_t, plan_t = _solve(np.ascontiguousarray(cost.T), b, a)
+        assert value.hex() == value_t.hex()
+        assert np.array_equal(plan, plan_t.T)
+        assert value == pytest.approx(solve_ot(cost, a, b).value, rel=1e-12, abs=1e-15)
+
+
+def test_reversed_arguments_mirror_exactly():
+    for mu, nu, metric in _engine_cases():
+        ab, ba = nested_distance(mu, nu, metric), nested_distance(nu, mu, metric)
+        assert ab.distance.hex() == ba.distance.hex()
+        assert {(e.nu_path, e.mu_path): e.mass for e in ba.plan.entries} == {
+            (e.mu_path, e.nu_path): e.mass for e in ab.plan.entries
+        }
+        assert dict(ba.table.items()) == {(t, j, i): v for (t, i, j), v in ab.table.items()}
 
 
 def test_lift_matches_tree_exactly():
@@ -450,4 +491,6 @@ def test_deep_walk_lazy_table(monkeypatch):
     ups = [node_at(mu, h) for h in ((0.5, 0.0), (-0.5, 0.0))]
     downs = [node_at(nu, h) for h in ((0.25, 0.0), (-0.25, 0.0))]
     assert len({res.table.value(2, i, j) for i in ups for j in downs}) == 1
-    assert res.table.transpose().value(2, downs[0], ups[1]) == res.table.value(2, ups[1], downs[0])
+    assert nested_distance(nu, mu, M2).table.value(2, downs[0], ups[1]) == res.table.value(
+        2, ups[1], downs[0]
+    )

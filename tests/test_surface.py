@@ -52,3 +52,14 @@ def test_tree_and_transport_sit_below_the_solvers():
         tree = ast.parse((src / name).read_text())
         local = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level}
         assert local == {"errors", "tolerances"}, name
+
+
+def test_only_tree_names_canonical_key():
+    # Each subproblem of the recursion picks its own orientation, so no
+    # solver orders its operands by the tree's canonical key.
+    src = Path(nestedot.__file__).parent
+    naming = sorted(
+        p.name for p in src.glob("*.py")
+        if p.name != "tree.py" and "canonical_key" in p.read_text()
+    )
+    assert naming == []
