@@ -52,11 +52,23 @@ class GroundMetric:
             return self.cap
         return d
 
+    def base_cost(self, a: float, b: float) -> float:
+        """p-th power of the base distance; one too large for a float is rejected."""
+        d = abs(a - b)  # base_dist inlined: solvers call this once per cost entry
+        if self.kind == TRUNCATED and d > self.cap:
+            d = self.cap
+        try:
+            return d ** self.p
+        except OverflowError:
+            raise ValidationError(
+                f"cost overflows: base distance {d!r} to the power {self.p}"
+            ) from None
+
     def path_cost(self, x: Sequence[float], y: Sequence[float]) -> float:
         """Sum over coordinates of the p-th power of the base distance."""
         if len(x) != len(y):
             raise ValidationError(f"path length mismatch: {len(x)} vs {len(y)}")
-        return sum(self.base_dist(a, b) ** self.p for a, b in zip(x, y))
+        return sum(self.base_cost(a, b) for a, b in zip(x, y))
 
     def distance(self, x: Sequence[float], y: Sequence[float]) -> float:
         """The induced metric on paths, i.e. ``path_cost ** (1/p)``."""

@@ -8,12 +8,14 @@ pairs of exact subtree classes (the atoms of the nested distributions)
 and serves both scenario trees and their lifts.  An optimal bicausal
 coupling is assembled by composing the one-stage plans down the node
 pairs (``compose_plan``, shared with the Knothe-Rosenblatt plans).
-Each one-stage problem is solved in the orientation that ``_solve``
-picks from its content alone, so swapping the operands, or lifting
-them, gives the same bits.  ``brute_force_bicausal`` solves the same
-problem as a single linear program over all same-stage node pairs, with
-one kernel row per child of either node of a pair, and serves as an
-independent oracle.
+The recursion validates once per class: each class's child masses are
+checked and normalized once, and each one-stage problem goes to the
+transport kernel without the checks or the dual pair of ``solve_ot``.
+It is solved in the orientation that ``_solve`` picks from its content
+alone, so swapping the operands, or lifting them, gives the same bits.
+``brute_force_bicausal`` solves the same problem as a single linear
+program over all same-stage node pairs, with one kernel row per child
+of either node of a pair, and serves as an independent oracle.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from scipy.optimize import linprog
 from .errors import SizeGuardError, ValidationError
 from .metrics import TRUNCATED, GroundMetric
 from .tolerances import SNAP
-from .transport import solve_ot
+from .transport import _kernel, _normalized, solve_ot
 from .tree import ScenarioTree
 
 ORACLE_SIZE_GUARD = 10_000
@@ -126,9 +128,15 @@ def tree_classes(tree: ScenarioTree) -> tuple[SubtreeClasses, dict[int, int]]:
 
 
 Solved = dict[tuple[int, int], tuple[float, np.ndarray | None]]
+# A class's child masses as given (they decide orientation) and normalized.
+Law = tuple[list[float], np.ndarray]
 
 
-def _solve(cost: np.ndarray, a: list[float], b: list[float]) -> tuple[float, np.ndarray]:
+def _law(masses: list[float]) -> Law:
+    return masses, _normalized(masses)
+
+
+def _solve(cost: np.ndarray, a: Law, b: Law) -> tuple[float, np.ndarray]:
     """Optimal value and plan of one transport subproblem.
 
     The problem and its transpose ``(cost.T, b, a)`` have the same optimum,
@@ -136,14 +144,18 @@ def _solve(cost: np.ndarray, a: list[float], b: list[float]) -> tuple[float, np.
     Of the two, the one whose masses, then cost rows, compare lower is
     solved (the transpose as a C-contiguous copy), and the plan is returned
     in the caller's orientation.  The transposed call thus gives the same
-    value bit for bit and exactly the transposed plan.
+    value bit for bit and exactly the transposed plan.  A cost that is not
+    finite, such as a sum of continuation values past the float range, is
+    rejected as ``solve_ot`` would reject it.
     """
+    if not np.isfinite(cost).all():
+        raise ValidationError("cost entries must be finite")
     flipped = cost.T
-    if b < a or (b == a and flipped.tolist() < cost.tolist()):
-        res = solve_ot(np.ascontiguousarray(flipped), b, a)
-        return res.value, res.plan.matrix.T
-    res = solve_ot(cost, a, b)
-    return res.value, res.plan.matrix
+    if b[0] < a[0] or (b[0] == a[0] and flipped.tolist() < cost.tolist()):
+        x, value, _, _ = _kernel(np.ascontiguousarray(flipped), b[1], a[1])
+        return value, x.T
+    x, value, _, _ = _kernel(cost, a[1], b[1])
+    return value, x
 
 
 def backward(first: SubtreeClasses, second: SubtreeClasses, metric: GroundMetric) -> Solved:
@@ -151,24 +163,27 @@ def backward(first: SubtreeClasses, second: SubtreeClasses, metric: GroundMetric
 
     Each pair gets the optimal one-stage transport between the children's
     laws, where a child pair costs the base distance of its values (p-th
-    power) plus the continuation value of its class pair.  Returns the
-    value and the one-stage plan of every class pair; the empty pair
-    ``(0, 0)`` has value zero and no plan.
+    power) plus the continuation value of its class pair.  Each class's
+    child masses are checked and normalized once, and the subproblems go
+    to the transport kernel directly, without duals.  Returns the value
+    and the one-stage plan of every class pair; the empty pair ``(0, 0)``
+    has value zero and no plan.
     """
     solved: Solved = {(0, 0): (0.0, None)}
-    power = metric.p
+    base_cost = metric.base_cost
     for level_a, level_b in zip(first.levels[1:], second.levels[1:]):
-        masses_b = [[m for _, m, _ in second.keys[cb]] for cb in level_b]
+        laws_b = [
+            (cb, second.keys[cb], _law([m for _, m, _ in second.keys[cb]])) for cb in level_b
+        ]
         for ca in level_a:
             kids_a = first.keys[ca]
-            mass_a = [m for _, m, _ in kids_a]
-            for cb, mass_b in zip(level_b, masses_b):
-                kids_b = second.keys[cb]
+            law_a = _law([m for _, m, _ in kids_a])
+            for cb, kids_b, law_b in laws_b:
                 cost = np.empty((len(kids_a), len(kids_b)))
                 for r, (va, _, sa) in enumerate(kids_a):
                     for s, (vb, _, sb) in enumerate(kids_b):
-                        cost[r, s] = metric.base_dist(va, vb) ** power + solved[sa, sb][0]
-                solved[ca, cb] = _solve(cost, mass_a, mass_b)
+                        cost[r, s] = base_cost(va, vb) + solved[sa, sb][0]
+                solved[ca, cb] = _solve(cost, law_a, law_b)
     return solved
 
 
@@ -273,8 +288,13 @@ def nested_distance(
     classes_nu, of_nu = tree_classes(nu)
     solved = backward(classes_mu, classes_nu, metric)
 
+    rows: dict[tuple[int, int], list[list[float]]] = {}
+
     def cells(i: int, j: int) -> list[tuple[int, int, float]]:
-        x = solved[of_mu[i], of_nu[j]][1].tolist()
+        pair = of_mu[i], of_nu[j]
+        x = rows.get(pair)
+        if x is None:
+            x = rows[pair] = solved[pair][1].tolist()
         kids_j = nu.children(j)
         return [
             (ka, kb, frac)
@@ -302,7 +322,8 @@ def wasserstein_distance(
     gap = np.abs(x[:, None, :] - y[None, :, :])
     if metric.kind == TRUNCATED:
         gap = np.minimum(gap, metric.cap)
-    cost = (gap ** metric.p).sum(axis=2)
+    with np.errstate(over="ignore"):  # an overflow is inf, which solve_ot rejects
+        cost = (gap ** metric.p).sum(axis=2)
     res = solve_ot(cost, [w for _, w in mu_paths], [w for _, w in nu_paths])
     return metric.root(res.value)
 
@@ -350,7 +371,7 @@ def brute_force_bicausal(
             kernel_row((i, j), nu.node(l).cond_prob, [(c, l) for c in kids_i])
 
     cost = [0.0] + [
-        metric.base_dist(mu.node(i).value, nu.node(j).value) ** metric.p for i, j in pairs[1:]
+        metric.base_cost(mu.node(i).value, nu.node(j).value) for i, j in pairs[1:]
     ]
     a_eq = sp.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, len(pairs)))
     b_eq = np.zeros(a_eq.shape[0])

@@ -1,12 +1,16 @@
 """Exact solvers for small discrete optimal transport subproblems.
 
-:func:`solve_ot` is the one solver route, for general nonnegative cost
-matrices: problems with at most two sources or two targets are solved in
-closed form and larger ones by the transportation simplex, whose basis
-is a spanning tree over rows and columns kept across pivots, so a pivot
-re-derives only the potentials below the leaving cell.  Subproblem sizes
-here are tree branching factors, so exactness is preferred over
-large-scale approximation.  All functions are pure and reentrant.
+One kernel (``_kernel``) solves a problem whose marginals are already
+checked and normalized: problems with at most two sources or two
+targets in closed form and larger ones by the transportation simplex,
+whose basis is a spanning tree over rows and columns kept across
+pivots, so a pivot re-derives only the potentials below the leaving
+cell.  The nested recursion calls it directly, having validated each
+class's masses once.  :func:`solve_ot` is the public entry point: it
+validates and normalizes its input, calls the same kernel and is the
+only caller that asks for an optimal dual pair.  Subproblem sizes here
+are tree branching factors, so exactness is preferred over large-scale
+approximation.  All functions are pure and reentrant.
 """
 
 from __future__ import annotations
@@ -75,7 +79,9 @@ def _northwest_corner(a: list[float], b: list[float]):
     ra, rb = a[0], b[0]
     while True:
         t = min(ra, rb)
-        flow[i][j] = t if t > SNAP else 0.0
+        # A whole input mass (what is left of a row or column never exceeds
+        # it) is kept however small; a remainder at or below SNAP is rounding.
+        flow[i][j] = t if t > SNAP or (t > 0.0 and (t == a[i] or t == b[j])) else 0.0
         basis.append((i, j))
         ra -= t
         rb -= t
@@ -94,52 +100,85 @@ def _northwest_corner(a: list[float], b: list[float]):
 
 
 def _two_sources(c: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Closed-form optimum of a transport problem with two sources.
+    """Closed-form optimal plan of a transport problem with two sources.
 
     Row 0 takes the columns in ascending order of ``c[0, j] - c[1, j]``
     (ties by lowest index) until its mass runs out; row 1 takes the rest.
     This is optimal because the problem reduces to a fractional knapsack
     over row 0.  When the mass row 0 has left and the next column's mass
     differ by at most ``SNAP``, the column goes to row 0 whole: what
-    either would keep is rounding, not a plan cell.  The dual pair puts
-    the threshold difference on row 1.
+    either would keep is rounding, not a plan cell.  Also returns the
+    columns row 0 reaches, in the order it takes them, for
+    :func:`_two_source_duals`.
     """
     n = c.shape[1]
-    diff = c[0] - c[1]
-    order = sorted(range(n), key=lambda j: (diff[j], j))
+    diff = (c[0] - c[1]).tolist()
+    order = sorted(range(n), key=diff.__getitem__)  # stable: ties by lowest index
+    mass = b.tolist()
     x = np.zeros((2, n))
-    left = a[0]
+    left = a.item(0)
     split = 0  # position in ``order`` of the last column row 0 reaches
     for pos, j in enumerate(order):
         if left <= 0.0:
             break
         split = pos
-        if abs(left - b[j]) <= SNAP:
-            x[0, j] = b[j]
+        if abs(left - mass[j]) <= SNAP:
+            x[0, j] = mass[j]
             break
-        take = min(b[j], left)
+        take = min(mass[j], left)
         x[0, j] = take
         left -= take
     x[1] = b - x[0]
-    threshold = diff[order[split]]
+    return x, order[: split + 1]
+
+
+def _two_source_duals(c: np.ndarray, reached: list[int]):
+    """Optimal dual pair of a two-source plan (row 0 potential zero).
+
+    The difference ``c[0, j] - c[1, j]`` of the last column row 0 reaches
+    is the threshold, and it goes on row 1.
+    """
+    last = reached[-1]
+    threshold = c[0, last] - c[1, last]
     u = np.array([0.0, -threshold])
     v = c[1] + threshold
-    for j in order[: split + 1]:
+    for j in reached:
         v[j] = c[0, j]
-    return x, u, v
+    return u, v
 
 
-def _small_plan(c: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Optimal plan and dual pair (row 0 potential zero) when min(m, n) <= 2."""
+def _kernel(c: np.ndarray, a: np.ndarray, b: np.ndarray, duals: bool = False):
+    """Optimal plan and value of a problem whose marginals sum to one.
+
+    The closed form of :func:`_two_sources` serves min(m, n) <= 2 (two
+    targets as the transposed problem) and :func:`_simplex` the rest.
+    Returns ``(plan, value, u, v)``; the dual pair ``u, v`` (row 0
+    potential zero) is derived only when ``duals`` is set, except from the
+    simplex, which keeps it anyway.
+    """
     m, n = c.shape
-    if m == 1:
-        return b[None, :].copy(), np.zeros(1), c[0].copy()
-    if n == 1:
-        return a[:, None].copy(), c[:, 0] - c[0, 0], c[0, :1].copy()
-    if m == 2:
-        return _two_sources(c, a, b)
-    xt, ut, vt = _two_sources(c.T, b, a)
-    return xt.T.copy(), vt - vt[0], ut + vt[0]
+    u = v = None
+    if min(m, n) > 2:
+        x, u, v = _simplex(c, a, b)
+    elif m == 1:
+        x = b[None, :].copy()
+        if duals:
+            u, v = np.zeros(1), c[0].copy()
+    elif n == 1:
+        x = a[:, None].copy()
+        if duals:
+            u, v = c[:, 0] - c[0, 0], c[0, :1].copy()
+    elif m == 2:
+        x, reached = _two_sources(c, a, b)
+        if duals:
+            u, v = _two_source_duals(c, reached)
+    else:
+        xt, reached = _two_sources(c.T, b, a)
+        x = xt.T.copy()
+        if duals:
+            ut, vt = _two_source_duals(c.T, reached)
+            u, v = vt - vt[0], ut + vt[0]
+    return x, float((x * c).sum()), u, v
 
 
 def _simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -153,9 +192,11 @@ def _simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray):
     subtree off, the entering cell hangs it back on, and only that
     subtree's potentials are re-derived: each depends only on its root path.
 
-    A cell that the northwest-corner start or a pivot leaves at or below
-    ``SNAP`` is set to exactly zero and stays basic as a degenerate cell:
-    such a remainder is rounding, not a plan cell.
+    A remainder at or below ``SNAP``, left in a cell by the northwest-corner
+    start or by a pivot that takes mass out of it, is set to exactly zero
+    and the cell stays basic as a degenerate cell: such a remainder is
+    rounding, not a plan cell.  A cell that receives an input mass whole,
+    or mass from a pivot, keeps it however small.
     """
     m, n = c.shape
     flow, basis = _northwest_corner(a.tolist(), b.tolist())
@@ -221,11 +262,12 @@ def _simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray):
         theta = min(flow[r][s] for r, s in minus)
         leave = min((r, s) for r, s in minus if flow[r][s] <= theta)
         plus = [(i, j)] + row_side[1::2] + col_side[1::2]
-        for cells, step in ((plus, theta), (minus, -theta)):
-            for r, s in cells:
-                flow[r][s] += step
-                if flow[r][s] <= SNAP:
-                    flow[r][s] = 0.0
+        for r, s in plus:
+            flow[r][s] += theta
+        for r, s in minus:
+            flow[r][s] -= theta
+            if flow[r][s] <= SNAP:
+                flow[r][s] = 0.0
         r, s = leave
         basic[r, s], basic[i, j] = False, True
         adj[r].remove(m + s)
@@ -241,12 +283,23 @@ def _simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray):
     return np.array(flow), u, v
 
 
+def _normalized(masses) -> np.ndarray:
+    """Nonnegative masses summing to 1 within ``TOL``, divided by their sum."""
+    v = np.asarray(masses, dtype=float)
+    if not v.min() >= 0.0:
+        raise ValidationError("masses must be finite and nonnegative")
+    total = float(v.sum())
+    if abs(total - 1.0) > TOL:
+        raise ValidationError(f"mass mismatch: marginal sums to {total}")
+    return v / total
+
+
 def solve_ot(
     cost: Sequence[Sequence[float]] | np.ndarray,
     a: Sequence[float] | np.ndarray,
     b: Sequence[float] | np.ndarray,
 ) -> OTResult:
-    """Exact optimum of the dense transportation problem.
+    """Exact optimum of the dense transportation problem, with a dual pair.
 
     Problems with one or two sources or targets are solved in closed form:
     with two sources, source 0 is filled in ascending order of
@@ -255,10 +308,10 @@ def solve_ot(
     transportation simplex with a northwest-corner start and the u-v
     (MODI) optimality test on a rooted basis tree, whose potentials a
     pivot re-derives only below the leaving cell; ties, both for entering
-    and leaving cells, are broken by lowest (row, col) index.  Either
-    route returns a reproducible optimal plan with an optimal dual pair
-    attached (row 0 potential zero).  Where ties allow several optimal
-    plans the two routes may pick different ones, but with equal value.
+    and leaving cells, are broken by lowest (row, col) index.  The plan
+    is reproducible and comes with an optimal dual pair (row 0 potential
+    zero).  Where ties allow several optimal plans the two routes may
+    pick different ones, but with equal value.
     """
     c = np.asarray(cost, dtype=float)
     if c.ndim != 2 or c.size == 0:
@@ -269,21 +322,8 @@ def solve_ot(
         raise ValidationError("negative cost entries rejected")
     av = np.asarray(a, dtype=float)
     bv = np.asarray(b, dtype=float)
-    m, n = c.shape
-    if av.shape != (m,) or bv.shape != (n,):
+    if av.shape != (c.shape[0],) or bv.shape != (c.shape[1],):
         raise ValidationError("marginal lengths do not match the cost matrix")
-    if not (av.min() >= 0.0 and bv.min() >= 0.0):
-        raise ValidationError("masses must be finite and nonnegative")
-    sa, sb = float(av.sum()), float(bv.sum())
-    if abs(sa - 1.0) > TOL or abs(sb - 1.0) > TOL:
-        raise ValidationError(f"mass mismatch: marginals sum to {sa} and {sb}")
-    av = av / sa
-    bv = bv / sb
-
-    if min(m, n) <= 2:
-        x, u, v = _small_plan(c, av, bv)
-    else:
-        x, u, v = _simplex(c, av, bv)
-    value = float(np.sum(x * c))
-    plan = TransportPlan(av, bv, x, row_potentials=u, col_potentials=v)
-    return OTResult(value, plan)
+    av, bv = _normalized(av), _normalized(bv)
+    x, value, u, v = _kernel(c, av, bv, duals=True)
+    return OTResult(value, TransportPlan(av, bv, x, row_potentials=u, col_potentials=v))

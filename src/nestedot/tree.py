@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
-from .tolerances import TOL
+from .tolerances import ROUNDING, TOL
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,9 @@ class ScenarioTree:
     Construction checks all structural invariants (single virtual root,
     leaves all at the final stage, conditional probabilities in (0, 1]
     summing to one per node, pairwise distinct sibling values) and
-    renormalizes probabilities exactly.  Instances never mutate afterwards
-    and are safe for concurrent reads.
+    renormalizes each sibling group exactly, unless it already sums to 1
+    within ``ROUNDING``.  Instances never mutate afterwards and are safe
+    for concurrent reads.
     """
 
     def __init__(self, depth: int, nodes: Iterable[Node]):
@@ -145,6 +146,10 @@ class ScenarioTree:
                 raise ValidationError(
                     f"children of node {pid} have probabilities summing to {total}"
                 )
+            if abs(total - 1.0) <= ROUNDING:
+                # Already normalized up to rounding (a saved tree, say): keep
+                # the probabilities bit for bit, so a reloaded tree is unchanged.
+                total = 1.0
             vals = [by_id[k].value for k in kids]
             if len(set(vals)) != len(vals):
                 raise ValidationError(f"children of node {pid} have duplicate values")

@@ -5,7 +5,15 @@ import sys
 
 import pytest
 
-from nestedot import Coupling, GroundMetric, cli, nested_distance
+from nestedot import (
+    Coupling,
+    GroundMetric,
+    PathDistribution,
+    build_tree,
+    cli,
+    embed,
+    nested_distance,
+)
 from nestedot.cli import main
 from nestedot.families import fan_vs_merged
 from nestedot.io import (
@@ -13,6 +21,7 @@ from nestedot.io import (
     load_nested,
     load_tree,
     save_coupling,
+    save_nested,
     save_tree,
 )
 
@@ -141,6 +150,30 @@ def test_embed_and_lifted(pair_files, capsys, tmp_path):
     )
     assert code == 0
     assert report["results"]["distance"] == pytest.approx(1.5, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["compute nested", "compute nested --oracle", "compute kr", "compute wasserstein",
+     "compute lifted"],
+)
+def test_overflowing_costs_exit_2(capsys, tmp_path, command):
+    # Squared base distances near 1e400 used to raise an uncaught
+    # OverflowError out of every command but wasserstein.
+    files = {}
+    for name, top in (("mu", 1e200), ("nu", 1e200 / 3)):
+        tree = build_tree(PathDistribution.from_pairs([((top,), 0.5), ((-top,), 0.5)]))
+        files[name] = tmp_path / f"{name}.json"
+        save_tree(tree, files[name])
+        files[name.upper()] = tmp_path / f"{name}.nested.json"
+        save_nested(embed(tree), files[name.upper()])
+    if command == "compute lifted":
+        argv = ["--P", str(files["MU"]), "--Q", str(files["NU"])]
+    else:
+        argv = ["--mu", str(files["mu"]), "--nu", str(files["nu"])]
+    code, report, err = run(capsys, *command.split(), *argv, "--p", "2")
+    assert code == 2 and report is None
+    assert err.startswith("invalid input: ")
 
 
 def test_from_samples_variants(capsys, tmp_path):

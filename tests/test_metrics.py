@@ -39,6 +39,15 @@ def test_path_cost_length_mismatch():
         GroundMetric.usual(1.0).path_cost((0.0,), (0.0, 1.0))
 
 
+def test_overflowing_cost_rejected():
+    m = GroundMetric.usual(2.0)
+    assert m.base_cost(1.0, 4.0) == 9.0
+    with pytest.raises(ValidationError, match="cost overflows"):
+        m.base_cost(1e200, -1e200 / 3)
+    with pytest.raises(ValidationError, match="cost overflows"):
+        m.path_cost((0.0, 1e200), (0.0, -1e200))
+
+
 def test_invalid_parameters():
     with pytest.raises(ValidationError):
         GroundMetric.usual(0.5)

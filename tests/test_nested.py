@@ -29,7 +29,7 @@ from nestedot.families import (
     random_tree,
     random_tree_pair,
 )
-from nestedot.nested import _solve
+from nestedot.nested import _law, _solve
 from path_pair_oracle import path_pair_bicausal
 from reference import node_at
 from test_transport import _masses, _pinned_instances
@@ -350,8 +350,17 @@ def _dense_backward(mu, nu, metric):
                             metric.base_dist(vi[a], vj[b]) ** metric.p
                             + values[(t + 1, ka, kb)]
                         )
-                values[(t, i, j)] = _solve(cost, pi, pj)[0]
+                values[(t, i, j)] = _oriented_value(cost, pi, pj)
     return values
+
+
+def _oriented_value(cost, a, b):
+    """``solve_ot``'s value of the problem or of its transpose, whichever the
+    engine solves: the one whose masses, then cost rows, compare lower."""
+    flipped = np.ascontiguousarray(cost.T)
+    if b < a or (b == a and flipped.tolist() < cost.tolist()):
+        return solve_ot(flipped, b, a).value
+    return solve_ot(cost, a, b).value
 
 
 def _dense_nested(mu, nu, metric):
@@ -381,9 +390,16 @@ def dyadic_walk(depth, step, up):
 
 def _engine_cases():
     rng = np.random.default_rng(4242)
-    metrics = [M1, M2, GroundMetric.truncated(1.0, cap=0.5), GroundMetric.truncated(2.0, cap=1.0)]
+    metrics = [
+        M1,
+        M2,
+        GroundMetric.truncated(1.0, cap=0.5),
+        GroundMetric.truncated(2.0, cap=1.0),
+        GroundMetric.usual(1.5),
+        GroundMetric.usual(3.0),
+    ]
     for k in range(24):
-        yield (*random_tree_pair(rng, int(rng.integers(1, 4))), metrics[k % 4])
+        yield (*random_tree_pair(rng, int(rng.integers(1, 4))), metrics[k % len(metrics)])
     for depth in (2, 3, 4):
         for metric in metrics:
             yield dyadic_walk(depth, 0.5, 0.5), dyadic_walk(depth, 0.25, 0.75), metric
@@ -420,8 +436,8 @@ def _mirror_cases():
 def test_solve_mirrors_the_transposed_problem():
     for cost, a, b in _mirror_cases():
         a, b = list(map(float, a)), list(map(float, b))
-        value, plan = _solve(cost, a, b)
-        value_t, plan_t = _solve(np.ascontiguousarray(cost.T), b, a)
+        value, plan = _solve(cost, _law(a), _law(b))
+        value_t, plan_t = _solve(np.ascontiguousarray(cost.T), _law(b), _law(a))
         assert value.hex() == value_t.hex()
         assert np.array_equal(plan, plan_t.T)
         assert value == pytest.approx(solve_ot(cost, a, b).value, rel=1e-12, abs=1e-15)
@@ -455,13 +471,13 @@ def test_value_table_rejects_wrong_stage():
 
 def _counting_solves(monkeypatch):
     calls = []
-    real = nestedot.nested.solve_ot
+    real = nestedot.nested._kernel
 
     def counted(cost, a, b):
         calls.append((len(a), len(b)))
         return real(cost, a, b)
 
-    monkeypatch.setattr(nestedot.nested, "solve_ot", counted)
+    monkeypatch.setattr(nestedot.nested, "_kernel", counted)
     return calls
 
 

@@ -349,6 +349,17 @@ def test_simplex_drops_rounding_residue():
         assert min(e.mass for e in plan.entries) >= 1e-15
 
 
+def test_simplex_keeps_input_mass_of_snap():
+    # A row or column mass of exactly SNAP used to be zeroed as rounding by
+    # the northwest-corner start or a pivot: its row shipped nothing.
+    rng = np.random.default_rng(12)
+    a, b = [1e-12, 0.5, 0.5 - 1e-12], [1 / 3, 1 / 3, 1 / 3]
+    for _ in range(50):
+        cost = rng.uniform(0.0, 2.0, size=(3, 3))
+        for c, rows, cols in ((cost, a, b), (cost.T, b, a)):
+            _assert_optimal_certificate(solve_ot(c, rows, cols), c, mass_tol=1e-15)
+
+
 # ------------------------------------------- simplex on degenerate inputs
 
 

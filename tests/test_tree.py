@@ -183,6 +183,16 @@ def test_json_round_trip():
         assert back.canonical_key() == tree.canonical_key()
 
 
+def test_json_round_trip_keeps_leaf_laws_bit_for_bit():
+    # Sibling groups summing to 1 within rounding used to be divided by
+    # their sum again on reload, moving 4 of these trees by an ulp.
+    rng = np.random.default_rng(5)
+    for _ in range(1200):
+        tree = random_tree(rng, int(rng.integers(1, 5)))
+        back = tree_from_json(tree_to_json(tree))
+        assert back.leaf_paths() == tree.leaf_paths()
+
+
 def test_json_schema_shape():
     fan, _ = fan_vs_merged(2)
     obj = tree_to_json(fan)
