@@ -15,7 +15,9 @@ It is solved in the orientation that ``_solve`` picks from its content
 alone, so swapping the operands, or lifting them, gives the same bits.
 ``brute_force_bicausal`` solves the same problem as a single linear
 program over all same-stage node pairs, with one kernel row per child
-of either node of a pair, and serves as an independent oracle.
+of either node of a pair less one implied row per pair, and serves as an
+independent oracle.  Its matrix is built stage by stage from parent
+positions by index arithmetic, and HiGHS solves it without presolve.
 """
 
 from __future__ import annotations
@@ -328,62 +330,91 @@ def wasserstein_distance(
     return metric.root(res.value)
 
 
+def _next_stage(tree: ScenarioTree, nodes: list[int]):
+    """The children of ``nodes`` in order, with the positions of their
+    parents in ``nodes``, their conditional probabilities and values."""
+    kids, up = [], []
+    for k, nid in enumerate(nodes):
+        for c in tree.children(nid):
+            kids.append(c)
+            up.append(k)
+    probs = np.array([tree.node(c).cond_prob for c in kids])
+    return kids, np.array(up), probs, [tree.node(c).value for c in kids]
+
+
 def brute_force_bicausal(
     mu: ScenarioTree, nu: ScenarioTree, metric: GroundMetric
 ) -> OracleResult:
     """Exact bicausal optimum as one linear program over same-stage node pairs.
 
     A node is its history, so the LP has one variable π_t(i, j) per stage t
-    and pair of stage-t nodes (i of mu, j of nu).  The root pair has mass
-    one.  Bicausality enters as kernel rows: for every pair (i, j) before
-    the last stage and every child c of i, the masses π_{t+1}(c, l) summed
-    over the children l of j equal p(c)·π_t(i, j), and symmetrically for
-    every child of j.  Conditioning on zero-mass pairs is then
-    automatically unconstrained.  The cost is the per-stage base cost
-    d(x_i, y_j)^p summed over the pairs of stages 1..N, and the plan is
-    read off the stage-N pairs.  The size guard counts leaf pairs.
+    and pair of stage-t nodes (i of mu, j of nu), numbered stage by stage
+    with i major.  The root pair has mass one.  Bicausality enters as
+    kernel rows: for every pair (i, j) before the last stage and every
+    child c of i, the μ-row (c, j) says that the masses π_{t+1}(c, l)
+    summed over the children l of j equal p(c)·π_t(i, j), and the ν-row
+    (i, l) says the same for every child l of j.  A stage-(t+1) variable
+    (c, l) sits in exactly the μ-row (c, parent(l)) and the ν-row
+    (parent(c), l), so each stage's rows come from its parent positions
+    and child probabilities by index arithmetic.  The ν-row of each last
+    child is left out: the pair's μ-rows imply it, and the rows left have
+    full rank.  Conditioning on zero-mass pairs is then automatically
+    unconstrained.  The cost is the per-stage base cost d(x_i, y_j)^p
+    summed over the pairs of stages 1..N, and the plan is read off the
+    stage-N pairs.  The size guard counts leaf pairs.
+
+    HiGHS runs without presolve, which on these LPs mostly costs time.
+    Without it, though, HiGHS can stop on a vertex with masses below zero
+    within its feasibility tolerance (-6e-8 on some pairs of depth-6
+    walks), priced below the optimum by more than ``ORACLE_TOL``; such an
+    answer is solved again with presolve.
     """
     check_depths(mu, nu)
     if len(mu.leaves) * len(nu.leaves) > ORACLE_SIZE_GUARD:
         raise SizeGuardError("instance too large for the brute-force oracle")
-    pairs = [
-        (i, j)
-        for t in range(mu.depth + 1)
-        for i in mu.nodes_at_stage(t)
-        for j in nu.nodes_at_stage(t)
-    ]
-    col = {pair: k for k, pair in enumerate(pairs)}
-    # CSR rows; row 0 is the root row π_0(root, root) = 1
-    indptr, indices, data = [0, 1], [0], [1.0]
-
-    def kernel_row(pair: tuple[int, int], prob: float, child_pairs: list[tuple[int, int]]):
-        indices.append(col[pair])
-        indices.extend(col[q] for q in child_pairs)
-        data.append(-prob)
-        data.extend([1.0] * len(child_pairs))
-        indptr.append(len(indices))
-
-    for i, j in pairs:
-        kids_i, kids_j = mu.children(i), nu.children(j)
-        for c in kids_i:
-            kernel_row((i, j), mu.node(c).cond_prob, [(c, l) for l in kids_j])
-        for l in kids_j:
-            kernel_row((i, j), nu.node(l).cond_prob, [(c, l) for c in kids_i])
-
-    cost = [0.0] + [
-        metric.base_cost(mu.node(i).value, nu.node(j).value) for i, j in pairs[1:]
-    ]
-    a_eq = sp.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, len(pairs)))
-    b_eq = np.zeros(a_eq.shape[0])
+    nodes_mu, nodes_nu = [mu.root], [nu.root]
+    # COO entries; row 0 is the root row π_0(root, root) = 1
+    rows, cols, data = [np.array([0])], [np.array([0])], [np.array([1.0])]
+    cost, base_cost = [0.0], metric.base_cost
+    n_rows, first = 1, 0  # rows so far, first variable of the current stage
+    for _ in range(mu.depth):
+        a, b = len(nodes_mu), len(nodes_nu)
+        nodes_mu, up_mu, p_mu, x_mu = _next_stage(mu, nodes_mu)
+        nodes_nu, up_nu, p_nu, x_nu = _next_stage(nu, nodes_nu)
+        a1, b1 = len(nodes_mu), len(nodes_nu)
+        kept = np.flatnonzero(up_nu[:-1] == up_nu[1:])  # ν children but last siblings
+        k = len(kept)
+        var = first + a * b + np.arange(a1 * b1).reshape(a1, b1)  # π_{t+1}(c, l)
+        nu_rows = n_rows + a1 * b  # the μ-rows (c, j) come first, then the ν-rows (i, l)
+        rows += [
+            (n_rows + np.arange(a1)[:, None] * b + up_nu).ravel(),  # μ-row (c, parent(l))
+            (nu_rows + up_mu[:, None] * k + np.arange(k)).ravel(),  # ν-row (parent(c), l)
+            np.arange(n_rows, nu_rows + a * k),  # each row's π_t(i, j) entry
+        ]
+        cols += [
+            var.ravel(),
+            var[:, kept].ravel(),
+            (first + up_mu[:, None] * b + np.arange(b)).ravel(),
+            (first + np.arange(a)[:, None] * b + up_nu[kept]).ravel(),
+        ]
+        data += [np.ones(a1 * (b1 + k)), np.repeat(-p_mu, b), np.tile(-p_nu[kept], a)]
+        cost += [base_cost(x, y) for x in x_mu for y in x_nu]
+        n_rows, first = nu_rows + a * k, first + a * b
+    cost = np.array(cost)
+    entries = (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols)))
+    a_eq = sp.csr_matrix(entries, shape=(n_rows, len(cost)))
+    b_eq = np.zeros(n_rows)
     b_eq[0] = 1.0
-    res = linprog(np.array(cost), A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
+    lp = {"A_eq": a_eq, "b_eq": b_eq, "bounds": (0.0, None), "method": "highs"}
+    res = linprog(cost, **lp, options={"presolve": False})
+    if res.success and res.x.min() < -SNAP:
+        res = linprog(cost, **lp)
     if not res.success:
         raise RuntimeError(f"bicausal oracle LP failed: {res.message}")
-    first_leaf_pair = len(pairs) - len(mu.leaves) * len(nu.leaves)
+    leaf_pairs, width = res.x[first:], len(nodes_nu)
     masses = {
-        (mu.path(i), nu.path(j)): mass
-        for (i, j), mass in zip(pairs[first_leaf_pair:], res.x[first_leaf_pair:].tolist())
-        if mass > SNAP
+        (mu.path(nodes_mu[k // width]), nu.path(nodes_nu[k % width])): leaf_pairs.item(k)
+        for k in np.flatnonzero(leaf_pairs > SNAP).tolist()
     }
     return OracleResult(metric.root(float(res.fun)), Coupling.from_mass_map(masses))
 

@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .tolerances import SNAP, TOL
+from .tolerances import ROUNDING, SNAP, TOL
 
 
 @dataclass
@@ -106,12 +106,14 @@ def _two_sources(c: np.ndarray, a: np.ndarray, b: np.ndarray):
     (ties by lowest index) until its mass runs out; row 1 takes the rest.
     This is optimal because the problem reduces to a fractional knapsack
     over row 0.  When the mass row 0 has left and the next column's mass
-    differ by at most ``SNAP``, the column goes to row 0 whole: what
-    either would keep is rounding, not a plan cell.  Also returns the
-    columns row 0 reaches, in the order it takes them, for
-    :func:`_two_source_duals`.
+    differ by no more than the rounding of a sum of n masses
+    (n·``ROUNDING``), the column goes to row 0 whole: what either would
+    keep is rounding, not a plan cell.  A larger difference is input mass
+    and is shipped, however small.  Also returns the columns row 0
+    reaches, in the order it takes them, for :func:`_two_source_duals`.
     """
     n = c.shape[1]
+    rounding = n * ROUNDING
     diff = (c[0] - c[1]).tolist()
     order = sorted(range(n), key=diff.__getitem__)  # stable: ties by lowest index
     mass = b.tolist()
@@ -122,7 +124,7 @@ def _two_sources(c: np.ndarray, a: np.ndarray, b: np.ndarray):
         if left <= 0.0:
             break
         split = pos
-        if abs(left - mass[j]) <= SNAP:
+        if abs(left - mass[j]) <= rounding:
             x[0, j] = mass[j]
             break
         take = min(mass[j], left)
@@ -227,6 +229,9 @@ def _simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray):
 
     if hang(0) != m + n:
         raise RuntimeError("basis graph is not a spanning tree")
+    # A potential sums up to m + n costs along its root path, so a reduced
+    # cost carries rounding in proportion to the largest cost.
+    enter = -max(SNAP, (m + n) * ROUNDING * float(c.max()))
     max_iter = 2000 + 40 * (m + n) ** 2
     bland_after = 200 + 10 * (m + n) ** 2
     for it in range(max_iter):
@@ -237,10 +242,10 @@ def _simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray):
         np.putmask(reduced, basic, 0.0)
         if it < bland_after:
             k = int(reduced.argmin())
-            if reduced.item(k) >= -SNAP:
+            if reduced.item(k) >= enter:
                 break
         else:
-            candidates = np.flatnonzero(reduced < -SNAP)
+            candidates = np.flatnonzero(reduced < enter)
             if len(candidates) == 0:
                 break
             k = int(candidates[0])

@@ -2,11 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nestedot.nested
 from nestedot import (
     GroundMetric,
+    Node,
     PathDistribution,
+    ScenarioTree,
     SizeGuardError,
     ValidationError,
     brute_force_bicausal,
@@ -30,6 +33,7 @@ from nestedot.families import (
     random_tree_pair,
 )
 from nestedot.nested import _law, _solve
+from nestedot.tolerances import ORACLE_TOL
 from path_pair_oracle import path_pair_bicausal
 from reference import node_at
 from test_transport import _masses, _pinned_instances
@@ -234,6 +238,59 @@ def test_oracle_matches_path_pair_reference():
                 assert res.plan.cost(metric) == pytest.approx(res.distance**metric.p, abs=1e-12)
 
 
+@st.composite
+def _degenerate_trees(draw, depth):
+    """A tree of the given depth, 1 to 3 children per node, sibling values
+    on a decimal-tenths lattice and one kind of sibling masses throughout:
+    cumulative sums meeting at multiples of 0.1 (equal across trees only
+    within rounding), equal shares, or one child of mass 1e-12."""
+    kind = draw(st.sampled_from(["tenths", "equal", "tiny"]))
+    nodes, frontier = [Node(0, None, 0, None, None)], [0]
+    for stage in range(1, depth + 1):
+        nxt = []
+        for parent in frontier:
+            k = draw(st.integers(1, 3))
+            values = draw(st.lists(st.integers(-30, 30), min_size=k, max_size=k, unique=True))
+            if kind == "tenths":
+                cuts = sorted(draw(st.sets(st.integers(1, 9), min_size=k - 1, max_size=k - 1)))
+                probs = [(hi - lo) / 10 for lo, hi in zip([0] + cuts, cuts + [10])]
+            elif kind == "equal" or k == 1:
+                probs = [1 / k] * k
+            else:
+                probs = [(1.0 - 1e-12) / (k - 1)] * k
+                probs[draw(st.integers(0, k - 1))] = 1e-12
+            for value, prob in zip(values, probs):
+                nxt.append(len(nodes))
+                nodes.append(Node(len(nodes), parent, stage, value / 10, prob))
+        frontier = nxt
+    return ScenarioTree(depth, nodes)
+
+
+@st.composite
+def _degenerate_pairs(draw):
+    depth = draw(st.integers(1, 3))
+    p = draw(st.sampled_from([1.0, 1.5, 2.0]))
+    cap = draw(st.sampled_from([None, 0.5, 1.0]))
+    metric = GroundMetric.usual(p) if cap is None else GroundMetric.truncated(p, cap)
+    return draw(_degenerate_trees(depth)), draw(_degenerate_trees(depth)), metric
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_degenerate_pairs())
+def test_oracle_on_degenerate_trees(instance):
+    # HiGHS runs without presolve: on near-equal cumulative masses, 1e-12
+    # children and the truncated metric it must still agree with the
+    # path-pair LP and the recursion, and its plan must be bicausal.  The
+    # values are compared as LP values (p-th powers): HiGHS may leave out
+    # a 1e-12 child, and at p = 2 the root turns a 1e-14 cost into 1e-7.
+    mu, nu, metric = instance
+    oracle = brute_force_bicausal(mu, nu, metric)
+    value = oracle.distance**metric.p
+    for other in (path_pair_bicausal(mu, nu, metric), nested_distance(mu, nu, metric)):
+        assert abs(value - other.distance**metric.p) <= ORACLE_TOL
+    assert is_bicausal(oracle.plan, mu, nu).is_bicausal
+
+
 def full_tree(branching, weights, values):
     """Full tree with ``branching[t]`` children per stage-t node; the k-th
     child at stage t has conditional weight ``weights(t, k)`` (normalized
@@ -248,8 +305,10 @@ def full_tree(branching, weights, values):
 
 
 def test_oracle_lp_call_and_size(monkeypatch):
-    # One HiGHS call with ``A_eq`` as a keyword, one column per same-stage
-    # node pair and a few nonzeros per column.
+    # One HiGHS call without presolve, ``A_eq`` as a keyword, one column
+    # per same-stage node pair, and one kernel row per child of either node
+    # of a non-leaf pair but the last child on the nu side: 969 - 161 rows,
+    # of full rank.
     calls = []
     real = nestedot.nested.linprog
 
@@ -262,10 +321,57 @@ def test_oracle_lp_call_and_size(monkeypatch):
     nu = full_tree([4, 3, 3], lambda t, k: 1.0 + k, lambda t, k: 0.5 * k - t)
     oracle = brute_force_bicausal(mu, nu, M2)
     assert len(calls) == 1
+    assert calls[0]["options"] == {"presolve": False}
     a_eq = calls[0]["A_eq"]
-    assert a_eq.shape[1] == 1 + 16 + 144 + 1296
-    assert a_eq.nnz <= 4000
+    assert a_eq.shape == (808, 1 + 16 + 144 + 1296)
+    assert a_eq.nnz == 3236
+    assert np.linalg.matrix_rank(a_eq.toarray()) == 808
     assert oracle.distance == pytest.approx(nested_distance(mu, nu, M2).distance, abs=1e-8)
+
+
+def _walk(depth, step, up):
+    """Binomial walk from 0: each node's children are x - step with
+    probability 1 - up and x + step with probability up."""
+    nodes, frontier = [Node(0, None, 0, None, None)], [(0, 0.0)]
+    for stage in range(1, depth + 1):
+        nxt = []
+        for parent, x in frontier:
+            for value, prob in ((x - step, 1.0 - up), (x + step, up)):
+                nxt.append((len(nodes), value))
+                nodes.append(Node(len(nodes), parent, stage, value, prob))
+        frontier = nxt
+    return ScenarioTree(depth, nodes)
+
+
+def test_oracle_solves_a_negative_vertex_again_with_presolve(monkeypatch):
+    # Without presolve HiGHS ends this depth-6 pair on a vertex with a mass
+    # of -6e-8 that costs 1.2e-7 less than the optimum, 1.4e-8 off in
+    # distance; the oracle solves it again with presolve.
+    results = []
+    real = nestedot.nested.linprog
+
+    def recording(*args, **kwargs):
+        results.append((kwargs.get("options"), real(*args, **kwargs)))
+        return results[-1][1]
+
+    monkeypatch.setattr(nestedot.nested, "linprog", recording)
+    mu, nu = _walk(6, 1.0, 0.6875), _walk(6, 0.25, 0.75)
+    oracle = brute_force_bicausal(mu, nu, M2)
+    assert [options for options, _ in results] == [{"presolve": False}, None]
+    assert results[0][1].x.min() < 0.0
+    assert abs(oracle.distance - nested_distance(mu, nu, M2).distance) <= ORACLE_TOL
+    assert is_bicausal(oracle.plan, mu, nu).is_bicausal
+
+
+def test_oracle_rejects_overflowing_costs():
+    # The oracle prices pairs itself, so it must raise the same error as
+    # the recursion, not an OverflowError.
+    mu, nu = (
+        build_tree(PathDistribution.from_pairs([((top,), 0.5), ((-top,), 0.5)]))
+        for top in (1e200, 1e200 / 3)
+    )
+    with pytest.raises(ValidationError, match="cost overflows"):
+        brute_force_bicausal(mu, nu, M2)
 
 
 def test_cauchy_check_matrix():

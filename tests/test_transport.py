@@ -338,6 +338,32 @@ def test_two_sources_drop_rounding_leftovers():
         _assert_optimal_certificate(res, c)
 
 
+def test_two_sources_ship_input_mass_of_snap():
+    # Row 0's 2e-12 and column 0's 1e-12 differ by 1e-12, which is input
+    # mass, not rounding: row 0 used to send column 0 its whole mass and
+    # stop, shipping 1e-12 and returning 0.0 for an optimum of 1e-12.
+    cost = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
+    a, b = [2e-12, 1 - 2e-12], [1e-12, 0.5, 0.5 - 1e-12]
+    for res, c in ((solve_ot(cost, a, b), cost), (solve_ot(cost.T, b, a), cost.T)):
+        assert res.value == 1e-12
+        _assert_optimal_certificate(res, c, mass_tol=1e-15)
+
+
+def test_simplex_entering_test_allows_for_potential_rounding():
+    # Additive costs price every cell at zero, but the potentials of these
+    # 1e4-scale costs carry 7e-12 of rounding: against a fixed -SNAP
+    # threshold a basic cycle re-entered until the simplex gave up.
+    cost = np.array([
+        [2000.03, 1999.986, 1999.984],
+        [33000.03, 32999.986, 32999.984],
+        [38000.03, 37999.986, 37999.984],
+    ])
+    res = solve_ot(cost, [0.3, 0.2, 0.5], [1 / 3, 0.5, 1 / 6])
+    # any plan costs 0.3·2000 + 0.2·33000 + 0.5·38000 + 0.03/3 - 0.014/2 - 0.016/6
+    assert res.value == pytest.approx(26200.000333333333, rel=1e-12)
+    _assert_optimal_certificate(res, cost, scale=float(cost.max()))
+
+
 def test_simplex_drops_rounding_residue():
     # Simplex pivots on 3x3 subproblems used to leave cells of 3.5e-18 to
     # 5.6e-17 in five of these nested plans.
@@ -363,37 +389,43 @@ def test_simplex_keeps_input_mass_of_snap():
 # ------------------------------------------- simplex on degenerate inputs
 
 
+# HiGHS's primal and dual feasibility tolerances in the reference solve:
+# its tightest (the defaults, 1e-7, miss cost gaps of 2e-8).
+HIGHS_FEASIBILITY = 1e-10
+
+
 def _highs_value(c, a, b):
-    """Optimal value of the same transport LP by HiGHS, at its tightest
-    feasibility tolerances (the defaults, 1e-7, miss cost gaps of 2e-8)."""
+    """Optimal value of the same transport LP by HiGHS."""
     m, n = c.shape
     rows = np.kron(np.eye(m), np.ones((1, n)))
     cols = np.kron(np.ones((1, m)), np.eye(n))
     res = linprog(
         c.ravel(), A_eq=np.vstack([rows, cols]), b_eq=np.concatenate([a, b]),
         bounds=(0, None), method="highs",
-        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+        options={
+            "primal_feasibility_tolerance": HIGHS_FEASIBILITY,
+            "dual_feasibility_tolerance": HIGHS_FEASIBILITY,
+        },
     )
     assert res.status == 0
     return res.fun
 
 
 def _assert_matches_highs(cost, a, b):
-    """Value to 1e-9 relative and the optimality certificate.
+    """The optimality certificate, then the value against HiGHS.
 
-    Each cell a pivot leaves at or below ``SNAP`` is zeroed as rounding, so
-    with masses near ``SNAP`` a plan can drop a few multiples of it.  The
-    marginals are then held to ``TOL``, as everywhere in the package, and
-    the value may also differ by the dropped mass times the largest cost.
+    The certificate (marginals, dual feasibility, slackness) is the proof
+    of optimality.  HiGHS's value is only as good as its feasibility: each
+    of its m + n marginal rows may miss by ``HIGHS_FEASIBILITY``, and a
+    unit of misplaced mass moves the value by at most the largest cost.
     """
     res = solve_ot(cost, a, b)
     c = np.asarray(cost, dtype=float)
-    plan = res.plan
     top = max(1.0, float(c.max()))
-    dropped = float(np.abs(plan.matrix.sum(axis=1) - plan.row_masses).sum())
-    expected = _highs_value(c, plan.row_masses, plan.col_masses)
-    assert res.value == pytest.approx(expected, rel=1e-9, abs=(dropped + 1e-15) * top)
     _assert_optimal_certificate(res, c, scale=top, mass_tol=TOL)
+    expected = _highs_value(c, res.plan.row_masses, res.plan.col_masses)
+    allowance = sum(c.shape) * HIGHS_FEASIBILITY * top
+    assert res.value == pytest.approx(expected, rel=1e-9, abs=allowance)
 
 
 @st.composite
@@ -429,6 +461,16 @@ def _degenerate_instances(draw):
 @given(_degenerate_instances())
 def test_simplex_matches_highs_on_degenerate_inputs(instance):
     _assert_matches_highs(*instance)
+
+
+def test_highs_reference_on_a_provable_optimum():
+    # Every cost is at least 1 and the masses sum to 1, so the optimum is
+    # 1.0, which the simplex returns; HiGHS returns 0.99999999000, within
+    # its feasibility tolerance times the largest cost.
+    cost = np.array([[1.0, 1.0, 1e4], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+    masses = [0.4999999999995, 1e-12, 0.4999999999995]
+    assert solve_ot(cost, masses, masses).value == 1.0
+    _assert_matches_highs(cost, masses, masses)
 
 
 def test_simplex_converges_on_wide_cost_ranges():
