@@ -97,110 +97,84 @@ def _history(tree: ScenarioTree, nid: int) -> list[int]:
     return out[::-1]
 
 
-def _nu_from_marginal(gamma: Coupling) -> ScenarioTree:
-    pairs = list(gamma.nu_marginal().items())
-    return build_tree(PathDistribution.from_pairs(pairs))
-
-
-class _Analysis:
+def _analyze(gamma: Coupling, mu: ScenarioTree, nu: ScenarioTree | None, tol: float):
     """One bottom-up pass over a coupling: kernel deviations, Monge structure.
 
-    ``masses`` holds the plan's mass on every (mu leaf, nu leaf) pair, and
-    ``y_law`` maps every mu node i of stage t in the plan's x-support to
-    the conditional law of y_t given the x-history i, as ``{value: mass}``.
+    Returns the report, the nu tree (the plan's second marginal when
+    ``nu`` is None), the plan's mass on every (mu leaf, nu leaf) pair, and
+    the conditional law of y_t given the x-history i, as ``{value: mass}``,
+    of every mu node i of stage t whose law is not a point mass.
     """
-
-    def __init__(self, gamma: Coupling, mu: ScenarioTree, nu: ScenarioTree, tol: float):
-        self.mu = mu
-        self.nu = nu
-        self.masses = _leaf_masses(gamma, mu, nu)
-        dev = _marginal_deviation(self.masses, mu, 0)
-        if dev > tol:
-            raise ValidationError(
-                f"coupling mu-marginal deviates from the tree path law by {dev}"
-            )
-        self._scan(tol)
-        self._scan_monge()
-
-    def _scan(self, tol: float):
-        # From the leaves up, each stage sums the mass of every pair of
-        # stage-t nodes onto the pair of their parents, then compares each
-        # parent pair's child masses with the two trees' kernels.
-        mu, nu = self.mu, self.nu
-        violations: list[Violation] = []
-        worst = {"mu": 0.0, "nu": 0.0}
-        self.y_law: dict[int, dict[float, float]] = {}
-        cells = self.masses
-        for t in range(mu.depth, 0, -1):
-            parents: dict[tuple[int, int], list] = {}
-            for (i, j), m in cells.items():
-                law = self.y_law.setdefault(i, {})
-                y = nu.node(j).value
-                law[y] = law.get(y, 0.0) + m
-                key = (mu.node(i).parent, nu.node(j).parent)
-                cell = parents.get(key)
-                if cell is None:
-                    cell = parents[key] = [0.0, {}, {}]
-                cell[0] += m
-                cell[1][i] = cell[1].get(i, 0.0) + m
-                cell[2][j] = cell[2].get(j, 0.0) + m
-            for (pi, pj), (mass, x_kids, y_kids) in parents.items():
-                for side, tree, node, kids in (
-                    ("mu", mu, pi, x_kids),
-                    ("nu", nu, pj, y_kids),
-                ):
-                    dev = max(
-                        abs(kids.get(k, 0.0) / mass - tree.node(k).cond_prob)
-                        for k in tree.children(node)
-                    )
-                    worst[side] = max(worst[side], dev)
-                    if dev > tol:
-                        violations.append(Violation(t, mu.path(pi), nu.path(pj), side, dev))
-            cells = {key: cell[0] for key, cell in parents.items()}
-        violations.sort(key=lambda v: (v.stage, v.side, v.x_history, v.y_history))
-        self.violations = tuple(violations)
-        self.max_mu_deviation = worst["mu"]
-        self.max_nu_deviation = worst["nu"]
-        self.causal = worst["mu"] <= tol
-        self.bicausal = self.causal and worst["nu"] <= tol
-
-    def _scan_monge(self):
-        self.monge = all(self.support_size(i) == 1 for i in self.y_law)
-        self.invertible = self.monge
-        # The adapted map sends each x-history to the y-history of its
-        # atoms; it is invertible with an adapted inverse when distinct
-        # stage-t x-histories always have distinct images.
-        images: dict[int, tuple[float, ...]] = {self.mu.root: ()}
-        for t in range(1, self.mu.depth + 1):
-            if not self.invertible:
-                break
-            stage = [i for i in self.mu.nodes_at_stage(t) if i in self.y_law]
-            for i in stage:
-                law = self.y_law[i]
-                images[i] = images[self.mu.node(i).parent] + (max(law, key=law.get),)
-            self.invertible = len({images[i] for i in stage}) == len(stage)
-
-    def support_size(self, node: int) -> int:
-        law = self.y_law[node]
-        total = math.fsum(law.values())
-        return sum(1 for m in law.values() if m / total >= SNAP)
-
-    def report(self) -> CausalityReport:
-        return CausalityReport(
-            is_causal=self.causal,
-            is_bicausal=self.bicausal,
-            is_monge_adapted=self.monge,
-            is_invertible_monge=self.invertible,
-            violations=self.violations,
-            max_mu_deviation=self.max_mu_deviation,
-            max_nu_deviation=self.max_nu_deviation,
-        )
-
-
-def _analyze(gamma, mu, nu, tol) -> _Analysis:
     if nu is None:
-        nu = _nu_from_marginal(gamma)
-    return _Analysis(gamma, mu, nu, tol)
+        nu = build_tree(PathDistribution.from_pairs((e.nu_path, e.mass) for e in gamma.entries))
+    masses = _leaf_masses(gamma, mu, nu)
+    dev = _marginal_deviation(masses, mu, 0)
+    if dev > tol:
+        raise ValidationError(f"coupling mu-marginal deviates from the tree path law by {dev}")
+
+    # From the leaves up, each stage sums the mass of every pair of stage-t
+    # nodes onto the pair of their parents, then compares each parent
+    # pair's child masses with the two trees' kernels.
+    violations: list[Violation] = []
+    worst = {"mu": 0.0, "nu": 0.0}
+    y_law: dict[int, dict[float, float]] = {}
+    cells = masses
+    for t in range(mu.depth, 0, -1):
+        parents: dict[tuple[int, int], list] = {}
+        for (i, j), m in cells.items():
+            law = y_law.setdefault(i, {})
+            y = nu.node(j).value
+            law[y] = law.get(y, 0.0) + m
+            key = (mu.node(i).parent, nu.node(j).parent)
+            cell = parents.get(key)
+            if cell is None:
+                cell = parents[key] = [0.0, {}, {}]
+            cell[0] += m
+            cell[1][i] = cell[1].get(i, 0.0) + m
+            cell[2][j] = cell[2].get(j, 0.0) + m
+        for (pi, pj), (mass, x_kids, y_kids) in parents.items():
+            for side, tree, node, kids in (("mu", mu, pi, x_kids), ("nu", nu, pj, y_kids)):
+                dev = max(
+                    abs(kids.get(k, 0.0) / mass - tree.node(k).cond_prob)
+                    for k in tree.children(node)
+                )
+                worst[side] = max(worst[side], dev)
+                if dev > tol:
+                    violations.append(Violation(t, mu.path(pi), nu.path(pj), side, dev))
+        cells = {key: cell[0] for key, cell in parents.items()}
+    violations.sort(key=lambda v: (v.stage, v.side, v.x_history, v.y_history))
+
+    # A law is not a point mass when two of its atoms each hold at least SNAP of it.
+    mixed: dict[int, dict[float, float]] = {}
+    for i, law in y_law.items():
+        total = math.fsum(law.values())
+        if sum(m / total >= SNAP for m in law.values()) > 1:
+            mixed[i] = law
+    # The adapted map sends each x-history to the y-history of its atoms;
+    # it is invertible with an adapted inverse when distinct stage-t
+    # x-histories always have distinct images.
+    invertible = not mixed
+    images: dict[int, tuple[float, ...]] = {mu.root: ()}
+    for t in range(1, mu.depth + 1):
+        if not invertible:
+            break
+        stage = [i for i in mu.nodes_at_stage(t) if i in y_law]
+        for i in stage:
+            law = y_law[i]
+            images[i] = images[mu.node(i).parent] + (max(law, key=law.get),)
+        invertible = len({images[i] for i in stage}) == len(stage)
+
+    causal = worst["mu"] <= tol
+    report = CausalityReport(
+        is_causal=causal,
+        is_bicausal=causal and worst["nu"] <= tol,
+        is_monge_adapted=not mixed,
+        is_invertible_monge=invertible,
+        violations=tuple(violations),
+        max_mu_deviation=worst["mu"],
+        max_nu_deviation=worst["nu"],
+    )
+    return report, nu, masses, mixed
 
 
 def is_causal(
@@ -215,7 +189,7 @@ def is_causal(
     marginal, which leaves the causal fields unchanged and makes the
     bicausal field refer to that induced law.
     """
-    return _analyze(gamma, mu, nu, tol).report()
+    return _analyze(gamma, mu, nu, tol)[0]
 
 
 def is_bicausal(
@@ -225,13 +199,11 @@ def is_bicausal(
     tol: float = TOL,
 ) -> CausalityReport:
     """Check both information constraints; requires both trees."""
-    analysis = _analyze(gamma, mu, nu, tol)
-    dev = _marginal_deviation(analysis.masses, nu, 1)
+    report, _, masses, _ = _analyze(gamma, mu, nu, tol)
+    dev = _marginal_deviation(masses, nu, 1)
     if dev > tol:
-        raise ValidationError(
-            f"coupling nu-marginal deviates from the tree path law by {dev}"
-        )
-    return analysis.report()
+        raise ValidationError(f"coupling nu-marginal deviates from the tree path law by {dev}")
+    return report
 
 
 def detect_monge(
@@ -247,7 +219,7 @@ def detect_monge(
     below ``SNAP``).  Invertible additionally requires the induced path map
     to be injective on the support with an adapted inverse.
     """
-    return _analyze(gamma, mu, nu, tol).report()
+    return _analyze(gamma, mu, nu, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -278,25 +250,23 @@ def split_non_extreme(
     below/above-threshold conditional mass over triggering histories,
     which keeps every triggering branch active.
     """
-    analysis = _analyze(gamma, mu, nu, tol)
-    if not analysis.causal:
+    report, nu, masses, mixed = _analyze(gamma, mu, nu, tol)
+    if not report.is_causal:
         raise NotCausalError("coupling is not causal; nothing to split")
-    if analysis.monge:
+    if report.is_monge_adapted:
         raise AlreadyExtremeError("already extreme: coupling is Monge-adapted")
-
-    mu, nu = analysis.mu, analysis.nu
 
     # Per x-leaf, the first x-node along its history whose y-law is not a
     # point mass (None if there is none); its stage is the stopping stage.
     trigger = {
-        leaf: next((k for k in _history(mu, leaf) if analysis.support_size(k) > 1), None)
-        for leaf in dict.fromkeys(i for i, _ in analysis.masses)
+        leaf: next((k for k in _history(mu, leaf) if k in mixed), None)
+        for leaf in dict.fromkeys(i for i, _ in masses)
     }
 
     below: dict[int, float] = {}
     mean: dict[int, float] = {}
     for node in set(trigger.values()) - {None}:
-        law = analysis.y_law[node]
+        law = mixed[node]
         total = math.fsum(law.values())
         z = math.fsum(v * m for v, m in law.items()) / total
         mean[node] = z
@@ -314,7 +284,7 @@ def split_non_extreme(
 
     pi_masses: dict[tuple, float] = {}
     tilde_masses: dict[tuple, float] = {}
-    for (i, j), m in analysis.masses.items():
+    for (i, j), m in masses.items():
         key = (mu.path(i), nu.path(j))
         node = trigger[i]
         if node is None or below[node] <= lam:

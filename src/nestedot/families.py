@@ -12,6 +12,9 @@ from .nested import Coupling, CouplingEntry
 from .tree import PathDistribution, ScenarioTree, build_tree
 
 _VALUE_LATTICE = tuple(round(-2.0 + 0.25 * k, 6) for k in range(17))
+# A random tree's most children per node, and its default most leaves.
+_MAX_BRANCH = 3
+_MAX_LEAVES = 12
 
 
 def _tree(pairs) -> ScenarioTree:
@@ -35,21 +38,15 @@ def fan_vs_merged(n: int) -> tuple[ScenarioTree, ScenarioTree]:
     return collapsing_fan(n), merged_limit()
 
 
-def perturbed_pair(eps: float, depth: int = 2) -> tuple[ScenarioTree, ScenarioTree]:
-    """Chains (eps,...,eps,+-1) versus (0,...,0,+-1), each two branches.
+def perturbed_pair(eps: float) -> tuple[ScenarioTree, ScenarioTree]:
+    """Two-branch laws (eps, 1), (-eps, -1) versus (0, 1), (0, -1).
 
     ``eps`` must be finite and nonzero: at 0 the two laws are equal.
     """
     if not (math.isfinite(eps) and eps != 0.0):
         raise ValidationError(f"eps must be finite and nonzero, got {eps!r}")
-    if depth < 2:
-        raise ValidationError("perturbed_pair needs depth >= 2")
-    up = tuple([eps] * (depth - 1) + [1.0])
-    down = tuple([-eps] * (depth - 1) + [-1.0])
-    mu_eps = _tree([(up, 0.5), (down, 0.5)])
-    mu = _tree(
-        [(tuple([0.0] * (depth - 1) + [1.0]), 0.5), (tuple([0.0] * (depth - 1) + [-1.0]), 0.5)]
-    )
+    mu_eps = _tree([((eps, 1.0), 0.5), ((-eps, -1.0), 0.5)])
+    mu = _tree([((0.0, 1.0), 0.5), ((0.0, -1.0), 0.5)])
     return mu_eps, mu
 
 
@@ -100,11 +97,7 @@ def fan_limit_nested() -> NestedDistribution:
 
 
 def random_tree(
-    rng: np.random.Generator,
-    depth: int,
-    max_branch: int = 3,
-    max_leaves: int = 12,
-    lattice: tuple[float, ...] = _VALUE_LATTICE,
+    rng: np.random.Generator, depth: int, max_leaves: int = _MAX_LEAVES
 ) -> ScenarioTree:
     """Random tree with lattice values, bounded branching and leaf count."""
     if depth < 1:
@@ -116,13 +109,13 @@ def random_tree(
         if stage == depth:
             pairs.append((prefix, weight))
             return
-        nb = int(rng.integers(1, min(max_branch, budget) + 1))
+        nb = int(rng.integers(1, min(_MAX_BRANCH, budget) + 1))
         shares = rng.integers(1, 5, size=nb).astype(float)
         shares /= shares.sum()
-        values = rng.choice(len(lattice), size=nb, replace=False)
+        values = rng.choice(len(_VALUE_LATTICE), size=nb, replace=False)
         sub_budgets = _split_budget(rng, budget, nb)
         for v_idx, share, sub in zip(values, shares, sub_budgets):
-            expand(prefix + (lattice[v_idx],), weight * share, stage + 1, sub)
+            expand(prefix + (_VALUE_LATTICE[v_idx],), weight * share, stage + 1, sub)
 
     expand((), 1.0, 0, max_leaves)
     return build_tree(PathDistribution.from_pairs(pairs))
@@ -135,23 +128,14 @@ def _split_budget(rng: np.random.Generator, budget: int, parts: int) -> list[int
     return out
 
 
-def random_tree_pair(
-    rng: np.random.Generator, depth: int, max_branch: int = 3, max_leaves: int = 12
-) -> tuple[ScenarioTree, ScenarioTree]:
-    return (
-        random_tree(rng, depth, max_branch, max_leaves),
-        random_tree(rng, depth, max_branch, max_leaves),
-    )
+def random_tree_pair(rng: np.random.Generator, depth: int) -> tuple[ScenarioTree, ScenarioTree]:
+    return random_tree(rng, depth), random_tree(rng, depth)
 
 
-def random_adapted_map(
-    rng: np.random.Generator,
-    tree: ScenarioTree,
-    lattice: tuple[float, ...] = _VALUE_LATTICE,
-) -> dict[int, float]:
+def random_adapted_map(rng: np.random.Generator, tree: ScenarioTree) -> dict[int, float]:
     """Assign a target value to every non-root node (one per x-history)."""
     return {
-        nid: float(lattice[int(rng.integers(len(lattice)))])
+        nid: float(_VALUE_LATTICE[int(rng.integers(len(_VALUE_LATTICE)))])
         for stage in range(1, tree.depth + 1)
         for nid in tree.nodes_at_stage(stage)
     }

@@ -32,7 +32,11 @@ def dumps_canonical(obj: Any) -> str:
 
 
 def file_digest(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise ValidationError(f"cannot read file {path}: {exc}") from exc
+    return hashlib.sha256(data).hexdigest()
 
 
 def _array(value: Any, what: str) -> list:
@@ -206,11 +210,11 @@ def load_nested(path: str | Path) -> NestedDistribution:
 def read_samples_csv(path: str | Path, weight_column: bool = False) -> PathDistribution:
     """Rows of N coordinates, optionally with a trailing weight column.
 
-    A first row that fails to parse as numbers is treated as a header; a
-    header whose last field is named ``weight`` (case-insensitive) marks
-    the weight column.  For headerless files pass ``weight_column=True``
-    to treat the last column as weights.  Without weights, rows get
-    uniform weight; duplicate rows are merged with summed weight.
+    A first row that fails to parse as numbers is treated as a header.
+    The last column holds the weights when ``weight_column`` is set or
+    when the header's last field is named ``weight`` (case-insensitive).
+    Without weights, rows get uniform weight; duplicate rows are merged
+    with summed weight.
     """
     try:
         with open(path, newline="") as fh:
@@ -239,8 +243,8 @@ def read_samples_csv(path: str | Path, weight_column: bool = False) -> PathDistr
         rows = rows[1:]
         if not rows:
             raise ValidationError("CSV file has a header but no data rows")
-    if header is not None:
-        weight_column = header[-1].lower() == "weight"
+    if header is not None and header[-1].lower() == "weight":
+        weight_column = True
 
     width = len(rows[0])
     parsed = []

@@ -76,12 +76,6 @@ class Coupling:
     def __len__(self):
         return len(self.entries)
 
-    def nu_marginal(self) -> dict[tuple[float, ...], float]:
-        out: dict[tuple[float, ...], float] = {}
-        for e in self.entries:
-            out[e.nu_path] = out.get(e.nu_path, 0.0) + e.mass
-        return out
-
     def cost(self, metric: GroundMetric) -> float:
         """Total p-th-power transport cost of the plan."""
         return math.fsum(e.mass * metric.path_cost(e.mu_path, e.nu_path) for e in self.entries)

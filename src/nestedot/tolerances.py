@@ -6,7 +6,7 @@ import sys
 TOL = 1e-9
 # Plan cells, breakpoint gaps, reduced costs, point masses and demo residuals up to it are rounding.
 SNAP = 1e-12
-# Rounding per term summed: of sibling and lift mass sums (kept bit for bit), two-source remainders, reduced costs (x max cost).
+# Rounding per term summed: of sibling and lift mass sums (kept bit for bit), two-source and simplex remainders, reduced costs (x max cost).
 ROUNDING = 4 * sys.float_info.epsilon
 # The nested distance and the bicausal LP oracle's value agree within it.
 ORACLE_TOL = 1e-8

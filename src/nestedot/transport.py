@@ -73,6 +73,7 @@ def common_refinement(cum_a, cum_b) -> list[tuple[float, float, int, int]]:
 
 def _northwest_corner(a: list[float], b: list[float]):
     m, n = len(a), len(b)
+    rounding = (m + n) * ROUNDING
     flow = [[0.0] * n for _ in range(m)]
     basis: list[tuple[int, int]] = []
     i = j = 0
@@ -80,8 +81,9 @@ def _northwest_corner(a: list[float], b: list[float]):
     while True:
         t = min(ra, rb)
         # A whole input mass (what is left of a row or column never exceeds
-        # it) is kept however small; a remainder at or below SNAP is rounding.
-        flow[i][j] = t if t > SNAP or (t > 0.0 and (t == a[i] or t == b[j])) else 0.0
+        # it) is kept however small; a remainder within the rounding of a
+        # sum of m + n masses is rounding, and a larger one is input mass.
+        flow[i][j] = t if t > rounding or (t > 0.0 and (t == a[i] or t == b[j])) else 0.0
         basis.append((i, j))
         ra -= t
         rb -= t
@@ -194,13 +196,16 @@ def _simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray):
     subtree off, the entering cell hangs it back on, and only that
     subtree's potentials are re-derived: each depends only on its root path.
 
-    A remainder at or below ``SNAP``, left in a cell by the northwest-corner
-    start or by a pivot that takes mass out of it, is set to exactly zero
-    and the cell stays basic as a degenerate cell: such a remainder is
-    rounding, not a plan cell.  A cell that receives an input mass whole,
-    or mass from a pivot, keeps it however small.
+    A remainder within the rounding of a sum of m + n masses
+    ((m + n)·``ROUNDING``), left in a cell by the northwest-corner start or
+    by a pivot that takes mass out of it, is set to exactly zero and the
+    cell stays basic as a degenerate cell: such a remainder is rounding,
+    not a plan cell.  A larger remainder is input mass and is kept however
+    small, as is a cell that receives an input mass whole or mass from a
+    pivot.
     """
     m, n = c.shape
+    rounding = (m + n) * ROUNDING
     flow, basis = _northwest_corner(a.tolist(), b.tolist())
     cost = c.tolist()
     basic = np.zeros((m, n), dtype=bool)
@@ -271,7 +276,7 @@ def _simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray):
             flow[r][s] += theta
         for r, s in minus:
             flow[r][s] -= theta
-            if flow[r][s] <= SNAP:
+            if flow[r][s] <= rounding:
                 flow[r][s] = 0.0
         r, s = leave
         basic[r, s], basic[i, j] = False, True

@@ -58,7 +58,7 @@ def pair_suite():
     for _ in range(200):
         depth = int(rng.integers(1, 4))
         metric = GroundMetric.usual(float(rng.choice([1.0, 2.0])))
-        mu, nu = random_tree_pair(rng, depth, max_branch=3, max_leaves=12)
+        mu, nu = random_tree_pair(rng, depth)
         suite.append((mu, nu, metric, nested_distance(mu, nu, metric)))
     return suite
 

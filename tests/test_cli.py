@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -58,6 +59,21 @@ def test_compute_nested_with_oracle(pair_files, capsys, tmp_path):
     assert report["params"]["metric"] == "usual"
     plan = load_coupling(plan_file)
     assert math.fsum(e.mass for e in plan.entries) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_oracle_check_compares_lp_values(capsys, tmp_path):
+    # The LP drops the 1e-12 mass within its tolerance and gives 0.0; the
+    # recursion's 1e-7 is right.  The LP values differ by 1e-14, the
+    # distances by 1e-7, which used to exit 3 as an oracle mismatch.
+    mu, nu = tmp_path / "mu.json", tmp_path / "nu.json"
+    save_tree(build_tree(PathDistribution.from_pairs([((0.0,), 1.0)])), mu)
+    save_tree(build_tree(PathDistribution.from_pairs([((0.0,), 1 - 1e-12), ((0.1,), 1e-12)])), nu)
+    code, report, err = run(
+        capsys, "compute", "nested", "--mu", str(mu), "--nu", str(nu), "--p", "2", "--oracle"
+    )
+    assert code == 0 and err == ""
+    assert report["oracle_check"] == "ok"
+    assert report["results"]["distance"] == pytest.approx(1e-7, rel=1e-6)
 
 
 def test_compute_wasserstein_and_kr(pair_files, capsys):
@@ -134,6 +150,19 @@ def test_split_monge_plan_fails_validation(pair_files, capsys, tmp_path):
     )
     assert code == 2
     assert "already extreme" in err
+
+
+def test_inputs_are_digested_as_read(pair_files, capsys, tmp_path):
+    # An output that overwrites its input used to be reported as the
+    # input's digest.
+    mu, _ = pair_files
+    same = tmp_path / "same.json"
+    same.write_bytes(mu.read_bytes())
+    before = hashlib.sha256(same.read_bytes()).hexdigest()
+    code, report, _ = run(capsys, "embed", "--mu", str(same), "-o", str(same))
+    assert code == 0
+    assert report["inputs"] == {"mu": {"path": str(same), "sha256": before}}
+    assert hashlib.sha256(same.read_bytes()).hexdigest() != before
 
 
 def test_embed_and_lifted(pair_files, capsys, tmp_path):
@@ -215,6 +244,15 @@ def test_from_samples_variants(capsys, tmp_path):
     tree = load_tree(out)
     law = dict(tree.leaf_paths())
     assert law[(1.0,)] == pytest.approx(0.75)
+
+    # The flag names the weight column whatever the header calls it.
+    csv.write_text("x1,x2,w\n0,1,3\n0,2,1\n")
+    code, report, _ = run(
+        capsys, "from-samples", "--csv", str(csv), "--weight-column", "-o", str(out)
+    )
+    assert code == 0 and report["results"]["depth"] == 2
+    law = dict(load_tree(out).leaf_paths())
+    assert law == pytest.approx({(0.0, 1.0): 0.75, (0.0, 2.0): 0.25})
 
 
 # The settable values commands used to accept and never read; each is now
@@ -419,11 +457,14 @@ def test_separating_demo_rejects_zero_eps(capsys):
         (["demo", "isometry", "--trials", "0"], "--trials"),
         (["demo", "incompleteness", "--n-max", "0"], "--n-max"),
         (["demo", "incompleteness", "--n-max", "1"], "--n-max"),
+        (["demo", "isometry", "--seed", "-1"], "--seed"),
+        (["demo", "extreme-split", "--seed", "-1"], "--seed"),
     ],
 )
 def test_bad_flag_values_exit_2(pair_files, capsys, tmp_path, argv, flag):
     # Each value used to run: a NaN or negative tolerance misjudged valid
-    # plans, and an empty demo passed after checking nothing.
+    # plans, an empty demo passed after checking nothing, and a negative
+    # seed ended in a traceback.
     if argv[0] in ("check", "split"):
         mu, nu = pair_files
         plan = tmp_path / "plan.json"

@@ -384,6 +384,13 @@ def test_simplex_keeps_input_mass_of_snap():
         cost = rng.uniform(0.0, 2.0, size=(3, 3))
         for c, rows, cols in ((cost, a, b), (cost.T, b, a)):
             _assert_optimal_certificate(solve_ot(c, rows, cols), c, mass_tol=1e-15)
+    # A remainder of SNAP size that is input mass, not rounding: row 0
+    # used to ship only 1e-12 of its 2e-12, and the value read 0.0.
+    cost = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    rows, cols = [2e-12, 0.5 - 2e-12, 0.5], [1e-12, 0.5, 0.5 - 1e-12]
+    res = solve_ot(cost, rows, cols)
+    _assert_optimal_certificate(res, cost, mass_tol=1e-15)
+    assert res.value == pytest.approx(1e-12, rel=1e-3)
 
 
 # ------------------------------------------- simplex on degenerate inputs
