@@ -27,11 +27,10 @@ from .embedding import (
 from .errors import (
     AlreadyExtremeError,
     NotCausalError,
-    OracleMismatchError,
     SizeGuardError,
     ValidationError,
 )
-from .knothe import KRCoupling, kr_coupling, kr_distance, kr_gap_demo
+from .knothe import KRCoupling, kr_coupling, kr_distance
 from .metrics import GroundMetric
 from .nested import (
     Coupling,
@@ -45,7 +44,7 @@ from .nested import (
     wasserstein_distance,
 )
 from .transport import OTResult, TransportPlan, solve_ot
-from .tree import Node, PathDistribution, ScenarioTree, build_tree
+from .tree import Node, ScenarioTree, build_tree
 
 __version__ = "0.1.0"
 
@@ -62,9 +61,7 @@ __all__ = [
     "Node",
     "NotCausalError",
     "OTResult",
-    "OracleMismatchError",
     "OracleResult",
-    "PathDistribution",
     "ScenarioTree",
     "SizeGuardError",
     "SplitResult",
@@ -82,7 +79,6 @@ __all__ = [
     "is_causal",
     "kr_coupling",
     "kr_distance",
-    "kr_gap_demo",
     "nested_distance",
     "nested_wasserstein",
     "solve_ot",

@@ -23,7 +23,7 @@ from typing import Mapping
 from .errors import AlreadyExtremeError, NotCausalError, ValidationError
 from .nested import Coupling
 from .tolerances import SNAP, TOL
-from .tree import PathDistribution, ScenarioTree, build_tree
+from .tree import ScenarioTree, build_tree
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ def _analyze(gamma: Coupling, mu: ScenarioTree, nu: ScenarioTree | None, tol: fl
     of every mu node i of stage t whose law is not a point mass.
     """
     if nu is None:
-        nu = build_tree(PathDistribution.from_pairs((e.nu_path, e.mass) for e in gamma.entries))
+        nu = build_tree((e.nu_path, e.mass) for e in gamma.entries)
     masses = _leaf_masses(gamma, mu, nu)
     dev = _marginal_deviation(masses, mu, 0)
     if dev > tol:

@@ -19,7 +19,7 @@ from .errors import ValidationError
 from .metrics import GroundMetric
 from .nested import SubtreeClasses, backward, check_depths
 from .tolerances import ROUNDING, TOL
-from .tree import PathDistribution, ScenarioTree, build_tree
+from .tree import ScenarioTree, build_tree
 
 
 @dataclass(frozen=True)
@@ -149,4 +149,4 @@ def dirac_approximation(p: NestedDistribution, epsilon: float) -> ScenarioTree:
         first = atom.value + epsilon * j / k
         for leaf in atom.next.atoms:
             pairs.append(((first, leaf.value), atom.mass * leaf.mass))
-    return build_tree(PathDistribution.from_pairs(pairs))
+    return build_tree(pairs)

@@ -15,7 +15,3 @@ class NotCausalError(ValidationError):
 
 class AlreadyExtremeError(ValidationError):
     """Coupling is Monge-adapted, hence already an extreme point."""
-
-
-class OracleMismatchError(RuntimeError):
-    """Two independent computation routes disagree beyond tolerance."""

@@ -9,7 +9,7 @@ import numpy as np
 from .embedding import NestedAtom, NestedDistribution
 from .errors import ValidationError
 from .nested import Coupling, CouplingEntry
-from .tree import PathDistribution, ScenarioTree, build_tree
+from .tree import ScenarioTree, build_tree
 
 _VALUE_LATTICE = tuple(round(-2.0 + 0.25 * k, 6) for k in range(17))
 # A random tree's most children per node, and its default most leaves.
@@ -17,20 +17,16 @@ _MAX_BRANCH = 3
 _MAX_LEAVES = 12
 
 
-def _tree(pairs) -> ScenarioTree:
-    return build_tree(PathDistribution.from_pairs(pairs))
-
-
 def collapsing_fan(n: int) -> ScenarioTree:
     """Two-branch fan with stage-1 values +-1/n and stage-2 values +-1."""
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    return _tree([((1.0 / n, 1.0), 0.5), ((-1.0 / n, -1.0), 0.5)])
+    return build_tree([((1.0 / n, 1.0), 0.5), ((-1.0 / n, -1.0), 0.5)])
 
 
 def merged_limit() -> ScenarioTree:
     """Tree with a single stage-1 state 0 branching to +-1."""
-    return _tree([((0.0, 1.0), 0.5), ((0.0, -1.0), 0.5)])
+    return build_tree([((0.0, 1.0), 0.5), ((0.0, -1.0), 0.5)])
 
 
 def fan_vs_merged(n: int) -> tuple[ScenarioTree, ScenarioTree]:
@@ -45,17 +41,22 @@ def perturbed_pair(eps: float) -> tuple[ScenarioTree, ScenarioTree]:
     """
     if not (math.isfinite(eps) and eps != 0.0):
         raise ValidationError(f"eps must be finite and nonzero, got {eps!r}")
-    mu_eps = _tree([((eps, 1.0), 0.5), ((-eps, -1.0), 0.5)])
-    mu = _tree([((0.0, 1.0), 0.5), ((0.0, -1.0), 0.5)])
+    mu_eps = build_tree([((eps, 1.0), 0.5), ((-eps, -1.0), 0.5)])
+    mu = build_tree([((0.0, 1.0), 0.5), ((0.0, -1.0), 0.5)])
     return mu_eps, mu
 
 
 def crossed_fans(n: int) -> tuple[ScenarioTree, ScenarioTree]:
-    """Fans whose second-stage values are sign-crossed between the laws."""
+    """Fans whose second-stage values are sign-crossed between the laws.
+
+    The increasing rearrangement matches equal stage-1 values, so its
+    distance is n, while the bicausal plan that anti-matches stage 1 has
+    distance 2/n.
+    """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    mu = _tree([((1.0 / n, n / 2.0), 0.5), ((-1.0 / n, -n / 2.0), 0.5)])
-    nu = _tree([((1.0 / n, -n / 2.0), 0.5), ((-1.0 / n, n / 2.0), 0.5)])
+    mu = build_tree([((1.0 / n, n / 2.0), 0.5), ((-1.0 / n, -n / 2.0), 0.5)])
+    nu = build_tree([((1.0 / n, -n / 2.0), 0.5), ((-1.0 / n, n / 2.0), 0.5)])
     return mu, nu
 
 
@@ -75,10 +76,10 @@ def hidden_branch_pair(n: int, second_stage_atoms: int = 16) -> tuple[ScenarioTr
         raise ValidationError(f"need at least one second-stage atom, got {k}")
     mids = [(2 * i + 1) / (2 * k) for i in range(k)]
     w = 0.5 / k
-    mu_n = _tree(
+    mu_n = build_tree(
         [((0.0, m), w) for m in mids] + [((1.0 / n, 1.0 + m), w) for m in mids]
     )
-    mu = _tree(
+    mu = build_tree(
         [((0.0, m), w) for m in mids] + [((0.0, 1.0 + m), w) for m in mids]
     )
     return mu_n, mu
@@ -118,7 +119,7 @@ def random_tree(
             expand(prefix + (_VALUE_LATTICE[v_idx],), weight * share, stage + 1, sub)
 
     expand((), 1.0, 0, max_leaves)
-    return build_tree(PathDistribution.from_pairs(pairs))
+    return build_tree(pairs)
 
 
 def _split_budget(rng: np.random.Generator, budget: int, parts: int) -> list[int]:
@@ -146,7 +147,6 @@ def monge_pushforward(
 ) -> tuple[Coupling, ScenarioTree]:
     """Plan (id, T)_* mu of an adapted map given per-history values."""
     entries = []
-    image_pairs: dict[tuple[float, ...], float] = {}
     for leaf, (path, weight) in zip(tree.leaves, tree.leaf_paths()):
         chain = []
         nid = leaf
@@ -156,8 +156,7 @@ def monge_pushforward(
         chain.reverse()
         ypath = tuple(assignment[k] for k in chain)
         entries.append(CouplingEntry(path, ypath, weight))
-        image_pairs[ypath] = image_pairs.get(ypath, 0.0) + weight
-    nu = build_tree(PathDistribution.from_pairs(image_pairs.items()))
+    nu = build_tree((e.nu_path, e.mass) for e in entries)
     return Coupling(tuple(entries)), nu
 
 
@@ -182,8 +181,5 @@ def random_monge_mixture(
         for e in plan.entries:
             key = (e.mu_path, e.nu_path)
             masses[key] = masses.get(key, 0.0) + w * e.mass
-    mixed_law: dict[tuple[float, ...], float] = {}
-    for (_, y), m in masses.items():
-        mixed_law[y] = mixed_law.get(y, 0.0) + m
-    nu = build_tree(PathDistribution.from_pairs(mixed_law.items()))
+    nu = build_tree((y, m) for (_, y), m in masses.items())
     return Coupling.from_mass_map(masses), nu, alpha

@@ -16,7 +16,7 @@ from typing import Any
 from .embedding import NestedAtom, NestedDistribution
 from .errors import ValidationError
 from .nested import Coupling, CouplingEntry
-from .tree import Node, PathDistribution, ScenarioTree
+from .tree import Node, ScenarioTree
 
 
 def dumps_canonical(obj: Any) -> str:
@@ -207,14 +207,17 @@ def load_nested(path: str | Path) -> NestedDistribution:
 # ----------------------------------------------------------------- csv
 
 
-def read_samples_csv(path: str | Path, weight_column: bool = False) -> PathDistribution:
-    """Rows of N coordinates, optionally with a trailing weight column.
+def read_samples_csv(
+    path: str | Path, weight_column: bool = False
+) -> list[tuple[tuple[float, ...], float]]:
+    """(path, weight) pairs from rows of N coordinates, optionally with a
+    trailing weight column.
 
     A first row that fails to parse as numbers is treated as a header.
     The last column holds the weights when ``weight_column`` is set or
     when the header's last field is named ``weight`` (case-insensitive).
-    Without weights, rows get uniform weight; duplicate rows are merged
-    with summed weight.
+    Without weights, rows get uniform weight.  Repeated rows stay repeated;
+    :func:`~nestedot.tree.build_tree` merges them, adding their weights.
     """
     try:
         with open(path, newline="") as fh:
@@ -259,7 +262,5 @@ def read_samples_csv(path: str | Path, weight_column: bool = False) -> PathDistr
         if any(w <= 0.0 for w in raw):
             raise ValidationError("weights must be positive")
         total = sum(raw)
-        pairs = [(tuple(vals[:-1]), vals[-1] / total) for vals in parsed]
-    else:
-        pairs = [(tuple(vals), 1.0 / len(parsed)) for vals in parsed]
-    return PathDistribution.from_pairs(pairs)
+        return [(tuple(vals[:-1]), vals[-1] / total) for vals in parsed]
+    return [(tuple(vals), 1.0 / len(parsed)) for vals in parsed]

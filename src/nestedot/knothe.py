@@ -5,6 +5,8 @@ uniform per stage drives the left-continuous quantile transforms of both
 conditional laws.  On finitely supported trees this amounts to a common
 refinement of the two conditional CDF partitions of (0, 1] at every stage,
 which is atom-safe (the map form would require atomless conditionals).
+The ``demo kr-gap`` command compares :func:`kr_distance` with the nested
+distance on the stress families of :mod:`nestedot.families`.
 """
 
 from __future__ import annotations
@@ -12,11 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
-from .errors import OracleMismatchError, ValidationError
-from .families import crossed_fans, hidden_branch_pair
 from .metrics import GroundMetric
-from .nested import Coupling, check_depths, compose_plan, nested_distance
-from .tolerances import TOL
+from .nested import Coupling, check_depths, compose_plan
 from .transport import common_refinement
 from .tree import ScenarioTree
 
@@ -77,41 +76,3 @@ def kr_distance(mu: ScenarioTree, nu: ScenarioTree, metric: GroundMetric) -> flo
     """Transport cost of the rearrangement, reported as the p-th root."""
     plan = kr_coupling(mu, nu).coupling
     return metric.root(plan.cost(metric))
-
-
-class KRGapResult(NamedTuple):
-    kr: float
-    nested: float
-
-
-def kr_gap_demo(
-    n: int,
-    p: float,
-    family: str = "crossed_fans",
-    second_stage_atoms: int = 16,
-) -> KRGapResult:
-    """Rearrangement cost versus nested distance on a stress family.
-
-    ``crossed_fans`` pairs fans whose stage-2 values are sign-crossed, so
-    the increasing rearrangement pays a large stage-2 bill while stage-1
-    anti-matching is cheap.  ``hidden_branch`` pairs a branch-revealing
-    tree against its merged counterpart, with the uniform second stage
-    discretized to ``second_stage_atoms`` equal atoms (a desk-scale
-    stand-in for the continuous construction).
-    """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    if family == "crossed_fans":
-        mu, nu = crossed_fans(n)
-    elif family == "hidden_branch":
-        mu, nu = hidden_branch_pair(n, second_stage_atoms)
-    else:
-        raise ValidationError(f"unknown family {family!r}")
-    metric = GroundMetric.usual(p)
-    kr = kr_distance(mu, nu, metric)
-    nd = nested_distance(mu, nu, metric).distance
-    if kr < nd - TOL:
-        raise OracleMismatchError(
-            f"rearrangement cost {kr} fell below the nested distance {nd}"
-        )
-    return KRGapResult(kr, nd)

@@ -5,7 +5,7 @@ at stage t carries the coordinate value x_t and the conditional probability
 of reaching it from its parent; the root is virtual (stage 0, no value).
 Because sibling values are pairwise distinct, every node is identified by
 its history (x_1, ..., x_t), and a valid tree is determined by its leaf
-path law alone.
+path law alone: :func:`build_tree` builds it from (path, weight) pairs.
 """
 
 from __future__ import annotations
@@ -26,62 +26,6 @@ class Node:
     stage: int
     value: float | None
     cond_prob: float | None
-
-
-@dataclass(frozen=True)
-class PathDistribution:
-    """Flat view of a process law: distinct paths with positive weights.
-
-    Weights are validated to sum to 1 within ``TOL`` and then renormalized
-    exactly; paths are kept in lexicographic order.
-    """
-
-    paths: tuple[tuple[float, ...], ...]
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.paths) == 0:
-            raise ValidationError("empty path list")
-        if len(self.paths) != len(self.weights):
-            raise ValidationError("paths and weights length mismatch")
-        n = len(self.paths[0])
-        if n < 1:
-            raise ValidationError("paths must have at least one coordinate")
-        for p in self.paths:
-            if len(p) != n:
-                raise ValidationError("inconsistent path lengths")
-            for v in p:
-                if not math.isfinite(v):
-                    raise ValidationError(f"non-finite coordinate {v!r}")
-        for w in self.weights:
-            if not (math.isfinite(w) and w > 0.0):
-                raise ValidationError(f"nonpositive weight {w!r}")
-        total = math.fsum(self.weights)
-        if abs(total - 1.0) > TOL:
-            raise ValidationError(f"weights sum to {total}, expected 1")
-        order = sorted(range(len(self.paths)), key=lambda k: self.paths[k])
-        paths = tuple(tuple(float(v) for v in self.paths[k]) for k in order)
-        if any(paths[k] == paths[k + 1] for k in range(len(paths) - 1)):
-            raise ValidationError("paths must be pairwise distinct")
-        weights = tuple(float(self.weights[k]) / total for k in order)
-        object.__setattr__(self, "paths", paths)
-        object.__setattr__(self, "weights", weights)
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[Sequence[float], float]]) -> "PathDistribution":
-        """Build from (path, weight) pairs, merging duplicate paths."""
-        agg: dict[tuple[float, ...], float] = {}
-        for path, w in pairs:
-            key = tuple(float(v) for v in path)
-            agg[key] = agg.get(key, 0.0) + float(w)
-        return cls(tuple(agg.keys()), tuple(agg.values()))
-
-    @property
-    def depth(self) -> int:
-        return len(self.paths[0])
-
-    def items(self) -> list[tuple[tuple[float, ...], float]]:
-        return list(zip(self.paths, self.weights))
 
 
 class ScenarioTree:
@@ -251,22 +195,48 @@ def _group_by_coord(entries, coord, tol):
     return out
 
 
-def build_tree(paths: PathDistribution, merge_tol: float = 0.0) -> ScenarioTree:
-    """Build the scenario tree of a path law.
+def build_tree(
+    pairs: Iterable[tuple[Sequence[float], float]], merge_tol: float = 0.0
+) -> ScenarioTree:
+    """Build the scenario tree of a path law given as (path, weight) pairs.
 
+    ``pairs`` is read once, so a generator will do.  Repeated paths merge,
+    their weights added in input order.  The paths must be nonempty, of
+    one length and finite, the merged weights finite and positive with a
+    sum within ``TOL`` of 1; each weight is then divided by that sum.
     Two partial histories share a node when their coordinates agree within
     ``merge_tol`` under the greedy adjacent-gap rule above; merged node
     values are mass-weighted means.  Paths are sorted before merging, so
     the output does not depend on input order.  With ``merge_tol`` 0 the
     induced path law of the result equals the input exactly.
     """
-    if not isinstance(paths, PathDistribution):
-        raise ValidationError("build_tree expects a PathDistribution")
+    law: dict[tuple[float, ...], float] = {}
+    for path, w in pairs:
+        key = tuple(float(v) for v in path)
+        law[key] = law.get(key, 0.0) + float(w)
+    if not law:
+        raise ValidationError("empty path list")
+    depth = len(next(iter(law)))
+    if depth < 1:
+        raise ValidationError("paths must have at least one coordinate")
+    for path in law:
+        if len(path) != depth:
+            raise ValidationError("inconsistent path lengths")
+        for v in path:
+            if not math.isfinite(v):
+                raise ValidationError(f"non-finite coordinate {v!r}")
+    for w in law.values():
+        if not (math.isfinite(w) and w > 0.0):
+            raise ValidationError(f"nonpositive weight {w!r}")
+    total = math.fsum(law.values())
+    if abs(total - 1.0) > TOL:
+        raise ValidationError(f"weights sum to {total}, expected 1")
     if not (math.isfinite(merge_tol) and merge_tol >= 0.0):
         raise ValidationError(f"merge_tol must be nonnegative, got {merge_tol!r}")
-    depth = paths.depth
     nodes = [Node(0, None, 0, None, None)]
-    queue: list[tuple[int, list, int]] = [(0, paths.items(), 0)]
+    # Every mass is an fsum; the sort decides which of a 0.0 and a -0.0
+    # that share a node names it.
+    queue = [(0, [(path, w / total) for path, w in sorted(law.items())], 0)]
     while queue:
         pid, entries, stage = queue.pop(0)
         if stage == depth:

@@ -1,9 +1,8 @@
 """Independent references the tests check the solvers against.
 
 A law on the line with its left-continuous quantile, the cost of the
-quantile (comonotone) coupling of two such laws, the flat path law of a
-tree, a leaf-law comparison of two trees and a lookup from history to
-node.  None of these is a solver route; they exist so that each check
+quantile (comonotone) coupling of two such laws, a leaf-law comparison
+of two trees and a lookup from history to node.  None of these is a solver route; they exist so that each check
 has a second computation to compare with.
 """
 
@@ -14,7 +13,7 @@ import math
 
 import numpy as np
 
-from nestedot import GroundMetric, PathDistribution, ScenarioTree
+from nestedot import GroundMetric, ScenarioTree
 from nestedot.transport import common_refinement
 
 
@@ -62,12 +61,6 @@ def quantile_cost(a: LineLaw, b: LineLaw, metric: GroundMetric) -> tuple[float, 
         cost += width * metric.base_dist(a.locations[i], b.locations[j]) ** metric.p
         x[i, j] += width
     return cost, x
-
-
-def tree_to_paths(tree: ScenarioTree) -> PathDistribution:
-    """Flatten a tree back to its path law."""
-    pairs = tree.leaf_paths()
-    return PathDistribution(tuple(p for p, _ in pairs), tuple(w for _, w in pairs))
 
 
 def same_law(a: ScenarioTree, b: ScenarioTree) -> bool:

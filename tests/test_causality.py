@@ -334,12 +334,10 @@ def test_split_of_tied_optimal_plan():
     # A chain source forces every coupling to be causal; the optimal plan
     # to a two-branch target is the (non-Monge) product, so it splits and
     # the parts' costs mix back to the optimal value.
-    from nestedot import PathDistribution, build_tree
+    from nestedot import build_tree
 
-    mu = build_tree(PathDistribution.from_pairs([((0.0, 0.0), 1.0)]))
-    nu = build_tree(
-        PathDistribution.from_pairs([((1.0, 1.0), 0.5), ((-1.0, -1.0), 0.5)])
-    )
+    mu = build_tree([((0.0, 0.0), 1.0)])
+    nu = build_tree([((1.0, 1.0), 0.5), ((-1.0, -1.0), 0.5)])
     res = nested_distance(mu, nu, M2)
     rep = detect_monge(res.plan, mu, nu)
     assert not rep.is_monge_adapted

@@ -9,7 +9,6 @@ import pytest
 from nestedot import (
     Coupling,
     GroundMetric,
-    PathDistribution,
     build_tree,
     cli,
     embed,
@@ -66,8 +65,8 @@ def test_oracle_check_compares_lp_values(capsys, tmp_path):
     # recursion's 1e-7 is right.  The LP values differ by 1e-14, the
     # distances by 1e-7, which used to exit 3 as an oracle mismatch.
     mu, nu = tmp_path / "mu.json", tmp_path / "nu.json"
-    save_tree(build_tree(PathDistribution.from_pairs([((0.0,), 1.0)])), mu)
-    save_tree(build_tree(PathDistribution.from_pairs([((0.0,), 1 - 1e-12), ((0.1,), 1e-12)])), nu)
+    save_tree(build_tree([((0.0,), 1.0)]), mu)
+    save_tree(build_tree([((0.0,), 1 - 1e-12), ((0.1,), 1e-12)]), nu)
     code, report, err = run(
         capsys, "compute", "nested", "--mu", str(mu), "--nu", str(nu), "--p", "2", "--oracle"
     )
@@ -191,7 +190,7 @@ def test_overflowing_costs_exit_2(capsys, tmp_path, command):
     # OverflowError out of every command but wasserstein.
     files = {}
     for name, top in (("mu", 1e200), ("nu", 1e200 / 3)):
-        tree = build_tree(PathDistribution.from_pairs([((top,), 0.5), ((-top,), 0.5)]))
+        tree = build_tree([((top,), 0.5), ((-top,), 0.5)])
         files[name] = tmp_path / f"{name}.json"
         save_tree(tree, files[name])
         files[name.upper()] = tmp_path / f"{name}.nested.json"
@@ -494,18 +493,42 @@ def test_solver_failure_exits_4(pair_files, capsys, monkeypatch):
     ]
 
 
-def test_oracle_mismatch_error_keeps_exit_3(pair_files, capsys, monkeypatch):
-    import nestedot.cli
-    from nestedot.errors import OracleMismatchError
+def test_oracle_mismatch_exits_3(pair_files, capsys, monkeypatch):
+    real = cli.brute_force_bicausal
 
-    def mismatch(*args):
-        raise OracleMismatchError("routes disagree")
+    def shifted(mu, nu, metric):
+        res = real(mu, nu, metric)
+        return res._replace(distance=res.distance + 0.1)
 
     mu, nu = pair_files
-    monkeypatch.setattr(nestedot.cli, "nested_distance", mismatch)
-    code = main(["compute", "nested", "--mu", str(mu), "--nu", str(nu)])
+    monkeypatch.setattr(cli, "brute_force_bicausal", shifted)
+    code, report, err = run(
+        capsys, "compute", "nested", "--mu", str(mu), "--nu", str(nu), "--oracle"
+    )
     assert code == 3
-    assert "mismatch: routes disagree" in capsys.readouterr().err
+    assert report["oracle_check"] == "mismatch"
+    assert report["results"]["oracle_distance"] == pytest.approx(1.6, abs=1e-9)
+    assert err.startswith("oracle mismatch: LP values ")
+
+
+def test_failed_demo_check_exits_3(capsys, monkeypatch):
+    real = cli.nested_wasserstein
+    monkeypatch.setattr(cli, "nested_wasserstein", lambda p, q, metric: real(p, q, metric) + 0.1)
+    code, report, err = run(capsys, "demo", "isometry", "--seed", "2", "--trials", "3")
+    assert code == 3
+    assert report["results"]["pass"] is False
+    assert report["results"]["max_deviation"] == pytest.approx(0.1, abs=1e-9)
+    assert err == "demo isometry failed its regression check\n"
+
+
+@pytest.mark.parametrize("argv", [["--p", "1.5", "--n-max", "6"], ["--p", "3", "--n-max", "3"]])
+def test_incompleteness_demo_with_rounding_excess_passes(capsys, argv):
+    # A pairwise distance above |1/n - 1/m| by rounding made the check a
+    # numpy bool, which the report could not hold: the command exited 2.
+    code, report, err = run(capsys, "demo", "incompleteness", *argv)
+    assert code == 0 and err == ""
+    assert report["results"]["pass"] is True
+    assert 0.0 < report["results"]["max_pairwise_excess"] <= 1e-15
 
 
 def test_demo_commands(capsys):

@@ -8,7 +8,6 @@ from nestedot import (
     GroundMetric,
     NestedAtom,
     NestedDistribution,
-    PathDistribution,
     ScenarioTree,
     ValidationError,
     build_tree,
@@ -38,7 +37,7 @@ def leaf_dist(*atoms):
 
 
 def test_embed_single_path():
-    tree = build_tree(PathDistribution.from_pairs([((0.0, 1.0), 1.0)]))
+    tree = build_tree([((0.0, 1.0), 1.0)])
     dist = embed(tree)
     assert dist.depth == 2
     assert len(dist.atoms) == 1
@@ -172,7 +171,7 @@ def test_dirac_approximation_validation():
         dirac_approximation(leaf_dist((0.0, 1.0)), 0.1)
     with pytest.raises(ValidationError):
         dirac_approximation(fan_limit_nested(), 0.0)
-    deep = embed(build_tree(PathDistribution.from_pairs([((0.0, 1.0, 2.0), 1.0)])))
+    deep = embed(build_tree([((0.0, 1.0, 2.0), 1.0)]))
     with pytest.raises(ValidationError):
         dirac_approximation(deep, 0.1)
 
@@ -234,6 +233,6 @@ def test_lift_keeps_tree_probabilities_bit_for_bit():
     probs = [mu.node(k).cond_prob for k in mu.children(mu.root)]
     assert math.fsum(probs) != 1.0
     assert [a.mass for a in embed(mu).atoms] == probs
-    nu = build_tree(PathDistribution.from_pairs([((0.25,), 0.5), ((0.75,), 0.5)]))
+    nu = build_tree([((0.25,), 0.5), ((0.75,), 0.5)])
     for metric in (M1, M2):
         assert nested_wasserstein(embed(mu), embed(nu), metric) == nested_distance(mu, nu, metric).distance

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from nestedot import Coupling, PathDistribution, ValidationError, build_tree, embed
+from nestedot import Coupling, ValidationError, build_tree, embed
 from nestedot.io import (
     coupling_from_json,
     coupling_to_json,
@@ -38,10 +38,7 @@ def _float_bits(obj):
 
 
 def test_files_round_trip_bit_for_bit(tmp_path):
-    law = PathDistribution.from_pairs(
-        [((0.1, 1e16), 0.1), ((0.1, 1e-7), 0.2), ((-0.0, 5e-324), 0.7)]
-    )
-    tree = build_tree(law)
+    tree = build_tree([((0.1, 1e16), 0.1), ((0.1, 1e-7), 0.2), ((-0.0, 5e-324), 0.7)])
     plan = Coupling.from_mass_map(
         {((0.1, 1e16), (-0.0, 5e-324)): 0.1, ((1e-7, -0.0), (0.1, 1e16)): 5e-324}
     )

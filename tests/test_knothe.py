@@ -6,13 +6,11 @@ import pytest
 from nestedot import (
     Coupling,
     GroundMetric,
-    PathDistribution,
     ValidationError,
     build_tree,
     is_bicausal,
     kr_coupling,
     kr_distance,
-    kr_gap_demo,
     nested_distance,
     solve_ot,
     wasserstein_distance,
@@ -20,6 +18,7 @@ from nestedot import (
 from nestedot.families import (
     crossed_fans,
     fan_vs_merged,
+    hidden_branch_pair,
     random_tree,
     random_tree_pair,
 )
@@ -74,8 +73,8 @@ def test_fan_vs_merged_quantile_crossing():
 
 
 def test_single_path_reduces_to_path_cost():
-    mu = build_tree(PathDistribution.from_pairs([((0.0, 2.0), 1.0)]))
-    nu = build_tree(PathDistribution.from_pairs([((1.0, -1.0), 1.0)]))
+    mu = build_tree([((0.0, 2.0), 1.0)])
+    nu = build_tree([((1.0, -1.0), 1.0)])
     assert kr_distance(mu, nu, M2) == pytest.approx(math.sqrt(1.0 + 9.0), abs=1e-12)
 
 
@@ -165,15 +164,20 @@ def test_antitone_upper_bound_for_crossed_fans():
         assert nested_distance(mu, nu, M1).distance <= cost + 1e-12
 
 
+def gap(mu, nu, metric=M1):
+    """The two distances that ``demo kr-gap`` compares."""
+    return kr_distance(mu, nu, metric), nested_distance(mu, nu, metric).distance
+
+
 def test_gap_demo_crossed():
-    res = kr_gap_demo(2, 1.0)
-    assert res.kr == pytest.approx(2.0, abs=1e-9)
-    assert res.nested <= 1.0 + 1e-9
+    kr, nested = gap(*crossed_fans(2))
+    assert kr == pytest.approx(2.0, abs=1e-9)
+    assert nested <= 1.0 + 1e-9
 
 
 def test_gap_demo_crossed_n1():
-    res = kr_gap_demo(1, 1.0)
-    assert res.kr == pytest.approx(1.0, abs=1e-9)
+    kr, _ = gap(*crossed_fans(1))
+    assert kr == pytest.approx(1.0, abs=1e-9)
 
 
 def test_gap_demo_hidden_branch_values():
@@ -183,22 +187,24 @@ def test_gap_demo_hidden_branch_values():
     # stage 1 is forced and stage 2 is comonotone-optimal.
     expected = {1: 1.0, 2: 0.75, 4: 0.625, 8: 0.5625}
     for n, target in expected.items():
-        res = kr_gap_demo(n, 1.0, family="hidden_branch", second_stage_atoms=16)
-        assert res.kr == pytest.approx(target, abs=1e-9)
-        assert res.nested == pytest.approx(target, abs=1e-9)
-        assert res.kr >= res.nested - 1e-12
+        kr, nested = gap(*hidden_branch_pair(n, 16))
+        assert kr == pytest.approx(target, abs=1e-9)
+        assert nested == pytest.approx(target, abs=1e-9)
+        assert kr >= nested - 1e-12
 
 
 def test_gap_demo_rejects_bad_input():
     with pytest.raises(ValidationError):
-        kr_gap_demo(0, 1.0)
+        crossed_fans(0)
     with pytest.raises(ValidationError):
-        kr_gap_demo(2, 1.0, family="unknown")
+        hidden_branch_pair(0, 16)
+    with pytest.raises(ValidationError):
+        hidden_branch_pair(2, 0)
 
 
 def test_depth_mismatch():
-    mu = build_tree(PathDistribution.from_pairs([((0.0,), 1.0)]))
-    nu = build_tree(PathDistribution.from_pairs([((0.0, 1.0), 1.0)]))
+    mu = build_tree([((0.0,), 1.0)])
+    nu = build_tree([((0.0, 1.0), 1.0)])
     with pytest.raises(ValidationError):
         kr_coupling(mu, nu)
 
@@ -206,10 +212,8 @@ def test_depth_mismatch():
 def test_quantile_alignment_with_uneven_masses():
     # Three atoms of 1/3 against two of 1/2: the refinement must split at
     # both partitions' breakpoints and conserve mass exactly.
-    mu = build_tree(
-        PathDistribution.from_pairs([((0.0,), 1 / 3), ((1.0,), 1 / 3), ((2.0,), 1 / 3)])
-    )
-    nu = build_tree(PathDistribution.from_pairs([((0.0,), 0.5), ((4.0,), 0.5)]))
+    mu = build_tree([((0.0,), 1 / 3), ((1.0,), 1 / 3), ((2.0,), 1 / 3)])
+    nu = build_tree([((0.0,), 0.5), ((4.0,), 0.5)])
     plan = kr_coupling(mu, nu).coupling
     assert math.fsum(e.mass for e in plan.entries) == pytest.approx(1.0, abs=1e-12)
     masses = {(e.mu_path, e.nu_path): e.mass for e in plan.entries}

@@ -8,7 +8,6 @@ import nestedot.nested
 from nestedot import (
     GroundMetric,
     Node,
-    PathDistribution,
     ScenarioTree,
     SizeGuardError,
     ValidationError,
@@ -43,7 +42,7 @@ M2 = GroundMetric.usual(2.0)
 
 
 def chain(*values):
-    return build_tree(PathDistribution.from_pairs([(tuple(values), 1.0)]))
+    return build_tree([(tuple(values), 1.0)])
 
 
 def test_single_path_pair():
@@ -205,9 +204,7 @@ def test_depth_mismatch_rejected():
 
 
 def test_size_guard():
-    big = build_tree(
-        PathDistribution.from_pairs([((float(k),), 1.0 / 101) for k in range(101)])
-    )
+    big = build_tree([((float(k),), 1.0 / 101) for k in range(101)])
     with pytest.raises(SizeGuardError):
         brute_force_bicausal(big, big, M1)
     with pytest.raises(SizeGuardError):
@@ -301,7 +298,7 @@ def full_tree(branching, weights, values):
         for t, k in enumerate(idx):
             w *= weights(t, k) / sum(weights(t, r) for r in range(branching[t]))
         pairs.append((tuple(values(t, k) for t, k in enumerate(idx)), w))
-    return build_tree(PathDistribution.from_pairs(pairs))
+    return build_tree(pairs)
 
 
 def test_oracle_lp_call_and_size(monkeypatch):
@@ -367,7 +364,7 @@ def test_oracle_rejects_overflowing_costs():
     # The oracle prices pairs itself, so it must raise the same error as
     # the recursion, not an OverflowError.
     mu, nu = (
-        build_tree(PathDistribution.from_pairs([((top,), 0.5), ((-top,), 0.5)]))
+        build_tree([((top,), 0.5), ((-top,), 0.5)])
         for top in (1e200, 1e200 / 3)
     )
     with pytest.raises(ValidationError, match="cost overflows"):
@@ -491,7 +488,7 @@ def dyadic_walk(depth, step, up):
                 x, w = x - step, w * (1.0 - up)
             path.append(x)
         pairs.append((tuple(path), w))
-    return build_tree(PathDistribution.from_pairs(pairs))
+    return build_tree(pairs)
 
 
 def _engine_cases():

@@ -11,7 +11,15 @@ import nestedot
 import nestedot.cli  # noqa: F401  (loads every module the tracer binds into)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-DELETED = ("DiscreteDistribution", "wasserstein_1d", "tree_to_paths", "antitone_coupling")
+DELETED = (
+    "DiscreteDistribution",
+    "wasserstein_1d",
+    "tree_to_paths",
+    "antitone_coupling",
+    "PathDistribution",
+    "kr_gap_demo",
+    "OracleMismatchError",
+)
 
 
 def test_every_export_resolves():

@@ -1,21 +1,30 @@
+import hashlib
 import json
 import math
+import random
 
 import numpy as np
 import pytest
 
-from nestedot import PathDistribution, ScenarioTree, ValidationError, build_tree
-from nestedot.families import fan_vs_merged, random_tree
+from nestedot import ScenarioTree, ValidationError, build_tree
+from nestedot.families import (
+    collapsing_fan,
+    crossed_fans,
+    fan_vs_merged,
+    hidden_branch_pair,
+    merged_limit,
+    monge_pushforward,
+    perturbed_pair,
+    random_adapted_map,
+    random_monge_mixture,
+    random_tree,
+)
 from nestedot.io import dumps_canonical, tree_from_json, tree_to_json
-from reference import same_law, tree_to_paths
-
-
-def paths_of(*pairs):
-    return PathDistribution.from_pairs(pairs)
+from reference import same_law
 
 
 def test_single_chain():
-    tree = build_tree(paths_of(((0.0, 1.0), 1.0)))
+    tree = build_tree([((0.0, 1.0), 1.0)])
     assert tree.depth == 2
     assert len(tree.leaves) == 1
     assert tree.leaf_paths() == [((0.0, 1.0), 1.0)]
@@ -25,7 +34,7 @@ def test_single_chain():
 
 
 def test_merged_first_coordinate():
-    tree = build_tree(paths_of(((0.0, 1.0), 0.5), ((0.0, -1.0), 0.5)))
+    tree = build_tree([((0.0, 1.0), 0.5), ((0.0, -1.0), 0.5)])
     stage1 = tree.nodes_at_stage(1)
     assert len(stage1) == 1
     node = tree.node(stage1[0])
@@ -36,7 +45,7 @@ def test_merged_first_coordinate():
 
 
 def test_fan_structure():
-    tree = build_tree(paths_of(((0.1, 1.0), 0.5), ((-0.1, -1.0), 0.5)))
+    tree = build_tree([((0.1, 1.0), 0.5), ((-0.1, -1.0), 0.5)])
     stage1 = tree.nodes_at_stage(1)
     assert len(stage1) == 2
     for nid in stage1:
@@ -44,34 +53,54 @@ def test_fan_structure():
 
 
 def test_merge_tolerance_mass_weighted_mean():
-    tree = build_tree(paths_of(((0.1, 1.0), 0.5), ((-0.1, -1.0), 0.5)), merge_tol=0.25)
+    tree = build_tree([((0.1, 1.0), 0.5), ((-0.1, -1.0), 0.5)], merge_tol=0.25)
     stage1 = tree.nodes_at_stage(1)
     assert len(stage1) == 1
     assert tree.node(stage1[0]).value == pytest.approx(0.0, abs=1e-15)
 
 
-def test_path_distribution_validation():
-    with pytest.raises(ValidationError):
-        PathDistribution((), ())
-    with pytest.raises(ValidationError):
-        paths_of(((0.0, 1.0), 0.5), ((0.0,), 0.5))
-    with pytest.raises(ValidationError):
-        paths_of(((0.0, 1.0), -0.5), ((0.0, -1.0), 1.5))
-    with pytest.raises(ValidationError):
-        PathDistribution(((0.0, 1.0), (0.0, 1.0)), (0.5, 0.5))
-    with pytest.raises(ValidationError):
-        paths_of(((0.0, 1.0), 0.7))
+def test_build_tree_validation():
+    for pairs, merge_tol, message in [
+        ([], 0.0, "empty path list"),
+        ([((0.0, 1.0), 0.5), ((0.0,), 0.5)], 0.0, "inconsistent path lengths"),
+        ([((), 1.0)], 0.0, "at least one coordinate"),
+        ([((0.0, math.nan), 1.0)], 0.0, "non-finite coordinate nan"),
+        ([((math.inf, 1.0), 1.0)], 0.0, "non-finite coordinate inf"),
+        ([((0.0, 1.0), -0.5), ((0.0, -1.0), 1.5)], 0.0, "nonpositive weight -0.5"),
+        ([((0.0, 1.0), 0.0), ((0.0, -1.0), 1.0)], 0.0, "nonpositive weight 0.0"),
+        ([((0.0, 1.0), math.nan)], 0.0, "nonpositive weight nan"),
+        ([((0.0, 1.0), 0.7)], 0.0, "weights sum to 0.7"),
+        ([((0.0, 1.0), 1.0)], -0.1, "merge_tol must be nonnegative"),
+        ([((0.0, 1.0), 1.0)], math.nan, "merge_tol must be nonnegative"),
+    ]:
+        with pytest.raises(ValidationError, match=message):
+            build_tree(pairs, merge_tol)
 
 
-def test_from_pairs_merges_duplicates():
-    dist = paths_of(((0.0, 1.0), 0.25), ((0.0, 1.0), 0.25), ((1.0, 1.0), 0.5))
-    assert len(dist.paths) == 2
-    assert dict(zip(dist.paths, dist.weights))[(0.0, 1.0)] == pytest.approx(0.5)
+def test_build_tree_merges_repeated_paths():
+    tree = build_tree([((0.0, 1.0), 0.25), ((1.0, 1.0), 0.5), ((0.0, 1.0), 0.25)])
+    assert tree.leaf_paths() == [((0.0, 1.0), 0.5), ((1.0, 1.0), 0.5)]
+    # The weights of a repeated path add up before they are checked.
+    tree = build_tree([((0.0,), 0.5), ((0.0,), 0.5)])
+    assert tree.leaf_paths() == [((0.0,), 1.0)]
+
+
+def test_build_tree_reads_a_generator_once():
+    pairs = [((1.0, 3.0), 0.25), ((0.0, 1.0), 0.5), ((0.0, -1.0), 0.25)]
+    tree = build_tree(p for p in pairs)
+    assert tree_to_json(tree) == tree_to_json(build_tree(pairs))
+
+
+def test_signed_zeros_do_not_depend_on_input_order():
+    pairs = [((0.0, 1.0), 0.5), ((-0.0, 2.0), 0.5)]
+    for merge_tol in (0.0, 0.2):
+        first, second = (build_tree(p, merge_tol) for p in (pairs, pairs[::-1]))
+        assert dumps_canonical(tree_to_json(first)) == dumps_canonical(tree_to_json(second))
 
 
 def test_weight_renormalization():
-    dist = paths_of(((0.0,), 0.5 + 2e-10), ((1.0,), 0.5))
-    assert math.fsum(dist.weights) == pytest.approx(1.0, abs=1e-15)
+    tree = build_tree([((0.0,), 0.5 + 2e-10), ((1.0,), 0.5)])
+    assert math.fsum(w for _, w in tree.leaf_paths()) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_round_trip_paths_tree_paths():
@@ -80,26 +109,25 @@ def test_round_trip_paths_tree_paths():
     rng = np.random.default_rng(42)
     for _ in range(25):
         tree = random_tree(rng, int(rng.integers(1, 4)))
-        flattened = tree_to_paths(tree)
-        rebuilt = build_tree(flattened, 0.0)
+        rebuilt = build_tree(tree.leaf_paths(), 0.0)
         assert same_law(rebuilt, tree)
 
 
 def test_round_trip_distribution_identity():
-    dist = paths_of(((0.0, 1.0), 0.5), ((0.0, -1.0), 0.25), ((1.0, 3.0), 0.25))
-    back = tree_to_paths(build_tree(dist, 0.0))
-    assert back.paths == dist.paths
-    for w1, w2 in zip(back.weights, dist.weights):
+    pairs = [((0.0, 1.0), 0.5), ((0.0, -1.0), 0.25), ((1.0, 3.0), 0.25)]
+    back = build_tree(pairs, 0.0).leaf_paths()
+    assert [p for p, _ in back] == sorted(p for p, _ in pairs)
+    for (_, w1), (_, w2) in zip(back, sorted(pairs)):
         assert w1 == pytest.approx(w2, abs=1e-12)
 
 
 def test_determinism_under_permutation():
     rng = np.random.default_rng(7)
     base = [((0.0, 1.0), 0.25), ((0.0, -1.0), 0.25), ((1.0, 2.0), 0.3), ((1.0, 3.0), 0.2)]
-    reference = build_tree(PathDistribution.from_pairs(base))
+    reference = build_tree(base)
     for _ in range(10):
         perm = [base[k] for k in rng.permutation(len(base))]
-        tree = build_tree(PathDistribution.from_pairs(perm))
+        tree = build_tree(perm)
         assert tree.canonical_key() == reference.canonical_key()
 
 
@@ -116,10 +144,10 @@ def test_uniform_binary_three_stages():
         for b in (0.0, 1.0):
             for c in (0.0, 1.0):
                 pairs.append(((a, b, c), 0.125))
-    tree = build_tree(PathDistribution.from_pairs(pairs))
-    flattened = tree_to_paths(tree)
-    assert len(flattened.paths) == 8
-    assert all(w == pytest.approx(0.125, abs=1e-12) for w in flattened.weights)
+    tree = build_tree(pairs)
+    flattened = tree.leaf_paths()
+    assert len(flattened) == 8
+    assert all(w == pytest.approx(0.125, abs=1e-12) for _, w in flattened)
     for stage in range(3):
         for nid in tree.nodes_at_stage(stage):
             assert len(tree.children(nid)) == 2
@@ -211,3 +239,46 @@ def test_json_rejects_malformed():
         tree_from_json({"nodes": []})
     with pytest.raises(ValidationError):
         tree_from_json({"depth": 1, "nodes": [{"id": 0}]})
+
+
+def _pinned_trees():
+    """Families, seeded random trees, Monge-mixture and push-forward second
+    marginals, and path laws with repeated paths at three merge tolerances."""
+    for n in range(1, 8):
+        yield collapsing_fan(n)
+        yield from crossed_fans(n)
+        for k in (1, 4, 16):
+            yield from hidden_branch_pair(n, k)
+    yield merged_limit()
+    for eps in (1.0, 0.1, 0.01):
+        yield from perturbed_pair(eps)
+    rng = np.random.default_rng(2024)
+    for _ in range(100):
+        yield random_tree(rng, int(rng.integers(1, 5)))
+    rng = np.random.default_rng(99)
+    for _ in range(30):
+        tree = random_tree(rng, int(rng.integers(1, 4)), max_leaves=8)
+        yield random_monge_mixture(rng, tree)[1]
+        yield monge_pushforward(tree, random_adapted_map(rng, tree))[1]
+    draw = random.Random(11)
+    grid = (-1.0, -0.5, -0.05, 0.0, 0.03, 0.1, 0.25, 1.0)
+    for _ in range(100):
+        depth = draw.randint(1, 4)
+        paths = [
+            tuple(draw.choice(grid) + 0.02 * draw.random() for _ in range(depth))
+            for _ in range(draw.randint(1, 8))
+        ]
+        pairs = [(draw.choice(paths), draw.random() + 1e-3) for _ in range(draw.randint(1, 16))]
+        total = math.fsum(w for _, w in pairs)
+        for merge_tol in (0.0, 0.1, 0.3):
+            yield build_tree([(p, w / total) for p, w in pairs], merge_tol)
+
+
+# sha256 of the trees above, computed before build_tree took (path, weight)
+# pairs in place of a separately validated path law.
+PINNED_TREES_SHA256 = "033e865fbc385382a4cac0cc756917fd76bb3518887ce597c52348cb295f4261"
+
+
+def test_tree_bits_are_pinned():
+    text = "\n".join(dumps_canonical(tree_to_json(t)) for t in _pinned_trees())
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_TREES_SHA256
