@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from pathlib import Path
 from typing import Any
 
@@ -259,8 +260,12 @@ def read_samples_csv(
         if width < 2:
             raise ValidationError("weight column requires at least one coordinate column")
         raw = [vals[-1] for vals in parsed]
-        if any(w <= 0.0 for w in raw):
-            raise ValidationError("weights must be positive")
+        for k, w in enumerate(raw):
+            if not (math.isfinite(w) and w > 0.0):
+                line = k + 1 + (header is not None)
+                raise ValidationError(f"weight {w!r} on line {line} is not finite and positive")
         total = sum(raw)
+        if not math.isfinite(total):
+            raise ValidationError(f"weights sum to {total!r}, which is not finite")
         return [(tuple(vals[:-1]), vals[-1] / total) for vals in parsed]
     return [(tuple(vals), 1.0 / len(parsed)) for vals in parsed]

@@ -45,16 +45,9 @@ class GroundMetric:
     def truncated(cls, p: float = 2.0, cap: float = 1.0) -> "GroundMetric":
         return cls(kind=TRUNCATED, p=float(p), cap=float(cap))
 
-    def base_dist(self, a: float, b: float) -> float:
-        """Base distance of two reals."""
-        d = abs(a - b)
-        if self.kind == TRUNCATED and d > self.cap:
-            return self.cap
-        return d
-
     def base_cost(self, a: float, b: float) -> float:
         """p-th power of the base distance; one too large for a float is rejected."""
-        d = abs(a - b)  # base_dist inlined: solvers call this once per cost entry
+        d = abs(a - b)
         if self.kind == TRUNCATED and d > self.cap:
             d = self.cap
         try:
@@ -69,10 +62,6 @@ class GroundMetric:
         if len(x) != len(y):
             raise ValidationError(f"path length mismatch: {len(x)} vs {len(y)}")
         return sum(self.base_cost(a, b) for a, b in zip(x, y))
-
-    def distance(self, x: Sequence[float], y: Sequence[float]) -> float:
-        """The induced metric on paths, i.e. ``path_cost ** (1/p)``."""
-        return self.root(self.path_cost(x, y))
 
     def root(self, cost_p: float) -> float:
         """Map an accumulated p-th-power cost back to distance scale."""

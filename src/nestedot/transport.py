@@ -8,7 +8,10 @@ pivots, so a pivot re-derives only the potentials below the leaving
 cell.  The nested recursion calls it directly, having validated each
 class's masses once.  :func:`solve_ot` is the public entry point: it
 validates and normalizes its input, calls the same kernel and is the
-only caller that asks for an optimal dual pair.  Subproblem sizes here
+only caller that asks for an optimal dual pair.  The northwest-corner
+rule that starts the simplex also builds the Knothe-Rosenblatt plans of
+:mod:`nestedot.knothe`: on value-sorted laws it is the monotone
+coupling, kept with the simplex's rounding rule.  Subproblem sizes here
 are tree branching factors, so exactness is preferred over large-scale
 approximation.  All functions are pure and reentrant.
 """
@@ -42,33 +45,6 @@ class TransportPlan:
 class OTResult(NamedTuple):
     value: float
     plan: TransportPlan
-
-
-def common_refinement(cum_a, cum_b) -> list[tuple[float, float, int, int]]:
-    """Common refinement of two cumulative partitions of (0, 1].
-
-    Returns the segments ``(lo, hi, i, j)`` of positive width, where ``i``
-    and ``j`` index the cells of ``cum_a`` and ``cum_b`` covering them.
-    Breakpoints equal within ``SNAP`` are merged, so cumulative sums of
-    equal probabilities computed in different orders still align.
-    """
-    out = []
-    i = j = 0
-    prev = 0.0
-    while i < len(cum_a) and j < len(cum_b):
-        ca, cb = cum_a[i], cum_b[j]
-        cur = min(ca, cb)
-        if cur - prev > 0.0:
-            out.append((prev, cur, i, j))
-        if abs(ca - cb) <= SNAP:
-            i += 1
-            j += 1
-        elif ca < cb:
-            i += 1
-        else:
-            j += 1
-        prev = cur
-    return out
 
 
 def _northwest_corner(a: list[float], b: list[float]):

@@ -1,9 +1,11 @@
 """Independent references the tests check the solvers against.
 
-A law on the line with its left-continuous quantile, the cost of the
-quantile (comonotone) coupling of two such laws, a leaf-law comparison
-of two trees and a lookup from history to node.  None of these is a solver route; they exist so that each check
-has a second computation to compare with.
+A law on the line with its left-continuous quantile, the common
+refinement of two cumulative partitions and the cost of the quantile
+(comonotone) coupling of two laws built on it, a leaf-law comparison of
+two trees and a lookup from history to node.  None of these is a solver
+route; they exist so that each check has a second computation to compare
+with.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 import numpy as np
 
 from nestedot import GroundMetric, ScenarioTree
-from nestedot.transport import common_refinement
+from nestedot.tolerances import SNAP
 
 
 class LineLaw:
@@ -46,6 +48,33 @@ def child_law(tree: ScenarioTree, nid: int) -> LineLaw:
     return LineLaw((tree.node(k).value, tree.node(k).cond_prob) for k in tree.children(nid))
 
 
+def common_refinement(cum_a, cum_b) -> list[tuple[float, float, int, int]]:
+    """Common refinement of two cumulative partitions of (0, 1].
+
+    Returns the segments ``(lo, hi, i, j)`` of positive width, where ``i``
+    and ``j`` index the cells of ``cum_a`` and ``cum_b`` covering them.
+    Breakpoints equal within ``SNAP`` are merged, so cumulative sums of
+    equal probabilities computed in different orders still align.
+    """
+    out = []
+    i = j = 0
+    prev = 0.0
+    while i < len(cum_a) and j < len(cum_b):
+        ca, cb = cum_a[i], cum_b[j]
+        cur = min(ca, cb)
+        if cur - prev > 0.0:
+            out.append((prev, cur, i, j))
+        if abs(ca - cb) <= SNAP:
+            i += 1
+            j += 1
+        elif ca < cb:
+            i += 1
+        else:
+            j += 1
+        prev = cur
+    return out
+
+
 def quantile_cost(a: LineLaw, b: LineLaw, metric: GroundMetric) -> tuple[float, np.ndarray]:
     """Cost and plan matrix of the quantile coupling of two laws on the line.
 
@@ -58,7 +87,7 @@ def quantile_cost(a: LineLaw, b: LineLaw, metric: GroundMetric) -> tuple[float, 
     cost = 0.0
     for lo, hi, i, j in common_refinement(a.cumulative, b.cumulative):
         width = hi - lo
-        cost += width * metric.base_dist(a.locations[i], b.locations[j]) ** metric.p
+        cost += width * metric.base_cost(a.locations[i], b.locations[j])
         x[i, j] += width
     return cost, x
 

@@ -254,6 +254,25 @@ def test_from_samples_variants(capsys, tmp_path):
     assert law == pytest.approx({(0.0, 1.0): 0.75, (0.0, 2.0): 0.25})
 
 
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        ("1,inf\n2,1\n", "weight inf on line 2 is not finite and positive"),
+        ("1,nan\n2,1\n", "weight nan on line 2 is not finite and positive"),
+        ("1,1e308\n2,1e308\n", "weights sum to inf, which is not finite"),
+    ],
+)
+def test_from_samples_names_a_bad_weight(capsys, tmp_path, rows, message):
+    # Dividing by the sum would turn each of these into a nan or 0.0
+    # weight; the message names the weight or the sum the file gives.
+    csv = tmp_path / "samples.csv"
+    csv.write_text("a,weight\n" + rows)
+    out = tmp_path / "tree.json"
+    code, report, err = run(capsys, "from-samples", "--csv", str(csv), "-o", str(out))
+    assert code == 2 and report is None
+    assert err == f"invalid input: {message}\n"
+
+
 # The settable values commands used to accept and never read; each is now
 # unknown to its command.
 DEAD_FLAGS = [

@@ -22,7 +22,7 @@ from nestedot.families import (
     random_tree,
     random_tree_pair,
 )
-from nestedot.knothe import Segment
+from reference import child_law, quantile_cost
 from test_nested import dyadic_walk
 
 M1 = GroundMetric.usual(1.0)
@@ -89,15 +89,9 @@ def test_rearrangement_always_bicausal():
 def test_metric_axioms():
     def assert_mirrored(a, b):
         # The construction is symmetric: swapping the arguments transposes
-        # the plan and mirrors the segments bit for bit.
-        ab, ba = kr_coupling(a, b), kr_coupling(b, a)
-        assert ba.coupling.entries == tuple(
-            sorted((e.nu_path, e.mu_path, e.mass) for e in ab.coupling.entries)
-        )
-        assert ba.segments == {
-            (t, j, i): tuple(Segment(s.lo, s.hi, s.nu_child, s.mu_child) for s in segs)
-            for (t, i, j), segs in ab.segments.items()
-        }
+        # the plan bit for bit.
+        ab, ba = kr_coupling(a, b).coupling, kr_coupling(b, a).coupling
+        assert ba.entries == tuple(sorted((e.nu_path, e.mu_path, e.mass) for e in ab.entries))
 
     rng = np.random.default_rng(21)
     for _ in range(10):
@@ -133,17 +127,41 @@ def test_single_stage_degeneracy():
         assert abs(kr - w) <= 1e-10
 
 
-def test_segments_partition_unit_interval():
-    rng = np.random.default_rng(9)
-    mu, nu = random_tree_pair(rng, 2)
-    segs = kr_coupling(mu, nu).segments
-    assert segs
-    for (stage, i, j), intervals in segs.items():
-        assert intervals[0].lo == 0.0
-        assert intervals[-1].hi == 1.0
-        for a, b in zip(intervals, intervals[1:]):
-            assert a.hi == b.lo
-        assert stage >= 1
+def _marginal_deviations(plan, mu, nu):
+    """Largest gap between each side's plan marginal and its path law."""
+    out = []
+    for tree, side in ((mu, 0), (nu, 1)):
+        marg: dict = {}
+        for e in plan.entries:
+            key = (e.mu_path, e.nu_path)[side]
+            marg[key] = marg.get(key, 0.0) + e.mass
+        out.append(max(abs(w - marg.get(path, 0.0)) for path, w in tree.leaf_paths()))
+    return out
+
+
+def test_kr_plan_keeps_input_mass():
+    # nu's middle atom of 1e-12 splits mu's two halves 5e-13 short of
+    # 0.5.  That remainder is input mass, not rounding, so each half
+    # ships it whole and both marginals hold exactly.
+    mu = build_tree([((0.0,), 0.5), ((1.0,), 0.5)])
+    nu = build_tree([((0.0,), 0.5 - 5e-13), ((0.5,), 1e-12), ((1.0,), 0.5 - 5e-13)])
+    plan = kr_coupling(mu, nu).coupling
+    assert is_bicausal(plan, mu, nu, tol=1e-15).is_bicausal
+    assert _marginal_deviations(plan, mu, nu) == [0.0, 0.0]
+
+
+def test_one_stage_plan_is_the_quantile_coupling():
+    # Share draws from 1..4 give dyadic masses (1/2, 1/4) and others
+    # (1/3, 2/7); the quantile coupling here is an independent route.
+    rng = np.random.default_rng(61)
+    for _ in range(60):
+        mu, nu = random_tree_pair(rng, 1)
+        a, b = child_law(mu, mu.root), child_law(nu, nu.root)
+        _, expected = quantile_cost(a, b, M2)
+        got = np.zeros_like(expected)
+        for e in kr_coupling(mu, nu).coupling.entries:
+            got[a.locations.index(e.mu_path[0]), b.locations.index(e.nu_path[0])] += e.mass
+        assert np.abs(got - expected).max() <= 1e-15
 
 
 def test_antitone_upper_bound_for_crossed_fans():
@@ -223,7 +241,7 @@ def test_quantile_alignment_with_uneven_masses():
     assert masses[((2.0,), (4.0,))] == pytest.approx(1 / 3, abs=1e-12)
     # 1-stage usual metric: quantile plan is optimal
     cost = [
-        [M1.base_dist(x[0], y[0]) for y, _ in nu.leaf_paths()]
+        [M1.base_cost(x[0], y[0]) for y, _ in nu.leaf_paths()]
         for x, _ in mu.leaf_paths()
     ]
     opt = solve_ot(cost, [1 / 3] * 3, [0.5, 0.5])

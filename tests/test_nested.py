@@ -450,7 +450,7 @@ def _dense_backward(mu, nu, metric):
                 for a, ka in enumerate(kids_i):
                     for b, kb in enumerate(kids_j):
                         cost[a, b] = (
-                            metric.base_dist(vi[a], vj[b]) ** metric.p
+                            metric.base_cost(vi[a], vj[b])
                             + values[(t + 1, ka, kb)]
                         )
                 values[(t, i, j)] = _oriented_value(cost, pi, pj)

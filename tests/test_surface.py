@@ -3,12 +3,15 @@
 import ast
 import importlib
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
 import nestedot
 import nestedot.cli  # noqa: F401  (loads every module the tracer binds into)
+from nestedot.families import fan_vs_merged
+from nestedot.io import save_tree
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 DELETED = (
@@ -50,6 +53,40 @@ def test_tracer_binds_every_traced_name(monkeypatch):
     for mod_name, cls_name, attr, *_ in spans.METHODS:
         cls = getattr(importlib.import_module(mod_name), cls_name)
         assert any(owner is cls and name == attr for owner, name, *_ in sites), attr
+
+
+def test_tracer_counts_every_command(monkeypatch, capsys, tmp_path):
+    # A counter reads the traced call's arguments and result, so a change
+    # to a result type breaks it only when it runs: run each command the
+    # benchmark runs once under the tracer and read every count.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    mu, nu, plan, P, Q = (str(tmp_path / f) for f in ("mu", "nu", "plan", "P", "Q"))
+    for tree, path in zip(fan_vs_merged(2), (mu, nu)):
+        save_tree(tree, path)
+    trees = ["--mu", mu, "--nu", nu]
+    commands = [
+        ["compute", "kr", *trees, "--emit-plan", plan],
+        ["check", "coupling", "--plan", plan, *trees],
+        ["compute", "nested", *trees, "--oracle", "--emit-plan", plan],
+        ["compute", "wasserstein", *trees],
+        ["embed", "--mu", mu, "-o", P],
+        ["embed", "--mu", nu, "-o", Q],
+        ["compute", "lifted", "--P", P, "--Q", Q],
+    ]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        codes = [nestedot.cli.main(argv) for argv in commands]
+        counts = defaultdict(int)
+        tracer.end_job(counts)
+        metrics = spans.layer_metrics(tracer, counts)
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert codes == [0] * len(commands)
+    assert [name for name in spans.COUNT_METRICS if not metrics[name] > 0] == []
 
 
 def test_tree_and_transport_sit_below_the_solvers():

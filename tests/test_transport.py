@@ -49,7 +49,7 @@ def _quadrature_cost(a, b, metric, steps=200_000):
     total = 0.0
     for k in range(steps):
         u = (k + 0.5) / steps
-        total += metric.base_dist(a.quantile(u), b.quantile(u)) ** metric.p
+        total += metric.base_cost(a.quantile(u), b.quantile(u))
     return total / steps
 
 
@@ -164,7 +164,7 @@ def test_solve_ot_matches_quantile_plan_on_line():
         a, b = random_distribution(rng), random_distribution(rng)
         metric = GroundMetric.usual(float(rng.choice([1.0, 2.0])))
         cost = [
-            [metric.base_dist(x, y) ** metric.p for y in b.locations]
+            [metric.base_cost(x, y) for y in b.locations]
             for x in a.locations
         ]
         res = solve_ot(cost, a.masses, b.masses)
@@ -179,7 +179,7 @@ def test_solve_ot_quantile_not_below_optimum_truncated():
         a, b = random_distribution(rng), random_distribution(rng)
         metric = GroundMetric.truncated(1.0, cap=1.0)
         cost = [
-            [metric.base_dist(x, y) ** metric.p for y in b.locations]
+            [metric.base_cost(x, y) for y in b.locations]
             for x in a.locations
         ]
         res = solve_ot(cost, a.masses, b.masses)
