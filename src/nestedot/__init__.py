@@ -36,8 +36,6 @@ from .nested import (
     Coupling,
     CouplingEntry,
     NestedResult,
-    OracleResult,
-    ValueTable,
     brute_force_bicausal,
     cauchy_check,
     nested_distance,
@@ -61,13 +59,11 @@ __all__ = [
     "Node",
     "NotCausalError",
     "OTResult",
-    "OracleResult",
     "ScenarioTree",
     "SizeGuardError",
     "SplitResult",
     "TransportPlan",
     "ValidationError",
-    "ValueTable",
     "Violation",
     "brute_force_bicausal",
     "build_tree",

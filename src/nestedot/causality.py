@@ -70,15 +70,20 @@ def _leaf_masses(
 
 
 def _snap(path: tuple[float, ...], leaf_of: dict[tuple[float, ...], int]) -> int:
+    """The leaf whose path is ``path``, or else, of the leaves whose paths
+    are within ``TOL`` of it in every coordinate, the nearest by largest
+    coordinate gap, ties going to leaf order."""
     leaf = leaf_of.get(path)
     if leaf is not None:
         return leaf
+    near = []
     for cand, leaf in leaf_of.items():
-        if len(cand) == len(path) and all(
-            abs(a - b) <= TOL for a, b in zip(cand, path)
-        ):
-            return leaf
-    raise ValidationError(f"plan path {path} is not a leaf path of the tree")
+        gaps = [abs(a - b) for a, b in zip(cand, path)]
+        if len(cand) == len(path) and all(g <= TOL for g in gaps):
+            near.append((max(gaps, default=0.0), leaf))
+    if not near:
+        raise ValidationError(f"plan path {path} is not a leaf path of the tree")
+    return min(near, key=lambda c: c[0])[1]
 
 
 def _marginal_deviation(masses, tree: ScenarioTree, side: int) -> float:

@@ -9,11 +9,11 @@ message, which exits 3, or None.  Each command takes only the flags its
 handler reads, and the report's ``params`` lists every one of them
 except file paths, which appear under ``inputs`` or ``results``.  The
 parser is built once per process.  Exit codes: 0 success, 2 invalid
-input (also input too deep for the recursive lift), 3 a handler's
-failure message, which only an oracle mismatch (``compute nested
---oracle``) or a demo whose regression check failed returns, 4 solver
-failure (the transportation simplex or the oracle LP gave no optimum),
-64 usage.
+input (also an input or a demo depth that nests past the recursion
+limit), 3 a handler's failure message, which only an oracle mismatch
+(``compute nested --oracle``) or a demo whose regression check failed
+returns, 4 solver failure (the transportation simplex or the oracle LP
+gave no optimum), 64 usage.
 """
 
 from __future__ import annotations
@@ -453,7 +453,7 @@ def main(argv=None) -> int:
         print(f"invalid input: {exc}", file=sys.stderr)
         return VALIDATION_EXIT
     except RecursionError:  # a RuntimeError, but the input's fault
-        print("invalid input: the input nests too deeply for the lift", file=sys.stderr)
+        print("invalid input: too deeply nested for the recursion limit", file=sys.stderr)
         return VALIDATION_EXIT
     except RuntimeError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)

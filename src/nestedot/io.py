@@ -214,7 +214,8 @@ def read_samples_csv(
     """(path, weight) pairs from rows of N coordinates, optionally with a
     trailing weight column.
 
-    A first row that fails to parse as numbers is treated as a header.
+    A first row that fails to parse as numbers is treated as a header,
+    and must have as many fields as the data rows.
     The last column holds the weights when ``weight_column`` is set or
     when the header's last field is named ``weight`` (case-insensitive).
     Without weights, rows get uniform weight.  Repeated rows stay repeated;
@@ -251,6 +252,10 @@ def read_samples_csv(
         weight_column = True
 
     width = len(rows[0])
+    if header is not None and len(header) != width:
+        raise ValidationError(
+            f"CSV header has {len(header)} fields but the data rows have {width}"
+        )
     parsed = []
     for k, row in enumerate(rows):
         if len(row) != width:

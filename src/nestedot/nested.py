@@ -183,54 +183,9 @@ def backward(first: SubtreeClasses, second: SubtreeClasses, metric: GroundMetric
     return solved
 
 
-class ValueTable:
-    """Optimal continuation costs of the backward recursion.
-
-    ``value(t, i, j)`` is the p-th-power cost-to-go of the node pair
-    (i at stage t of mu, j at stage t of nu); stage-N entries are exactly
-    zero and the stage-0 root pair carries the total optimal cost.  Values
-    are looked up by the pair's subtree classes on demand, so the table
-    costs no memory per node pair.
-    """
-
-    def __init__(
-        self,
-        mu: ScenarioTree,
-        nu: ScenarioTree,
-        mu_class: Mapping[int, int],
-        nu_class: Mapping[int, int],
-        solved: Solved,
-    ):
-        self.depth = mu.depth
-        self._mu, self._nu = mu, nu
-        self._mu_class, self._nu_class = mu_class, nu_class
-        self._solved = solved
-
-    def value(self, stage: int, mu_node: int, nu_node: int) -> float:
-        if self._mu.node(mu_node).stage != stage or self._nu.node(nu_node).stage != stage:
-            raise KeyError((stage, mu_node, nu_node))
-        return self._solved[self._mu_class[mu_node], self._nu_class[nu_node]][0]
-
-    def items(self):
-        for t in range(self.depth + 1):
-            for i in self._mu.nodes_at_stage(t):
-                for j in self._nu.nodes_at_stage(t):
-                    yield (t, i, j), self.value(t, i, j)
-
-    def __len__(self):
-        return sum(
-            len(self._mu.nodes_at_stage(t)) * len(self._nu.nodes_at_stage(t))
-            for t in range(self.depth + 1)
-        )
-
-
 class NestedResult(NamedTuple):
-    distance: float
-    table: ValueTable
-    plan: Coupling
+    """A bicausal distance and an optimal bicausal plan."""
 
-
-class OracleResult(NamedTuple):
     distance: float
     plan: Coupling
 
@@ -270,14 +225,14 @@ def compose_plan(
 def nested_distance(
     mu: ScenarioTree, nu: ScenarioTree, metric: GroundMetric
 ) -> NestedResult:
-    """Nested distance, value table and an optimal bicausal coupling.
+    """Nested distance and an optimal bicausal coupling.
 
     The recursion solves one transport problem per pair of subtree
     classes (see :class:`SubtreeClasses`) rather than per node pair, and
     the plan is composed down the node pairs from the class pairs' plans.
     Each class pair is solved in the orientation its content decides, so
-    ``nested_distance(nu, mu)`` mirrors the distance, the plan and every
-    table value bit for bit.
+    ``nested_distance(nu, mu)`` mirrors the distance and the plan bit for
+    bit.
     """
     check_depths(mu, nu)
     classes_mu, of_mu = tree_classes(mu)
@@ -299,9 +254,8 @@ def nested_distance(
             if frac > 0.0
         ]
 
-    table = ValueTable(mu, nu, of_mu, of_nu, solved)
     total = solved[of_mu[mu.root], of_nu[nu.root]][0]
-    return NestedResult(metric.root(total), table, compose_plan(mu, nu, cells))
+    return NestedResult(metric.root(total), compose_plan(mu, nu, cells))
 
 
 def wasserstein_distance(
@@ -338,7 +292,7 @@ def _next_stage(tree: ScenarioTree, nodes: list[int]):
 
 def brute_force_bicausal(
     mu: ScenarioTree, nu: ScenarioTree, metric: GroundMetric
-) -> OracleResult:
+) -> NestedResult:
     """Exact bicausal optimum as one linear program over same-stage node pairs.
 
     A node is its history, so the LP has one variable π_t(i, j) per stage t
@@ -410,7 +364,7 @@ def brute_force_bicausal(
         (mu.path(nodes_mu[k // width]), nu.path(nodes_nu[k % width])): leaf_pairs.item(k)
         for k in np.flatnonzero(leaf_pairs > SNAP).tolist()
     }
-    return OracleResult(metric.root(float(res.fun)), Coupling.from_mass_map(masses))
+    return NestedResult(metric.root(float(res.fun)), Coupling.from_mass_map(masses))
 
 
 def cauchy_check(trees: list[ScenarioTree], metric: GroundMetric) -> np.ndarray:

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from nestedot import GroundMetric, ScenarioTree
-from nestedot.nested import Coupling, OracleResult
+from nestedot.nested import Coupling, NestedResult
 
 
 def _leaves_under(tree: ScenarioTree, nid: int, index: dict[int, int]) -> list[int]:
@@ -33,7 +33,7 @@ def _leaves_under(tree: ScenarioTree, nid: int, index: dict[int, int]) -> list[i
     return out
 
 
-def path_pair_bicausal(mu: ScenarioTree, nu: ScenarioTree, metric: GroundMetric) -> OracleResult:
+def path_pair_bicausal(mu: ScenarioTree, nu: ScenarioTree, metric: GroundMetric) -> NestedResult:
     """Exact bicausal optimum as one linear program over path pairs."""
     mu_paths = mu.leaf_paths()
     nu_paths = nu.leaf_paths()
@@ -101,4 +101,4 @@ def path_pair_bicausal(mu: ScenarioTree, nu: ScenarioTree, metric: GroundMetric)
         for l, (y, _) in enumerate(nu_paths)
         if res.x[var(k, l)] > 1e-12
     }
-    return OracleResult(metric.root(float(res.fun)), Coupling.from_mass_map(masses))
+    return NestedResult(metric.root(float(res.fun)), Coupling.from_mass_map(masses))

@@ -10,6 +10,7 @@ from nestedot import (
     GroundMetric,
     NotCausalError,
     ValidationError,
+    build_tree,
     detect_monge,
     is_bicausal,
     is_causal,
@@ -162,6 +163,13 @@ def test_plan_paths_snap_to_leaf_paths():
     for far in (moved(1e-6), moved(0.0, extra=(0.0,))):
         with pytest.raises(ValidationError, match="not a leaf path"):
             is_bicausal(far, mu_eps, mu)
+    # two leaves within TOL of a plan path: it snaps to the nearer one
+    near = build_tree([((0.0,), 0.5), ((6e-10,), 0.5)])
+    far = build_tree([((0.0,), 0.5), ((1.0,), 0.5)])
+    split = Coupling.from_mass_map({((0.0,), (0.0,)): 0.5, ((5.5e-10,), (1.0,)): 0.5})
+    report = is_bicausal(split, near, far)
+    assert report.is_bicausal
+    assert report.max_mu_deviation == report.max_nu_deviation == 0.0
 
 
 # ---------------------------------------------------------------- Monge

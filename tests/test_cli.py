@@ -237,6 +237,13 @@ def test_from_samples_variants(capsys, tmp_path):
     assert code == 2
     assert "ragged" in err
 
+    # a header must have as many fields as the data rows
+    for text, counts in (("a,b,weight\n1,2\n3,4\n", (3, 2)), ("a,b\n1,2,3\n3,4,5\n", (2, 3))):
+        csv.write_text(text)
+        code, _, err = run(capsys, "from-samples", "--csv", str(csv), "-o", str(out))
+        assert code == 2
+        assert f"CSV header has {counts[0]} fields but the data rows have {counts[1]}" in err
+
     csv.write_text("x,weight\n1,3\n2,1\n")
     code, _, _ = run(capsys, "from-samples", "--csv", str(csv), "-o", str(out))
     assert code == 0
@@ -439,22 +446,25 @@ def _chain_tree_text(depth):
     return json.dumps({"depth": depth, "nodes": nodes})
 
 
-@pytest.mark.parametrize("command", ["compute lifted", "embed"])
+@pytest.mark.parametrize("command", ["compute lifted", "embed", "demo extreme-split"])
 def test_too_deep_input_exits_2_not_4(capsys, tmp_path, command):
-    # The lift recurses once per stage; past the interpreter's recursion
-    # limit that is the input's fault, not a solver failure.
+    # The lift and the demos' random trees recurse once per stage; past the
+    # interpreter's recursion limit that is the input's fault, not a solver
+    # failure.
     depth = sys.getrecursionlimit() + 200
     src = tmp_path / "deep.json"
     if command == "embed":
         src.write_text(_chain_tree_text(depth))
         argv = ["embed", "--mu", str(src), "-o", str(tmp_path / "out.json")]
-    else:
+    elif command == "compute lifted":
         src.write_text(_deep_nested_text(depth))
         argv = ["compute", "lifted", "--P", str(src), "--Q", str(src)]
+    else:
+        argv = [*command.split(), "--depth", str(depth)]
     code = main(argv)
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [
-        "invalid input: the input nests too deeply for the lift"
+        "invalid input: too deeply nested for the recursion limit"
     ]
 
 

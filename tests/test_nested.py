@@ -31,7 +31,7 @@ from nestedot.families import (
     random_tree,
     random_tree_pair,
 )
-from nestedot.nested import _law, _solve
+from nestedot.nested import _law, _solve, backward, tree_classes
 from nestedot.tolerances import ORACLE_TOL
 from path_pair_oracle import path_pair_bicausal
 from reference import node_at
@@ -110,15 +110,27 @@ def test_plan_cost_matches_value():
         assert res.plan.cost(M2) == pytest.approx(res.distance**2, rel=1e-12, abs=1e-12)
 
 
+def _continuation(mu, nu, metric):
+    """The continuation value of a same-stage node pair (i of mu, j of nu),
+    read from the backward recursion's value of the pair's class pair."""
+    classes_mu, of_mu = tree_classes(mu)
+    classes_nu, of_nu = tree_classes(nu)
+    solved = backward(classes_mu, classes_nu, metric)
+    return lambda i, j: solved[of_mu[i], of_nu[j]][0]
+
+
 def test_value_table_invariants():
     fan, merged = fan_vs_merged(2)
     res = nested_distance(fan, merged, M2)
-    assert res.table.depth == 2
-    for (t, _, _), v in res.table.items():
-        assert v >= 0.0
-        if t == 2:
-            assert v == 0.0
-    root_value = res.table.value(0, fan.root, merged.root)
+    value = _continuation(fan, merged, M2)
+    assert fan.depth == 2
+    for t in range(3):
+        for i in fan.nodes_at_stage(t):
+            for j in merged.nodes_at_stage(t):
+                assert value(i, j) >= 0.0
+                if t == 2:
+                    assert value(i, j) == 0.0
+    root_value = value(fan.root, merged.root)
     assert root_value == pytest.approx(res.distance**2, abs=1e-12)
 
 
@@ -514,10 +526,8 @@ def test_engine_matches_dense_reference_exactly():
         res = nested_distance(mu, nu, metric)
         distance, values = _dense_nested(mu, nu, metric)
         assert res.distance == distance
-        assert len(res.table) == len(values)
-        assert dict(res.table.items()) == values
-        for (t, i, j), v in values.items():
-            assert res.table.value(t, i, j) == v
+        value = _continuation(mu, nu, metric)
+        assert {(t, i, j): value(i, j) for t, i, j in values} == values
 
 
 def _mirror_cases():
@@ -553,7 +563,11 @@ def test_reversed_arguments_mirror_exactly():
         assert {(e.nu_path, e.mu_path): e.mass for e in ba.plan.entries} == {
             (e.mu_path, e.nu_path): e.mass for e in ab.plan.entries
         }
-        assert dict(ba.table.items()) == {(t, j, i): v for (t, i, j), v in ab.table.items()}
+        value_ab, value_ba = _continuation(mu, nu, metric), _continuation(nu, mu, metric)
+        for t in range(mu.depth + 1):
+            for i in mu.nodes_at_stage(t):
+                for j in nu.nodes_at_stage(t):
+                    assert value_ba(j, i) == value_ab(i, j)
 
 
 def test_lift_matches_tree_exactly():
@@ -561,15 +575,6 @@ def test_lift_matches_tree_exactly():
         lifted = nested_wasserstein(embed(mu), embed(nu), metric)
         assert lifted == nested_distance(mu, nu, metric).distance
         assert lifted == nested_wasserstein(embed(nu), embed(mu), metric)
-
-
-def test_value_table_rejects_wrong_stage():
-    fan, merged = fan_vs_merged(2)
-    table = nested_distance(fan, merged, M2).table
-    with pytest.raises(KeyError):
-        table.value(0, fan.leaves[0], merged.root)
-    with pytest.raises(KeyError):
-        table.value(1, fan.nodes_at_stage(1)[0], merged.leaves[0])
 
 
 def _counting_solves(monkeypatch):
@@ -603,13 +608,14 @@ def test_deep_walk_lazy_table(monkeypatch):
     mu, nu = dyadic_walk(depth, 0.5, 0.5), dyadic_walk(depth, 0.25, 0.5)
     res = nested_distance(mu, nu, M2)
     assert len(calls) == sum(k * k for k in range(1, depth + 1))
-    assert len(res.table) == sum(4**t for t in range(depth + 1))
+    stages = range(depth + 1)
+    node_pairs = sum(len(mu.nodes_at_stage(t)) * len(nu.nodes_at_stage(t)) for t in stages)
+    assert node_pairs == sum(4**t for t in stages)
     assert len(res.plan) == 2**depth
-    assert M2.root(res.table.value(0, mu.root, nu.root)) == res.distance
+    value = _continuation(mu, nu, M2)
+    assert M2.root(value(mu.root, nu.root)) == res.distance
     # equal levels share one class pair, hence one value
     ups = [node_at(mu, h) for h in ((0.5, 0.0), (-0.5, 0.0))]
     downs = [node_at(nu, h) for h in ((0.25, 0.0), (-0.25, 0.0))]
-    assert len({res.table.value(2, i, j) for i in ups for j in downs}) == 1
-    assert nested_distance(nu, mu, M2).table.value(2, downs[0], ups[1]) == res.table.value(
-        2, ups[1], downs[0]
-    )
+    assert len({value(i, j) for i in ups for j in downs}) == 1
+    assert _continuation(nu, mu, M2)(downs[0], ups[1]) == value(ups[1], downs[0])

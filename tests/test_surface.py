@@ -22,6 +22,8 @@ DELETED = (
     "PathDistribution",
     "kr_gap_demo",
     "OracleMismatchError",
+    "ValueTable",
+    "OracleResult",
 )
 
 
@@ -108,3 +110,32 @@ def test_only_tree_names_canonical_key():
         if p.name != "tree.py" and "canonical_key" in p.read_text()
     )
     assert naming == []
+
+
+def _module_level_names(module: ast.Module) -> set[str]:
+    names = set()
+    for node in module.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if not (name.startswith("__") and name.endswith("__"))}
+
+
+def test_every_helper_is_read_or_exported():
+    # A module-level function, class or constant that no code in the
+    # package reads and the package does not export is dead.  The two
+    # named families are kept for the tests.
+    src = Path(nestedot.__file__).parent
+    modules = [ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))]
+    defined = set().union(*map(_module_level_names, modules))
+    read = set()
+    for node in (n for module in modules for n in ast.walk(module)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name)
+    assert defined - read - set(nestedot.__all__) == {"fan_vs_merged", "fan_limit_nested"}
