@@ -13,7 +13,9 @@ input (also an input or a demo depth that nests past the recursion
 limit), 3 a handler's failure message, which only an oracle mismatch
 (``compute nested --oracle``) or a demo whose regression check failed
 returns, 4 solver failure (the transportation simplex or the oracle LP
-gave no optimum), 64 usage.
+gave no optimum), 64 usage.  scipy is loaded only by the LP oracle, so
+the first ``--oracle`` report of a process counts the scipy import in its
+``wall_time_s``.
 """
 
 from __future__ import annotations

@@ -18,6 +18,8 @@ program over all same-stage node pairs, with one kernel row per child
 of either node of a pair less one implied row per pair, and serves as an
 independent oracle.  Its matrix is built stage by stage from parent
 positions by index arithmetic, and HiGHS solves it without presolve.
+scipy is imported only when the oracle runs, through ``linprog`` below,
+so every other caller of the package starts without it.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from .errors import SizeGuardError, ValidationError
 from .metrics import TRUNCATED, GroundMetric
@@ -290,6 +290,14 @@ def _next_stage(tree: ScenarioTree, nodes: list[int]):
     return kids, np.array(up), probs, [tree.node(c).value for c in kids]
 
 
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on first call.  A module
+    attribute, so that a tracer or a test can patch the oracle's LP."""
+    from scipy.optimize import linprog
+
+    return linprog(*args, **kwargs)
+
+
 def brute_force_bicausal(
     mu: ScenarioTree, nu: ScenarioTree, metric: GroundMetric
 ) -> NestedResult:
@@ -317,6 +325,8 @@ def brute_force_bicausal(
     walks), priced below the optimum by more than ``ORACLE_TOL``; such an
     answer is solved again with presolve.
     """
+    import scipy.sparse as sp
+
     check_depths(mu, nu)
     if len(mu.leaves) * len(nu.leaves) > ORACLE_SIZE_GUARD:
         raise SizeGuardError("instance too large for the brute-force oracle")

@@ -1,8 +1,11 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -599,3 +602,59 @@ def test_report_round_trips(pair_files, capsys):
 
     text = dumps_canonical({k: v for k, v in report.items() if k != "wall_time_s"})
     assert json.loads(text) == {k: v for k, v in report.items() if k != "wall_time_s"}
+
+
+# Runs in a fresh interpreter: every command but the oracle's, then the
+# module-level ``linprog`` seam that the benchmark tracer and the tests
+# patch, then the oracle.  Prints which scipy modules each step had loaded.
+LAZY_SCIPY = """
+import contextlib, io, json, sys
+import nestedot, nestedot.cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = nestedot.cli.main(list(argv))
+    return code, out.getvalue()
+
+mu, nu, plan, P, Q = sys.argv[1:]
+trees = ["--mu", mu, "--nu", nu]
+codes = [run(*argv)[0] for argv in (
+    ["compute", "nested", *trees, "--emit-plan", plan],
+    ["compute", "kr", *trees],
+    ["compute", "wasserstein", *trees],
+    ["embed", "--mu", mu, "-o", P],
+    ["embed", "--mu", nu, "-o", Q],
+    ["compute", "lifted", "--P", P, "--Q", Q],
+    ["check", "coupling", "--plan", plan, *trees],
+    ["demo", "incompleteness", "--n-max", "3"],
+)]
+summary = {"codes": codes, "commands": loaded()}
+seam = vars(nestedot.nested)["linprog"]
+summary.update(seam_callable=callable(seam), seam=loaded())
+code, out = run("compute", "nested", *trees, "--oracle")
+summary.update(oracle_code=code, oracle_check=json.loads(out)["oracle_check"],
+               oracle="scipy.optimize" in sys.modules)
+print(json.dumps(summary))
+"""
+
+
+def test_only_the_oracle_loads_scipy(pair_files, tmp_path):
+    mu, nu = pair_files
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    files = [str(f) for f in (mu, nu, tmp_path / "plan.json", tmp_path / "P", tmp_path / "Q")]
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_SCIPY, *files],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout)
+    assert summary["codes"] == [0] * 8
+    assert summary["commands"] == []
+    assert summary["seam_callable"] and summary["seam"] == []
+    assert summary["oracle_code"] == 0 and summary["oracle_check"] == "ok"
+    assert summary["oracle"]
