@@ -257,7 +257,8 @@ def _cmd_compute_pair(args, report) -> str | None:
             report["oracle_check"] = "ok" if ok else "mismatch"
             if not ok:
                 return f"oracle mismatch: LP values |{value} - {oracle_value}| > {ORACLE_TOL}"
-        plan = res.plan
+        if args.emit_plan:
+            plan = res.plan
     elif args.what == "wasserstein":
         results["distance"] = wasserstein_distance(mu, nu, metric)
     else:  # kr

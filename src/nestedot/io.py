@@ -75,6 +75,16 @@ def _read_json(path: str | Path, what: str) -> Any:
         raise ValidationError(f"cannot read {what} file {path}: {exc}") from exc
 
 
+def _write_json(obj: Any, path: str | Path, what: str) -> None:
+    """Write ``obj`` as canonical JSON text; a path that cannot be written
+    is :class:`ValidationError`."""
+    text = dumps_canonical(obj) + "\n"
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {what} file {path}: {exc}") from exc
+
+
 # ---------------------------------------------------------------- trees
 
 
@@ -124,7 +134,7 @@ def tree_from_json(obj: dict) -> ScenarioTree:
 
 
 def save_tree(tree: ScenarioTree, path: str | Path) -> None:
-    Path(path).write_text(dumps_canonical(tree_to_json(tree)) + "\n")
+    _write_json(tree_to_json(tree), path, "tree")
 
 
 def load_tree(path: str | Path) -> ScenarioTree:
@@ -158,7 +168,7 @@ def coupling_from_json(obj: Any) -> Coupling:
 
 
 def save_coupling(coupling: Coupling, path: str | Path) -> None:
-    Path(path).write_text(dumps_canonical(coupling_to_json(coupling)) + "\n")
+    _write_json(coupling_to_json(coupling), path, "plan")
 
 
 def load_coupling(path: str | Path) -> Coupling:
@@ -198,7 +208,7 @@ def nested_from_json(obj: Any) -> NestedDistribution:
 
 
 def save_nested(dist: NestedDistribution, path: str | Path) -> None:
-    Path(path).write_text(dumps_canonical(nested_to_json(dist)) + "\n")
+    _write_json(nested_to_json(dist), path, "nested-distribution")
 
 
 def load_nested(path: str | Path) -> NestedDistribution:

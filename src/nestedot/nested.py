@@ -7,7 +7,9 @@ depends only on the two subtrees, so the backward recursion runs over
 pairs of exact subtree classes (the atoms of the nested distributions)
 and serves both scenario trees and their lifts.  An optimal bicausal
 coupling is assembled by composing the one-stage plans down the node
-pairs (``compose_plan``, shared with the Knothe-Rosenblatt plans).
+pairs (``compose_plan``, shared with the Knothe-Rosenblatt plans), on
+the first read of ``NestedResult.plan``, so a caller that reads only the
+distance never composes one.
 The recursion validates once per class: each class's child masses are
 checked and normalized once, and each one-stage problem goes to the
 transport kernel without the checks or the dual pair of ``solve_ot``.
@@ -24,6 +26,7 @@ so every other caller of the package starts without it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple
@@ -183,11 +186,21 @@ def backward(first: SubtreeClasses, second: SubtreeClasses, metric: GroundMetric
     return solved
 
 
-class NestedResult(NamedTuple):
-    """A bicausal distance and an optimal bicausal plan."""
+class NestedResult:
+    """A bicausal distance and an optimal bicausal plan.
 
-    distance: float
-    plan: Coupling
+    The solver hands over the distance and a zero-argument builder of the
+    plan.  The plan is built on the first read of ``plan`` and kept, so a
+    caller that reads only ``distance`` never pays for it.
+    """
+
+    def __init__(self, distance: float, build_plan: Callable[[], Coupling]):
+        self.distance = distance
+        self._build_plan = build_plan
+
+    @functools.cached_property
+    def plan(self) -> Coupling:
+        return self._build_plan()
 
 
 def check_depths(first, second) -> None:
@@ -228,8 +241,9 @@ def nested_distance(
     """Nested distance and an optimal bicausal coupling.
 
     The recursion solves one transport problem per pair of subtree
-    classes (see :class:`SubtreeClasses`) rather than per node pair, and
-    the plan is composed down the node pairs from the class pairs' plans.
+    classes (see :class:`SubtreeClasses`) rather than per node pair.  On
+    the first read of the result's ``plan``, the plan is composed down the
+    node pairs from the class pairs' plans.
     Each class pair is solved in the orientation its content decides, so
     ``nested_distance(nu, mu)`` mirrors the distance and the plan bit for
     bit.
@@ -255,7 +269,7 @@ def nested_distance(
         ]
 
     total = solved[of_mu[mu.root], of_nu[nu.root]][0]
-    return NestedResult(metric.root(total), compose_plan(mu, nu, cells))
+    return NestedResult(metric.root(total), lambda: compose_plan(mu, nu, cells))
 
 
 def wasserstein_distance(
@@ -272,8 +286,12 @@ def wasserstein_distance(
     gap = np.abs(x[:, None, :] - y[None, :, :])
     if metric.kind == TRUNCATED:
         gap = np.minimum(gap, metric.cap)
-    with np.errstate(over="ignore"):  # an overflow is inf, which solve_ot rejects
+    with np.errstate(over="ignore"):  # an overflow is inf, rejected below
         cost = (gap ** metric.p).sum(axis=2)
+    if not np.isfinite(cost).all():
+        raise ValidationError(
+            f"cost overflows: base distance {gap.max().item()!r} to the power {metric.p}"
+        )
     res = solve_ot(cost, [w for _, w in mu_paths], [w for _, w in nu_paths])
     return metric.root(res.value)
 
@@ -370,11 +388,14 @@ def brute_force_bicausal(
     if not res.success:
         raise RuntimeError(f"bicausal oracle LP failed: {res.message}")
     leaf_pairs, width = res.x[first:], len(nodes_nu)
-    masses = {
-        (mu.path(nodes_mu[k // width]), nu.path(nodes_nu[k % width])): leaf_pairs.item(k)
-        for k in np.flatnonzero(leaf_pairs > SNAP).tolist()
-    }
-    return NestedResult(metric.root(float(res.fun)), Coupling.from_mass_map(masses))
+
+    def plan() -> Coupling:
+        return Coupling.from_mass_map({
+            (mu.path(nodes_mu[k // width]), nu.path(nodes_nu[k % width])): leaf_pairs.item(k)
+            for k in np.flatnonzero(leaf_pairs > SNAP).tolist()
+        })
+
+    return NestedResult(metric.root(float(res.fun)), plan)
 
 
 def cauchy_check(trees: list[ScenarioTree], metric: GroundMetric) -> np.ndarray:

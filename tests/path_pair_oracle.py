@@ -101,4 +101,4 @@ def path_pair_bicausal(mu: ScenarioTree, nu: ScenarioTree, metric: GroundMetric)
         for l, (y, _) in enumerate(nu_paths)
         if res.x[var(k, l)] > 1e-12
     }
-    return NestedResult(metric.root(float(res.fun)), Coupling.from_mass_map(masses))
+    return NestedResult(metric.root(float(res.fun)), lambda: Coupling.from_mass_map(masses))

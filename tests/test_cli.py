@@ -9,16 +9,19 @@ from pathlib import Path
 
 import pytest
 
+import nestedot.nested
 from nestedot import (
     Coupling,
     GroundMetric,
+    NestedResult,
     build_tree,
+    cauchy_check,
     cli,
     embed,
     nested_distance,
 )
 from nestedot.cli import main
-from nestedot.families import fan_vs_merged
+from nestedot.families import collapsing_fan, fan_vs_merged
 from nestedot.io import (
     load_coupling,
     load_nested,
@@ -205,6 +208,47 @@ def test_overflowing_costs_exit_2(capsys, tmp_path, command):
     code, report, err = run(capsys, *command.split(), *argv, "--p", "2")
     assert code == 2 and report is None
     assert err.startswith("invalid input: ")
+
+
+@pytest.mark.parametrize("command", ["compute nested", "compute kr", "compute wasserstein"])
+def test_overflow_names_the_base_distance(capsys, tmp_path, command):
+    # compute wasserstein used to say only "cost entries must be finite".
+    files = []
+    for name, value in (("mu", 1e300), ("nu", 0.0)):
+        files += [f"--{name}", str(tmp_path / f"{name}.json")]
+        save_tree(build_tree([((value,), 1.0)]), files[-1])
+    code, report, err = run(capsys, *command.split(), *files, "--p", "2")
+    assert code == 2 and report is None
+    assert err == "invalid input: cost overflows: base distance 1e+300 to the power 2.0\n"
+
+
+def _write_argv(mu, nu, tmp_path, command) -> list[str]:
+    out = str(tmp_path / "missing" / "x.json")
+    trees = ["--mu", str(mu), "--nu", str(nu)]
+    if command in ("compute nested", "compute kr"):
+        return [*command.split(), *trees, "--emit-plan", out]
+    if command == "embed":
+        return ["embed", "--mu", str(mu), "-o", out]
+    if command == "from-samples":
+        csv = tmp_path / "samples.csv"
+        csv.write_text("0,1\n0.5,2\n")
+        return ["from-samples", "--csv", str(csv), "-o", out]
+    plan = tmp_path / "plan.json"
+    save_coupling(nested_distance(load_tree(mu), load_tree(nu), GroundMetric.usual()).plan, plan)
+    return ["split", "--plan", str(plan), *trees, "--out-pi", out]
+
+
+@pytest.mark.parametrize(
+    "command, what",
+    [("compute nested", "plan"), ("compute kr", "plan"), ("embed", "nested-distribution"),
+     ("from-samples", "tree"), ("split", "plan")],
+)
+def test_unwritable_output_exits_2(pair_files, capsys, tmp_path, command, what):
+    # Each used to end in a traceback from an uncaught FileNotFoundError.
+    argv = _write_argv(*pair_files, tmp_path, command)
+    code, report, err = run(capsys, *argv)
+    assert code == 2 and report is None
+    assert err.startswith(f"invalid input: cannot write {what} file {tmp_path / 'missing'}")
 
 
 def test_from_samples_variants(capsys, tmp_path):
@@ -530,7 +574,7 @@ def test_oracle_mismatch_exits_3(pair_files, capsys, monkeypatch):
 
     def shifted(mu, nu, metric):
         res = real(mu, nu, metric)
-        return res._replace(distance=res.distance + 0.1)
+        return NestedResult(res.distance + 0.1, lambda: res.plan)
 
     mu, nu = pair_files
     monkeypatch.setattr(cli, "brute_force_bicausal", shifted)
@@ -541,6 +585,53 @@ def test_oracle_mismatch_exits_3(pair_files, capsys, monkeypatch):
     assert report["oracle_check"] == "mismatch"
     assert report["results"]["oracle_distance"] == pytest.approx(1.6, abs=1e-9)
     assert err.startswith("oracle mismatch: LP values ")
+
+
+@pytest.fixture()
+def built_plans(monkeypatch):
+    """Counts of plans composed and of couplings built since the fixture ran."""
+    counts = {"composed": 0, "couplings": 0}
+    compose, post_init = nestedot.nested.compose_plan, Coupling.__post_init__
+
+    def counted_compose(*args):
+        counts["composed"] += 1
+        return compose(*args)
+
+    def counted_post_init(self):
+        counts["couplings"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(nestedot.nested, "compose_plan", counted_compose)
+    monkeypatch.setattr(Coupling, "__post_init__", counted_post_init)
+    return counts
+
+
+@pytest.mark.parametrize("flags", [[], ["--oracle"]])
+def test_distance_only_commands_build_no_plan(pair_files, capsys, built_plans, flags):
+    mu, nu = pair_files
+    code, report, _ = run(capsys, "compute", "nested", "--mu", str(mu), "--nu", str(nu), *flags)
+    assert code == 0 and report["results"]["distance"] == pytest.approx(1.5, abs=1e-9)
+    assert built_plans == {"composed": 0, "couplings": 0}
+
+
+def test_cauchy_check_builds_no_plan(built_plans):
+    cauchy_check([collapsing_fan(n) for n in (1, 2, 3)], GroundMetric.usual())
+    assert built_plans == {"composed": 0, "couplings": 0}
+
+
+def test_emitted_plan_is_composed_once(pair_files, capsys, tmp_path, built_plans):
+    mu, nu = pair_files
+    plan = tmp_path / "plan.json"
+    code, _, _ = run(
+        capsys, "compute", "nested", "--mu", str(mu), "--nu", str(nu), "--oracle",
+        "--emit-plan", str(plan),
+    )
+    assert code == 0
+    assert built_plans == {"composed": 1, "couplings": 1}
+    res = nested_distance(load_tree(mu), load_tree(nu), GroundMetric.usual())
+    assert res.plan is res.plan
+    assert built_plans == {"composed": 2, "couplings": 2}
+    assert res.plan == load_coupling(plan)
 
 
 def test_failed_demo_check_exits_3(capsys, monkeypatch):

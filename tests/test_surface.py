@@ -11,7 +11,7 @@ import pytest
 import nestedot
 import nestedot.cli  # noqa: F401  (loads every module the tracer binds into)
 from nestedot.families import fan_vs_merged
-from nestedot.io import save_tree
+from nestedot.io import load_coupling, save_tree
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 DELETED = (
@@ -71,6 +71,7 @@ def test_tracer_counts_every_command(monkeypatch, capsys, tmp_path):
     commands = [
         ["compute", "kr", *trees, "--emit-plan", plan],
         ["check", "coupling", "--plan", plan, *trees],
+        ["compute", "nested", *trees],
         ["compute", "nested", *trees, "--oracle", "--emit-plan", plan],
         ["compute", "wasserstein", *trees],
         ["embed", "--mu", mu, "-o", P],
@@ -89,6 +90,8 @@ def test_tracer_counts_every_command(monkeypatch, capsys, tmp_path):
     capsys.readouterr()
     assert codes == [0] * len(commands)
     assert [name for name in spans.COUNT_METRICS if not metrics[name] > 0] == []
+    # Both nested commands count the plan, read or not by the command.
+    assert metrics["nested.plan_entries"] == 2 * len(load_coupling(plan))
 
 
 def test_tree_and_transport_sit_below_the_solvers():
