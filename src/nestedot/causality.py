@@ -37,6 +37,11 @@ class Violation:
 
 @dataclass(frozen=True)
 class CausalityReport:
+    """Monge-adapted: conditionally on every positive-mass x-history the
+    current y coordinate is a point mass (second-largest conditional atom
+    below ``SNAP``).  Invertible additionally requires the induced path map
+    to be injective on the support with an adapted inverse."""
+
     is_causal: bool
     is_bicausal: bool
     is_monge_adapted: bool
@@ -211,20 +216,9 @@ def is_bicausal(
     return report
 
 
-def detect_monge(
-    gamma: Coupling,
-    mu: ScenarioTree,
-    nu: ScenarioTree | None = None,
-    tol: float = TOL,
-) -> CausalityReport:
-    """Detect whether the plan is concentrated on an adapted map.
-
-    Monge-adapted: conditionally on every positive-mass x-history the
-    current y coordinate is a point mass (second-largest conditional atom
-    below ``SNAP``).  Invertible additionally requires the induced path map
-    to be injective on the support with an adapted inverse.
-    """
-    return _analyze(gamma, mu, nu, tol)[0]
+# The paper's name for the Monge test: the report of ``is_causal`` carries
+# the Monge fields, and ``perfbench/spans.py`` still binds this name.
+detect_monge = is_causal
 
 
 @dataclass(frozen=True)
@@ -253,7 +247,8 @@ def split_non_extreme(
     whenever that event has conditional mass above lam, with pi_tilde
     taking the exact remainder.  The default lam is half the smallest
     below/above-threshold conditional mass over triggering histories,
-    which keeps every triggering branch active.
+    which keeps every triggering branch active; when rounding leaves it
+    outside (0, 1), no strict split is found and the call is rejected.
     """
     report, nu, masses, mixed = _analyze(gamma, mu, nu, tol)
     if not report.is_causal:
@@ -279,6 +274,10 @@ def split_non_extreme(
 
     if lam is None:
         lam = 0.5 * min(min(c, 1.0 - c) for c in below.values())
+        if not (0.0 < lam < 1.0):
+            raise ValidationError(
+                f"no strict split: the default lambda {lam!r} is not inside (0, 1)"
+            )
     else:
         if not (0.0 < lam < 1.0):
             raise ValidationError(f"lambda must lie in (0, 1), got {lam!r}")

@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 from .errors import ValidationError
 from .metrics import GroundMetric
 from .nested import SubtreeClasses, backward, check_depths
-from .tolerances import ROUNDING, TOL
-from .tree import ScenarioTree, build_tree
+from .tree import ScenarioTree, build_tree, sibling_total
 
 
 @dataclass(frozen=True)
@@ -51,14 +50,9 @@ class NestedDistribution:
                 raise ValidationError(f"atom value must be finite, got {a.value!r}")
             if (1 if a.next is None else a.next.depth + 1) != depth:
                 raise ValidationError("nested atoms disagree on recursion depth")
-        total = math.fsum(a.mass for a in self.atoms)
-        if abs(total - 1.0) > TOL:
-            raise ValidationError(f"atom masses sum to {total}, expected 1")
-        if abs(total - 1.0) <= ROUNDING:
-            # Already normalized up to rounding, as the probabilities of a
-            # validated tree are: keep them bit for bit, so that a lift
-            # reproduces its tree's distances exactly.
-            total = 1.0
+        total = sibling_total(
+            (a.mass for a in self.atoms), lambda s: f"atom masses sum to {s}, expected 1"
+        )
         atoms = _merge_atoms(
             [NestedAtom(a.mass / total, float(a.value), a.next) for a in self.atoms]
         )

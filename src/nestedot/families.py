@@ -17,15 +17,21 @@ _MAX_BRANCH = 3
 _MAX_LEAVES = 12
 
 
+def _fan(x: float, y: float = 1.0) -> ScenarioTree:
+    """The two-branch law (x, y), (-x, -y), each of mass 1/2."""
+    return build_tree([((x, y), 0.5), ((-x, -y), 0.5)])
+
+
 def collapsing_fan(n: int) -> ScenarioTree:
     """Two-branch fan with stage-1 values +-1/n and stage-2 values +-1."""
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    return build_tree([((1.0 / n, 1.0), 0.5), ((-1.0 / n, -1.0), 0.5)])
+    return _fan(1.0 / n)
 
 
 def merged_limit() -> ScenarioTree:
     """Tree with a single stage-1 state 0 branching to +-1."""
+    # Not ``_fan(0.0)``, whose second branch would name the node -0.0.
     return build_tree([((0.0, 1.0), 0.5), ((0.0, -1.0), 0.5)])
 
 
@@ -41,9 +47,7 @@ def perturbed_pair(eps: float) -> tuple[ScenarioTree, ScenarioTree]:
     """
     if not (math.isfinite(eps) and eps != 0.0):
         raise ValidationError(f"eps must be finite and nonzero, got {eps!r}")
-    mu_eps = build_tree([((eps, 1.0), 0.5), ((-eps, -1.0), 0.5)])
-    mu = build_tree([((0.0, 1.0), 0.5), ((0.0, -1.0), 0.5)])
-    return mu_eps, mu
+    return _fan(eps), merged_limit()
 
 
 def crossed_fans(n: int) -> tuple[ScenarioTree, ScenarioTree]:
@@ -55,9 +59,7 @@ def crossed_fans(n: int) -> tuple[ScenarioTree, ScenarioTree]:
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    mu = build_tree([((1.0 / n, n / 2.0), 0.5), ((-1.0 / n, -n / 2.0), 0.5)])
-    nu = build_tree([((1.0 / n, -n / 2.0), 0.5), ((-1.0 / n, n / 2.0), 0.5)])
-    return mu, nu
+    return _fan(1.0 / n, n / 2.0), _fan(1.0 / n, -n / 2.0)
 
 
 def hidden_branch_pair(n: int, second_stage_atoms: int = 16) -> tuple[ScenarioTree, ScenarioTree]:

@@ -10,6 +10,8 @@ from .errors import ValidationError
 
 USUAL = "usual"
 TRUNCATED = "truncated"
+# The one report of a sum of finite per-stage costs that passes the float range.
+PATH_COST_OVERFLOW = "cost overflows: a path cost passes the float range"
 
 
 @dataclass(frozen=True)
@@ -58,10 +60,14 @@ class GroundMetric:
             ) from None
 
     def path_cost(self, x: Sequence[float], y: Sequence[float]) -> float:
-        """Sum over coordinates of the p-th power of the base distance."""
+        """Sum over coordinates of the p-th power of the base distance; a sum
+        too large for a float is rejected."""
         if len(x) != len(y):
             raise ValidationError(f"path length mismatch: {len(x)} vs {len(y)}")
-        return sum(self.base_cost(a, b) for a, b in zip(x, y))
+        total = sum(self.base_cost(a, b) for a, b in zip(x, y))
+        if not math.isfinite(total):
+            raise ValidationError(PATH_COST_OVERFLOW)
+        return total
 
     def root(self, cost_p: float) -> float:
         """Map an accumulated p-th-power cost back to distance scale."""

@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import SizeGuardError, ValidationError
-from .metrics import TRUNCATED, GroundMetric
+from .metrics import PATH_COST_OVERFLOW, TRUNCATED, GroundMetric
 from .tolerances import SNAP
 from .transport import _kernel, _normalized, solve_ot
 from .tree import ScenarioTree
@@ -143,12 +143,12 @@ def _solve(cost: np.ndarray, a: Law, b: Law) -> tuple[float, np.ndarray]:
     Of the two, the one whose masses, then cost rows, compare lower is
     solved (the transpose as a C-contiguous copy), and the plan is returned
     in the caller's orientation.  The transposed call thus gives the same
-    value bit for bit and exactly the transposed plan.  A cost that is not
-    finite, such as a sum of continuation values past the float range, is
-    rejected as ``solve_ot`` would reject it.
+    value bit for bit and exactly the transposed plan.  A cost entry that
+    is not finite (a base cost plus a continuation value past the float
+    range) means that a path cost passes that range, and is rejected so.
     """
     if not np.isfinite(cost).all():
-        raise ValidationError("cost entries must be finite")
+        raise ValidationError(PATH_COST_OVERFLOW)
     flipped = cost.T
     if b[0] < a[0] or (b[0] == a[0] and flipped.tolist() < cost.tolist()):
         x, value, _, _ = _kernel(np.ascontiguousarray(flipped), b[1], a[1])
@@ -287,8 +287,11 @@ def wasserstein_distance(
     if metric.kind == TRUNCATED:
         gap = np.minimum(gap, metric.cap)
     with np.errstate(over="ignore"):  # an overflow is inf, rejected below
-        cost = (gap ** metric.p).sum(axis=2)
+        powers = gap ** metric.p
+        cost = powers.sum(axis=2)
     if not np.isfinite(cost).all():
+        if np.isfinite(powers).all():
+            raise ValidationError(PATH_COST_OVERFLOW)
         raise ValidationError(
             f"cost overflows: base distance {gap.max().item()!r} to the power {metric.p}"
         )
@@ -334,8 +337,9 @@ def brute_force_bicausal(
     child is left out: the pair's μ-rows imply it, and the rows left have
     full rank.  Conditioning on zero-mass pairs is then automatically
     unconstrained.  The cost is the per-stage base cost d(x_i, y_j)^p
-    summed over the pairs of stages 1..N, and the plan is read off the
-    stage-N pairs.  The size guard counts leaf pairs.
+    summed over the pairs of stages 1..N, and a pair of leaves whose sum
+    passes the float range is rejected before the LP runs.  The plan is
+    read off the stage-N pairs.  The size guard counts leaf pairs.
 
     HiGHS runs without presolve, which on these LPs mostly costs time.
     Without it, though, HiGHS can stop on a vertex with masses below zero
@@ -352,6 +356,7 @@ def brute_force_bicausal(
     # COO entries; row 0 is the root row π_0(root, root) = 1
     rows, cols, data = [np.array([0])], [np.array([0])], [np.array([1.0])]
     cost, base_cost = [0.0], metric.base_cost
+    path_cost = np.zeros((1, 1))  # the cost so far of each pair of histories
     n_rows, first = 1, 0  # rows so far, first variable of the current stage
     for _ in range(mu.depth):
         a, b = len(nodes_mu), len(nodes_nu)
@@ -374,8 +379,13 @@ def brute_force_bicausal(
             (first + np.arange(a)[:, None] * b + up_nu[kept]).ravel(),
         ]
         data += [np.ones(a1 * (b1 + k)), np.repeat(-p_mu, b), np.tile(-p_nu[kept], a)]
-        cost += [base_cost(x, y) for x in x_mu for y in x_nu]
+        stage_cost = [base_cost(x, y) for x in x_mu for y in x_nu]
+        cost += stage_cost
+        with np.errstate(over="ignore"):  # an overflow is inf, rejected below
+            path_cost = path_cost[up_mu[:, None], up_nu] + np.reshape(stage_cost, (a1, b1))
         n_rows, first = nu_rows + a * k, first + a * b
+    if not np.isfinite(path_cost).all():
+        raise ValidationError(PATH_COST_OVERFLOW)
     cost = np.array(cost)
     entries = (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols)))
     a_eq = sp.csr_matrix(entries, shape=(n_rows, len(cost)))

@@ -165,9 +165,11 @@ def _simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Optimal basic plan and dual pair by the transportation simplex.
 
     The basis is a spanning tree on rows ``0..m-1`` and columns
-    ``m..m+n-1``, rooted at row 0 (potential zero).  Each node keeps its
-    parent, depth and potential (its parent cell's cost minus the parent's
-    potential) across pivots.  An entering cell's cycle runs from its row
+    ``m..m+n-1``, rooted at row 0 (potential zero).  The northwest-corner
+    start is one by construction: its m + n - 1 cells are a staircase from
+    (0, 0) to (m - 1, n - 1) that moves one row or one column per cell.
+    Each node keeps its parent, depth and potential (its parent cell's
+    cost minus the parent's potential) across pivots.  An entering cell's cycle runs from its row
     and column up to their common ancestor.  The leaving cell cuts one
     subtree off, the entering cell hangs it back on, and only that
     subtree's potentials are re-derived: each depends only on its root path.
@@ -193,7 +195,7 @@ def _simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray):
     parent, depth, pot = [-1] * (m + n), [0] * (m + n), [0.0] * (m + n)
 
     def hang(top):  # re-derive the subtree below ``top`` from ``top`` itself
-        stack, reached = [top], 1
+        stack = [top]
         while stack:
             k = stack.pop()
             up, d, pk = parent[k], depth[k] + 1, pot[k]
@@ -202,14 +204,11 @@ def _simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray):
                     parent[nb], depth[nb] = k, d
                     pot[nb] = (cost[k][nb - m] if k < m else cost[nb][k - m]) - pk
                     stack.append(nb)
-                    reached += 1
-        return reached
 
     def cell(k):  # the basis cell joining node k to its parent
         return (k, parent[k] - m) if k < m else (parent[k], k - m)
 
-    if hang(0) != m + n:
-        raise RuntimeError("basis graph is not a spanning tree")
+    hang(0)
     # A potential sums up to m + n costs along its root path, so a reduced
     # cost carries rounding in proportion to the largest cost.
     enter = -max(SNAP, (m + n) * ROUNDING * float(c.max()))

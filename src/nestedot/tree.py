@@ -13,10 +13,21 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import ValidationError
 from .tolerances import ROUNDING, TOL
+
+
+def sibling_total(masses: Iterable[float], mismatch: Callable[[float], str]) -> float:
+    """Divisor of sibling masses: their ``fsum``, which must lie within ``TOL``
+    of 1 (else ``mismatch(sum)`` is raised), or 1.0 within ``ROUNDING`` of 1,
+    so that normalized masses keep their bits: a reloaded tree is unchanged
+    and a lift reproduces its tree's distances exactly."""
+    total = math.fsum(masses)
+    if abs(total - 1.0) > TOL:
+        raise ValidationError(mismatch(total))
+    return 1.0 if abs(total - 1.0) <= ROUNDING else total
 
 
 @dataclass(frozen=True)
@@ -85,15 +96,10 @@ class ScenarioTree:
                 continue
             if by_id[pid].stage == depth:
                 raise ValidationError(f"node {pid} at stage {depth} cannot have children")
-            total = math.fsum(by_id[k].cond_prob for k in kids)
-            if abs(total - 1.0) > TOL:
-                raise ValidationError(
-                    f"children of node {pid} have probabilities summing to {total}"
-                )
-            if abs(total - 1.0) <= ROUNDING:
-                # Already normalized up to rounding (a saved tree, say): keep
-                # the probabilities bit for bit, so a reloaded tree is unchanged.
-                total = 1.0
+            total = sibling_total(
+                (by_id[k].cond_prob for k in kids),
+                lambda s: f"children of node {pid} have probabilities summing to {s}",
+            )
             vals = [by_id[k].value for k in kids]
             if len(set(vals)) != len(vals):
                 raise ValidationError(f"children of node {pid} have duplicate values")

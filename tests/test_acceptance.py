@@ -13,7 +13,6 @@ from nestedot import (
     AlreadyExtremeError,
     GroundMetric,
     brute_force_bicausal,
-    detect_monge,
     embed,
     is_bicausal,
     is_causal,
@@ -181,7 +180,7 @@ def test_criterion_9_extreme_points():
     for _ in range(50):
         tree = random_tree(rng, int(rng.integers(1, 4)), max_leaves=8)
         gamma, nu, _ = random_monge_mixture(rng, tree)
-        assert not detect_monge(gamma, tree, nu).is_monge_adapted
+        assert not is_causal(gamma, tree, nu).is_monge_adapted
         res = split_non_extreme(gamma, tree, nu)
         gm = {(e.mu_path, e.nu_path): e.mass for e in gamma.entries}
         pm = {(e.mu_path, e.nu_path): e.mass for e in res.pi.entries}

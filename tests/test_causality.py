@@ -5,13 +5,13 @@ import pytest
 
 from nestedot import (
     AlreadyExtremeError,
+    CausalityReport,
     Coupling,
     CouplingEntry,
     GroundMetric,
     NotCausalError,
     ValidationError,
     build_tree,
-    detect_monge,
     is_bicausal,
     is_causal,
     kr_coupling,
@@ -62,7 +62,7 @@ def test_monge_pushforward_causal():
         plan, nu = monge_pushforward(tree, random_adapted_map(rng, tree))
         rep = is_causal(plan, tree, nu)
         assert rep.is_causal
-        assert detect_monge(plan, tree, nu).is_monge_adapted
+        assert rep.is_monge_adapted
 
 
 def test_crossed_plan_not_causal():
@@ -134,6 +134,24 @@ def test_marginal_mismatch_rejected():
         is_causal(
             Coupling.from_mass_map({((7.0, 7.0), (0.0, 1.0)): 1.0}), fan, merged
         )
+    # The mu-marginal is right and the plan is causal, but its nu-marginal
+    # puts all the mass on one leaf of the merged tree.
+    one_leaf = Coupling.from_mass_map({(x, (0.0, 1.0)): w for x, w in fan.leaf_paths()})
+    assert is_causal(one_leaf, fan, merged).is_causal
+    with pytest.raises(ValidationError, match="coupling nu-marginal deviates .* by 0.5"):
+        is_bicausal(one_leaf, fan, merged)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        ((False, True, False, False), "bicausal implies causal"),
+        ((True, True, False, True), "invertible Monge implies Monge-adapted"),
+    ],
+)
+def test_report_rejects_inconsistent_flags(flags, message):
+    with pytest.raises(ValidationError, match=message):
+        CausalityReport(*flags)
 
 
 def test_plan_paths_snap_to_leaf_paths():
@@ -184,7 +202,7 @@ def test_identity_map_invertible_monge():
         for nid in tree.nodes_at_stage(s)
     }
     plan, nu = monge_pushforward(tree, ident)
-    rep = detect_monge(plan, tree, nu)
+    rep = is_causal(plan, tree, nu)
     assert rep.is_monge_adapted and rep.is_invertible_monge
     assert is_bicausal(plan, tree, nu).is_bicausal
 
@@ -195,7 +213,7 @@ def test_constant_map_not_invertible():
         nid: 0.75 for s in range(1, 3) for nid in fan.nodes_at_stage(s)
     }
     plan, nu = monge_pushforward(fan, const)
-    rep = detect_monge(plan, fan, nu)
+    rep = is_causal(plan, fan, nu)
     assert rep.is_monge_adapted
     assert not rep.is_invertible_monge
 
@@ -209,14 +227,14 @@ def test_shifted_map_bicausal():
         for nid in tree.nodes_at_stage(s):
             shifted[nid] = tree.node(nid).value + 0.5 * s
     plan, nu = monge_pushforward(tree, shifted)
-    rep = detect_monge(plan, tree, nu)
+    rep = is_causal(plan, tree, nu)
     assert rep.is_invertible_monge
     assert is_bicausal(plan, tree, nu).is_bicausal
 
 
 def test_product_coupling_not_monge():
     fan, merged = fan_vs_merged(2)
-    rep = detect_monge(product_coupling(fan, merged), fan, merged)
+    rep = is_causal(product_coupling(fan, merged), fan, merged)
     assert not rep.is_monge_adapted
 
 
@@ -233,7 +251,7 @@ def test_bicausal_report_carries_monge_fields():
     fan, merged = fan_vs_merged(2)
     cases = [(monge_plan, tree, image, True), (product_coupling(fan, merged), fan, merged, False)]
     for plan, mu, nu, is_monge in cases:
-        bicausal, monge = is_bicausal(plan, mu, nu), detect_monge(plan, mu, nu)
+        bicausal, monge = is_bicausal(plan, mu, nu), is_causal(plan, mu, nu)
         assert bicausal.is_monge_adapted == monge.is_monge_adapted == is_monge
         assert bicausal.is_invertible_monge == monge.is_invertible_monge == is_monge
 
@@ -304,12 +322,12 @@ def test_ext_consistency_randomized():
         tree = random_tree(rng, int(rng.integers(1, 4)), max_leaves=8)
         if rng.integers(2) == 0:
             gamma, nu = monge_pushforward(tree, random_adapted_map(rng, tree))[:2]
-            assert detect_monge(gamma, tree, nu).is_monge_adapted
+            assert is_causal(gamma, tree, nu).is_monge_adapted
             with pytest.raises(AlreadyExtremeError):
                 split_non_extreme(gamma, tree, nu)
         else:
             gamma, nu, _ = random_monge_mixture(rng, tree)
-            rep = detect_monge(gamma, tree, nu)
+            rep = is_causal(gamma, tree, nu)
             assert not rep.is_monge_adapted
             res = split_non_extreme(gamma, tree, nu)
             gm, pm, tm = mass_map(gamma), mass_map(res.pi), mass_map(res.pi_tilde)
@@ -347,7 +365,7 @@ def test_split_of_tied_optimal_plan():
     mu = build_tree([((0.0, 0.0), 1.0)])
     nu = build_tree([((1.0, 1.0), 0.5), ((-1.0, -1.0), 0.5)])
     res = nested_distance(mu, nu, M2)
-    rep = detect_monge(res.plan, mu, nu)
+    rep = is_causal(res.plan, mu, nu)
     assert not rep.is_monge_adapted
     split = split_non_extreme(res.plan, mu, nu)
     lam = split.lam

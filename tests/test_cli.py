@@ -14,10 +14,14 @@ from nestedot import (
     Coupling,
     GroundMetric,
     NestedResult,
+    ValidationError,
+    brute_force_bicausal,
     build_tree,
     cauchy_check,
     cli,
     embed,
+    kr_coupling,
+    kr_distance,
     nested_distance,
 )
 from nestedot.cli import main
@@ -157,6 +161,23 @@ def test_split_monge_plan_fails_validation(pair_files, capsys, tmp_path):
     assert "already extreme" in err
 
 
+def test_split_refuses_a_default_lambda_of_zero(capsys, tmp_path):
+    # The far atom drags the conditional mean up, so the mass below it
+    # rounds to 1 and the default lambda to 0: no strict decomposition.
+    # The split used to report "lambda": 0.0 and exit 0.
+    files = {"mu": tmp_path / "mu.json", "nu": tmp_path / "nu.json", "plan": tmp_path / "g.json"}
+    half = 0.5 - 5e-18
+    gamma = Coupling.from_mass_map(
+        {((0.0,), (0.0,)): half, ((0.0,), (1.0,)): half, ((0.0,), (1e30,)): 1e-17}
+    )
+    save_tree(build_tree([((0.0,), 1.0)]), files["mu"])
+    save_tree(build_tree((e.nu_path, e.mass) for e in gamma.entries), files["nu"])
+    save_coupling(gamma, files["plan"])
+    code, report, err = run(capsys, "split", *(f"--{k}={v}" for k, v in files.items()))
+    assert code == 2 and report is None
+    assert err == "invalid input: no strict split: the default lambda 0.0 is not inside (0, 1)\n"
+
+
 def test_inputs_are_digested_as_read(pair_files, capsys, tmp_path):
     # An output that overwrites its input used to be reported as the
     # input's digest.
@@ -220,6 +241,59 @@ def test_overflow_names_the_base_distance(capsys, tmp_path, command):
     code, report, err = run(capsys, *command.split(), *files, "--p", "2")
     assert code == 2 and report is None
     assert err == "invalid input: cost overflows: base distance 1e+300 to the power 2.0\n"
+
+
+@pytest.mark.parametrize("command", ["compute nested", "compute kr", "compute wasserstein"])
+def test_truncated_metric_end_to_end(capsys, tmp_path, command):
+    # Stage 1 is cut at the cap, stage 2 is not: 0.5 + 0.25 at p = 1.
+    files = []
+    for name, path in (("mu", (0.0, 0.0)), ("nu", (3.0, 0.25))):
+        files += [f"--{name}", str(tmp_path / f"{name}.json")]
+        save_tree(build_tree([(path, 1.0)]), files[-1])
+    flags = ["--metric", "truncated", "--cap", "0.5", "--p", "1"]
+    code, report, _ = run(capsys, *command.split(), *files, *flags)
+    assert code == 0
+    assert (report["params"]["metric"], report["params"]["cap"]) == ("truncated", 0.5)
+    assert report["results"]["distance"] == 0.75
+
+
+PATH_COST_OVERFLOW = "cost overflows: a path cost passes the float range"
+
+
+@pytest.mark.parametrize(
+    "call",
+    ["compute nested", "compute kr", "compute wasserstein", "compute lifted",
+     "kr_distance", "kr_coupling cost", "brute_force_bicausal"],
+)
+def test_path_cost_overflow_is_reported_once(capsys, tmp_path, call):
+    # Each stage cost is about 1e308, which is finite; their sum is not.
+    # kr used to return inf, nested and lifted to say "cost entries must be
+    # finite", wasserstein to blame a finite base distance and the oracle
+    # to fail in HiGHS.
+    mu = build_tree([((0.0, 0.0), 0.5), ((1.0, 1.0), 0.5)])
+    nu = build_tree([((1e154, 1e154), 0.5), ((-1e154, -1e154), 0.5)])
+    metric = GroundMetric.usual(2.0)
+    library = {
+        "kr_distance": lambda: kr_distance(mu, nu, metric),
+        "kr_coupling cost": lambda: kr_coupling(mu, nu).coupling.cost(metric),
+        "brute_force_bicausal": lambda: brute_force_bicausal(mu, nu, metric),
+    }
+    if call in library:
+        with pytest.raises(ValidationError) as exc:
+            library[call]()
+        assert str(exc.value) == PATH_COST_OVERFLOW
+        return
+    lifted = call == "compute lifted"
+    argv = []
+    for flag, tree in zip(("P", "Q") if lifted else ("mu", "nu"), (mu, nu)):
+        if lifted:
+            save_nested(embed(tree), tmp_path / flag)
+        else:
+            save_tree(tree, tmp_path / flag)
+        argv += [f"--{flag}", str(tmp_path / flag)]
+    code, report, err = run(capsys, *call.split(), *argv, "--p", "2")
+    assert code == 2 and report is None
+    assert err == f"invalid input: {PATH_COST_OVERFLOW}\n"
 
 
 def _write_argv(mu, nu, tmp_path, command) -> list[str]:

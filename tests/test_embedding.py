@@ -181,6 +181,10 @@ def test_nested_distribution_validation():
         NestedDistribution(())
     with pytest.raises(ValidationError):
         NestedDistribution((NestedAtom(0.4, 0.0, None),))
+    with pytest.raises(ValidationError, match="atom mass must be positive, got 0.0"):
+        NestedDistribution((NestedAtom(0.0, 0.0, None), NestedAtom(1.0, 1.0, None)))
+    with pytest.raises(ValidationError, match="atom value must be finite, got inf"):
+        NestedDistribution((NestedAtom(1.0, math.inf, None),))
     # A leaf atom next to an atom with a continuation: no common depth.
     with pytest.raises(ValidationError, match="depth"):
         NestedDistribution(

@@ -13,6 +13,7 @@ from nestedot.io import (
     load_tree,
     nested_from_json,
     nested_to_json,
+    read_samples_csv,
     save_coupling,
     save_nested,
     save_tree,
@@ -77,6 +78,28 @@ def test_tree_nodes_must_be_an_array():
 def test_nested_atoms_must_be_an_array():
     with pytest.raises(ValidationError, match="must be a JSON array"):
         nested_from_json({"atoms": 3})
+    for obj in ([], {"nodes": []}):
+        with pytest.raises(ValidationError, match=r"must be \{'atoms': \[\.\.\.\]\}"):
+            nested_from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "text, weight_column, message",
+    [
+        (None, False, "cannot read CSV file"),
+        ("", False, "CSV file has no rows"),
+        ("\n\n", False, "CSV file has no rows"),
+        ("a,b\n", False, "CSV file has a header but no data rows"),
+        ("1\n2\n", True, "weight column requires at least one coordinate column"),
+        ("weight\n1\n", False, "weight column requires at least one coordinate column"),
+    ],
+)
+def test_samples_csv_rejects(tmp_path, text, weight_column, message):
+    path = tmp_path / "samples.csv"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(ValidationError, match=message):
+        read_samples_csv(path, weight_column=weight_column)
 
 
 @pytest.mark.parametrize("key", ["mu_path", "nu_path"])

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import nestedot.nested
 from nestedot import (
+    Coupling,
+    CouplingEntry,
     GroundMetric,
     Node,
     ScenarioTree,
@@ -410,6 +412,25 @@ def test_cauchy_check_separating_family():
             assert out[k, 3] ** p >= 2 ** (p - 1) - 1e-9
     with pytest.raises(ValidationError):
         cauchy_check([merged_limit()], M1)
+
+
+@pytest.mark.parametrize("mass", [0.0, -0.5, float("nan"), float("inf")])
+def test_coupling_rejects_nonpositive_mass(mass):
+    with pytest.raises(ValidationError, match="coupling mass must be positive"):
+        Coupling((CouplingEntry((0.0,), (0.0,), mass),))
+
+
+def test_coupling_rejects_duplicate_entries():
+    entry = CouplingEntry((0.0,), (1.0,), 0.5)
+    with pytest.raises(ValidationError, match="duplicate coupling entries"):
+        Coupling((entry, entry))
+
+
+def test_families_reject_empty_sizes():
+    with pytest.raises(ValidationError, match="n must be >= 1, got 0"):
+        collapsing_fan(0)
+    with pytest.raises(ValidationError, match="depth must be >= 1"):
+        random_tree(np.random.default_rng(0), depth=0)
 
 
 def test_perturbed_pair_rejects_degenerate_eps():

@@ -94,6 +94,24 @@ def test_tracer_counts_every_command(monkeypatch, capsys, tmp_path):
     assert metrics["nested.plan_entries"] == 2 * len(load_coupling(plan))
 
 
+def test_detect_monge_is_is_causal():
+    # One body: the report of ``is_causal`` carries the Monge fields.
+    assert nestedot.detect_monge is nestedot.is_causal
+
+
+def test_no_two_functions_share_a_body():
+    # A copied body is two places to fix the next bug; an alias is one.
+    src = Path(nestedot.__file__).parent
+    seen: dict[str, list[str]] = defaultdict(list)
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+                key = ast.dump(node.args) + "".join(map(ast.dump, body))
+                seen[key].append(f"{path.name}:{node.name}")
+    assert [names for names in seen.values() if len(names) > 1] == []
+
+
 def test_tree_and_transport_sit_below_the_solvers():
     # The two base modules import nothing of the package but its errors
     # and its tolerances.

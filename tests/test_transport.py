@@ -120,6 +120,11 @@ def test_solve_ot_point_masses():
 def test_solve_ot_rejects_bad_input():
     with pytest.raises(ValidationError):
         solve_ot([[-1.0]], [1.0], [1.0])
+    for cost in ([1.0], np.zeros((0, 0)), [[[1.0]]]):
+        with pytest.raises(ValidationError, match="cost must be a nonempty 2-d matrix"):
+            solve_ot(cost, [1.0], [1.0])
+    with pytest.raises(ValidationError, match="cost entries must be finite"):
+        solve_ot([[math.inf]], [1.0], [1.0])
     with pytest.raises(ValidationError):
         solve_ot([[1.0, 2.0]], [1.0], [0.6, 0.2])
     with pytest.raises(ValidationError):

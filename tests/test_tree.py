@@ -186,6 +186,38 @@ def test_structural_validation():
         )
 
 
+_ROOT = (0, None, 0, None, None)
+
+
+@pytest.mark.parametrize(
+    "depth, nodes, message",
+    [
+        (1.5, [_ROOT], r"depth must be an integer, got 1\.5"),
+        (0, [_ROOT], "depth must be >= 1, got 0"),
+        (1, [], "tree has no nodes"),
+        (1, [_ROOT, (1, 0, 1, 0.0, 1.0), (1, 0, 1, 1.0, 1.0)], "duplicate node id 1"),
+        (1, [_ROOT, (1, None, 0, None, None)], "expected exactly one root, found 2"),
+        (1, [(0, None, 0, 0.0, None)], "root must have stage 0 and no value or probability"),
+        (1, [_ROOT, (1, 7, 1, 0.0, 1.0)], "node 1 references unknown parent 7"),
+        # The stage check rejects a child of a last-stage node before the
+        # check for children at the last stage can.
+        (
+            1,
+            [_ROOT, (1, 0, 1, 0.0, 1.0), (2, 1, 2, 0.0, 1.0)],
+            r"node 2 has stage 2 outside 1\.\.1",
+        ),
+        (1, [_ROOT, (1, 0, 1, math.nan, 1.0)], "node 1 needs a finite value"),
+        (1, [_ROOT, (1, 0, 1, 0.0, 0.0)], r"node 1 needs a probability in \(0, 1\]"),
+        (1, [_ROOT, (1, 0, 1, 0.0, 1.5)], r"node 1 needs a probability in \(0, 1\]"),
+    ],
+)
+def test_tree_constructor_rejects(depth, nodes, message):
+    from nestedot import Node
+
+    with pytest.raises(ValidationError, match=message):
+        ScenarioTree(depth, [Node(*fields) for fields in nodes])
+
+
 def test_probability_renormalized_exactly():
     from nestedot import Node
 
