@@ -131,16 +131,20 @@ def dirac_approximation(p: NestedDistribution, epsilon: float) -> ScenarioTree:
     ``a_j + epsilon * j / k`` (1-based j over k atoms), so they stay within
     epsilon of the originals while becoming pairwise distinct; stage-2
     conditionals are copied verbatim.  The lift of the result converges to
-    ``p`` as epsilon tends to zero.
+    ``p`` as epsilon tends to zero.  An epsilon too small to keep them
+    distinct in floating point is rejected: the tree would merge them.
     """
     if p.depth != 2:
         raise ValidationError("dirac_approximation expects a depth-2 nested distribution")
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise ValidationError(f"epsilon must be positive, got {epsilon!r}")
     k = len(p.atoms)
-    pairs = []
+    pairs, previous = [], None
     for j, atom in enumerate(p.atoms, start=1):
         first = atom.value + epsilon * j / k
+        if first == previous:  # atoms are in value order, so never first < previous
+            raise ValidationError(f"epsilon {epsilon!r} merges the atoms at value {first!r}")
+        previous = first
         for leaf in atom.next.atoms:
             pairs.append(((first, leaf.value), atom.mass * leaf.mass))
     return build_tree(pairs)

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 
+from .causality import _history
 from .embedding import NestedAtom, NestedDistribution
 from .errors import ValidationError
 from .nested import Coupling, CouplingEntry
@@ -150,13 +151,7 @@ def monge_pushforward(
     """Plan (id, T)_* mu of an adapted map given per-history values."""
     entries = []
     for leaf, (path, weight) in zip(tree.leaves, tree.leaf_paths()):
-        chain = []
-        nid = leaf
-        while tree.node(nid).parent is not None:
-            chain.append(nid)
-            nid = tree.node(nid).parent
-        chain.reverse()
-        ypath = tuple(assignment[k] for k in chain)
+        ypath = tuple(assignment[k] for k in _history(tree, leaf))
         entries.append(CouplingEntry(path, ypath, weight))
     nu = build_tree((e.nu_path, e.mass) for e in entries)
     return Coupling(tuple(entries)), nu

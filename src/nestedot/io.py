@@ -233,7 +233,9 @@ def read_samples_csv(
     """
     try:
         with open(path, newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
+            reader = csv.reader(fh)
+            # Each row keeps its physical line, which blank lines would shift.
+            rows = [(reader.line_num, row) for row in reader if row]
     except OSError as exc:
         raise ValidationError(f"cannot read CSV file {path}: {exc}") from exc
     if not rows:
@@ -251,35 +253,35 @@ def read_samples_csv(
         return out
 
     header: list[str] | None = None
+    first_line, first = rows[0]
     try:
-        parse_row(rows[0], 1)
+        parse_row(first, first_line)
     except ValidationError:
-        header = [cell.strip() for cell in rows[0]]
+        header = [cell.strip() for cell in first]
         rows = rows[1:]
         if not rows:
             raise ValidationError("CSV file has a header but no data rows")
     if header is not None and header[-1].lower() == "weight":
         weight_column = True
 
-    width = len(rows[0])
+    width = len(rows[0][1])
     if header is not None and len(header) != width:
         raise ValidationError(
             f"CSV header has {len(header)} fields but the data rows have {width}"
         )
     parsed = []
-    for k, row in enumerate(rows):
+    for line, row in rows:
         if len(row) != width:
-            raise ValidationError(f"ragged row on line {k + 1 + (header is not None)}")
-        parsed.append(parse_row(row, k + 1 + (header is not None)))
+            raise ValidationError(f"ragged row on line {line}")
+        parsed.append(parse_row(row, line))
     if weight_column:
         if width < 2:
             raise ValidationError("weight column requires at least one coordinate column")
-        raw = [vals[-1] for vals in parsed]
-        for k, w in enumerate(raw):
+        for (line, _), vals in zip(rows, parsed):
+            w = vals[-1]
             if not (math.isfinite(w) and w > 0.0):
-                line = k + 1 + (header is not None)
                 raise ValidationError(f"weight {w!r} on line {line} is not finite and positive")
-        total = sum(raw)
+        total = sum(vals[-1] for vals in parsed)
         if not math.isfinite(total):
             raise ValidationError(f"weights sum to {total!r}, which is not finite")
         return [(tuple(vals[:-1]), vals[-1] / total) for vals in parsed]

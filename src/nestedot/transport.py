@@ -161,6 +161,11 @@ def _kernel(c: np.ndarray, a: np.ndarray, b: np.ndarray, duals: bool = False):
     return x, float((x * c).sum()), u, v
 
 
+def _pivot_limits(m: int, n: int) -> tuple[int, int]:
+    """Pivots of an m x n simplex before it enters by Bland's rule, and in all."""
+    return 200 + 10 * (m + n) ** 2, 2000 + 40 * (m + n) ** 2
+
+
 def _simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Optimal basic plan and dual pair by the transportation simplex.
 
@@ -212,8 +217,7 @@ def _simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray):
     # A potential sums up to m + n costs along its root path, so a reduced
     # cost carries rounding in proportion to the largest cost.
     enter = -max(SNAP, (m + n) * ROUNDING * float(c.max()))
-    max_iter = 2000 + 40 * (m + n) ** 2
-    bland_after = 200 + 10 * (m + n) ** 2
+    bland_after, max_iter = _pivot_limits(m, n)
     for it in range(max_iter):
         u, v = np.array(pot[:m]), np.array(pot[m:])
         reduced = c - u[:, None]

@@ -42,12 +42,12 @@ class Node:
 class ScenarioTree:
     """Validated, immutable scenario tree.
 
-    Construction checks all structural invariants (single virtual root,
-    leaves all at the final stage, conditional probabilities in (0, 1]
-    summing to one per node, pairwise distinct sibling values) and
-    renormalizes each sibling group exactly, unless it already sums to 1
-    within ``ROUNDING``.  Instances never mutate afterwards and are safe
-    for concurrent reads.
+    Construction checks each node's fields, then makes one validated
+    top-down pass: single virtual root, leaves all at the final stage,
+    conditional probabilities in (0, 1] summing to one per node, pairwise
+    distinct sibling values.  Each sibling group is sorted by value and
+    renormalized exactly, unless it already sums to 1 within ``ROUNDING``.
+    Instances never mutate afterwards and are safe for concurrent reads.
     """
 
     def __init__(self, depth: int, nodes: Iterable[Node]):
@@ -88,46 +88,40 @@ class ScenarioTree:
                 raise ValidationError(f"node {n.id} needs a probability in (0, 1]")
             children[n.parent].append(n.id)
 
-        renormed: dict[int, Node] = {root.id: root}
-        for pid, kids in children.items():
+        # Every non-root node sits one stage below a known parent, so one
+        # walk from the root reaches them all; siblings join it in value
+        # order, so each stage comes out in history order.
+        self.depth = depth
+        self.root = root.id
+        self._nodes = {root.id: root}
+        self._children: dict[int, tuple[int, ...]] = {}
+        stages: list[list[int]] = [[] for _ in range(depth + 1)]
+        self._paths: dict[int, tuple[float, ...]] = {root.id: ()}
+        self._masses: dict[int, float] = {root.id: 1.0}
+        order = [root.id]
+        for pid in order:
+            stage = self._nodes[pid].stage
+            stages[stage].append(pid)
+            kids = sorted(children[pid], key=lambda k: by_id[k].value)
+            self._children[pid] = tuple(kids)
             if not kids:
-                if by_id[pid].stage != depth:
+                if stage != depth:
                     raise ValidationError(f"node {pid} is a leaf before stage {depth}")
                 continue
-            if by_id[pid].stage == depth:
-                raise ValidationError(f"node {pid} at stage {depth} cannot have children")
             total = sibling_total(
                 (by_id[k].cond_prob for k in kids),
                 lambda s: f"children of node {pid} have probabilities summing to {s}",
             )
-            vals = [by_id[k].value for k in kids]
-            if len(set(vals)) != len(vals):
+            if len({by_id[k].value for k in kids}) != len(kids):
                 raise ValidationError(f"children of node {pid} have duplicate values")
-            kids.sort(key=lambda k: by_id[k].value)
             for k in kids:
                 n = by_id[k]
-                renormed[k] = Node(n.id, n.parent, n.stage, float(n.value), n.cond_prob / total)
-
-        self.depth = depth
-        self.root = root.id
-        self._nodes = renormed
-        self._children = {pid: tuple(kids) for pid, kids in children.items()}
-
-        self._stages: list[list[int]] = [[] for _ in range(depth + 1)]
-        self._paths: dict[int, tuple[float, ...]] = {root.id: ()}
-        self._masses: dict[int, float] = {root.id: 1.0}
-        order = [root.id]
-        for nid in order:
-            self._stages[self._nodes[nid].stage].append(nid)
-            for k in self._children[nid]:
-                child = self._nodes[k]
-                self._paths[k] = self._paths[nid] + (child.value,)
-                self._masses[k] = self._masses[nid] * child.cond_prob
-                order.append(k)
-        if len(order) != len(node_list):
-            raise ValidationError("tree contains nodes unreachable from the root")
-        # Children are in value order, so each stage is in history order.
-        self._leaves = tuple(self._stages[depth])
+                child = Node(n.id, pid, n.stage, float(n.value), n.cond_prob / total)
+                self._nodes[k] = child
+                self._paths[k] = self._paths[pid] + (child.value,)
+                self._masses[k] = self._masses[pid] * child.cond_prob
+            order += kids
+        self._stages = tuple(map(tuple, stages))
 
     def node(self, nid: int) -> Node:
         return self._nodes[nid]
@@ -136,11 +130,11 @@ class ScenarioTree:
         return self._children[nid]
 
     def nodes_at_stage(self, stage: int) -> tuple[int, ...]:
-        return tuple(self._stages[stage])
+        return self._stages[stage]
 
     @property
     def leaves(self) -> tuple[int, ...]:
-        return self._leaves
+        return self._stages[self.depth]
 
     def path(self, nid: int) -> tuple[float, ...]:
         """History (x_1, ..., x_t) of the node."""
@@ -152,7 +146,7 @@ class ScenarioTree:
 
     def leaf_paths(self) -> list[tuple[tuple[float, ...], float]]:
         """Root-to-leaf paths with their unconditional weights."""
-        return [(self._paths[k], self._masses[k]) for k in self._leaves]
+        return [(self._paths[k], self._masses[k]) for k in self.leaves]
 
     def canonical_key(self) -> str:
         """Total-order key; equal keys mean equal trees (same path law).
@@ -165,7 +159,7 @@ class ScenarioTree:
     def __repr__(self):
         return (
             f"ScenarioTree(depth={self.depth}, nodes={len(self._nodes)}, "
-            f"leaves={len(self._leaves)})"
+            f"leaves={len(self.leaves)})"
         )
 
 
@@ -243,8 +237,7 @@ def build_tree(
     # Every mass is an fsum; the sort decides which of a 0.0 and a -0.0
     # that share a node names it.
     queue = [(0, [(path, w / total) for path, w in sorted(law.items())], 0)]
-    while queue:
-        pid, entries, stage = queue.pop(0)
+    for pid, entries, stage in queue:
         if stage == depth:
             continue
         total = math.fsum(w for _, w in entries)

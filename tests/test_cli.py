@@ -401,6 +401,26 @@ def test_from_samples_names_a_bad_weight(capsys, tmp_path, rows, message):
     assert err == f"invalid input: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "rows, flags, message",
+    [
+        ("a,b\n1,2\n\n3,x\n", [], "non-numeric cell 'x' on line 4"),
+        (
+            "1,0.5\n\n2,-1\n",
+            ["--weight-column"],
+            "weight -1.0 on line 3 is not finite and positive",
+        ),
+    ],
+)
+def test_from_samples_counts_blank_lines(capsys, tmp_path, rows, flags, message):
+    csv = tmp_path / "samples.csv"
+    csv.write_text(rows)
+    out = tmp_path / "tree.json"
+    code, report, err = run(capsys, "from-samples", "--csv", str(csv), *flags, "-o", str(out))
+    assert code == 2 and report is None
+    assert err == f"invalid input: {message}\n"
+
+
 # The settable values commands used to accept and never read; each is now
 # unknown to its command.
 DEAD_FLAGS = [
@@ -641,6 +661,24 @@ def test_solver_failure_exits_4(pair_files, capsys, monkeypatch):
     assert captured.err.splitlines() == [
         "solver failure: bicausal oracle LP failed: forced failure"
     ]
+
+
+def test_simplex_out_of_pivots_exits_4(capsys, tmp_path, monkeypatch):
+    import nestedot.transport
+
+    # Three paths each, crossed: the northwest-corner start is not optimal.
+    mu = build_tree([((0.0, 0.0), 0.25), ((1.0, 5.0), 0.5), ((2.0, 10.0), 0.25)])
+    nu = build_tree([((0.0, 10.0), 0.25), ((1.0, 5.0), 0.5), ((2.0, 0.0), 0.25)])
+    save_tree(mu, tmp_path / "mu.json")
+    save_tree(nu, tmp_path / "nu.json")
+    argv = ["compute", "wasserstein", "--mu", str(tmp_path / "mu.json"),
+            "--nu", str(tmp_path / "nu.json")]
+    assert run(capsys, *argv)[0] == 0
+    limits = nestedot.transport._pivot_limits
+    monkeypatch.setattr(nestedot.transport, "_pivot_limits", lambda m, n: (limits(m, n)[0], 1))
+    code, report, err = run(capsys, *argv)
+    assert code == 4 and report is None
+    assert err == "solver failure: transportation simplex did not converge\n"
 
 
 def test_oracle_mismatch_exits_3(pair_files, capsys, monkeypatch):

@@ -166,6 +166,41 @@ def test_dirac_approximation_single_atom_chain():
     assert tree.leaf_paths()[0][0] == (0.375, 2.0)
 
 
+def test_dirac_approximation_keeps_its_bits():
+    for eps in (0.5, 0.25, 0.125, 0.1, 0.02, 1e-3):
+        tree = dirac_approximation(embed(merged_limit()), eps)
+        assert tree.leaf_paths() == [((eps, -1.0), 0.5), ((eps, 1.0), 0.5)]
+        tree = dirac_approximation(fan_limit_nested(), eps)
+        assert tree.leaf_paths() == [((eps / 2, 1.0), 0.5), ((eps, -1.0), 0.5)]
+    p = NestedDistribution(
+        (
+            NestedAtom(0.25, -1.0, leaf_dist((0.5, 0.5), (1.5, 0.5))),
+            NestedAtom(0.5, 0.3, leaf_dist((2.0, 1.0))),
+            NestedAtom(0.25, 0.3, leaf_dist((-2.0, 1.0))),
+        )
+    )
+    assert dirac_approximation(p, 0.1).leaf_paths() == [
+        ((-1.0 + 0.1 / 3, 0.5), 0.125),
+        ((-1.0 + 0.1 / 3, 1.5), 0.125),
+        ((0.3 + 0.1 * 2 / 3, 2.0), 0.5),
+        ((0.3 + 0.1, -2.0), 0.25),
+    ]
+
+
+def test_dirac_approximation_rejects_an_epsilon_that_merges_atoms():
+    # 1e17 + 0.5 and 1e17 + 1.0 both round to 1e17, so a tree of the
+    # fanned values would hold one stage-1 node: the merged law.
+    far = NestedDistribution(
+        (
+            NestedAtom(0.5, 1e17, leaf_dist((1.0, 1.0))),
+            NestedAtom(0.5, 1e17, leaf_dist((-1.0, 1.0))),
+        )
+    )
+    with pytest.raises(ValidationError, match=r"epsilon 1\.0 merges the atoms at value 1e\+17"):
+        dirac_approximation(far, 1.0)
+    assert len(dirac_approximation(far, 32.0).nodes_at_stage(1)) == 2
+
+
 def test_dirac_approximation_validation():
     with pytest.raises(ValidationError):
         dirac_approximation(leaf_dist((0.0, 1.0)), 0.1)

@@ -92,6 +92,10 @@ def test_nested_atoms_must_be_an_array():
         ("a,b\n", False, "CSV file has a header but no data rows"),
         ("1\n2\n", True, "weight column requires at least one coordinate column"),
         ("weight\n1\n", False, "weight column requires at least one coordinate column"),
+        # Line numbers count the blank lines a reader skips.
+        ("a,b\n1,2\n\n3,x\n", False, "non-numeric cell 'x' on line 4"),
+        ("1,0.5\n\n2,-1\n", True, r"weight -1\.0 on line 3 is not finite and positive"),
+        ("\n1,2\n\n3\n", False, "ragged row on line 4"),
     ],
 )
 def test_samples_csv_rejects(tmp_path, text, weight_column, message):

@@ -17,6 +17,7 @@ from nestedot import (
 from nestedot.families import random_tree_pair
 from nestedot.io import tree_from_json
 from nestedot.tolerances import TOL
+from nestedot import transport
 from nestedot.transport import _simplex
 from reference import LineLaw, quantile_cost
 
@@ -596,3 +597,46 @@ def test_wasserstein_solves_the_pinned_problem():
     assert cost.shape == (36, 36)
     metric = GroundMetric.usual(2.0)
     assert wasserstein_distance(mu, nu, metric) == metric.root(solve_ot(cost, a, b).value)
+
+
+def _pivot_limits_set(monkeypatch, bland_after=None, max_iter=None):
+    """Override one of the simplex's pivot limits for this test."""
+    default = transport._pivot_limits
+
+    def limits(m, n):
+        bland, most = default(m, n)
+        return (bland if bland_after is None else bland_after,
+                most if max_iter is None else max_iter)
+
+    monkeypatch.setattr(transport, "_pivot_limits", limits)
+
+
+def test_bland_rule_reaches_the_default_optimum(monkeypatch):
+    # No other input pivots long enough to switch to Bland's entering rule;
+    # here every pivot uses it.
+    rng = np.random.default_rng(1729)
+    instances = list(_pinned_instances())
+    for trial in range(40):
+        m, n = (int(k) for k in rng.integers(3, 10, size=2))
+        if trial % 2:  # integer costs: tied reduced costs
+            cost = rng.integers(0, 4, size=(m, n)).astype(float)
+        else:
+            cost = rng.uniform(0.0, 5.0, size=(m, n))
+        zeros = trial % 4 < 2
+        instances.append((cost, _masses(rng, m, zeros), _masses(rng, n, zeros)))
+    expected = [solve_ot(*inst).value for inst in instances]
+    _pivot_limits_set(monkeypatch, bland_after=0)
+    for (cost, a, b), value in zip(instances, expected):
+        res = solve_ot(cost, a, b)
+        assert res.value == pytest.approx(value, abs=1e-12)
+        _assert_plan(res.plan.matrix, res.plan.row_masses, res.plan.col_masses)
+
+
+def test_simplex_out_of_pivots_raises(monkeypatch):
+    # The northwest-corner start (the diagonal) is not optimal here.
+    cost = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
+    third = [1 / 3] * 3
+    assert solve_ot(cost, third, third).value == pytest.approx(2 / 3, abs=1e-12)
+    _pivot_limits_set(monkeypatch, max_iter=1)
+    with pytest.raises(RuntimeError, match="transportation simplex did not converge"):
+        solve_ot(cost, third, third)

@@ -1,12 +1,16 @@
+import ast
 import hashlib
 import json
 import math
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nestedot import ScenarioTree, ValidationError, build_tree
+import nestedot.tree as tree_module
+from nestedot import Node, ScenarioTree, ValidationError, build_tree
 from nestedot.families import (
     collapsing_fan,
     crossed_fans,
@@ -153,74 +157,79 @@ def test_uniform_binary_three_stages():
             assert len(tree.children(nid)) == 2
 
 
-def test_structural_validation():
-    from nestedot import Node
-
-    with pytest.raises(ValidationError):
-        ScenarioTree(1, [Node(0, None, 0, None, None)])  # leaf before final stage
-    with pytest.raises(ValidationError):
-        ScenarioTree(
-            1,
-            [
-                Node(0, None, 0, None, None),
-                Node(1, 0, 1, 0.0, 0.6),
-                Node(2, 0, 1, 0.0, 0.4),  # duplicate sibling values
-            ],
-        )
-    with pytest.raises(ValidationError):
-        ScenarioTree(
-            1,
-            [
-                Node(0, None, 0, None, None),
-                Node(1, 0, 1, 0.0, 0.6),
-                Node(2, 0, 1, 1.0, 0.3),  # probabilities sum to 0.9
-            ],
-        )
-    with pytest.raises(ValidationError):
-        ScenarioTree(
-            2,
-            [
-                Node(0, None, 0, None, None),
-                Node(1, 0, 2, 0.0, 1.0),  # skips a stage
-            ],
-        )
-
-
 _ROOT = (0, None, 0, None, None)
 
 
-@pytest.mark.parametrize(
-    "depth, nodes, message",
-    [
-        (1.5, [_ROOT], r"depth must be an integer, got 1\.5"),
-        (0, [_ROOT], "depth must be >= 1, got 0"),
-        (1, [], "tree has no nodes"),
-        (1, [_ROOT, (1, 0, 1, 0.0, 1.0), (1, 0, 1, 1.0, 1.0)], "duplicate node id 1"),
-        (1, [_ROOT, (1, None, 0, None, None)], "expected exactly one root, found 2"),
-        (1, [(0, None, 0, 0.0, None)], "root must have stage 0 and no value or probability"),
-        (1, [_ROOT, (1, 7, 1, 0.0, 1.0)], "node 1 references unknown parent 7"),
-        # The stage check rejects a child of a last-stage node before the
-        # check for children at the last stage can.
-        (
-            1,
-            [_ROOT, (1, 0, 1, 0.0, 1.0), (2, 1, 2, 0.0, 1.0)],
-            r"node 2 has stage 2 outside 1\.\.1",
-        ),
-        (1, [_ROOT, (1, 0, 1, math.nan, 1.0)], "node 1 needs a finite value"),
-        (1, [_ROOT, (1, 0, 1, 0.0, 0.0)], r"node 1 needs a probability in \(0, 1\]"),
-        (1, [_ROOT, (1, 0, 1, 0.0, 1.5)], r"node 1 needs a probability in \(0, 1\]"),
-    ],
-)
-def test_tree_constructor_rejects(depth, nodes, message):
-    from nestedot import Node
+REJECTS = [
+    (1.5, [_ROOT], r"depth must be an integer, got 1\.5"),
+    (0, [_ROOT], "depth must be >= 1, got 0"),
+    (1, [], "tree has no nodes"),
+    (1, [_ROOT, (1, 0, 1, 0.0, 1.0), (1, 0, 1, 1.0, 1.0)], "duplicate node id 1"),
+    (1, [_ROOT, (1, None, 0, None, None)], "expected exactly one root, found 2"),
+    (1, [(0, None, 0, 0.0, None)], "root must have stage 0 and no value or probability"),
+    (1, [_ROOT, (1, 7, 1, 0.0, 1.0)], "node 1 references unknown parent 7"),
+    # A child of a last-stage node has a stage past the last one, so
+    # the stage check rejects it: a last-stage node never has children.
+    (
+        1,
+        [_ROOT, (1, 0, 1, 0.0, 1.0), (2, 1, 2, 0.0, 1.0)],
+        r"node 2 has stage 2 outside 1\.\.1",
+    ),
+    (1, [_ROOT, (1, 0, 1, math.nan, 1.0)], "node 1 needs a finite value"),
+    (1, [_ROOT, (1, 0, 1, 0.0, 0.0)], r"node 1 needs a probability in \(0, 1\]"),
+    (1, [_ROOT, (1, 0, 1, 0.0, 1.5)], r"node 1 needs a probability in \(0, 1\]"),
+    (1, [_ROOT], "node 0 is a leaf before stage 1"),
+    (
+        1,
+        [_ROOT, (1, 0, 1, 0.0, 0.6), (2, 0, 1, 0.0, 0.4)],
+        "children of node 0 have duplicate values",
+    ),
+    (
+        1,
+        [_ROOT, (1, 0, 1, 0.0, 0.6), (2, 0, 1, 1.0, 0.3)],
+        "children of node 0 have probabilities summing to 0.8999999999999999",
+    ),
+    (2, [_ROOT, (1, 0, 2, 0.0, 1.0)], "node 1 is not one stage below its parent"),
+]
 
+
+@pytest.mark.parametrize("depth, nodes, message", REJECTS)
+def test_tree_constructor_rejects(depth, nodes, message):
     with pytest.raises(ValidationError, match=message):
         ScenarioTree(depth, [Node(*fields) for fields in nodes])
 
 
-def test_probability_renormalized_exactly():
-    from nestedot import Node
+def test_every_constructor_raise_is_reachable():
+    # A raise that no input reaches is dead code posing as a check: every
+    # raise in ScenarioTree.__init__ must run for some case of REJECTS.
+    source = Path(tree_module.__file__)
+    (cls,) = (
+        node for node in ast.parse(source.read_text()).body
+        if isinstance(node, ast.ClassDef) and node.name == "ScenarioTree"
+    )
+    (init,) = (node for node in cls.body if getattr(node, "name", None) == "__init__")
+    raises = {node.lineno for node in ast.walk(init) if isinstance(node, ast.Raise)}
+    ran = set()
 
+    def trace(frame, event, arg):
+        if frame.f_code.co_filename != str(source):
+            return None
+        if event == "line":
+            ran.add(frame.f_lineno)
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        for depth, nodes, _ in REJECTS:
+            with pytest.raises(ValidationError):
+                ScenarioTree(depth, [Node(*fields) for fields in nodes])
+    finally:
+        sys.settrace(previous)
+    assert raises and raises <= ran, f"raise lines never run: {sorted(raises - ran)}"
+
+
+def test_probability_renormalized_exactly():
     tree = ScenarioTree(
         1,
         [
