@@ -224,40 +224,33 @@ def read_samples_csv(
     """(path, weight) pairs from rows of N coordinates, optionally with a
     trailing weight column.
 
-    A first row that fails to parse as numbers is treated as a header,
-    and must have as many fields as the data rows.
+    A first row none of whose cells parses as a number is a header, and
+    must have as many fields as the data rows; any other first row is data.
+    The file is read as UTF-8, skipping a byte-order mark.
     The last column holds the weights when ``weight_column`` is set or
     when the header's last field is named ``weight`` (case-insensitive).
     Without weights, rows get uniform weight.  Repeated rows stay repeated;
     :func:`~nestedot.tree.build_tree` merges them, adding their weights.
     """
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             # Each row keeps its physical line, which blank lines would shift.
             rows = [(reader.line_num, row) for row in reader if row]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ValidationError(f"cannot read CSV file {path}: {exc}") from exc
     if not rows:
         raise ValidationError("CSV file has no rows")
 
-    def parse_row(row: list[str], lineno: int) -> list[float]:
-        out = []
-        for cell in row:
-            try:
-                out.append(float(cell))
-            except ValueError as exc:
-                raise ValidationError(
-                    f"non-numeric cell {cell!r} on line {lineno}"
-                ) from exc
-        return out
+    def number(cell: str) -> float | None:
+        try:
+            return float(cell)
+        except ValueError:
+            return None
 
     header: list[str] | None = None
-    first_line, first = rows[0]
-    try:
-        parse_row(first, first_line)
-    except ValidationError:
-        header = [cell.strip() for cell in first]
+    if all(number(cell) is None for cell in rows[0][1]):
+        header = [cell.strip() for cell in rows[0][1]]
         rows = rows[1:]
         if not rows:
             raise ValidationError("CSV file has a header but no data rows")
@@ -273,7 +266,10 @@ def read_samples_csv(
     for line, row in rows:
         if len(row) != width:
             raise ValidationError(f"ragged row on line {line}")
-        parsed.append(parse_row(row, line))
+        vals = [number(cell) for cell in row]
+        if None in vals:
+            raise ValidationError(f"non-numeric cell {row[vals.index(None)]!r} on line {line}")
+        parsed.append(vals)
     if weight_column:
         if width < 2:
             raise ValidationError("weight column requires at least one coordinate column")

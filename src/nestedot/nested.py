@@ -18,8 +18,9 @@ alone, so swapping the operands, or lifting them, gives the same bits.
 ``brute_force_bicausal`` solves the same problem as a single linear
 program over all same-stage node pairs, with one kernel row per child
 of either node of a pair less one implied row per pair, and serves as an
-independent oracle.  Its matrix is built stage by stage from parent
-positions by index arithmetic, and HiGHS solves it without presolve.
+independent oracle.  Its matrix is built by index arithmetic from the
+stage layout that also prices the Wasserstein solve's leaf pairs, and
+HiGHS solves it without presolve.
 scipy is imported only when the oracle runs, through ``linprog`` below,
 so every other caller of the package starts without it.
 """
@@ -34,7 +35,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import SizeGuardError, ValidationError
-from .metrics import PATH_COST_OVERFLOW, TRUNCATED, GroundMetric
+from .metrics import PATH_COST_OVERFLOW, GroundMetric
 from .tolerances import SNAP
 from .transport import _kernel, _normalized, solve_ot
 from .tree import ScenarioTree
@@ -272,43 +273,49 @@ def nested_distance(
     return NestedResult(metric.root(total), lambda: compose_plan(mu, nu, cells))
 
 
+def _stage_layout(mu: ScenarioTree, nu: ScenarioTree, metric: GroundMetric):
+    """Both trees' same-stage node pairs, stage by stage, priced by ``base_cost``.
+
+    Stage t = 1..N holds, for each tree, the positions of its stage-t
+    nodes' parents among the stage-(t-1) nodes (``nodes_at_stage`` order)
+    and their conditional probabilities, and ``metric.base_cost`` of every
+    node pair's values, mu major.  The leaf-pair path costs (``leaves``
+    order) add these down each pair of histories, stage 1 first, as
+    ``GroundMetric.path_cost`` does; one past the float range is rejected.
+    """
+    stages, path_cost, base_cost = [], np.zeros((1, 1)), metric.base_cost
+    for t in range(1, mu.depth + 1):
+        sides = []
+        for tree in (mu, nu):
+            above = {nid: k for k, nid in enumerate(tree.nodes_at_stage(t - 1))}
+            kids = [tree.node(c) for c in tree.nodes_at_stage(t)]
+            up = np.array([above[n.parent] for n in kids])
+            sides.append((up, np.array([n.cond_prob for n in kids]), [n.value for n in kids]))
+        (up_mu, p_mu, x_mu), (up_nu, p_nu, x_nu) = sides
+        cost = np.array([[base_cost(x, y) for y in x_nu] for x in x_mu])
+        with np.errstate(over="ignore"):  # an overflow is inf, rejected below
+            path_cost = path_cost[up_mu[:, None], up_nu] + cost
+        stages.append((up_mu, p_mu, up_nu, p_nu, cost))
+    if not np.isfinite(path_cost).all():
+        raise ValidationError(PATH_COST_OVERFLOW)
+    return stages, path_cost
+
+
 def wasserstein_distance(
     mu: ScenarioTree, nu: ScenarioTree, metric: GroundMetric
 ) -> float:
-    """Classical transport distance over unconstrained path couplings."""
+    """Classical transport distance over unconstrained path couplings.
+
+    Its leaf-pair costs come from ``_stage_layout``: they equal
+    ``metric.path_cost`` bit for bit at every p, and an overflowing base
+    distance is named as by every other solver.
+    """
     check_depths(mu, nu)
-    mu_paths = mu.leaf_paths()
-    nu_paths = nu.leaf_paths()
-    if len(mu_paths) * len(nu_paths) > ORACLE_SIZE_GUARD:
+    if len(mu.leaves) * len(nu.leaves) > ORACLE_SIZE_GUARD:
         raise SizeGuardError("instance too large for the dense path-pair solver")
-    x = np.array([path for path, _ in mu_paths])
-    y = np.array([path for path, _ in nu_paths])
-    gap = np.abs(x[:, None, :] - y[None, :, :])
-    if metric.kind == TRUNCATED:
-        gap = np.minimum(gap, metric.cap)
-    with np.errstate(over="ignore"):  # an overflow is inf, rejected below
-        powers = gap ** metric.p
-        cost = powers.sum(axis=2)
-    if not np.isfinite(cost).all():
-        if np.isfinite(powers).all():
-            raise ValidationError(PATH_COST_OVERFLOW)
-        raise ValidationError(
-            f"cost overflows: base distance {gap.max().item()!r} to the power {metric.p}"
-        )
-    res = solve_ot(cost, [w for _, w in mu_paths], [w for _, w in nu_paths])
+    _, cost = _stage_layout(mu, nu, metric)
+    res = solve_ot(cost, [mu.mass(k) for k in mu.leaves], [nu.mass(k) for k in nu.leaves])
     return metric.root(res.value)
-
-
-def _next_stage(tree: ScenarioTree, nodes: list[int]):
-    """The children of ``nodes`` in order, with the positions of their
-    parents in ``nodes``, their conditional probabilities and values."""
-    kids, up = [], []
-    for k, nid in enumerate(nodes):
-        for c in tree.children(nid):
-            kids.append(c)
-            up.append(k)
-    probs = np.array([tree.node(c).cond_prob for c in kids])
-    return kids, np.array(up), probs, [tree.node(c).value for c in kids]
 
 
 def linprog(*args, **kwargs):
@@ -336,10 +343,10 @@ def brute_force_bicausal(
     and child probabilities by index arithmetic.  The ν-row of each last
     child is left out: the pair's μ-rows imply it, and the rows left have
     full rank.  Conditioning on zero-mass pairs is then automatically
-    unconstrained.  The cost is the per-stage base cost d(x_i, y_j)^p
-    summed over the pairs of stages 1..N, and a pair of leaves whose sum
-    passes the float range is rejected before the LP runs.  The plan is
-    read off the stage-N pairs.  The size guard counts leaf pairs.
+    unconstrained.  The parent positions, probabilities and per-stage base
+    costs d(x_i, y_j)^p come from ``_stage_layout``, which rejects a leaf
+    pair whose path cost passes the float range before the LP runs.  The
+    plan is read off the stage-N pairs.  The size guard counts leaf pairs.
 
     HiGHS runs without presolve, which on these LPs mostly costs time.
     Without it, though, HiGHS can stop on a vertex with masses below zero
@@ -352,17 +359,12 @@ def brute_force_bicausal(
     check_depths(mu, nu)
     if len(mu.leaves) * len(nu.leaves) > ORACLE_SIZE_GUARD:
         raise SizeGuardError("instance too large for the brute-force oracle")
-    nodes_mu, nodes_nu = [mu.root], [nu.root]
+    stages, _ = _stage_layout(mu, nu, metric)
     # COO entries; row 0 is the root row π_0(root, root) = 1
-    rows, cols, data = [np.array([0])], [np.array([0])], [np.array([1.0])]
-    cost, base_cost = [0.0], metric.base_cost
-    path_cost = np.zeros((1, 1))  # the cost so far of each pair of histories
-    n_rows, first = 1, 0  # rows so far, first variable of the current stage
-    for _ in range(mu.depth):
-        a, b = len(nodes_mu), len(nodes_nu)
-        nodes_mu, up_mu, p_mu, x_mu = _next_stage(mu, nodes_mu)
-        nodes_nu, up_nu, p_nu, x_nu = _next_stage(nu, nodes_nu)
-        a1, b1 = len(nodes_mu), len(nodes_nu)
+    rows, cols, data, cost = [np.array([0])], [np.array([0])], [np.array([1.0])], [np.zeros(1)]
+    a, b, n_rows, first = 1, 1, 1, 0  # stage sizes, rows so far, first stage variable
+    for up_mu, p_mu, up_nu, p_nu, stage_cost in stages:
+        a1, b1 = stage_cost.shape
         kept = np.flatnonzero(up_nu[:-1] == up_nu[1:])  # ν children but last siblings
         k = len(kept)
         var = first + a * b + np.arange(a1 * b1).reshape(a1, b1)  # π_{t+1}(c, l)
@@ -379,14 +381,9 @@ def brute_force_bicausal(
             (first + np.arange(a)[:, None] * b + up_nu[kept]).ravel(),
         ]
         data += [np.ones(a1 * (b1 + k)), np.repeat(-p_mu, b), np.tile(-p_nu[kept], a)]
-        stage_cost = [base_cost(x, y) for x in x_mu for y in x_nu]
-        cost += stage_cost
-        with np.errstate(over="ignore"):  # an overflow is inf, rejected below
-            path_cost = path_cost[up_mu[:, None], up_nu] + np.reshape(stage_cost, (a1, b1))
-        n_rows, first = nu_rows + a * k, first + a * b
-    if not np.isfinite(path_cost).all():
-        raise ValidationError(PATH_COST_OVERFLOW)
-    cost = np.array(cost)
+        cost.append(stage_cost.ravel())
+        a, b, n_rows, first = a1, b1, nu_rows + a * k, first + a * b
+    cost = np.concatenate(cost)
     entries = (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols)))
     a_eq = sp.csr_matrix(entries, shape=(n_rows, len(cost)))
     b_eq = np.zeros(n_rows)
@@ -397,11 +394,11 @@ def brute_force_bicausal(
         res = linprog(cost, **lp)
     if not res.success:
         raise RuntimeError(f"bicausal oracle LP failed: {res.message}")
-    leaf_pairs, width = res.x[first:], len(nodes_nu)
+    leaf_pairs, width = res.x[first:], len(nu.leaves)
 
     def plan() -> Coupling:
         return Coupling.from_mass_map({
-            (mu.path(nodes_mu[k // width]), nu.path(nodes_nu[k % width])): leaf_pairs.item(k)
+            (mu.path(mu.leaves[k // width]), nu.path(nu.leaves[k % width])): leaf_pairs.item(k)
             for k in np.flatnonzero(leaf_pairs > SNAP).tolist()
         })
 

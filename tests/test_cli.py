@@ -382,6 +382,22 @@ def test_from_samples_variants(capsys, tmp_path):
     assert law == pytest.approx({(0.0, 1.0): 0.75, (0.0, 2.0): 0.25})
 
 
+def test_from_samples_reads_the_first_row(capsys, tmp_path):
+    csv, out = tmp_path / "samples.csv", tmp_path / "tree.json"
+    # A byte-order mark used to drop the first data row as a header.
+    csv.write_text("\ufeff1,2\n3,4\n5,6\n", encoding="utf-8")
+    code, report, _ = run(capsys, "from-samples", "--csv", str(csv), "-o", str(out))
+    assert code == 0 and report["results"]["leaves"] == 3
+    assert dict(load_tree(out).leaf_paths()) == pytest.approx(
+        {(1.0, 2.0): 1 / 3, (3.0, 4.0): 1 / 3, (5.0, 6.0): 1 / 3}
+    )
+    # A first row with a number in it is data, so its bad cell is an error.
+    csv.write_text("1,x\n2,3\n4,5\n")
+    code, report, err = run(capsys, "from-samples", "--csv", str(csv), "-o", str(out))
+    assert code == 2 and report is None
+    assert err == "invalid input: non-numeric cell 'x' on line 1\n"
+
+
 @pytest.mark.parametrize(
     "rows,message",
     [

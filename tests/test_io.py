@@ -94,6 +94,8 @@ def test_nested_atoms_must_be_an_array():
         ("weight\n1\n", False, "weight column requires at least one coordinate column"),
         # Line numbers count the blank lines a reader skips.
         ("a,b\n1,2\n\n3,x\n", False, "non-numeric cell 'x' on line 4"),
+        # A first row with a number in it is data: '1,x' used to be a header.
+        ("1,x\n2,3\n4,5\n", False, "non-numeric cell 'x' on line 1"),
         ("1,0.5\n\n2,-1\n", True, r"weight -1\.0 on line 3 is not finite and positive"),
         ("\n1,2\n\n3\n", False, "ragged row on line 4"),
     ],
@@ -104,6 +106,38 @@ def test_samples_csv_rejects(tmp_path, text, weight_column, message):
         path.write_text(text)
     with pytest.raises(ValidationError, match=message):
         read_samples_csv(path, weight_column=weight_column)
+
+
+@pytest.mark.parametrize(
+    "text, samples",
+    [
+        # A byte-order mark used to make the first cell '\ufeff1', which
+        # turned the first data row into a header.
+        ("\ufeff1,2\n3,4\n5,6\n", [((1.0, 2.0), 1 / 3), ((3.0, 4.0), 1 / 3), ((5.0, 6.0), 1 / 3)]),
+        ("\ufeffa,b\n1,2\n", [((1.0, 2.0), 1.0)]),
+        # A header is a first row none of whose cells is a number.
+        ("a,b\n1,2\n", [((1.0, 2.0), 1.0)]),
+        ("x,weight\n1,1\n2,3\n", [((1.0,), 0.25), ((2.0,), 0.75)]),
+    ],
+)
+def test_samples_csv_first_row(tmp_path, text, samples):
+    path = tmp_path / "samples.csv"
+    path.write_text(text, encoding="utf-8")
+    assert read_samples_csv(path) == samples
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [(b"\xff1,2\n3,4\n", "can't decode byte 0xff"), (b"1," + b"2" * 200_000, "field limit")],
+    ids=["not-utf8", "huge-field"],
+)
+def test_samples_csv_unreadable_bytes(tmp_path, data, message):
+    # A file that is not UTF-8, or a field past the csv module's limit,
+    # used to escape as an uncaught exception.
+    path = tmp_path / "samples.csv"
+    path.write_bytes(data)
+    with pytest.raises(ValidationError, match=f"cannot read CSV file .*{message}"):
+        read_samples_csv(path)
 
 
 @pytest.mark.parametrize("key", ["mu_path", "nu_path"])

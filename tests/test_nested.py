@@ -178,8 +178,7 @@ def test_wasserstein_examples():
         (M1, 0.0),
         (M2, 0.0),
         (GroundMetric.truncated(2.0, cap=0.5), 0.0),
-        # numpy's power at p = 1.5 is not libm's pow: last-digit differences
-        (GroundMetric.usual(1.5), 1e-14),
+        (GroundMetric.usual(1.5), 0.0),
     ],
 )
 def test_wasserstein_cost_matches_path_cost_loop(metric, rel):

@@ -160,3 +160,29 @@ def test_every_helper_is_read_or_exported():
         elif isinstance(node, ast.alias):
             read.add(node.name)
     assert defined - read - set(nestedot.__all__) == {"fan_vs_merged", "fan_limit_nested"}
+
+
+def test_only_metrics_reads_the_metric_kind_or_cap():
+    # Every solver prices stage values through ``GroundMetric.base_cost``,
+    # so no other module branches on the metric's kind or reads its cap.
+    # The CLI only hands its --cap flag to the constructor.
+    src = Path(nestedot.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "metrics.py":
+            continue
+        module = ast.parse(path.read_text())
+        passed_through = {
+            id(node)
+            for fn in module.body
+            if isinstance(fn, ast.FunctionDef) and (path.name, fn.name) == ("cli.py", "_metric_from")
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Attribute) and ast.unparse(node) == "args.cap"
+        }
+        for node in ast.walk(module):
+            if isinstance(node, ast.alias) and node.name in ("TRUNCATED", "USUAL"):
+                found.append(f"{path.name}:{node.lineno} imports {node.name}")
+            elif isinstance(node, ast.Attribute) and node.attr in ("kind", "cap"):
+                if id(node) not in passed_through:
+                    found.append(f"{path.name}:{node.lineno} reads .{node.attr}")
+    assert found == []
