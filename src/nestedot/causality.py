@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import AlreadyExtremeError, NotCausalError, ValidationError
-from .nested import Coupling
+from .nested import Coupling, check_depths
 from .tolerances import SNAP, TOL
 from .tree import ScenarioTree, build_tree
 
@@ -117,6 +117,7 @@ def _analyze(gamma: Coupling, mu: ScenarioTree, nu: ScenarioTree | None, tol: fl
     """
     if nu is None:
         nu = build_tree((e.nu_path, e.mass) for e in gamma.entries)
+    check_depths(mu, nu)
     masses = _leaf_masses(gamma, mu, nu)
     dev = _marginal_deviation(masses, mu, 0)
     if dev > tol:

@@ -5,9 +5,10 @@ A nested distribution of depth N is a finite distribution over elements
 Two atoms merge, adding their masses, only when their values and
 continuations are exactly equal, and distributions compare by the
 dataclasses' own ``==``, masses included.  Lifting a tree replaces every
-node by (its value, the lift of its child law); the recursive Wasserstein
-distance between lifts reproduces the nested distance exactly, and the
-lifted space also contains the limits that the tree laws themselves miss.
+node by (its value, the lift of its child law), once per subtree class;
+the recursive Wasserstein distance between lifts reproduces the nested
+distance exactly, and the lifted space also contains the limits that the
+tree laws themselves miss.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .errors import ValidationError
 from .metrics import GroundMetric
-from .nested import SubtreeClasses, backward, check_depths
+from .nested import SubtreeClasses, backward, check_depths, tree_classes
 from .tree import ScenarioTree, build_tree, sibling_total
 
 
@@ -79,20 +80,18 @@ def _merge_atoms(atoms: list[NestedAtom]) -> list[NestedAtom]:
 def embed(tree: ScenarioTree) -> NestedDistribution:
     """Lift a tree law to its nested distribution.
 
-    Each stage-t node becomes (value, distribution of its lifted
-    children).  Sibling values are distinct, so no atoms merge and the
-    lifted masses are the tree's probabilities bit for bit.
+    Each subtree class (``nested.tree_classes``) becomes one distribution
+    of (value, lift of the child's class) atoms, from the leaves up, so
+    equal subtrees share one object.  Sibling values are distinct, so no
+    atoms merge and the lifted masses are the tree's probabilities bit for
+    bit.  Class keys compare floats with ``==``: subtrees that differ only
+    in the sign of a zero value share the lift of the first one.
     """
-
-    def lift(node: int) -> NestedDistribution:
-        atoms = []
-        for k in tree.children(node):
-            child = tree.node(k)
-            nxt = None if child.stage == tree.depth else lift(k)
-            atoms.append(NestedAtom(child.cond_prob, child.value, nxt))
-        return NestedDistribution(tuple(atoms))
-
-    return lift(tree.root)
+    classes, of = tree_classes(tree)
+    lifts: list[NestedDistribution | None] = [None]  # class 0: below a leaf
+    for key in classes.keys[1:]:
+        lifts.append(NestedDistribution(tuple(NestedAtom(m, v, lifts[c]) for v, m, c in key)))
+    return lifts[of[tree.root]]
 
 
 def nested_wasserstein(

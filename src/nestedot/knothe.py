@@ -6,9 +6,9 @@ left-continuous quantile transforms, which is atom-safe (the map form
 would require atomless conditionals).  Tree children are kept in value
 order, so this monotone coupling is the northwest-corner plan of the two
 value-sorted conditionals, built by the rule (and with the rounding) of
-the transportation simplex's start.  The ``demo kr-gap`` command compares
-:func:`kr_distance` with the nested distance on the stress families of
-:mod:`nestedot.families`.
+the transportation simplex's start, once per pair of subtree classes.
+The ``demo kr-gap`` command compares :func:`kr_distance` with the nested
+distance on the stress families of :mod:`nestedot.families`.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .metrics import GroundMetric
-from .nested import Coupling, check_depths, compose_plan
+from .nested import Coupling, check_depths, compose_plan, tree_classes
 from .transport import _northwest_corner
 from .tree import ScenarioTree
 
@@ -31,20 +31,20 @@ class KRCoupling:
 def kr_coupling(mu: ScenarioTree, nu: ScenarioTree) -> KRCoupling:
     """Increasing Knothe-Rosenblatt rearrangement of the two laws.
 
-    The northwest-corner rule treats rows and columns alike, so swapping
-    the arguments transposes the plan exactly.
+    A node pair's one-stage plan depends only on the child masses of its
+    subtree classes, so the northwest-corner rule runs once per class pair
+    that ``compose_plan`` reaches.  The rule treats rows and columns alike,
+    so swapping the arguments transposes the plan exactly.
     """
     check_depths(mu, nu)
+    classes_mu, of_mu = tree_classes(mu)
+    classes_nu, of_nu = tree_classes(nu)
 
-    def cells(i: int, j: int) -> list[tuple[int, int, float]]:
-        kids_i, kids_j = mu.children(i), nu.children(j)
-        flow, basis = _northwest_corner(
-            [mu.node(k).cond_prob for k in kids_i], [nu.node(k).cond_prob for k in kids_j]
-        )
-        # The basis may hold degenerate cells of zero flow; a plan has none.
-        return [(kids_i[a], kids_j[b], flow[a][b]) for a, b in basis if flow[a][b] > 0.0]
+    def plan_of(ca: int, cb: int) -> list[list[float]]:
+        laws = [m for _, m, _ in classes_mu.keys[ca]], [m for _, m, _ in classes_nu.keys[cb]]
+        return _northwest_corner(*laws)[0]
 
-    return KRCoupling(compose_plan(mu, nu, cells))
+    return KRCoupling(compose_plan(mu, nu, of_mu, of_nu, plan_of))
 
 
 def kr_distance(mu: ScenarioTree, nu: ScenarioTree, metric: GroundMetric) -> float:

@@ -6,9 +6,9 @@ cost of a child pair adds the child pair's continuation value.  It
 depends only on the two subtrees, so the backward recursion runs over
 pairs of exact subtree classes (the atoms of the nested distributions)
 and serves both scenario trees and their lifts.  An optimal bicausal
-coupling is assembled by composing the one-stage plans down the node
-pairs (``compose_plan``, shared with the Knothe-Rosenblatt plans), on
-the first read of ``NestedResult.plan``, so a caller that reads only the
+coupling is composed down the node pairs from the class pairs' one-stage
+plans (``compose_plan``, shared with the Knothe-Rosenblatt plans), on the
+first read of ``NestedResult.plan``, so a caller that reads only the
 distance never composes one.
 The recursion validates once per class: each class's child masses are
 checked and normalized once, and each one-stage problem goes to the
@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -213,17 +213,21 @@ def check_depths(first, second) -> None:
 def compose_plan(
     mu: ScenarioTree,
     nu: ScenarioTree,
-    cells: Callable[[int, int], Iterable[tuple[int, int, float]]],
+    of_mu: Mapping[int, int],
+    of_nu: Mapping[int, int],
+    plan_of: Callable[[int, int], list[list[float]]],
 ) -> Coupling:
-    """Compose a coupling top-down from one-stage plans on node pairs.
+    """Compose a coupling top-down from the one-stage plans of class pairs.
 
-    ``cells(i, j)`` is the one-stage plan of the same-stage node pair
-    (i of mu, j of nu): triples ``(child of i, child of j, fraction)``
-    with positive fractions summing to one.  A node is its history, so a
-    leaf pair is reached once, with the product of the fractions along
-    its history pair as mass.
+    ``of_mu`` and ``of_nu`` give each node's subtree class (``tree_classes``),
+    and ``plan_of(ca, cb)`` the one-stage plan of a class pair, rows over
+    ca's children and columns over cb's in value order.  It is asked once
+    per class pair reached, and its positive cells are kept.  A node is its
+    history, so a leaf pair is reached once, with the product of the
+    fractions along its history pair as mass.
     """
     depth = mu.depth
+    plans: dict[tuple[int, int], list[tuple[int, int, float]]] = {}
     masses: dict[tuple[tuple[float, ...], tuple[float, ...]], float] = {}
     stack = [(mu.root, nu.root, 1.0, 0)]
     while stack:
@@ -231,8 +235,12 @@ def compose_plan(
         if t == depth:
             masses[mu.path(i), nu.path(j)] = mass
             continue
-        for a, b, frac in cells(i, j):
-            stack.append((a, b, mass * frac, t + 1))
+        pair = of_mu[i], of_nu[j]
+        if pair not in plans:
+            rows = enumerate(plan_of(*pair))
+            plans[pair] = [(r, s, f) for r, row in rows for s, f in enumerate(row) if f > 0.0]
+        kids_i, kids_j = mu.children(i), nu.children(j)
+        stack += [(kids_i[r], kids_j[s], mass * f, t + 1) for r, s, f in plans[pair]]
     return Coupling.from_mass_map(masses)
 
 
@@ -253,24 +261,11 @@ def nested_distance(
     classes_mu, of_mu = tree_classes(mu)
     classes_nu, of_nu = tree_classes(nu)
     solved = backward(classes_mu, classes_nu, metric)
-
-    rows: dict[tuple[int, int], list[list[float]]] = {}
-
-    def cells(i: int, j: int) -> list[tuple[int, int, float]]:
-        pair = of_mu[i], of_nu[j]
-        x = rows.get(pair)
-        if x is None:
-            x = rows[pair] = solved[pair][1].tolist()
-        kids_j = nu.children(j)
-        return [
-            (ka, kb, frac)
-            for ka, row in zip(mu.children(i), x)
-            for kb, frac in zip(kids_j, row)
-            if frac > 0.0
-        ]
-
     total = solved[of_mu[mu.root], of_nu[nu.root]][0]
-    return NestedResult(metric.root(total), lambda: compose_plan(mu, nu, cells))
+    return NestedResult(
+        metric.root(total),
+        lambda: compose_plan(mu, nu, of_mu, of_nu, lambda ca, cb: solved[ca, cb][1].tolist()),
+    )
 
 
 def _stage_layout(mu: ScenarioTree, nu: ScenarioTree, metric: GroundMetric):

@@ -95,12 +95,14 @@ class ScenarioTree:
         self.root = root.id
         self._nodes = {root.id: root}
         self._children: dict[int, tuple[int, ...]] = {}
-        stages: list[list[int]] = [[] for _ in range(depth + 1)]
+        stages: list[list[int]] = []
         self._paths: dict[int, tuple[float, ...]] = {root.id: ()}
         self._masses: dict[int, float] = {root.id: 1.0}
         order = [root.id]
         for pid in order:
             stage = self._nodes[pid].stage
+            if stage == len(stages):  # the walk reaches the stages in order
+                stages.append([])
             stages[stage].append(pid)
             kids = sorted(children[pid], key=lambda k: by_id[k].value)
             self._children[pid] = tuple(kids)

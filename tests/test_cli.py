@@ -120,6 +120,24 @@ def test_check_coupling(pair_files, capsys, tmp_path):
     assert results["violations"] == []
 
 
+@pytest.mark.parametrize("command", ["check coupling", "split"])
+def test_plan_commands_reject_laws_of_unequal_depth(capsys, tmp_path, command):
+    # A plan between laws of unequal depth has no stage-by-stage kernels to
+    # check: it is the input's fault, like a depth mismatch in a solver.
+    mu = build_tree([((0.0, 1.0), 0.5), ((1.0, 2.0), 0.5)])
+    nu = build_tree([((0.0, 1.0, 2.0), 0.5), ((1.0, 2.0, 3.0), 0.5)])
+    pairs = zip(mu.leaf_paths(), nu.leaf_paths())
+    plan = Coupling.from_mass_map({(x, y): 0.5 for (x, _), (y, _) in pairs})
+    files = {name: tmp_path / f"{name}.json" for name in ("mu", "nu", "plan")}
+    save_tree(mu, files["mu"])
+    save_tree(nu, files["nu"])
+    save_coupling(plan, files["plan"])
+    argv = [f"--{name}={path}" for name, path in files.items()]
+    code, report, err = run(capsys, *command.split(), *argv)
+    assert code == 2 and report is None
+    assert err.splitlines() == ["invalid input: depth mismatch: 2 vs 3"]
+
+
 def test_split_command(pair_files, capsys, tmp_path):
     mu, nu = pair_files
     fan, merged = load_tree(mu), load_tree(nu)
@@ -605,9 +623,10 @@ def _chain_tree_text(depth):
 
 @pytest.mark.parametrize("command", ["compute lifted", "embed", "demo extreme-split"])
 def test_too_deep_input_exits_2_not_4(capsys, tmp_path, command):
-    # The lift and the demos' random trees recurse once per stage; past the
-    # interpreter's recursion limit that is the input's fault, not a solver
-    # failure.
+    # The lifted recursion, the nested-distribution JSON writer (the lift
+    # itself is built without recursing) and the demos' random trees recurse
+    # once per stage; past the interpreter's recursion limit that is the
+    # input's fault, not a solver failure.
     depth = sys.getrecursionlimit() + 200
     src = tmp_path / "deep.json"
     if command == "embed":

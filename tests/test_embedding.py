@@ -1,9 +1,11 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import nestedot.embedding
 from nestedot import (
     GroundMetric,
     NestedAtom,
@@ -25,8 +27,10 @@ from nestedot.families import (
     random_tree_pair,
 )
 from nestedot.io import dumps_canonical, nested_from_json, nested_to_json
+from nestedot.nested import tree_classes
 from nestedot.tree import Node
 from reference import LineLaw, quantile_cost
+from test_nested import dyadic_walk
 
 M1 = GroundMetric.usual(1.0)
 M2 = GroundMetric.usual(2.0)
@@ -44,6 +48,50 @@ def test_embed_single_path():
     atom = dist.atoms[0]
     assert atom.mass == 1.0 and atom.value == 0.0
     assert atom.next.atoms[0].value == 1.0
+
+
+def test_embed_builds_one_distribution_per_class(monkeypatch):
+    built = []
+    real = nestedot.embedding.NestedDistribution
+
+    def counted(atoms):
+        built.append(atoms)
+        return real(atoms)
+
+    monkeypatch.setattr(nestedot.embedding, "NestedDistribution", counted)
+    tree = dyadic_walk(6, 0.25, 0.75)
+    lift = embed(tree)
+    # 63 internal nodes, 21 internal classes: one per level of stages 0..5
+    assert len(built) == len(tree_classes(tree)[0].keys) - 1 == 21
+    down, up = (a.next for a in lift.atoms)
+    assert down.atoms[1].next is up.atoms[0].next  # down-up and up-down meet
+
+
+def test_embed_of_a_chain_past_the_recursion_limit():
+    depth = sys.getrecursionlimit() + 200
+    tree = build_tree([(tuple(float(k) for k in range(depth)), 1.0)])
+    assert embed(tree).depth == depth
+
+
+def test_subtrees_equal_but_for_the_sign_of_a_zero_share_a_lift():
+    # Class keys compare floats with ==, so the second branch's -0.0 lifts
+    # as the first branch's 0.0; the lifts compare equal either way.
+    tree = build_tree([((1.0, 0.0, 5.0), 0.5), ((2.0, -0.0, 5.0), 0.5)])
+    assert math.copysign(1.0, tree.path(tree.leaves[1])[1]) == -1.0
+    lift = embed(tree)
+    first, second = (a.next for a in lift.atoms)
+    assert first is second
+    assert math.copysign(1.0, second.atoms[0].value) == 1.0
+
+    def branch(zero):
+        return NestedDistribution((NestedAtom(1.0, zero, leaf_dist((5.0, 1.0))),))
+
+    per_node = NestedDistribution(
+        (NestedAtom(0.5, 1.0, branch(0.0)), NestedAtom(0.5, 2.0, branch(-0.0)))
+    )
+    assert lift == per_node
+    assert nested_wasserstein(lift, per_node, M2) == 0.0
+    assert "-0.0" not in dumps_canonical(nested_to_json(lift))
 
 
 def test_embed_merged_tree():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import nestedot.knothe
 from nestedot import (
     Coupling,
     GroundMetric,
@@ -23,7 +24,7 @@ from nestedot.families import (
     random_tree_pair,
 )
 from reference import child_law, quantile_cost
-from test_nested import dyadic_walk
+from test_nested import dyadic_walk, reached_class_pairs
 
 M1 = GroundMetric.usual(1.0)
 M2 = GroundMetric.usual(2.0)
@@ -246,3 +247,28 @@ def test_quantile_alignment_with_uneven_masses():
     ]
     opt = solve_ot(cost, [1 / 3] * 3, [0.5, 0.5])
     assert plan.cost(M1) == pytest.approx(opt.value, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "walks, runs",
+    [
+        # different up-probabilities split every stage: 3**6 entries from
+        # 364 node pairs but 56 class pairs
+        (((0.5, 0.5), (0.25, 0.75)), 56),
+        (((0.125, 0.375), (0.5, 0.625)), 56),
+        (((0.5, 0.5), (0.25, 0.5)), 21),
+    ],
+)
+def test_northwest_corner_runs_once_per_class_pair(monkeypatch, walks, runs):
+    calls = []
+    real = nestedot.knothe._northwest_corner
+
+    def counted(a, b):
+        calls.append((tuple(a), tuple(b)))
+        return real(a, b)
+
+    monkeypatch.setattr(nestedot.knothe, "_northwest_corner", counted)
+    (step_a, up_a), (step_b, up_b) = walks
+    mu, nu = dyadic_walk(6, step_a, up_a), dyadic_walk(6, step_b, up_b)
+    plan = kr_coupling(mu, nu).coupling
+    assert len(calls) == len(reached_class_pairs(mu, nu, plan)) == runs

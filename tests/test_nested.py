@@ -18,10 +18,12 @@ from nestedot import (
     cauchy_check,
     embed,
     is_bicausal,
+    is_causal,
     kr_distance,
     nested_distance,
     nested_wasserstein,
     solve_ot,
+    split_non_extreme,
     wasserstein_distance,
 )
 from nestedot.families import (
@@ -33,7 +35,7 @@ from nestedot.families import (
     random_tree,
     random_tree_pair,
 )
-from nestedot.nested import _law, _solve, backward, tree_classes
+from nestedot.nested import _law, _solve, backward, compose_plan, tree_classes
 from nestedot.tolerances import ORACLE_TOL
 from path_pair_oracle import path_pair_bicausal
 from reference import node_at
@@ -205,12 +207,16 @@ def test_truncated_metric_pair():
 
 def test_depth_mismatch_rejected():
     short, long = chain(0.0), chain(0.0, 1.0)
+    plan = Coupling((CouplingEntry((0.0,), (0.0, 1.0), 1.0),))
     for call in (
         lambda: nested_distance(short, long, M1),
         lambda: wasserstein_distance(short, long, M1),
         lambda: brute_force_bicausal(short, long, M1),
         lambda: kr_distance(short, long, M1),
         lambda: nested_wasserstein(embed(short), embed(long), M1),
+        lambda: is_causal(plan, short),  # nu is read off the plan
+        lambda: is_bicausal(plan, short, long),
+        lambda: split_non_extreme(plan, short, long),
     ):
         with pytest.raises(ValidationError, match="depth mismatch: 1 vs 2"):
             call()
@@ -620,6 +626,38 @@ def test_walk_solves_one_problem_per_class_pair(monkeypatch):
     nested_wasserstein(embed(mu), embed(nu), M2)
     assert len(calls) == 2 * class_pairs
     assert set(calls) == {(2, 2)}
+
+
+def reached_class_pairs(mu, nu, plan):
+    """The class pairs of the same-stage node pairs above the plan's entries."""
+    (_, of_mu), (_, of_nu) = tree_classes(mu), tree_classes(nu)
+    leaf_mu = {mu.path(k): k for k in mu.leaves}
+    leaf_nu = {nu.path(k): k for k in nu.leaves}
+    reached = set()
+    for e in plan.entries:
+        i, j = leaf_mu[e.mu_path], leaf_nu[e.nu_path]
+        while i != mu.root:
+            i, j = mu.node(i).parent, nu.node(j).parent
+            reached.add((of_mu[i], of_nu[j]))
+    return reached
+
+
+def test_compose_plan_asks_each_class_pair_once():
+    mu, nu = dyadic_walk(5, 0.5, 0.5), dyadic_walk(5, 0.25, 0.75)
+    (classes_mu, of_mu), (classes_nu, of_nu) = tree_classes(mu), tree_classes(nu)
+    solved = backward(classes_mu, classes_nu, M2)
+    asked = []
+
+    def plan_of(ca, cb):
+        asked.append((ca, cb))
+        return solved[ca, cb][1].tolist()
+
+    plan = compose_plan(mu, nu, of_mu, of_nu, plan_of)
+    assert plan == nested_distance(mu, nu, M2).plan
+    assert len(asked) == len(set(asked))
+    assert set(asked) == reached_class_pairs(mu, nu, plan)
+    node_pairs = sum(len(mu.nodes_at_stage(t)) * len(nu.nodes_at_stage(t)) for t in range(5))
+    assert len(asked) <= 55 < node_pairs
 
 
 def test_deep_walk_lazy_table(monkeypatch):

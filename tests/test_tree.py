@@ -4,6 +4,7 @@ import json
 import math
 import random
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -227,6 +228,21 @@ def test_every_constructor_raise_is_reachable():
     finally:
         sys.settrace(previous)
     assert raises and raises <= ran, f"raise lines never run: {sorted(raises - ran)}"
+
+
+def test_declared_depth_allocates_nothing_before_the_walk():
+    # The declared depth comes from the input file: stage lists grow as the
+    # walk reaches them, so a tiny file cannot make the constructor allocate
+    # in proportion to it.
+    nodes = [Node(0, None, 0, None, None), Node(1, 0, 1, 0.0, 1.0)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="node 1 is a leaf before stage 1000000$"):
+            ScenarioTree(10**6, nodes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_probability_renormalized_exactly():
