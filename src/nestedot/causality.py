@@ -8,17 +8,19 @@ definition by the chain rule of disintegration.  All conditioning is on
 positive-mass histories only.
 
 On a tree a node is its history, so the checkers work on node ids: each
-plan path is matched once to a leaf, and one pass up the stages sums the
-plan's mass onto every pair of same-stage nodes, compares the child
-masses of each pair with the two kernels, and collects the law of y_t
-given each x-history for the Monge tests and the splitter.
+distinct plan path is matched once to a leaf (a plan whose paths are the
+tree's leaf paths, as a solver's are, needs no matching), and one pass
+up the stages sums the plan's mass onto every pair of same-stage nodes,
+compares the child masses of each pair with the two kernels, and
+collects the law of y_t given each x-history for the Monge tests and the
+splitter.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import AlreadyExtremeError, NotCausalError, ValidationError
 from .nested import Coupling, check_depths
@@ -60,18 +62,26 @@ class CausalityReport:
 def _leaf_masses(
     gamma: Coupling, mu: ScenarioTree, nu: ScenarioTree
 ) -> dict[tuple[int, int], float]:
-    """Plan mass on every (mu leaf, nu leaf) pair.
-
-    Each plan path is matched to a leaf path, exactly or else within
-    ``TOL`` per coordinate.
-    """
-    mu_leaf = {mu.path(k): k for k in mu.leaves}
-    nu_leaf = {nu.path(k): k for k in nu.leaves}
+    """Plan mass on every (mu leaf, nu leaf) pair, in the plan's entry order."""
+    rows, cols = _leaves_of(gamma.mu_paths, mu), _leaves_of(gamma.nu_paths, nu)
+    width = len(cols)
     out: dict[tuple[int, int], float] = {}
-    for e in gamma.entries:
-        key = (_snap(e.mu_path, mu_leaf), _snap(e.nu_path, nu_leaf))
-        out[key] = out.get(key, 0.0) + e.mass
+    for c, m in zip(gamma.cells, gamma.masses):
+        key = (rows[c // width], cols[c % width])
+        out[key] = out.get(key, 0.0) + m
     return out
+
+
+def _leaves_of(paths: tuple[tuple[float, ...], ...], tree: ScenarioTree) -> Sequence[int]:
+    """The leaf of each distinct plan path.  Paths that are the tree's leaf
+    paths in leaf order, as a solver's plan and its file hold them, are the
+    leaves themselves; otherwise each path is matched to a leaf path once,
+    exactly or else within ``TOL`` per coordinate."""
+    leaf_paths = tuple(map(tree.path, tree.leaves))
+    if paths == leaf_paths:
+        return tree.leaves
+    leaf_of = dict(zip(leaf_paths, tree.leaves))
+    return [_snap(path, leaf_of) for path in paths]
 
 
 def _snap(path: tuple[float, ...], leaf_of: dict[tuple[float, ...], int]) -> int:
@@ -302,7 +312,7 @@ def split_non_extreme(
 
     pi = Coupling.from_mass_map(pi_masses)
     pi_tilde = Coupling.from_mass_map(tilde_masses)
-    if pi.entries == pi_tilde.entries:
+    if pi == pi_tilde:
         raise RuntimeError("split produced identical components")
     tau = {
         mu.path(leaf): mu.depth + 1 if node is None else mu.node(node).stage

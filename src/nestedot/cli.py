@@ -64,7 +64,7 @@ from .nested import (
     wasserstein_distance,
 )
 from .tolerances import ORACLE_TOL, SNAP, TOL
-from .tree import build_tree
+from .tree import merged_tree
 
 USAGE_EXIT = 64
 VALIDATION_EXIT = 2
@@ -321,10 +321,11 @@ def _cmd_embed(args, report) -> None:
 
 def _cmd_from_samples(args, report) -> None:
     pairs = read_samples_csv(args.csv, weight_column=args.weight_column)
-    tree = build_tree(pairs, merge_tol=args.merge_tol)
+    tree, shift = merged_tree(pairs, args.merge_tol)
     save_tree(tree, args.output)
     report["results"] = {
-        "output": str(args.output), "depth": tree.depth, "leaves": len(tree.leaves)
+        "output": str(args.output), "depth": tree.depth, "leaves": len(tree.leaves),
+        "max_merge_shift": shift,
     }
 
 

@@ -1,8 +1,11 @@
 """File formats: tree JSON, plan JSON, nested-distribution JSON, sample CSV.
 
-All emitters go through :func:`dumps_canonical`, which writes floats as
-their shortest round-trip text (every value reads back bit for bit) and
-sorts object keys, so identical data produces byte-identical files.
+Every file is written as :func:`dumps_canonical` writes it: floats as
+their shortest round-trip text (every value reads back bit for bit),
+object keys sorted, no spaces, so identical data produces byte-identical
+files.  A plan is written straight from its leaf-pair form, without the
+encoder: each distinct path's text is built once, and each entry fills
+one text template.
 """
 
 from __future__ import annotations
@@ -76,9 +79,13 @@ def _read_json(path: str | Path, what: str) -> Any:
 
 
 def _write_json(obj: Any, path: str | Path, what: str) -> None:
-    """Write ``obj`` as canonical JSON text; a path that cannot be written
-    is :class:`ValidationError`."""
-    text = dumps_canonical(obj) + "\n"
+    """Write ``obj`` as canonical JSON text."""
+    _write_text(dumps_canonical(obj) + "\n", path, what)
+
+
+def _write_text(text: str, path: str | Path, what: str) -> None:
+    """Write a file's text; a path that cannot be written is
+    :class:`ValidationError`."""
     try:
         Path(path).write_text(text)
     except OSError as exc:
@@ -144,13 +151,6 @@ def load_tree(path: str | Path) -> ScenarioTree:
 # ---------------------------------------------------------------- plans
 
 
-def coupling_to_json(coupling: Coupling) -> list[dict]:
-    return [
-        {"mu_path": list(e.mu_path), "nu_path": list(e.nu_path), "mass": e.mass}
-        for e in coupling.entries
-    ]
-
-
 def coupling_from_json(obj: Any) -> Coupling:
     entries = []
     for d in _array(obj, "plan JSON"):
@@ -167,8 +167,26 @@ def coupling_from_json(obj: Any) -> Coupling:
     return Coupling(tuple(entries))
 
 
+def _float_list(values: tuple[float, ...]) -> str:
+    """The canonical text of a list of floats; a value that is not finite
+    raises as :func:`dumps_canonical` does."""
+    if not all(map(math.isfinite, values)):
+        dumps_canonical(list(values))  # raises its "cannot serialize" error
+    return "[" + ",".join(map(repr, values)) + "]"
+
+
 def save_coupling(coupling: Coupling, path: str | Path) -> None:
-    _write_json(coupling_to_json(coupling), path, "plan")
+    """Write the plan's entries as :func:`dumps_canonical` would (keys
+    ``mass``, ``mu_path``, ``nu_path`` in that order), building each
+    distinct path's text once."""
+    mu_text = list(map(_float_list, coupling.mu_paths))
+    nu_text = list(map(_float_list, coupling.nu_paths))
+    width = len(nu_text)
+    rows = ",".join(
+        f'{{"mass":{m!r},"mu_path":{mu_text[c // width]},"nu_path":{nu_text[c % width]}}}'
+        for c, m in zip(coupling.cells, coupling.masses)
+    )
+    _write_text(f"[{rows}]\n", path, "plan")
 
 
 def load_coupling(path: str | Path) -> Coupling:

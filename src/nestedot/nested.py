@@ -9,7 +9,10 @@ and serves both scenario trees and their lifts.  An optimal bicausal
 coupling is composed down the node pairs from the class pairs' one-stage
 plans (``compose_plan``, shared with the Knothe-Rosenblatt plans), on the
 first read of ``NestedResult.plan``, so a caller that reads only the
-distance never composes one.
+distance never composes one.  A plan keeps its leaf pairs: a ``Coupling``
+holds its distinct paths once and each entry as a pair of path ranks, so
+composing, pricing (``Coupling.cost``, one ``base_cost`` per distinct
+value pair of a stage) and writing a plan build no path per entry.
 The recursion validates once per class: each class's child masses are
 checked and normalized once, and each one-stage problem goes to the
 transport kernel without the checks or the dual pair of ``solve_ot``.
@@ -29,8 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -49,40 +51,127 @@ class CouplingEntry(NamedTuple):
     mass: float
 
 
-@dataclass(frozen=True)
-class Coupling:
-    """Joint mass assignment over pairs of root-to-leaf paths."""
+def _ranked(paths: list) -> tuple[tuple[tuple[float, ...], ...], list[int]]:
+    """The distinct paths in path order, as tuples of floats, and the rank
+    of each path among them.  Paths equal by ``==`` are one path, so two
+    that differ only in the sign of a zero share the first one's sign."""
+    distinct = sorted(set(paths))
+    rank = {path: k for k, path in enumerate(distinct)}
+    return tuple(tuple(map(float, path)) for path in distinct), [rank[p] for p in paths]
 
-    entries: tuple[CouplingEntry, ...]
+
+class Coupling:
+    """Joint mass assignment over pairs of root-to-leaf paths.
+
+    A plan is held as its distinct mu paths and nu paths, each in path
+    order, and per entry a cell ``a * len(nu_paths) + b`` (mu path a, nu
+    path b) and a float mass, in cell order, which is path-pair order.
+    ``Coupling(entries)`` and ``from_mass_map`` intern the entries' paths; a
+    solver hands over the two trees' leaf paths and leaf-rank cells
+    (``of_leaves``).  Both go through ``__post_init__``, which checks the
+    masses and orders the cells.  ``entries`` is built on its first read,
+    and ``==`` compares entries.  Instances are not changed after
+    construction.
+    """
+
+    def __init__(self, entries: Iterable[CouplingEntry]):
+        entries = tuple(entries)
+        self.mu_paths, rows = _ranked([e.mu_path for e in entries])
+        self.nu_paths, cols = _ranked([e.nu_path for e in entries])
+        width = len(self.nu_paths)
+        self.cells = [a * width + b for a, b in zip(rows, cols)]
+        self.masses = [e.mass for e in entries]
+        self.__post_init__()
+
+    @classmethod
+    def of_leaves(
+        cls, mu: ScenarioTree, nu: ScenarioTree, cells: list[int], masses: list[float]
+    ) -> "Coupling":
+        """A plan over leaf pairs: cell ``a * len(nu.leaves) + b`` pairs the
+        mu leaf of rank a with the nu leaf of rank b.  ``leaves`` are in
+        history order, siblings by value, so leaf rank is path order."""
+        plan = cls.__new__(cls)
+        plan.mu_paths = tuple(map(mu.path, mu.leaves))
+        plan.nu_paths = tuple(map(nu.path, nu.leaves))
+        plan.cells, plan.masses = cells, masses
+        plan.__post_init__()
+        return plan
 
     def __post_init__(self):
-        for e in self.entries:
-            if not (math.isfinite(e.mass) and e.mass > 0.0):
-                raise ValidationError(f"coupling mass must be positive, got {e.mass!r}")
-        ordered = tuple(sorted(self.entries, key=lambda e: (e.mu_path, e.nu_path)))
-        keys = [(e.mu_path, e.nu_path) for e in ordered]
-        if len(set(keys)) != len(keys):
+        """The one check of every plan: positive masses, no repeated cell."""
+        for m in self.masses:
+            if not (math.isfinite(m) and m > 0.0):
+                raise ValidationError(f"coupling mass must be positive, got {m!r}")
+        order = sorted(range(len(self.cells)), key=self.cells.__getitem__)
+        self.cells = [self.cells[k] for k in order]
+        if len(set(self.cells)) != len(order):
             raise ValidationError("duplicate coupling entries")
-        object.__setattr__(self, "entries", ordered)
+        self.masses = [float(self.masses[k]) for k in order]
 
     @classmethod
     def from_mass_map(
         cls, masses: Mapping[tuple[tuple[float, ...], tuple[float, ...]], float]
     ) -> "Coupling":
-        return cls(
-            tuple(
-                CouplingEntry(x, y, m)
-                for (x, y), m in masses.items()
-                if m > 0.0
-            )
+        """The plan of the nonzero masses of a map; any other mass that is
+        not positive is rejected as in ``Coupling(entries)``."""
+        return cls(CouplingEntry(x, y, m) for (x, y), m in masses.items() if m != 0.0)
+
+    @functools.cached_property
+    def entries(self) -> tuple[CouplingEntry, ...]:
+        """The entries in path-pair order."""
+        width = len(self.nu_paths)
+        return tuple(
+            CouplingEntry(self.mu_paths[c // width], self.nu_paths[c % width], m)
+            for c, m in zip(self.cells, self.masses)
         )
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.cells)
+
+    def __eq__(self, other):
+        if not isinstance(other, Coupling):
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self):
+        return hash(self.entries)
+
+    def __repr__(self):
+        return f"Coupling(entries={self.entries!r})"
 
     def cost(self, metric: GroundMetric) -> float:
-        """Total p-th-power transport cost of the plan."""
-        return math.fsum(e.mass * metric.path_cost(e.mu_path, e.nu_path) for e in self.entries)
+        """Total p-th-power transport cost of the plan.
+
+        ``metric.base_cost`` runs once per distinct value pair that the
+        entries meet at any stage.  Each entry's path cost gathers those and
+        adds its stages from stage 1 on, as ``GroundMetric.path_cost`` does,
+        and the total is one ``fsum`` of mass times path cost, so it has the
+        bits of the entry-by-entry sum.  A path cost past the float range is
+        rejected.
+        """
+        if not self.cells:
+            return 0.0
+        depth = len(self.mu_paths[0])
+        odd = [len(p) for p in self.mu_paths + self.nu_paths if len(p) != depth]
+        if odd:
+            raise ValidationError(f"path length mismatch: {depth} vs {odd[0]}")
+        rows, cols = np.divmod(np.array(self.cells), len(self.nu_paths))
+        xs, x_at = np.unique(np.array(self.mu_paths), return_inverse=True)
+        ys, y_at = np.unique(np.array(self.nu_paths), return_inverse=True)
+        width = len(ys)
+        x_at = x_at.reshape(len(self.mu_paths), depth)
+        y_at = y_at.reshape(len(self.nu_paths), depth)
+        codes = x_at[rows] * width + y_at[cols]  # a value pair per entry and stage
+        pairs, pair_at = np.unique(codes, return_inverse=True)
+        xs, ys = xs.tolist(), ys.tolist()  # Python floats: ``**`` as in base_cost
+        table = np.array([metric.base_cost(xs[k // width], ys[k % width]) for k in pairs.tolist()])
+        path_cost = np.zeros(len(self.cells))
+        with np.errstate(over="ignore"):  # an overflow is inf, rejected below
+            for stage in table[pair_at.reshape(codes.shape)].T:
+                path_cost = path_cost + stage
+        if not np.isfinite(path_cost).all():
+            raise ValidationError(PATH_COST_OVERFLOW)
+        return math.fsum((np.array(self.masses) * path_cost).tolist())
 
 
 class SubtreeClasses:
@@ -224,16 +313,22 @@ def compose_plan(
     ca's children and columns over cb's in value order.  It is asked once
     per class pair reached, and its positive cells are kept.  A node is its
     history, so a leaf pair is reached once, with the product of the
-    fractions along its history pair as mass.
+    fractions along its history pair as mass; it is recorded by the two
+    leaves' ranks (``Coupling.of_leaves``), and no path is built.
     """
-    depth = mu.depth
+    depth, width = mu.depth, len(nu.leaves)
+    rank_mu = {leaf: k for k, leaf in enumerate(mu.leaves)}
+    rank_nu = {leaf: k for k, leaf in enumerate(nu.leaves)}
     plans: dict[tuple[int, int], list[tuple[int, int, float]]] = {}
-    masses: dict[tuple[tuple[float, ...], tuple[float, ...]], float] = {}
+    cells: list[int] = []
+    masses: list[float] = []
     stack = [(mu.root, nu.root, 1.0, 0)]
     while stack:
         i, j, mass, t = stack.pop()
         if t == depth:
-            masses[mu.path(i), nu.path(j)] = mass
+            if mass > 0.0:  # a product of tiny fractions can round to zero
+                cells.append(rank_mu[i] * width + rank_nu[j])
+                masses.append(mass)
             continue
         pair = of_mu[i], of_nu[j]
         if pair not in plans:
@@ -241,7 +336,7 @@ def compose_plan(
             plans[pair] = [(r, s, f) for r, row in rows for s, f in enumerate(row) if f > 0.0]
         kids_i, kids_j = mu.children(i), nu.children(j)
         stack += [(kids_i[r], kids_j[s], mass * f, t + 1) for r, s, f in plans[pair]]
-    return Coupling.from_mass_map(masses)
+    return Coupling.of_leaves(mu, nu, cells, masses)
 
 
 def nested_distance(
@@ -389,13 +484,11 @@ def brute_force_bicausal(
         res = linprog(cost, **lp)
     if not res.success:
         raise RuntimeError(f"bicausal oracle LP failed: {res.message}")
-    leaf_pairs, width = res.x[first:], len(nu.leaves)
+    leaf_pairs = res.x[first:]  # leaf pair (a, b) of ranks a, b is cell a * len(nu.leaves) + b
 
     def plan() -> Coupling:
-        return Coupling.from_mass_map({
-            (mu.path(mu.leaves[k // width]), nu.path(nu.leaves[k % width])): leaf_pairs.item(k)
-            for k in np.flatnonzero(leaf_pairs > SNAP).tolist()
-        })
+        cells = np.flatnonzero(leaf_pairs > SNAP)
+        return Coupling.of_leaves(mu, nu, cells.tolist(), leaf_pairs[cells].tolist())
 
     return NestedResult(metric.root(float(res.fun)), plan)
 

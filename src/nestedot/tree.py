@@ -171,7 +171,9 @@ def _group_by_coord(entries, coord, tol):
     Entries are sorted by the coordinate and a new group starts whenever
     the gap to the previous member exceeds ``tol`` (for tol 0 this is exact
     grouping).  The group value is the mass-weighted mean of the member
-    coordinates.
+    coordinates.  Each group comes with its shift: the largest distance
+    from a member's coordinate to the group value, which one of its two
+    end members has.
     """
     ordered = sorted(entries, key=lambda e: e[0][coord])
     groups = []
@@ -189,11 +191,13 @@ def _group_by_coord(entries, coord, tol):
     out = []
     for g in groups:
         mass = math.fsum(w for _, w in g)
-        if g[0][0][coord] == g[-1][0][coord]:
-            value = g[0][0][coord]
+        low, high = g[0][0][coord], g[-1][0][coord]
+        if low == high:
+            value, shift = low, 0.0
         else:
             value = math.fsum(p[coord] * w for p, w in g) / mass
-        out.append((value, mass, g))
+            shift = max(value - low, high - value)
+        out.append((value, mass, g, shift))
     return out
 
 
@@ -212,6 +216,14 @@ def build_tree(
     the output does not depend on input order.  With ``merge_tol`` 0 the
     induced path law of the result equals the input exactly.
     """
+    return merged_tree(pairs, merge_tol)[0]
+
+
+def merged_tree(
+    pairs: Iterable[tuple[Sequence[float], float]], merge_tol: float
+) -> tuple[ScenarioTree, float]:
+    """``build_tree``, and the largest distance from a path coordinate to
+    the value of the node it merged into (0.0 when nothing moved)."""
     law: dict[tuple[float, ...], float] = {}
     for path, w in pairs:
         key = tuple(float(v) for v in path)
@@ -239,12 +251,14 @@ def build_tree(
     # Every mass is an fsum; the sort decides which of a 0.0 and a -0.0
     # that share a node names it.
     queue = [(0, [(path, w / total) for path, w in sorted(law.items())], 0)]
+    max_shift = 0.0
     for pid, entries, stage in queue:
         if stage == depth:
             continue
         total = math.fsum(w for _, w in entries)
-        for value, mass, group in _group_by_coord(entries, stage, merge_tol):
+        for value, mass, group, shift in _group_by_coord(entries, stage, merge_tol):
             nid = len(nodes)
             nodes.append(Node(nid, pid, stage + 1, value, mass / total))
             queue.append((nid, group, stage + 1))
-    return ScenarioTree(depth, nodes)
+            max_shift = max(max_shift, shift)
+    return ScenarioTree(depth, nodes), max_shift

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import nestedot.causality as causality
 from nestedot import (
     AlreadyExtremeError,
     CausalityReport,
@@ -28,6 +29,7 @@ from nestedot.families import (
     random_tree,
     random_tree_pair,
 )
+from nestedot.io import load_coupling, save_coupling
 from reference import node_at
 
 M2 = GroundMetric.usual(2.0)
@@ -188,6 +190,20 @@ def test_plan_paths_snap_to_leaf_paths():
     report = is_bicausal(split, near, far)
     assert report.is_bicausal
     assert report.max_mu_deviation == report.max_nu_deviation == 0.0
+
+
+def test_plans_on_leaf_paths_are_not_snapped(monkeypatch, tmp_path):
+    # A solver's plan, and its file read back, hold the trees' own leaf
+    # paths, so the checker takes the leaves as they are.
+    rng = np.random.default_rng(7)
+    mu, nu = random_tree_pair(rng, 3)
+    plan = kr_coupling(mu, nu).coupling
+    save_coupling(plan, tmp_path / "plan.json")
+    loaded = load_coupling(tmp_path / "plan.json")
+    want = is_bicausal(plan, mu, nu)
+    monkeypatch.setattr(causality, "_snap", None)
+    assert is_bicausal(plan, mu, nu) == is_bicausal(loaded, mu, nu) == want
+    assert want.is_bicausal
 
 
 # ---------------------------------------------------------------- Monge

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nestedot.nested
@@ -25,7 +26,7 @@ from nestedot import (
     nested_distance,
 )
 from nestedot.cli import main
-from nestedot.families import collapsing_fan, fan_vs_merged
+from nestedot.families import collapsing_fan, fan_vs_merged, random_tree_pair
 from nestedot.io import (
     load_coupling,
     load_nested,
@@ -34,6 +35,7 @@ from nestedot.io import (
     save_nested,
     save_tree,
 )
+from test_nested import _walk
 
 
 @pytest.fixture()
@@ -398,6 +400,19 @@ def test_from_samples_variants(capsys, tmp_path):
     assert code == 0 and report["results"]["depth"] == 2
     law = dict(load_tree(out).leaf_paths())
     assert law == pytest.approx({(0.0, 1.0): 0.75, (0.0, 2.0): 0.25})
+
+
+@pytest.mark.parametrize("merge_tol, shift, leaves", [("1.0", 1.35, 1), ("0", 0.0, 4)])
+def test_from_samples_reports_the_merge_shift(capsys, tmp_path, merge_tol, shift, leaves):
+    # Adjacent gaps of 0.9 chain four values into one node at 1.35, which
+    # moves the two end values by 1.35, more than the merge tolerance.
+    csv, out = tmp_path / "samples.csv", tmp_path / "tree.json"
+    csv.write_text("0\n0.9\n1.8\n2.7\n")
+    code, report, _ = run(
+        capsys, "from-samples", "--csv", str(csv), "--merge-tol", merge_tol, "-o", str(out)
+    )
+    assert code == 0 and report["results"]["leaves"] == leaves
+    assert report["results"]["max_merge_shift"] == pytest.approx(shift, abs=1e-15)
 
 
 def test_from_samples_reads_the_first_row(capsys, tmp_path):
@@ -779,6 +794,54 @@ def test_emitted_plan_is_composed_once(pair_files, capsys, tmp_path, built_plans
     assert res.plan is res.plan
     assert built_plans == {"composed": 2, "couplings": 2}
     assert res.plan == load_coupling(plan)
+
+
+def _emitted_plan_pairs():
+    """Seeded random pairs of depth 1 to 3, then depth-6 binomial walks
+    whose step probabilities differ (a KR plan of several hundred entries)."""
+    rng = np.random.default_rng(23)
+    for k in range(24):
+        yield random_tree_pair(rng, 1 + k % 3)
+    for up_mu, up_nu in ((0.5, 0.6875), (0.25, 0.75), (0.4, 0.55), (0.3, 0.9)):
+        yield _walk(6, 1.0, up_mu), _walk(6, 1.0, up_nu)
+
+
+# sha256 of the exit codes, the results (file names aside) and the written
+# plan files of the commands below, taken before plans were held as leaf
+# pairs and written without the JSON encoder.
+PINNED_PLAN_FILES_SHA256 = "51036a6ad9fd7fa6c450f51e01cfccceb1192caf1eb41eb641f4435cecc81483"
+
+
+def test_emitted_plan_bytes_are_pinned(capsys, tmp_path):
+    metrics = (["--p", "2"], ["--p", "1.5"], ["--metric", "truncated", "--cap", "0.5", "--p", "1"])
+    outputs = ("nested", "kr", "kr_pi", "kr_tilde", "nested_pi", "nested_tilde")
+    digest = hashlib.sha256()
+    for k, (mu, nu) in enumerate(_emitted_plan_pairs()):
+        f = {name: tmp_path / f"{k}_{name}.json" for name in ("mu", "nu", *outputs)}
+        save_tree(mu, f["mu"])
+        save_tree(nu, f["nu"])
+        trees = ["--mu", str(f["mu"]), "--nu", str(f["nu"])]
+        commands = [
+            ["compute", "nested", *trees, *metrics[k % 3], "--emit-plan", str(f["nested"])],
+            ["compute", "kr", *trees, "--emit-plan", str(f["kr"])],
+        ] + [
+            argv
+            for plan in ("kr", "nested")
+            for argv in (
+                ["check", "coupling", "--plan", str(f[plan]), *trees],
+                ["split", "--plan", str(f[plan]), *trees, "--out-pi", str(f[f"{plan}_pi"]),
+                 "--out-pi-tilde", str(f[f"{plan}_tilde"])],
+            )
+        ]
+        for argv in commands:
+            code, report, _ = run(capsys, *argv)
+            results = {} if report is None else report["results"]
+            kept = {key: v for key, v in results.items() if not key.endswith("file")}
+            digest.update(json.dumps([code, kept], sort_keys=True).encode())
+        for name in outputs:
+            if f[name].exists():
+                digest.update(f[name].read_bytes())
+    assert digest.hexdigest() == PINNED_PLAN_FILES_SHA256
 
 
 def test_failed_demo_check_exits_3(capsys, monkeypatch):

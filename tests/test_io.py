@@ -3,10 +3,9 @@ import math
 
 import pytest
 
-from nestedot import Coupling, ValidationError, build_tree, embed
+from nestedot import Coupling, CouplingEntry, ValidationError, build_tree, embed
 from nestedot.io import (
     coupling_from_json,
-    coupling_to_json,
     dumps_canonical,
     load_coupling,
     load_nested,
@@ -25,6 +24,14 @@ from nestedot.io import (
 # and 1e-7 take an exponent, -0.0 has a sign, 5e-324 is the smallest
 # subnormal.
 SPECIAL = (0.1, 1e16, 1e-7, 5e-324, -0.0)
+
+
+def coupling_to_json(coupling):
+    """A plan as the JSON value its file holds."""
+    return [
+        {"mu_path": list(e.mu_path), "nu_path": list(e.nu_path), "mass": e.mass}
+        for e in coupling.entries
+    ]
 
 
 def _float_bits(obj):
@@ -56,6 +63,28 @@ def test_files_round_trip_bit_for_bit(tmp_path):
         after = to_json(load(path))
         assert after == before
         assert _float_bits(after) == _float_bits(before)
+
+
+def test_plan_writer_matches_the_json_encoder(tmp_path):
+    # save_coupling writes the text itself; it must be the encoder's, byte
+    # for byte, on the values whose text is easy to get wrong.
+    values = (*SPECIAL, 1e300, -1e300, 2.5)
+    masses = (0.1, 1e-7, 5e-324, 1e300, 0.5, 2.0, 1e16, 1.0)
+    pairs = zip(values, reversed(values), masses)
+    plans = [Coupling([]), Coupling(CouplingEntry((x, -x), (y,), m) for x, y, m in pairs)]
+    for k, plan in enumerate(plans):
+        path = tmp_path / f"plan{k}.json"
+        save_coupling(plan, path)
+        assert path.read_text() == dumps_canonical(coupling_to_json(plan)) + "\n"
+        assert load_coupling(path) == plan
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_plan_writer_rejects_non_finite_paths(tmp_path, bad):
+    plan = Coupling([CouplingEntry((0.0, bad), (1.0, 2.0), 1.0)])
+    with pytest.raises(ValidationError, match="cannot serialize: "):
+        save_coupling(plan, tmp_path / "plan.json")
+    assert not (tmp_path / "plan.json").exists()
 
 
 def test_dumps_canonical_is_sorted_and_compact():

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from nestedot import (
     embed,
     is_bicausal,
     is_causal,
+    kr_coupling,
     kr_distance,
     nested_distance,
     nested_wasserstein,
@@ -35,6 +37,7 @@ from nestedot.families import (
     random_tree,
     random_tree_pair,
 )
+from nestedot.io import load_coupling, save_coupling
 from nestedot.nested import _law, _solve, backward, compose_plan, tree_classes
 from nestedot.tolerances import ORACLE_TOL
 from path_pair_oracle import path_pair_bicausal
@@ -429,6 +432,67 @@ def test_coupling_rejects_duplicate_entries():
     entry = CouplingEntry((0.0,), (1.0,), 0.5)
     with pytest.raises(ValidationError, match="duplicate coupling entries"):
         Coupling((entry, entry))
+
+
+@pytest.mark.parametrize("mass", [float("nan"), -0.5])
+def test_mass_map_rejects_what_entries_reject(mass):
+    # A NaN or negative mass used to be dropped without a word.
+    masses = {((0.0,), (0.0,)): mass, ((1.0,), (1.0,)): 1.0}
+    with pytest.raises(ValidationError, match="coupling mass must be positive"):
+        Coupling.from_mass_map(masses)
+    masses[(0.0,), (0.0,)] = -0.0
+    assert Coupling.from_mass_map(masses).entries == (((1.0,), (1.0,), 1.0),)
+
+
+def test_plan_paths_are_interned_by_value():
+    # Paths equal by == are one path: the second keeps the first's zero sign.
+    plan = Coupling([CouplingEntry((0.0,), (1.0,), 0.5), CouplingEntry((-0.0,), (2.0,), 0.5)])
+    assert [math.copysign(1.0, x) for (x,) in plan.mu_paths] == [1.0]
+    assert [e.mu_path for e in plan.entries] == [(0.0,), (0.0,)]
+    with pytest.raises(ValidationError, match="duplicate coupling entries"):
+        Coupling([CouplingEntry((0.0,), (1.0,), 0.5), CouplingEntry((-0.0,), (1.0,), 0.5)])
+
+
+COST_METRICS = [
+    make(p, *cap) for p in (1.0, 1.5, 2.0)
+    for make, cap in ((GroundMetric.usual, ()), (GroundMetric.truncated, (0.5,)))
+]
+
+
+def test_plan_cost_is_the_entry_fsum_bit_for_bit(tmp_path):
+    # Coupling.cost prices each stage once and gathers; it must give the
+    # bits of the sum over entries of mass times path cost.
+    rng = np.random.default_rng(2323)
+    for k in range(300):
+        mu, nu = random_tree_pair(rng, 1 + k % 3)
+        made_with = COST_METRICS[k % len(COST_METRICS)]
+        plans = [
+            nested_distance(mu, nu, made_with).plan,
+            kr_coupling(mu, nu).coupling,
+            brute_force_bicausal(mu, nu, made_with).plan,
+        ]
+        save_coupling(plans[k % 3], tmp_path / "plan.json")
+        plans.append(load_coupling(tmp_path / "plan.json"))
+        for plan in plans:
+            for metric in COST_METRICS:
+                want = math.fsum(
+                    e.mass * metric.path_cost(e.mu_path, e.nu_path) for e in plan.entries
+                )
+                assert plan.cost(metric).hex() == want.hex()
+
+
+@pytest.mark.parametrize(
+    "nu_path, message",
+    [((1e154, 1e154), "cost overflows: a path cost passes the float range"),
+     ((1e300, 0.0), "cost overflows: base distance 1e+300 to the power 2.0")],
+)
+def test_plan_cost_overflow_is_named(nu_path, message):
+    plan = Coupling(
+        [CouplingEntry((0.0, 0.0), (0.0, 0.0), 0.5), CouplingEntry((0.0, 0.0), nu_path, 0.5)]
+    )
+    with pytest.raises(ValidationError) as exc:
+        plan.cost(M2)
+    assert str(exc.value) == message
 
 
 def test_families_reject_empty_sizes():
