@@ -8,19 +8,18 @@ definition by the chain rule of disintegration.  All conditioning is on
 positive-mass histories only.
 
 On a tree a node is its history, so the checkers work on node ids: each
-distinct plan path is matched once to a leaf (a plan whose paths are the
-tree's leaf paths, as a solver's are, needs no matching), and one pass
-up the stages sums the plan's mass onto every pair of same-stage nodes,
-compares the child masses of each pair with the two kernels, and
-collects the law of y_t given each x-history for the Monge tests and the
-splitter.
+distinct plan path that an entry uses is matched once to a leaf, and
+one pass up the stages sums the plan's mass onto every pair of
+same-stage nodes, compares the child masses of each pair with the two
+kernels, and collects the law of y_t given each x-history for the Monge
+tests and the splitter.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .errors import AlreadyExtremeError, NotCausalError, ValidationError
 from .nested import Coupling, check_depths
@@ -63,8 +62,9 @@ def _leaf_masses(
     gamma: Coupling, mu: ScenarioTree, nu: ScenarioTree
 ) -> dict[tuple[int, int], float]:
     """Plan mass on every (mu leaf, nu leaf) pair, in the plan's entry order."""
-    rows, cols = _leaves_of(gamma.mu_paths, mu), _leaves_of(gamma.nu_paths, nu)
-    width = len(cols)
+    width = len(gamma.nu_paths)
+    rows = _leaves_of(gamma.mu_paths, {c // width for c in gamma.cells}, mu)
+    cols = _leaves_of(gamma.nu_paths, {c % width for c in gamma.cells}, nu)
     out: dict[tuple[int, int], float] = {}
     for c, m in zip(gamma.cells, gamma.masses):
         key = (rows[c // width], cols[c % width])
@@ -72,16 +72,14 @@ def _leaf_masses(
     return out
 
 
-def _leaves_of(paths: tuple[tuple[float, ...], ...], tree: ScenarioTree) -> Sequence[int]:
-    """The leaf of each distinct plan path.  Paths that are the tree's leaf
-    paths in leaf order, as a solver's plan and its file hold them, are the
-    leaves themselves; otherwise each path is matched to a leaf path once,
-    exactly or else within ``TOL`` per coordinate."""
-    leaf_paths = tuple(map(tree.path, tree.leaves))
-    if paths == leaf_paths:
-        return tree.leaves
-    leaf_of = dict(zip(leaf_paths, tree.leaves))
-    return [_snap(path, leaf_of) for path in paths]
+def _leaves_of(
+    paths: tuple[tuple[float, ...], ...], used: set[int], tree: ScenarioTree
+) -> dict[int, int]:
+    """The leaf of each plan path that an entry uses, by path rank.  A
+    solver's plan also holds the leaf paths that no entry uses, and those
+    need not be paths of ``tree`` (when it is rebuilt from the entries)."""
+    leaf_of = {tree.path(k): k for k in tree.leaves}
+    return {a: _snap(paths[a], leaf_of) for a in used}
 
 
 def _snap(path: tuple[float, ...], leaf_of: dict[tuple[float, ...], int]) -> int:

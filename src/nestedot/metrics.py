@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -12,6 +14,23 @@ USUAL = "usual"
 TRUNCATED = "truncated"
 # The one report of a sum of finite per-stage costs that passes the float range.
 PATH_COST_OVERFLOW = "cost overflows: a path cost passes the float range"
+
+
+def add_stages(stage_costs: Iterable):
+    """The path cost of one path pair from its per-stage costs (floats), or
+    of many path pairs at once (arrays): the stages are added one by one,
+    stage 1 first.  Every path cost of the package is added here, so all
+    have the bits of this one order; ``sum`` is not used, as from Python
+    3.12 on it compensates float sums.  A sum past the float range is
+    rejected.
+    """
+    total = 0.0
+    with np.errstate(over="ignore"):  # an overflow is inf, rejected below
+        for cost in stage_costs:
+            total = total + cost
+    if not np.isfinite(total).all():
+        raise ValidationError(PATH_COST_OVERFLOW)
+    return total
 
 
 @dataclass(frozen=True)
@@ -60,14 +79,11 @@ class GroundMetric:
             ) from None
 
     def path_cost(self, x: Sequence[float], y: Sequence[float]) -> float:
-        """Sum over coordinates of the p-th power of the base distance; a sum
-        too large for a float is rejected."""
+        """Sum over coordinates of the p-th power of the base distance, added
+        by ``add_stages``; a sum too large for a float is rejected."""
         if len(x) != len(y):
             raise ValidationError(f"path length mismatch: {len(x)} vs {len(y)}")
-        total = sum(self.base_cost(a, b) for a, b in zip(x, y))
-        if not math.isfinite(total):
-            raise ValidationError(PATH_COST_OVERFLOW)
-        return total
+        return add_stages(self.base_cost(a, b) for a, b in zip(x, y))
 
     def root(self, cost_p: float) -> float:
         """Map an accumulated p-th-power cost back to distance scale."""

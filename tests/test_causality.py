@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-import nestedot.causality as causality
 from nestedot import (
     AlreadyExtremeError,
     CausalityReport,
@@ -12,6 +11,7 @@ from nestedot import (
     GroundMetric,
     NotCausalError,
     ValidationError,
+    brute_force_bicausal,
     build_tree,
     is_bicausal,
     is_causal,
@@ -29,7 +29,6 @@ from nestedot.families import (
     random_tree,
     random_tree_pair,
 )
-from nestedot.io import load_coupling, save_coupling
 from reference import node_at
 
 M2 = GroundMetric.usual(2.0)
@@ -192,18 +191,21 @@ def test_plan_paths_snap_to_leaf_paths():
     assert report.max_mu_deviation == report.max_nu_deviation == 0.0
 
 
-def test_plans_on_leaf_paths_are_not_snapped(monkeypatch, tmp_path):
-    # A solver's plan, and its file read back, hold the trees' own leaf
-    # paths, so the checker takes the leaves as they are.
-    rng = np.random.default_rng(7)
-    mu, nu = random_tree_pair(rng, 3)
-    plan = kr_coupling(mu, nu).coupling
-    save_coupling(plan, tmp_path / "plan.json")
-    loaded = load_coupling(tmp_path / "plan.json")
-    want = is_bicausal(plan, mu, nu)
-    monkeypatch.setattr(causality, "_snap", None)
-    assert is_bicausal(plan, mu, nu) == is_bicausal(loaded, mu, nu) == want
-    assert want.is_bicausal
+def test_plan_that_misses_a_tiny_leaf_is_checked_without_nu():
+    # The oracle keeps only cells above SNAP, so the nu leaf of mass 1e-13
+    # gets no entry, while the plan still holds that leaf's path.  With nu
+    # omitted the checkers rebuild nu from the entries, where that path is
+    # no leaf path; only the paths the entries use are matched.
+    mu = build_tree([((0.0, 0.0), 0.5), ((0.0, 1.0), 0.5)])
+    nu = build_tree([((0.0, 0.0), 0.5), ((1.0, 2.0), 0.5 - 1e-13), ((1.0, 3.0), 1e-13)])
+    plan = brute_force_bicausal(mu, nu, M2).plan
+    assert (1.0, 3.0) in plan.nu_paths
+    assert (1.0, 3.0) not in {e.nu_path for e in plan.entries}
+    assert is_causal(plan, mu).is_causal
+    assert is_bicausal(plan, mu, nu).is_bicausal
+    res = split_non_extreme(plan, mu)
+    assert 0.0 < res.lam < 1.0
+    assert is_causal(res.pi, mu).is_causal and is_causal(res.pi_tilde, mu).is_causal
 
 
 # ---------------------------------------------------------------- Monge

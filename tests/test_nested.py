@@ -481,6 +481,18 @@ def test_plan_cost_is_the_entry_fsum_bit_for_bit(tmp_path):
                 assert plan.cost(metric).hex() == want.hex()
 
 
+def test_path_costs_add_stage_1_first():
+    # 1e16 + 1 rounds back to 1e16, so added from stage 1 on the path cost
+    # is 1e16; a compensated sum (Python's sum() of floats from 3.12 on)
+    # gives 1e16 + 2.  The path cost, a plan's cost and the Wasserstein
+    # solve's leaf-pair costs all take the first.
+    metric = GroundMetric.usual(1.0)
+    x, y = (0.0, 0.0, 0.0), (1e16, 1.0, 1.0)
+    assert metric.path_cost(x, y) == 1e16
+    assert Coupling([CouplingEntry(x, y, 1.0)]).cost(metric) == 1e16
+    assert wasserstein_distance(build_tree([(x, 1.0)]), build_tree([(y, 1.0)]), metric) == 1e16
+
+
 @pytest.mark.parametrize(
     "nu_path, message",
     [((1e154, 1e154), "cost overflows: a path cost passes the float range"),
