@@ -12,7 +12,9 @@ distinct plan path that an entry uses is matched once to a leaf, and
 one pass up the stages sums the plan's mass onto every pair of
 same-stage nodes, compares the child masses of each pair with the two
 kernels, and collects the law of y_t given each x-history for the Monge
-tests and the splitter.
+tests and the splitter.  The pass reads the plan's cells and masses
+and the trees' parent, value and conditional-probability tables; it
+builds no path or node record per cell.
 """
 
 from __future__ import annotations
@@ -106,6 +108,16 @@ def _marginal_deviation(masses, tree: ScenarioTree, side: int) -> float:
     return max(abs(tree.mass(k) - marg.get(k, 0.0)) for k in tree.leaves)
 
 
+def _tables(tree: ScenarioTree) -> tuple[dict[int, int], dict[int, float], dict[int, float]]:
+    """The parent, value and conditional probability of every non-root node."""
+    nodes = [tree.node(k) for t in range(1, tree.depth + 1) for k in tree.nodes_at_stage(t)]
+    return (
+        {n.id: n.parent for n in nodes},
+        {n.id: n.value for n in nodes},
+        {n.id: n.cond_prob for n in nodes},
+    )
+
+
 def _history(tree: ScenarioTree, nid: int) -> list[int]:
     """The nodes from stage 1 down to ``nid``."""
     out = []
@@ -124,7 +136,8 @@ def _analyze(gamma: Coupling, mu: ScenarioTree, nu: ScenarioTree | None, tol: fl
     of every mu node i of stage t whose law is not a point mass.
     """
     if nu is None:
-        nu = build_tree((e.nu_path, e.mass) for e in gamma.entries)
+        width = len(gamma.nu_paths)
+        nu = build_tree((gamma.nu_paths[c % width], m) for c, m in zip(gamma.cells, gamma.masses))
     check_depths(mu, nu)
     masses = _leaf_masses(gamma, mu, nu)
     dev = _marginal_deviation(masses, mu, 0)
@@ -134,6 +147,9 @@ def _analyze(gamma: Coupling, mu: ScenarioTree, nu: ScenarioTree | None, tol: fl
     # From the leaves up, each stage sums the mass of every pair of stage-t
     # nodes onto the pair of their parents, then compares each parent
     # pair's child masses with the two trees' kernels.
+    mu_up, _, mu_prob = _tables(mu)
+    nu_up, nu_value, nu_prob = _tables(nu)
+    mu_kids, nu_kids = mu.children, nu.children
     violations: list[Violation] = []
     worst = {"mu": 0.0, "nu": 0.0}
     y_law: dict[int, dict[float, float]] = {}
@@ -142,9 +158,9 @@ def _analyze(gamma: Coupling, mu: ScenarioTree, nu: ScenarioTree | None, tol: fl
         parents: dict[tuple[int, int], list] = {}
         for (i, j), m in cells.items():
             law = y_law.setdefault(i, {})
-            y = nu.node(j).value
+            y = nu_value[j]
             law[y] = law.get(y, 0.0) + m
-            key = (mu.node(i).parent, nu.node(j).parent)
+            key = (mu_up[i], nu_up[j])
             cell = parents.get(key)
             if cell is None:
                 cell = parents[key] = [0.0, {}, {}]
@@ -152,11 +168,11 @@ def _analyze(gamma: Coupling, mu: ScenarioTree, nu: ScenarioTree | None, tol: fl
             cell[1][i] = cell[1].get(i, 0.0) + m
             cell[2][j] = cell[2].get(j, 0.0) + m
         for (pi, pj), (mass, x_kids, y_kids) in parents.items():
-            for side, tree, node, kids in (("mu", mu, pi, x_kids), ("nu", nu, pj, y_kids)):
-                dev = max(
-                    abs(kids.get(k, 0.0) / mass - tree.node(k).cond_prob)
-                    for k in tree.children(node)
-                )
+            devs = (
+                ("mu", max([abs(x_kids.get(k, 0.0) / mass - mu_prob[k]) for k in mu_kids(pi)])),
+                ("nu", max([abs(y_kids.get(k, 0.0) / mass - nu_prob[k]) for k in nu_kids(pj)])),
+            )
+            for side, dev in devs:
                 worst[side] = max(worst[side], dev)
                 if dev > tol:
                     violations.append(Violation(t, mu.path(pi), nu.path(pj), side, dev))
@@ -180,7 +196,7 @@ def _analyze(gamma: Coupling, mu: ScenarioTree, nu: ScenarioTree | None, tol: fl
         stage = [i for i in mu.nodes_at_stage(t) if i in y_law]
         for i in stage:
             law = y_law[i]
-            images[i] = images[mu.node(i).parent] + (max(law, key=law.get),)
+            images[i] = images[mu_up[i]] + (max(law, key=law.get),)
         invertible = len({images[i] for i in stage}) == len(stage)
 
     causal = worst["mu"] <= tol

@@ -5,7 +5,10 @@ their shortest round-trip text (every value reads back bit for bit),
 object keys sorted, no spaces, so identical data produces byte-identical
 files.  A plan is written straight from its leaf-pair form, without the
 encoder: each distinct path's text is built once, and each entry fills
-one text template.
+one text template.  It is read back into the same form: each entry is
+type-checked and its paths interned as they are read, each distinct
+path is made floats once, and the plan passes the one check of
+``Coupling``.
 """
 
 from __future__ import annotations
@@ -15,11 +18,11 @@ import hashlib
 import json
 import math
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from .embedding import NestedAtom, NestedDistribution
 from .errors import ValidationError
-from .nested import Coupling, CouplingEntry
+from .nested import Coupling
 from .tree import Node, ScenarioTree
 
 
@@ -60,13 +63,6 @@ def _typed(value: Any, types: frozenset = _NUMBER) -> Any:
     if type(value) not in types:
         raise TypeError(f"unexpected JSON type {type(value).__name__}")
     return value
-
-
-def _numbers(value: Any, what: str) -> tuple[float, ...]:
-    """A JSON array of numbers as a tuple of floats, else TypeError."""
-    if not _NUMBER.issuperset(map(type, _array(value, what))):
-        raise TypeError(f"{what} must hold numbers only, got {value!r}")
-    return tuple(map(float, value))
 
 
 def _read_json(path: str | Path, what: str) -> Any:
@@ -151,20 +147,30 @@ def load_tree(path: str | Path) -> ScenarioTree:
 # ---------------------------------------------------------------- plans
 
 
-def coupling_from_json(obj: Any) -> Coupling:
-    entries = []
+def _plan_entries(obj: Any) -> Iterator[tuple[tuple, tuple, float]]:
+    """Each entry of a plan's JSON value as (mu path, nu path, mass), the
+    paths as read and the mass a float.  Every entry is type-checked:
+    ``true == 1``, so a bad path can equal a path that was interned before."""
     for d in _array(obj, "plan JSON"):
         try:
-            entries.append(
-                CouplingEntry(
-                    _numbers(d["mu_path"], "'mu_path'"),
-                    _numbers(d["nu_path"], "'nu_path'"),
-                    float(_typed(d["mass"])),
-                )
-            )
+            x, y, m = d["mu_path"], d["nu_path"], d["mass"]
+            if type(m) not in _NUMBER or not _NUMBER.issuperset(map(type, x + y)):
+                raise TypeError("a plan entry holds two arrays of numbers and a number")
+            entry = tuple(x), tuple(y), float(m)
         except (TypeError, KeyError, OverflowError) as exc:
             raise ValidationError(f"malformed plan entry {d!r}") from exc
-    return Coupling(tuple(entries))
+        yield entry
+
+
+def coupling_from_json(obj: Any) -> Coupling:
+    """The plan of a JSON array of ``{"mu_path", "nu_path", "mass"}``
+    objects.  ``Coupling`` interns the paths as the entries are read and
+    makes each distinct path floats once; a value past the float range
+    is a malformed path."""
+    try:
+        return Coupling(_plan_entries(obj))
+    except OverflowError as exc:
+        raise ValidationError(f"malformed plan path: {exc}") from exc
 
 
 def _float_list(values: tuple[float, ...]) -> str:

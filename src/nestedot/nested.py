@@ -51,13 +51,15 @@ class CouplingEntry(NamedTuple):
     mass: float
 
 
-def _ranked(paths: list) -> tuple[tuple[tuple[float, ...], ...], list[int]]:
+def _ranked(paths: Iterable) -> tuple[tuple[tuple[float, ...], ...], list[int]]:
     """The distinct paths in path order, as tuples of floats, and the rank
-    of each path among them.  Paths equal by ``==`` are one path, so two
-    that differ only in the sign of a zero share the first one's sign."""
+    among them of each path given.  Paths equal by ``==`` are one path, so
+    two that differ only in the sign of a zero share the first one's sign.
+    A value past the float range raises OverflowError."""
+    paths = [tuple(map(float, path)) for path in paths]
     distinct = sorted(set(paths))
     rank = {path: k for k, path in enumerate(distinct)}
-    return tuple(tuple(map(float, path)) for path in distinct), [rank[p] for p in paths]
+    return tuple(distinct), [rank[p] for p in paths]
 
 
 def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -75,22 +77,30 @@ class Coupling:
     A plan is held as its distinct mu paths and nu paths, each in path
     order, and per entry a cell ``a * len(nu_paths) + b`` (mu path a, nu
     path b) and a float mass, in cell order, which is path-pair order.
-    ``Coupling(entries)`` and ``from_mass_map`` intern the entries' paths; a
-    solver hands over the two trees' leaf paths and leaf-rank cells
-    (``of_leaves``), so its path lists can hold leaves that no entry uses
-    (a leaf of mass below ``SNAP`` in an oracle plan).  Both go through
-    ``__post_init__``, which checks the masses and orders the cells.
+    ``Coupling(entries)``, which ``from_mass_map`` and the plan loader
+    (``io.coupling_from_json``) call, interns the entries' paths as it
+    reads them; a solver hands over the two trees' leaf paths and
+    leaf-rank cells (``of_leaves``), so its path lists can hold leaves
+    that no entry uses (a leaf of mass below ``SNAP`` in an oracle plan).
+    Both go through ``__post_init__``, which checks the masses and orders
+    the cells.
     ``entries`` is built on its first read, and ``==`` compares entries.
     Instances are not changed after construction.
     """
 
     def __init__(self, entries: Iterable[CouplingEntry]):
-        entries = tuple(entries)
-        self.mu_paths, rows = _ranked([e.mu_path for e in entries])
-        self.nu_paths, cols = _ranked([e.nu_path for e in entries])
+        # Each path gets an id on its first sight; ``_ranked`` then orders
+        # and merges the distinct paths, so no path is built per entry.
+        mu, nu, rows, cols, masses = {}, {}, [], [], []
+        for x, y, m in entries:
+            rows.append(mu.setdefault(x, len(mu)))
+            cols.append(nu.setdefault(y, len(nu)))
+            masses.append(m)
+        self.mu_paths, mu_rank = _ranked(mu)
+        self.nu_paths, nu_rank = _ranked(nu)
         width = len(self.nu_paths)
-        self.cells = [a * width + b for a, b in zip(rows, cols)]
-        self.masses = [e.mass for e in entries]
+        self.cells = [mu_rank[a] * width + nu_rank[b] for a, b in zip(rows, cols)]
+        self.masses = masses
         self.__post_init__()
 
     @classmethod
@@ -124,7 +134,7 @@ class Coupling:
     ) -> "Coupling":
         """The plan of the nonzero masses of a map; any other mass that is
         not positive is rejected as in ``Coupling(entries)``."""
-        return cls(CouplingEntry(x, y, m) for (x, y), m in masses.items() if m != 0.0)
+        return cls((x, y, m) for (x, y), m in masses.items() if m != 0.0)
 
     @functools.cached_property
     def entries(self) -> tuple[CouplingEntry, ...]:

@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -444,3 +447,79 @@ def test_report_flags_consistent():
     rep = is_bicausal(product_coupling(fan, merged), fan, merged)
     assert rep.is_bicausal <= rep.is_causal
     assert rep.is_invertible_monge <= rep.is_monge_adapted
+
+
+# ------------------------------------------------------------ report pins
+
+
+def _crossed_product(rng, mu, nu):
+    """The product plan with mass d moved around a random 2x2 rectangle of
+    cells (+d, -d, +d, -d): both marginals stay, and the kernels break
+    unless the rectangle differs only in last coordinates."""
+    masses = mass_map(product_coupling(mu, nu))
+    xs = sorted({x for x, _ in masses})
+    ys = sorted({y for _, y in masses})
+    if len(xs) > 1 and len(ys) > 1:
+        x1, x2 = (xs[k] for k in rng.choice(len(xs), 2, replace=False))
+        y1, y2 = (ys[k] for k in rng.choice(len(ys), 2, replace=False))
+        corners = ((x1, y1, 1.0), (x2, y2, 1.0), (x1, y2, -1.0), (x2, y1, -1.0))
+        d = 0.5 * min(masses[x, y] for x, y, _ in corners)
+        for x, y, sign in corners:
+            masses[x, y] += sign * d
+    return Coupling.from_mass_map(masses)
+
+
+def _report_pin_cases():
+    """Seeded plans that are not causal (crossed products) and causal plans
+    that are not Monge (products, Monge mixtures), with their trees."""
+    rng = np.random.default_rng(24)
+    for k in range(18):
+        depth = 1 + k % 3
+        mu, nu = random_tree_pair(rng, depth)
+        yield mu, nu, _crossed_product(rng, mu, nu)
+        yield mu, nu, product_coupling(mu, nu)
+        tree = random_tree(rng, depth, max_leaves=8)
+        gamma, image, _ = random_monge_mixture(rng, tree)
+        yield tree, image, gamma
+
+
+def _outcome(call, *args):
+    """A call's result as JSON-ready data, or its error's type and text."""
+    try:
+        res = call(*args)
+    except (ValidationError, NotCausalError, AlreadyExtremeError) as exc:
+        return [type(exc).__name__, str(exc)]
+    if isinstance(res, CausalityReport):
+        return dataclasses.asdict(res)
+    return [
+        res.lam,
+        [list(e) for e in res.pi.entries],
+        [list(e) for e in res.pi_tilde.entries],
+        list(res.tau_per_history.items()),
+        list(res.j_per_history.items()),
+    ]
+
+
+# sha256 of the reports and splits below (violations in order, every
+# deviation and mass as shortest round-trip text), taken before the
+# checkers read the trees' node tables and plans were loaded as ranks.
+PINNED_REPORTS_SHA256 = "5ffca6440f1342cdda2db56bc6dc5e6e6d545a6d77468f24dce297f404f19b5f"
+
+
+def test_reports_on_non_causal_and_non_monge_plans_are_pinned():
+    digest = hashlib.sha256()
+    seen = {"violations": 0, "not causal": 0, "splits": 0}
+    for mu, nu, plan in _report_pin_cases():
+        outcomes = [
+            _outcome(is_bicausal, plan, mu, nu),
+            _outcome(is_causal, plan, mu),
+            _outcome(split_non_extreme, plan, mu),
+            _outcome(split_non_extreme, plan, mu, nu),
+        ]
+        report = outcomes[0]
+        seen["violations"] += len(report["violations"])
+        seen["not causal"] += not report["is_causal"]
+        seen["splits"] += sum(type(out[0]) is float for out in outcomes[2:])
+        digest.update(json.dumps(outcomes, sort_keys=True).encode())
+    assert min(seen.values()) > 5, seen
+    assert digest.hexdigest() == PINNED_REPORTS_SHA256

@@ -1,9 +1,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from nestedot import Coupling, CouplingEntry, ValidationError, build_tree, embed
+from nestedot import Coupling, CouplingEntry, ValidationError, build_tree, embed, kr_coupling
+from nestedot.families import random_tree_pair
 from nestedot.io import (
     coupling_from_json,
     dumps_canonical,
@@ -218,13 +220,58 @@ def test_tree_loader_reads_only_json_numbers(fields):
         {"nu_path": [True]},
         {"mass": "1"},
         {"mass": True},
+        {"mu_path": [True, 2.0]},
     ],
 )
 def test_plan_loader_reads_only_json_numbers(fields):
     entry = {"mu_path": [1, 2.0], "nu_path": [1.0], "mass": 1}
     assert coupling_from_json([entry]).entries[0] == ((1.0, 2.0), (1.0,), 1.0)
-    with pytest.raises(ValidationError, match="malformed plan entry"):
-        coupling_from_json([{**entry, **fields}])
+    # In the second plan the bad entry follows one whose paths equal its
+    # own by ``==`` (True == 1), so a path seen before is checked too.
+    other = {"mu_path": [3.0, 2.0], "nu_path": [2.0], "mass": 1}
+    for plan in ([{**entry, **fields}], [entry, {**other, **fields}]):
+        with pytest.raises(ValidationError, match="malformed plan entry"):
+            coupling_from_json(plan)
+
+
+def _signed_json_paths(rng, plan):
+    """A plan's entries as JSON objects in random order, each integral path
+    value written as a JSON int, a float or, for zero, -0.0."""
+
+    def value(v):
+        if not v.is_integer():
+            return v
+        return [int(v), v, -v if v == 0.0 else v][rng.integers(3)]
+
+    entries = [plan.entries[k] for k in rng.permutation(len(plan))]
+    return [
+        {"mu_path": list(map(value, x)), "nu_path": list(map(value, y)), "mass": m}
+        for x, y, m in entries
+    ]
+
+
+def test_plan_loader_interns_as_the_entries_form():
+    rng = np.random.default_rng(24)
+    signs = set()
+    for k in range(24):
+        mu, nu = random_tree_pair(rng, 1 + k % 3)
+        obj = _signed_json_paths(rng, kr_coupling(mu, nu).coupling)
+        loaded = coupling_from_json(obj)
+        assert "entries" not in loaded.__dict__
+        built = Coupling(
+            CouplingEntry(tuple(d["mu_path"]), tuple(d["nu_path"]), d["mass"]) for d in obj
+        )
+        # repr tells -0.0 from 0.0 and 1 from 1.0
+        fields = ("mu_paths", "nu_paths", "cells", "masses")
+        assert [repr(getattr(loaded, f)) for f in fields] == [repr(getattr(built, f)) for f in fields]
+        # the first-seen sign of an equal path wins
+        for d in obj:
+            for key, paths in (("mu_path", loaded.mu_paths), ("nu_path", loaded.nu_paths)):
+                kept = paths[paths.index(tuple(d[key]))]
+                first = next(e[key] for e in obj if e[key] == d[key])
+                assert repr(kept) == repr(tuple(map(float, first)))
+                signs.add(repr(kept) != repr(tuple(map(float, d[key]))))
+    assert signs == {False, True}
 
 
 @pytest.mark.parametrize("fields", [{"mass": "1"}, {"mass": True}, {"value": "0"}, {"value": False}])
@@ -238,8 +285,14 @@ def test_nested_loader_reads_only_json_numbers(fields):
 @pytest.mark.parametrize("digits", [400, 5000])
 def test_loaders_reject_integers_too_large_to_read(tmp_path, digits):
     # 400 digits overflow float(); 5000 exceed int()'s digit limit in json.
-    text = json.dumps(_tree_json()).replace('"value": 0.5', '"value": 1' + "0" * digits)
-    path = tmp_path / "big.json"
-    path.write_text(text)
-    with pytest.raises(ValidationError):
-        load_tree(path)
+    big = "1" + "0" * digits
+    text = json.dumps(_tree_json()).replace('"value": 0.5', f'"value": {big}')
+    atom = '{"atoms":[{"mass":1,"value":%s,"next":null}]}'
+    plans = ['[{"mass":1,"mu_path":[%s],"nu_path":[0.5]}]', '[{"mass":%s,"mu_path":[1],"nu_path":[0.5]}]']
+    cases = [(text, load_tree), (atom % big, load_nested)]
+    cases += [(plan % big, load_coupling) for plan in plans]
+    for k, (body, load) in enumerate(cases):
+        path = tmp_path / f"big{k}.json"
+        path.write_text(body)
+        with pytest.raises(ValidationError):
+            load(path)
