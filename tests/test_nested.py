@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -753,3 +754,41 @@ def test_deep_walk_lazy_table(monkeypatch):
     downs = [node_at(nu, h) for h in ((0.25, 0.0), (-0.25, 0.0))]
     assert len({value(i, j) for i in ups for j in downs}) == 1
     assert _continuation(nu, mu, M2)(downs[0], ups[1]) == value(ups[1], downs[0])
+
+
+def _bit_pin_cases():
+    """Seeded random pairs (depth 1-4), full trees of branching up to 6 with
+    tied values and weights, and dyadic walks, under p = 1, 1.5, 2 and the
+    truncated metric."""
+    metrics = [M1, GroundMetric.usual(1.5), M2, GroundMetric.truncated(1.0, cap=0.5)]
+    rng = np.random.default_rng(31415)
+    for k in range(48):
+        yield (*random_tree_pair(rng, 1 + k % 4), metrics[k % 4])
+    full = [
+        (([6, 5], lambda t, k: 1.0, lambda t, k: float(k)),
+         ([5, 6], lambda t, k: 1.0 + k % 3, lambda t, k: float(k % 4) - t)),
+        (([4, 6, 2], lambda t, k: 1.0 + k, lambda t, k: 0.5 * k),
+         ([6, 4, 2], lambda t, k: 1.0, lambda t, k: 0.25 * k + t)),
+        (([3, 4, 3], lambda t, k: 2.0 ** -k, lambda t, k: float(k)),
+         ([4, 3, 4], lambda t, k: 1.0, lambda t, k: float(k))),
+        (([6], lambda t, k: 1e-12 if k == 2 else 1.0, lambda t, k: float(k)),
+         ([6], lambda t, k: 1.0 + k, lambda t, k: float(5 - k))),
+    ]
+    for first, second in full:
+        for metric in metrics:
+            yield full_tree(*first), full_tree(*second), metric
+    for metric in metrics:
+        yield dyadic_walk(4, 0.5, 0.5), dyadic_walk(4, 0.25, 0.75), metric
+
+
+def test_nested_bits_are_pinned():
+    # sha256 of the distance, the lifted distance and the composed plan, taken
+    # before the recursion's subproblems moved to Python lists.
+    digest = hashlib.sha256()
+    for mu, nu, metric in _bit_pin_cases():
+        res = nested_distance(mu, nu, metric)
+        lifted = nested_wasserstein(embed(mu), embed(nu), metric)
+        digest.update(f"{res.distance.hex()} {lifted.hex()}".encode())
+        for e in res.plan.entries:
+            digest.update(f"{e.mu_path!r} {e.nu_path!r} {e.mass.hex()}".encode())
+    assert digest.hexdigest() == "3daab9f7e6e34e38160cf7cfff3c0beedc65280ae6b05e50d3a21338ebaec9f2"

@@ -640,3 +640,47 @@ def test_simplex_out_of_pivots_raises(monkeypatch):
     _pivot_limits_set(monkeypatch, max_iter=1)
     with pytest.raises(RuntimeError, match="transportation simplex did not converge"):
         solve_ot(cost, third, third)
+
+
+def _bit_pin_instances():
+    """solve_ot inputs from 1x1 to 40x40: uniform, tied integer and
+    eighth-lattice costs, zero masses, and all-``-0.0`` costs."""
+    rng = np.random.default_rng(8128)
+    shapes = [(1, 1), (1, 6), (6, 1), (2, 2), (2, 7), (7, 2), (3, 3), (3, 5), (4, 4),
+              (5, 6), (6, 6), (7, 7), (8, 8), (6, 11), (12, 12), (16, 16), (20, 13),
+              (24, 24), (40, 40)]
+    for m, n in shapes:
+        for kind in range(3):
+            if kind == 0:
+                cost = rng.integers(0, 4, size=(m, n)).astype(float)
+            elif kind == 1:
+                cost = rng.uniform(0.0, 5.0, size=(m, n))
+            else:
+                cost = rng.integers(0, 16, size=(m, n)) / 8
+            zeros = kind != 1
+            yield cost, _masses(rng, m, zeros), _masses(rng, n, zeros)
+    for m, n in [(1, 1), (1, 3), (2, 2), (3, 2), (3, 3), (3, 4), (9, 9), (12, 12)]:
+        yield np.full((m, n), -0.0), _masses(rng, m, True), _masses(rng, n, True)
+
+
+def test_solve_ot_bits_are_pinned():
+    # sha256 of every value, plan, marginal and dual pair, taken before the
+    # kernel moved to Python lists: the kernel's summation order, closed
+    # forms and pricing keep every bit.
+    digest = hashlib.sha256()
+    for cost, a, b in _bit_pin_instances():
+        res = solve_ot(cost, a, b)
+        plan = res.plan
+        digest.update(res.value.hex().encode())
+        for arr in (plan.matrix, plan.row_masses, plan.col_masses,
+                    plan.row_potentials, plan.col_potentials):
+            digest.update(repr(arr.shape).encode() + arr.tobytes())
+    assert digest.hexdigest() == "4ecf28135b988bf40baaba7997dcc8ca2931d9d412422d72d3c7350b4bebf1f6"
+
+
+def test_solve_ot_of_negative_zero_costs_is_positive_zero():
+    # numpy sums from +0.0; a sum that started from the first cell would
+    # give -0.0 here.
+    for m, n in [(1, 1), (2, 3), (3, 3), (3, 4), (12, 12)]:
+        res = solve_ot(np.full((m, n), -0.0), [1 / m] * m, [1 / n] * n)
+        assert res.value.hex() == "0x0.0p+0"
