@@ -16,8 +16,10 @@ value pair of a stage) and writing a plan build no path per entry.
 The recursion validates once per class: each class's child masses are
 checked and normalized once, and each one-stage problem goes to the
 transport kernel without the checks or the dual pair of ``solve_ot``.
-It is solved in the orientation that ``_solve`` picks from its content
-alone, so swapping the operands, or lifting them, gives the same bits.
+Its costs, masses and plans are Python lists, so the recursion builds
+no numpy array.  Each problem is solved in the orientation that
+``_solve`` picks from its content alone, so swapping the operands, or
+lifting them, gives the same bits.
 ``brute_force_bicausal`` solves the same problem as a single linear
 program over all same-stage node pairs, with one kernel row per child
 of either node of a pair less one implied row per pair, and serves as an
@@ -228,33 +230,36 @@ def tree_classes(tree: ScenarioTree) -> tuple[SubtreeClasses, dict[int, int]]:
     return classes, of
 
 
-Solved = dict[tuple[int, int], tuple[float, np.ndarray | None]]
+Solved = dict[tuple[int, int], tuple[float, list[list[float]] | None]]
 # A class's child masses as given (they decide orientation) and normalized.
-Law = tuple[list[float], np.ndarray]
+Law = tuple[list[float], list[float]]
 
 
 def _law(masses: list[float]) -> Law:
     return masses, _normalized(masses)
 
 
-def _solve(cost: np.ndarray, a: Law, b: Law) -> tuple[float, np.ndarray]:
-    """Optimal value and plan of one transport subproblem.
+def _solve(cost: list[list[float]], a: Law, b: Law) -> tuple[float, list[list[float]]]:
+    """Optimal value and plan of one transport subproblem, cost as rows.
 
     The problem and its transpose ``(cost.T, b, a)`` have the same optimum,
     but a solver breaks ties and adds up in the orientation it is given.
     Of the two, the one whose masses, then cost rows, compare lower is
-    solved (the transpose as a C-contiguous copy), and the plan is returned
-    in the caller's orientation.  The transposed call thus gives the same
-    value bit for bit and exactly the transposed plan.  A cost entry that
-    is not finite (a base cost plus a continuation value past the float
-    range) means that a path cost passes that range, and is rejected so.
+    solved, and the plan is returned in the caller's orientation.  The
+    transposed call thus gives the same value bit for bit and exactly the
+    transposed plan.  A cost entry that is not finite (a base cost plus a
+    continuation value past the float range) means that a path cost
+    passes that range, and is rejected so.
     """
-    if not np.isfinite(cost).all():
-        raise ValidationError(PATH_COST_OVERFLOW)
-    flipped = cost.T
-    if b[0] < a[0] or (b[0] == a[0] and flipped.tolist() < cost.tolist()):
-        x, value, _, _ = _kernel(np.ascontiguousarray(flipped), b[1], a[1])
-        return value, x.T
+    for row in cost:
+        if not all(map(math.isfinite, row)):
+            raise ValidationError(PATH_COST_OVERFLOW)
+    flip = b[0] < a[0]
+    if flip or b[0] == a[0]:
+        flipped = [list(col) for col in zip(*cost)]
+        if flip or flipped < cost:
+            x, value, _, _ = _kernel(flipped, b[1], a[1])
+            return value, [list(row) for row in zip(*x)]
     x, value, _, _ = _kernel(cost, a[1], b[1])
     return value, x
 
@@ -266,9 +271,9 @@ def backward(first: SubtreeClasses, second: SubtreeClasses, metric: GroundMetric
     laws, where a child pair costs the base distance of its values (p-th
     power) plus the continuation value of its class pair.  Each class's
     child masses are checked and normalized once, and the subproblems go
-    to the transport kernel directly, without duals.  Returns the value
-    and the one-stage plan of every class pair; the empty pair ``(0, 0)``
-    has value zero and no plan.
+    to the transport kernel directly, as cost rows and mass lists, without
+    duals.  Returns the value and the one-stage plan (rows) of every class
+    pair; the empty pair ``(0, 0)`` has value zero and no plan.
     """
     solved: Solved = {(0, 0): (0.0, None)}
     base_cost = metric.base_cost
@@ -280,10 +285,10 @@ def backward(first: SubtreeClasses, second: SubtreeClasses, metric: GroundMetric
             kids_a = first.keys[ca]
             law_a = _law([m for _, m, _ in kids_a])
             for cb, kids_b, law_b in laws_b:
-                cost = np.empty((len(kids_a), len(kids_b)))
-                for r, (va, _, sa) in enumerate(kids_a):
-                    for s, (vb, _, sb) in enumerate(kids_b):
-                        cost[r, s] = base_cost(va, vb) + solved[sa, sb][0]
+                cost = [
+                    [base_cost(va, vb) + solved[sa, sb][0] for vb, _, sb in kids_b]
+                    for va, _, sa in kids_a
+                ]
                 solved[ca, cb] = _solve(cost, law_a, law_b)
     return solved
 
@@ -371,7 +376,7 @@ def nested_distance(
     total = solved[of_mu[mu.root], of_nu[nu.root]][0]
     return NestedResult(
         metric.root(total),
-        lambda: compose_plan(mu, nu, of_mu, of_nu, lambda ca, cb: solved[ca, cb][1].tolist()),
+        lambda: compose_plan(mu, nu, of_mu, of_nu, lambda ca, cb: solved[ca, cb][1]),
     )
 
 

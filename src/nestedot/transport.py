@@ -1,19 +1,26 @@
 """Exact solvers for small discrete optimal transport subproblems.
 
 One kernel (``_kernel``) solves a problem whose marginals are already
-checked and normalized: problems with at most two sources or two
-targets in closed form and larger ones by the transportation simplex,
-whose basis is a spanning tree over rows and columns kept across
-pivots, so a pivot re-derives only the potentials below the leaving
-cell.  The nested recursion calls it directly, having validated each
-class's masses once.  :func:`solve_ot` is the public entry point: it
-validates and normalizes its input, calls the same kernel and is the
-only caller that asks for an optimal dual pair.  The northwest-corner
-rule that starts the simplex also builds the Knothe-Rosenblatt plans of
-:mod:`nestedot.knothe`: on value-sorted laws it is the monotone
-coupling, kept with the simplex's rounding rule.  Subproblem sizes here
-are tree branching factors, so exactness is preferred over large-scale
-approximation.  All functions are pure and reentrant.
+checked and normalized, on Python lists: cost rows and mass lists in,
+plan rows out.  The subproblems of a tree recursion have a few cells
+each, where numpy's fixed cost per array would dominate.  Problems with
+at most two sources or two targets are solved in closed form and larger
+ones by the transportation simplex, whose basis is a spanning tree over
+rows and columns kept across pivots, so a pivot re-derives only the
+potentials below the leaving cell.  A simplex of at most
+``_SCAN_CELLS`` cells prices its pivots by a Python scan and a larger
+one by numpy.  A value adds up its cells in numpy's pairwise order
+(``_cell_sum``), so it has the bits that ``np.sum`` gives.  The nested
+recursion calls the kernel directly, having validated each class's
+masses once.  :func:`solve_ot` is the public entry point: it validates
+and normalizes its array input, calls the same kernel on lists, wraps
+the plan in arrays and is the only caller that asks for an optimal dual
+pair.  The northwest-corner rule that starts the simplex also builds
+the Knothe-Rosenblatt plans of :mod:`nestedot.knothe`: on value-sorted
+laws it is the monotone coupling, kept with the simplex's rounding
+rule.  Subproblem sizes here are tree branching factors, so exactness is
+preferred over large-scale approximation.  All functions are pure and
+reentrant.
 """
 
 from __future__ import annotations
@@ -77,10 +84,10 @@ def _northwest_corner(a: list[float], b: list[float]):
     return flow, basis
 
 
-def _two_sources(c: np.ndarray, a: np.ndarray, b: np.ndarray):
+def _two_sources(c: list[list[float]], a: list[float], b: list[float]):
     """Closed-form optimal plan of a transport problem with two sources.
 
-    Row 0 takes the columns in ascending order of ``c[0, j] - c[1, j]``
+    Row 0 takes the columns in ascending order of ``c[0][j] - c[1][j]``
     (ties by lowest index) until its mass runs out; row 1 takes the rest.
     This is optimal because the problem reduces to a fractional knapsack
     over row 0.  When the mass row 0 has left and the next column's mass
@@ -90,75 +97,115 @@ def _two_sources(c: np.ndarray, a: np.ndarray, b: np.ndarray):
     and is shipped, however small.  Also returns the columns row 0
     reaches, in the order it takes them, for :func:`_two_source_duals`.
     """
-    n = c.shape[1]
+    n = len(b)
     rounding = n * ROUNDING
-    diff = (c[0] - c[1]).tolist()
+    diff = [p - q for p, q in zip(*c)]
     order = sorted(range(n), key=diff.__getitem__)  # stable: ties by lowest index
-    mass = b.tolist()
-    x = np.zeros((2, n))
-    left = a.item(0)
+    top = [0.0] * n
+    left = a[0]
     split = 0  # position in ``order`` of the last column row 0 reaches
     for pos, j in enumerate(order):
         if left <= 0.0:
             break
         split = pos
-        if abs(left - mass[j]) <= rounding:
-            x[0, j] = mass[j]
+        if abs(left - b[j]) <= rounding:
+            top[j] = b[j]
             break
-        take = min(mass[j], left)
-        x[0, j] = take
+        take = min(b[j], left)
+        top[j] = take
         left -= take
-    x[1] = b - x[0]
-    return x, order[: split + 1]
+    return [top, [q - p for p, q in zip(top, b)]], order[: split + 1]
 
 
-def _two_source_duals(c: np.ndarray, reached: list[int]):
+def _two_source_duals(c: list[list[float]], reached: list[int]):
     """Optimal dual pair of a two-source plan (row 0 potential zero).
 
-    The difference ``c[0, j] - c[1, j]`` of the last column row 0 reaches
+    The difference ``c[0][j] - c[1][j]`` of the last column row 0 reaches
     is the threshold, and it goes on row 1.
     """
     last = reached[-1]
-    threshold = c[0, last] - c[1, last]
-    u = np.array([0.0, -threshold])
-    v = c[1] + threshold
+    threshold = c[0][last] - c[1][last]
+    v = [w + threshold for w in c[1]]
     for j in reached:
-        v[j] = c[0, j]
-    return u, v
+        v[j] = c[0][j]
+    return [0.0, -threshold], v
 
 
-def _kernel(c: np.ndarray, a: np.ndarray, b: np.ndarray, duals: bool = False):
+def _cell_sum(values: list[float]) -> float:
+    """The sum of ``values`` in the order of numpy's ``sum`` of a contiguous
+    float array: ``0.0 +`` a pairwise sum.  Fewer than 8 values add up from
+    the left; a block of up to 128 adds up in 8 interleaved accumulators,
+    combined as a balanced tree, then its remainder from the left; a longer
+    block splits in half, rounded down to a multiple of 8.  So a value
+    keeps numpy's bits without numpy, and a sum of ``-0.0`` cells is
+    ``0.0``."""
+    if len(values) < 8:
+        total = 0.0
+        for w in values:
+            total += w
+        return total
+    return 0.0 + _pairwise_sum(values)
+
+
+def _pairwise_sum(values: list[float]) -> float:
+    """numpy's pairwise sum of at least 8 values (see :func:`_cell_sum`)."""
+    n = len(values)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    tail = n - n % 8
+    a0, a1, a2, a3, a4, a5, a6, a7 = values[:8]
+    for k in range(8, tail, 8):
+        b0, b1, b2, b3, b4, b5, b6, b7 = values[k : k + 8]
+        a0, a1, a2, a3 = a0 + b0, a1 + b1, a2 + b2, a3 + b3
+        a4, a5, a6, a7 = a4 + b4, a5 + b5, a6 + b6, a7 + b7
+    total = ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7))
+    for w in values[tail:]:
+        total += w
+    return total
+
+
+def _kernel(c: list[list[float]], a: list[float], b: list[float], duals: bool = False):
     """Optimal plan and value of a problem whose marginals sum to one.
 
-    The closed form of :func:`_two_sources` serves min(m, n) <= 2 (two
-    targets as the transposed problem) and :func:`_simplex` the rest.
-    Returns ``(plan, value, u, v)``; the dual pair ``u, v`` (row 0
-    potential zero) is derived only when ``duals`` is set, except from the
-    simplex, which keeps it anyway.
+    Costs come as rows and masses as lists, and the plan goes back as
+    rows.  The closed form of :func:`_two_sources` serves min(m, n) <= 2
+    (two targets as the transposed problem) and :func:`_simplex` the
+    rest.  The value is the :func:`_cell_sum` of the plan's cells times
+    their costs in row-major order.  Returns ``(plan, value, u, v)``; the
+    dual pair ``u, v`` (row 0 potential zero) is derived only when
+    ``duals`` is set, except from the simplex, which keeps it anyway.
     """
-    m, n = c.shape
+    m, n = len(a), len(b)
     u = v = None
     if min(m, n) > 2:
         x, u, v = _simplex(c, a, b)
     elif m == 1:
-        x = b[None, :].copy()
+        x = [list(b)]
         if duals:
-            u, v = np.zeros(1), c[0].copy()
+            u, v = [0.0], list(c[0])
     elif n == 1:
-        x = a[:, None].copy()
+        x = [[w] for w in a]
         if duals:
-            u, v = c[:, 0] - c[0, 0], c[0, :1].copy()
+            first = c[0][0]
+            u, v = [row[0] - first for row in c], [first]
     elif m == 2:
         x, reached = _two_sources(c, a, b)
         if duals:
             u, v = _two_source_duals(c, reached)
     else:
-        xt, reached = _two_sources(c.T, b, a)
-        x = xt.T.copy()
+        ct = list(zip(*c))
+        xt, reached = _two_sources(ct, b, a)
+        x = [list(row) for row in zip(*xt)]
         if duals:
-            ut, vt = _two_source_duals(c.T, reached)
-            u, v = vt - vt[0], ut + vt[0]
-    return x, float((x * c).sum()), u, v
+            ut, vt = _two_source_duals(ct, reached)
+            u, v = [w - vt[0] for w in vt], [w + vt[0] for w in ut]
+    return x, _cell_sum([p * q for xr, cr in zip(x, c) for p, q in zip(xr, cr)]), u, v
+
+
+# Problems of at most this many cells price their simplex pivots by a
+# Python scan; larger ones by numpy (see ``_simplex``).
+_SCAN_CELLS = 64
 
 
 def _pivot_limits(m: int, n: int) -> tuple[int, int]:
@@ -166,7 +213,30 @@ def _pivot_limits(m: int, n: int) -> tuple[int, int]:
     return 200 + 10 * (m + n) ** 2, 2000 + 40 * (m + n) ** 2
 
 
-def _simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray):
+def _entering(cost, pot, basic, enter: float, first: bool):
+    """The entering cell of a scanned simplex pivot, or None at the optimum.
+
+    A non-basic cell's reduced cost is ``(c[i][j] - u[i]) - v[j]``.  The
+    cell is the first in row-major order with the least reduced cost below
+    ``enter``, or with ``first`` (Bland's rule) the first below it.
+    """
+    m = len(cost)
+    v = pot[m:]
+    best = enter
+    found = None
+    for i in range(m):
+        ui, flags = pot[i], basic[i]
+        for j, cij in enumerate(cost[i]):
+            if not flags[j]:
+                reduced = cij - ui - v[j]
+                if reduced < best:
+                    if first:
+                        return i, j
+                    best, found = reduced, (i, j)
+    return found
+
+
+def _simplex(cost: list[list[float]], a: list[float], b: list[float]):
     """Optimal basic plan and dual pair by the transportation simplex.
 
     The basis is a spanning tree on rows ``0..m-1`` and columns
@@ -179,6 +249,10 @@ def _simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray):
     subtree off, the entering cell hangs it back on, and only that
     subtree's potentials are re-derived: each depends only on its root path.
 
+    A problem of at most ``_SCAN_CELLS`` cells is priced by a Python scan
+    over its non-basic cells (:func:`_entering`); a larger one by numpy
+    over a cost array built once, which picks the same cell.
+
     A remainder within the rounding of a sum of m + n masses
     ((m + n)·``ROUNDING``), left in a cell by the northwest-corner start or
     by a pivot that takes mass out of it, is set to exactly zero and the
@@ -187,14 +261,17 @@ def _simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray):
     small, as is a cell that receives an input mass whole or mass from a
     pivot.
     """
-    m, n = c.shape
+    m, n = len(a), len(b)
     rounding = (m + n) * ROUNDING
-    flow, basis = _northwest_corner(a.tolist(), b.tolist())
-    cost = c.tolist()
-    basic = np.zeros((m, n), dtype=bool)
+    flow, basis = _northwest_corner(a, b)
+    scan = m * n <= _SCAN_CELLS
+    if scan:
+        basic = [[False] * n for _ in range(m)]
+    else:
+        c, basic = np.array(cost), np.zeros((m, n), dtype=bool)
     adj: list[list[int]] = [[] for _ in range(m + n)]
     for i, j in basis:
-        basic[i, j] = True
+        basic[i][j] = True
         adj[i].append(m + j)
         adj[m + j].append(i)
     parent, depth, pot = [-1] * (m + n), [0] * (m + n), [0.0] * (m + n)
@@ -216,24 +293,29 @@ def _simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray):
     hang(0)
     # A potential sums up to m + n costs along its root path, so a reduced
     # cost carries rounding in proportion to the largest cost.
-    enter = -max(SNAP, (m + n) * ROUNDING * float(c.max()))
+    enter = -max(SNAP, (m + n) * ROUNDING * max(map(max, cost)))
     bland_after, max_iter = _pivot_limits(m, n)
     for it in range(max_iter):
-        u, v = np.array(pot[:m]), np.array(pot[m:])
-        reduced = c - u[:, None]
-        reduced -= v
         # A basic cell prices out at zero; entering one on its rounding stalls.
-        np.putmask(reduced, basic, 0.0)
-        if it < bland_after:
-            k = int(reduced.argmin())
-            if reduced.item(k) >= enter:
+        if scan:
+            found = _entering(cost, pot, basic, enter, it >= bland_after)
+            if found is None:
                 break
+            i, j = found
         else:
-            candidates = np.flatnonzero(reduced < enter)
-            if len(candidates) == 0:
-                break
-            k = int(candidates[0])
-        i, j = divmod(k, n)
+            reduced = c - np.array(pot[:m])[:, None]
+            reduced -= np.array(pot[m:])
+            np.putmask(reduced, basic, 0.0)
+            if it < bland_after:
+                k = int(reduced.argmin())
+                if reduced.item(k) >= enter:
+                    break
+            else:
+                candidates = np.flatnonzero(reduced < enter)
+                if len(candidates) == 0:
+                    break
+                k = int(candidates[0])
+            i, j = divmod(k, n)
         # Counted from the entering cell's row or column, the tree cells at
         # even steps of the climb lose theta and those at odd steps gain it.
         p, q, row_side, col_side = i, m + j, [], []
@@ -258,7 +340,7 @@ def _simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray):
             if flow[r][s] <= rounding:
                 flow[r][s] = 0.0
         r, s = leave
-        basic[r, s], basic[i, j] = False, True
+        basic[r][s], basic[i][j] = False, True
         adj[r].remove(m + s)
         adj[m + s].remove(r)
         adj[i].append(m + j)
@@ -269,18 +351,17 @@ def _simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray):
         hang(top)
     else:
         raise RuntimeError("transportation simplex did not converge")
-    return np.array(flow), u, v
+    return flow, pot[:m], pot[m:]
 
 
-def _normalized(masses) -> np.ndarray:
+def _normalized(masses: list[float]) -> list[float]:
     """Nonnegative masses summing to 1 within ``TOL``, divided by their sum."""
-    v = np.asarray(masses, dtype=float)
-    if not v.min() >= 0.0:
+    if not all(w >= 0.0 for w in masses):  # unlike ``min``, this fails on NaN
         raise ValidationError("masses must be finite and nonnegative")
-    total = float(v.sum())
+    total = _cell_sum(masses)
     if abs(total - 1.0) > TOL:
         raise ValidationError(f"mass mismatch: marginal sums to {total}")
-    return v / total
+    return [w / total for w in masses]
 
 
 def solve_ot(
@@ -313,6 +394,7 @@ def solve_ot(
     bv = np.asarray(b, dtype=float)
     if av.shape != (c.shape[0],) or bv.shape != (c.shape[1],):
         raise ValidationError("marginal lengths do not match the cost matrix")
-    av, bv = _normalized(av), _normalized(bv)
-    x, value, u, v = _kernel(c, av, bv, duals=True)
-    return OTResult(value, TransportPlan(av, bv, x, row_potentials=u, col_potentials=v))
+    av, bv = _normalized(av.tolist()), _normalized(bv.tolist())
+    x, value, u, v = _kernel(c.tolist(), av, bv, duals=True)
+    plan = TransportPlan(np.array(av), np.array(bv), np.array(x), np.array(u), np.array(v))
+    return OTResult(value, plan)

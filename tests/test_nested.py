@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nestedot.nested
+import nestedot.transport
 from nestedot import (
     Coupling,
     CouplingEntry,
@@ -652,10 +653,10 @@ def _mirror_cases():
 def test_solve_mirrors_the_transposed_problem():
     for cost, a, b in _mirror_cases():
         a, b = list(map(float, a)), list(map(float, b))
-        value, plan = _solve(cost, _law(a), _law(b))
-        value_t, plan_t = _solve(np.ascontiguousarray(cost.T), _law(b), _law(a))
+        value, plan = _solve(cost.tolist(), _law(a), _law(b))
+        value_t, plan_t = _solve(cost.T.tolist(), _law(b), _law(a))
         assert value.hex() == value_t.hex()
-        assert np.array_equal(plan, plan_t.T)
+        assert np.array_equal(np.array(plan), np.array(plan_t).T)
         assert value == pytest.approx(solve_ot(cost, a, b).value, rel=1e-12, abs=1e-15)
 
 
@@ -727,7 +728,7 @@ def test_compose_plan_asks_each_class_pair_once():
 
     def plan_of(ca, cb):
         asked.append((ca, cb))
-        return solved[ca, cb][1].tolist()
+        return solved[ca, cb][1]
 
     plan = compose_plan(mu, nu, of_mu, of_nu, plan_of)
     assert plan == nested_distance(mu, nu, M2).plan
@@ -792,3 +793,50 @@ def test_nested_bits_are_pinned():
         for e in res.plan.entries:
             digest.update(f"{e.mu_path!r} {e.nu_path!r} {e.mass.hex()}".encode())
     assert digest.hexdigest() == "3daab9f7e6e34e38160cf7cfff3c0beedc65280ae6b05e50d3a21338ebaec9f2"
+
+
+@pytest.mark.parametrize(
+    "masses, message",
+    [
+        ([math.nan, 1.0], "masses must be finite and nonnegative"),
+        ([1.0, math.nan], "masses must be finite and nonnegative"),
+        ([math.inf, 0.0], "mass mismatch: marginal sums to inf"),
+        ([-0.5, 1.5], "masses must be finite and nonnegative"),
+        ([0.2, 0.2], "mass mismatch: marginal sums to 0.4"),
+    ],
+)
+def test_mass_checks_catch_nan_wherever_it_sits(masses, message):
+    # Python's ``min`` does not propagate NaN: min([1.0, nan]) is 1.0.
+    cost = [[0.0, 1.0], [1.0, 0.0]]
+    for a, b in ((masses, [0.5, 0.5]), ([0.5, 0.5], masses)):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            solve_ot(cost, a, b)
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        _law(masses)
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} reached from the recursion")
+
+
+def test_recursion_builds_no_numpy_array(monkeypatch):
+    # The recursion's one-stage problems are a few cells each, so it solves
+    # them on Python lists; numpy's fixed cost per array would dominate.
+    pairs = [
+        (dyadic_walk(5, 0.5, 0.5), dyadic_walk(5, 0.25, 0.75)),
+        (full_tree([4, 3, 3], lambda t, k: 1.0 + k, lambda t, k: k + 0.25 * t),
+         full_tree([4, 3, 3], lambda t, k: 4.0 - k, lambda t, k: 0.5 * k - t)),
+    ]
+    expected = [
+        (nested_distance(mu, nu, M2), nested_wasserstein(embed(mu), embed(nu), M2))
+        for mu, nu in pairs
+    ]
+    lifts = [(embed(mu), embed(nu)) for mu, nu in pairs]
+    monkeypatch.setattr(nestedot.nested, "np", _NoNumpy())
+    monkeypatch.setattr(nestedot.transport, "np", _NoNumpy())
+    for (mu, nu), (p, q), (res, lifted) in zip(pairs, lifts, expected):
+        got = nested_distance(mu, nu, M2)
+        assert got.distance == res.distance
+        assert got.plan.cells == res.plan.cells and got.plan.masses == res.plan.masses
+        assert nested_wasserstein(p, q, M2) == lifted

@@ -269,8 +269,8 @@ def _assert_optimal_certificate(res, cost, scale=1.0, mass_tol=1e-12):
     assert reduced.min() >= -1e-12 * scale
     assert np.abs(x * reduced).max() <= 1e-12 * scale
     assert res.value == float(np.sum(x * c))
-    x_simplex, _, _ = _simplex(c, plan.row_masses, plan.col_masses)
-    assert res.value == pytest.approx(float(np.sum(x_simplex * c)), abs=1e-12)
+    x_simplex, _, _ = _simplex(c.tolist(), plan.row_masses.tolist(), plan.col_masses.tolist())
+    assert res.value == pytest.approx(float(np.sum(np.array(x_simplex) * c)), abs=1e-12)
 
 
 def _masses(rng, k, zeros):
@@ -684,3 +684,19 @@ def test_solve_ot_of_negative_zero_costs_is_positive_zero():
     for m, n in [(1, 1), (2, 3), (3, 3), (3, 4), (12, 12)]:
         res = solve_ot(np.full((m, n), -0.0), [1 / m] * m, [1 / n] * n)
         assert res.value.hex() == "0x0.0p+0"
+
+
+def test_cell_sum_adds_in_numpy_order():
+    # ``_cell_sum`` replaces ``np.sum`` in every value the kernel returns, so
+    # it must round as numpy does at every length: below 8, up to 128 and
+    # past each halving.
+    rng = np.random.default_rng(99)
+    for n in [*range(300), 1296, 8193]:
+        for kind in range(3):
+            if kind == 0:
+                values = rng.standard_normal(n) * 10.0 ** rng.uniform(-12, 12, n)
+            elif kind == 1:
+                values = rng.integers(-3, 4, size=n) * 0.1
+            else:
+                values = np.full(n, -0.0)
+            assert transport._cell_sum(values.tolist()).hex() == float(values.sum()).hex()
