@@ -138,21 +138,17 @@ def _cell_sum(values: list[float]) -> float:
     combined as a balanced tree, then its remainder from the left; a longer
     block splits in half, rounded down to a multiple of 8.  So a value
     keeps numpy's bits without numpy, and a sum of ``-0.0`` cells is
-    ``0.0``."""
-    if len(values) < 8:
+    ``0.0``.  The ``0.0 +`` goes on each block: it changes only the sign of
+    a zero, and a sum of blocks is ``-0.0`` only if every block is."""
+    n = len(values)
+    if n < 8:
         total = 0.0
         for w in values:
             total += w
         return total
-    return 0.0 + _pairwise_sum(values)
-
-
-def _pairwise_sum(values: list[float]) -> float:
-    """numpy's pairwise sum of at least 8 values (see :func:`_cell_sum`)."""
-    n = len(values)
     if n > 128:
         half = n // 2 - n // 2 % 8
-        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+        return _cell_sum(values[:half]) + _cell_sum(values[half:])
     tail = n - n % 8
     a0, a1, a2, a3, a4, a5, a6, a7 = values[:8]
     for k in range(8, tail, 8):
@@ -162,7 +158,7 @@ def _pairwise_sum(values: list[float]) -> float:
     total = ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7))
     for w in values[tail:]:
         total += w
-    return total
+    return 0.0 + total
 
 
 def _kernel(c: list[list[float]], a: list[float], b: list[float], duals: bool = False):
@@ -213,7 +209,9 @@ def _pivot_limits(m: int, n: int) -> tuple[int, int]:
     return 200 + 10 * (m + n) ** 2, 2000 + 40 * (m + n) ** 2
 
 
-def _entering(cost, pot, basic, enter: float, first: bool):
+def _entering(
+    cost: list[list[float]], pot: list[float], basic: list[list[bool]], enter: float, first: bool
+):
     """The entering cell of a scanned simplex pivot, or None at the optimum.
 
     A non-basic cell's reduced cost is ``(c[i][j] - u[i]) - v[j]``.  The
