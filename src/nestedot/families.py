@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .causality import _history
 from .embedding import NestedAtom, NestedDistribution
 from .errors import ValidationError
 from .nested import Coupling, CouplingEntry
 from .tree import ScenarioTree, build_tree
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _VALUE_LATTICE = tuple(round(-2.0 + 0.25 * k, 6) for k in range(17))
 # A random tree's most children per node, and its default most leaves.

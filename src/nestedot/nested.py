@@ -27,21 +27,24 @@ independent oracle.  Its matrix is built by index arithmetic from the
 stage layout that also prices the Wasserstein solve's leaf pairs, and
 HiGHS solves it without presolve.
 scipy is imported only when the oracle runs, through ``linprog`` below,
-so every other caller of the package starts without it.
+so every other caller of the package starts without it; it is the
+``oracle`` extra, and without it the oracle raises a RuntimeError.
+numpy, too, is loaded on first use (``transport.np``): the recursion
+never loads it, and the plan pricing, the Wasserstein solve and the
+oracle do.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib
 import math
 from typing import Callable, Iterable, Mapping, NamedTuple
-
-import numpy as np
 
 from .errors import SizeGuardError, ValidationError
 from .metrics import PATH_COST_OVERFLOW, GroundMetric, add_stages
 from .tolerances import SNAP
-from .transport import _kernel, _normalized, solve_ot
+from .transport import _kernel, _normalized, np, solve_ot
 from .tree import ScenarioTree
 
 ORACLE_SIZE_GUARD = 10_000
@@ -426,12 +429,21 @@ def wasserstein_distance(
     return metric.root(res.value)
 
 
+def _scipy(name: str):
+    """The scipy module ``name``, imported on first use.  scipy is the
+    ``oracle`` extra, so without it the oracle is a solver failure."""
+    try:
+        return importlib.import_module(name)
+    except ImportError:
+        raise RuntimeError(
+            "the LP oracle needs scipy, the 'oracle' extra: pip install 'nestedot[oracle]'"
+        ) from None
+
+
 def linprog(*args, **kwargs):
     """``scipy.optimize.linprog``, imported on first call.  A module
     attribute, so that a tracer or a test can patch the oracle's LP."""
-    from scipy.optimize import linprog
-
-    return linprog(*args, **kwargs)
+    return _scipy("scipy.optimize").linprog(*args, **kwargs)
 
 
 def brute_force_bicausal(
@@ -462,12 +474,11 @@ def brute_force_bicausal(
     walks), priced below the optimum by more than ``ORACLE_TOL``; such an
     answer is solved again with presolve.
     """
-    import scipy.sparse as sp
-
     check_depths(mu, nu)
     if len(mu.leaves) * len(nu.leaves) > ORACLE_SIZE_GUARD:
         raise SizeGuardError("instance too large for the brute-force oracle")
     stages, _ = _stage_layout(mu, nu, metric)
+    sp = _scipy("scipy.sparse")
     # COO entries; row 0 is the root row π_0(root, root) = 1
     rows, cols, data, cost = [np.array([0])], [np.array([0])], [np.array([1.0])], [np.zeros(1)]
     a, b, n_rows, first = 1, 1, 1, 0  # stage sizes, rows so far, first stage variable

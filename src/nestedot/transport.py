@@ -20,7 +20,9 @@ the Knothe-Rosenblatt plans of :mod:`nestedot.knothe`: on value-sorted
 laws it is the monotone coupling, kept with the simplex's rounding
 rule.  Subproblem sizes here are tree branching factors, so exactness is
 preferred over large-scale approximation.  All functions are pure and
-reentrant.
+reentrant.  numpy is imported on first use through ``np``, the package's
+one handle to it, so a process that solves only small problems on lists
+never loads it.
 """
 
 from __future__ import annotations
@@ -28,10 +30,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
 from .errors import ValidationError
 from .tolerances import ROUNDING, SNAP, TOL
+
+
+class _LazyNumpy:
+    """numpy, imported on the first attribute read.  Each attribute read is
+    kept on the handle, so a later read is a plain attribute lookup."""
+
+    def __getattr__(self, name):
+        import numpy
+
+        value = getattr(numpy, name)
+        setattr(self, name, value)
+        return value
+
+
+np = _LazyNumpy()
 
 
 @dataclass

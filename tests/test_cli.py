@@ -907,10 +907,12 @@ def test_report_round_trips(pair_files, capsys):
 
 # Runs in a fresh interpreter: every command but the oracle's, then the
 # module-level ``linprog`` seam that the benchmark tracer and the tests
-# patch, then the oracle.  Prints which scipy modules each step had loaded.
+# patch, then the oracle.  Prints which scipy modules each step had loaded,
+# and whether numpy was loaded by the import and after each command.
 LAZY_SCIPY = """
 import contextlib, io, json, sys
 import nestedot, nestedot.cli
+numpy_at_import = "numpy" in sys.modules
 
 def loaded():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
@@ -921,19 +923,25 @@ def run(*argv):
         code = nestedot.cli.main(list(argv))
     return code, out.getvalue()
 
-mu, nu, plan, P, Q = sys.argv[1:]
+mu, nu, plan, P, Q, csv, tree = sys.argv[1:]
 trees = ["--mu", mu, "--nu", nu]
-codes = [run(*argv)[0] for argv in (
+codes, steps = [], []
+for argv in (
     ["compute", "nested", *trees, "--emit-plan", plan],
-    ["compute", "kr", *trees],
-    ["compute", "wasserstein", *trees],
     ["embed", "--mu", mu, "-o", P],
     ["embed", "--mu", nu, "-o", Q],
     ["compute", "lifted", "--P", P, "--Q", Q],
     ["check", "coupling", "--plan", plan, *trees],
+    ["split", "--plan", plan, *trees],
+    ["from-samples", "--csv", csv, "-o", tree],
+    ["compute", "kr", *trees],
+    ["compute", "wasserstein", *trees],
     ["demo", "incompleteness", "--n-max", "3"],
-)]
-summary = {"codes": codes, "commands": loaded()}
+):
+    codes.append(run(*argv)[0])
+    steps.append({"numpy": "numpy" in sys.modules, "scipy": loaded()})
+summary = {"codes": codes, "commands": loaded(), "numpy_at_import": numpy_at_import,
+           "steps": steps}
 seam = vars(nestedot.nested)["linprog"]
 summary.update(seam_callable=callable(seam), seam=loaded())
 code, out = run("compute", "nested", *trees, "--oracle")
@@ -943,19 +951,107 @@ print(json.dumps(summary))
 """
 
 
+def _subprocess_env() -> dict:
+    return {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+
+
 def test_only_the_oracle_loads_scipy(pair_files, tmp_path):
     mu, nu = pair_files
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": src}
-    files = [str(f) for f in (mu, nu, tmp_path / "plan.json", tmp_path / "P", tmp_path / "Q")]
+    csv = tmp_path / "paths.csv"
+    csv.write_text("0,1\n1,2\n")
+    files = [str(f) for f in (mu, nu, *(tmp_path / f for f in ("plan.json", "P", "Q")), csv,
+                              tmp_path / "tree.json")]
     proc = subprocess.run(
         [sys.executable, "-c", LAZY_SCIPY, *files],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=_subprocess_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     summary = json.loads(proc.stdout)
-    assert summary["codes"] == [0] * 8
+    assert summary["codes"] == [0] * 10
     assert summary["commands"] == []
     assert summary["seam_callable"] and summary["seam"] == []
     assert summary["oracle_code"] == 0 and summary["oracle_check"] == "ok"
     assert summary["oracle"]
+    # The recursion runs on lists: the import and the walk commands (nested,
+    # embed, lifted, check, split, from-samples) never load numpy; kr is
+    # the first to.
+    assert summary["numpy_at_import"] is False
+    assert [step["numpy"] for step in summary["steps"]] == [False] * 7 + [True] * 3
+    assert [step["scipy"] for step in summary["steps"]] == [[]] * 10
+
+
+# Runs CLI commands in a fresh interpreter in which the module named by
+# the first argument cannot be imported; the second is a JSON list of
+# command lines.  Prints each command's exit code and stderr.
+WITHOUT = """
+import contextlib, io, json, sys
+sys.modules[sys.argv[1]] = None
+import nestedot.cli
+
+results = []
+for argv in json.loads(sys.argv[2]):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = nestedot.cli.main(argv)
+    results.append([code, err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def _run_without(module: str, commands: list[list[str]]) -> list[list]:
+    proc = subprocess.run(
+        [sys.executable, "-c", WITHOUT, module, json.dumps(commands)],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_only_the_oracle_needs_scipy(pair_files, tmp_path):
+    # scipy is the ``oracle`` extra: without it every other command runs,
+    # and the oracle is a solver failure of one line, not a traceback.
+    mu, nu = map(str, pair_files)
+    trees = ["--mu", mu, "--nu", nu]
+    plan, tree, P, Q = (str(tmp_path / f) for f in ("plan.json", "tree.json", "P", "Q"))
+    csv = tmp_path / "paths.csv"
+    csv.write_text("0,1\n1,2\n")
+    commands = [
+        ["compute", "nested", *trees, "--emit-plan", plan],
+        ["compute", "kr", *trees],
+        ["compute", "wasserstein", *trees],
+        ["embed", "--mu", mu, "-o", P],
+        ["embed", "--mu", nu, "-o", Q],
+        ["compute", "lifted", "--P", P, "--Q", Q],
+        ["check", "coupling", "--plan", plan, *trees],
+        ["split", "--plan", plan, *trees],
+        ["from-samples", "--csv", str(csv), "-o", tree],
+        ["demo", "incompleteness", "--n-max", "3"],
+        ["demo", "separating"],
+        ["demo", "kr-gap", "--n", "2", "--discretize", "4"],
+        ["demo", "extreme-split"],
+        ["demo", "isometry", "--trials", "2"],
+        ["compute", "nested", *trees, "--oracle"],
+    ]
+    *others, oracle = _run_without("scipy", commands)
+    assert others == [[0, ""]] * (len(commands) - 1)
+    assert oracle == [
+        4,
+        "solver failure: the LP oracle needs scipy, the 'oracle' extra:"
+        " pip install 'nestedot[oracle]'\n",
+    ]
+
+
+def test_path_cost_overflow_exits_2_without_numpy(tmp_path):
+    # The walk path adds float stage costs in Python: a path cost past the
+    # float range is still rejected when numpy cannot even be imported.
+    argv = {"nested": [], "lifted": []}
+    for flag, lift, tree in (
+        ("mu", "P", build_tree([((0.0, 0.0), 0.5), ((1.0, 1.0), 0.5)])),
+        ("nu", "Q", build_tree([((1e154, 1e154), 0.5), ((-1e154, -1e154), 0.5)])),
+    ):
+        save_tree(tree, tmp_path / flag)
+        save_nested(embed(tree), tmp_path / lift)
+        argv["nested"] += [f"--{flag}", str(tmp_path / flag)]
+        argv["lifted"] += [f"--{lift}", str(tmp_path / lift)]
+    results = _run_without("numpy", [["compute", what, *a] for what, a in argv.items()])
+    assert results == [[2, f"invalid input: {PATH_COST_OVERFLOW}\n"]] * 2

@@ -3,7 +3,9 @@ import math
 import pytest
 from hypothesis import example, given, strategies as st
 
+import nestedot.metrics
 from nestedot import GroundMetric, ValidationError
+from nestedot.metrics import PATH_COST_OVERFLOW, add_stages
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -46,6 +48,25 @@ def test_overflowing_cost_rejected():
         m.base_cost(1e200, -1e200 / 3)
     with pytest.raises(ValidationError, match="cost overflows"):
         m.path_cost((0.0, 1e200), (0.0, -1e200))
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} reached on float stage costs")
+
+
+def test_add_stages_adds_floats_without_numpy(monkeypatch):
+    # Float stage costs are added in Python, stage 1 first, and a sum past
+    # the float range is still rejected; only arrays go through numpy.
+    monkeypatch.setattr(nestedot.metrics, "np", _NoNumpy())
+    assert add_stages(iter([0.1, 0.2, 0.3])) == (0.1 + 0.2) + 0.3
+    assert math.copysign(1.0, add_stages([-0.0, -0.0])) == 1.0
+    assert add_stages([]) == 0.0
+    for stages in ([1e308, 1e308], [1.0, math.inf], [math.nan]):
+        with pytest.raises(ValidationError, match=f"^{PATH_COST_OVERFLOW}$"):
+            add_stages(stages)
+    with pytest.raises(ValidationError, match=f"^{PATH_COST_OVERFLOW}$"):
+        GroundMetric.usual(2.0).path_cost((0.0, 0.0), (1e154, 1e154))
 
 
 def test_invalid_parameters():
