@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -22,17 +21,13 @@ def add_stages(stage_costs: Iterable):
     stage 1 first.  Every path cost of the package is added here, so all
     have the bits of this one order; ``sum`` is not used, as from Python
     3.12 on it compensates float sums.  A sum past the float range is
-    rejected.  Floats are added without numpy; an array means that numpy
-    is loaded already.
+    rejected.
     """
-    stages = list(stage_costs)
-    floats = all(type(cost) is float for cost in stages)
     total = 0.0
-    # An overflow is inf, rejected below; a float sum overflows without a warning.
-    with contextlib.nullcontext() if floats else np.errstate(over="ignore"):
-        for cost in stages:
+    with np.errstate(over="ignore"):  # an overflow is inf, rejected below
+        for cost in stage_costs:
             total = total + cost
-    if not (math.isfinite(total) if floats else np.isfinite(total).all()):
+    if not np.isfinite(total).all():
         raise ValidationError(PATH_COST_OVERFLOW)
     return total
 

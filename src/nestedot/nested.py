@@ -431,13 +431,16 @@ def wasserstein_distance(
 
 def _scipy(name: str):
     """The scipy module ``name``, imported on first use.  scipy is the
-    ``oracle`` extra, so without it the oracle is a solver failure."""
+    ``oracle`` extra, so without it the oracle is a solver failure.  Any
+    other import error (scipy present but broken) is raised as it is."""
     try:
         return importlib.import_module(name)
-    except ImportError:
+    except ModuleNotFoundError as exc:
+        if (exc.name or "").partition(".")[0] != "scipy":
+            raise
         raise RuntimeError(
             "the LP oracle needs scipy, the 'oracle' extra: pip install 'nestedot[oracle]'"
-        ) from None
+        ) from exc
 
 
 def linprog(*args, **kwargs):

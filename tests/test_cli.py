@@ -1042,8 +1042,9 @@ def test_only_the_oracle_needs_scipy(pair_files, tmp_path):
 
 
 def test_path_cost_overflow_exits_2_without_numpy(tmp_path):
-    # The walk path adds float stage costs in Python: a path cost past the
-    # float range is still rejected when numpy cannot even be imported.
+    # The recursion checks its cost rows with math.isfinite (nested._solve):
+    # a path cost past the float range is still rejected when numpy cannot
+    # even be imported.
     argv = {"nested": [], "lifted": []}
     for flag, lift, tree in (
         ("mu", "P", build_tree([((0.0, 0.0), 0.5), ((1.0, 1.0), 0.5)])),

