@@ -80,7 +80,7 @@ def _leaves_of(
     """The leaf of each plan path that an entry uses, by path rank.  A
     solver's plan also holds the leaf paths that no entry uses, and those
     need not be paths of ``tree`` (when it is rebuilt from the entries)."""
-    leaf_of = {tree.path(k): k for k in tree.leaves}
+    leaf_of = dict(zip(tree.paths[tree.depth], tree.leaves))
     return {a: _snap(paths[a], leaf_of) for a in used}
 
 
@@ -105,26 +105,22 @@ def _marginal_deviation(masses, tree: ScenarioTree, side: int) -> float:
     marg: dict[int, float] = {}
     for key, m in masses.items():
         marg[key[side]] = marg.get(key[side], 0.0) + m
-    return max(abs(tree.mass(k) - marg.get(k, 0.0)) for k in tree.leaves)
+    leaves = zip(tree.leaves, tree.masses[tree.depth])
+    return max(abs(m - marg.get(k, 0.0)) for k, m in leaves)
 
 
-def _tables(tree: ScenarioTree) -> tuple[dict[int, int], dict[int, float], dict[int, float]]:
-    """The parent, value and conditional probability of every non-root node."""
-    nodes = [tree.node(k) for t in range(1, tree.depth + 1) for k in tree.nodes_at_stage(t)]
-    return (
-        {n.id: n.parent for n in nodes},
-        {n.id: n.value for n in nodes},
-        {n.id: n.cond_prob for n in nodes},
-    )
-
-
-def _history(tree: ScenarioTree, nid: int) -> list[int]:
-    """The nodes from stage 1 down to ``nid``."""
-    out = []
-    while nid != tree.root:
-        out.append(nid)
-        nid = tree.node(nid).parent
-    return out[::-1]
+def _tables(tree: ScenarioTree) -> tuple[dict, dict, dict, dict]:
+    """By node id: the parent, value, conditional probability and children
+    of every non-root node, read off the tree's columns."""
+    up, value, prob, kids = {}, {}, {}, {}
+    for t in range(1, tree.depth + 1):
+        ids, parents = tree.ids[t], tree.ids[t - 1]
+        up.update(zip(ids, [parents[k] for k in tree.up[t]]))
+        value.update(zip(ids, tree.values[t]))
+        prob.update(zip(ids, tree.probs[t]))
+        starts = tree.starts[t - 1]
+        kids.update(zip(parents, [ids[a:b] for a, b in zip(starts, starts[1:])]))
+    return up, value, prob, kids
 
 
 def _analyze(gamma: Coupling, mu: ScenarioTree, nu: ScenarioTree | None, tol: float):
@@ -147,9 +143,8 @@ def _analyze(gamma: Coupling, mu: ScenarioTree, nu: ScenarioTree | None, tol: fl
     # From the leaves up, each stage sums the mass of every pair of stage-t
     # nodes onto the pair of their parents, then compares each parent
     # pair's child masses with the two trees' kernels.
-    mu_up, _, mu_prob = _tables(mu)
-    nu_up, nu_value, nu_prob = _tables(nu)
-    mu_kids, nu_kids = mu.children, nu.children
+    mu_up, _, mu_prob, mu_kids = _tables(mu)
+    nu_up, nu_value, nu_prob, nu_kids = _tables(nu)
     violations: list[Violation] = []
     worst = {"mu": 0.0, "nu": 0.0}
     y_law: dict[int, dict[float, float]] = {}
@@ -169,8 +164,8 @@ def _analyze(gamma: Coupling, mu: ScenarioTree, nu: ScenarioTree | None, tol: fl
             cell[2][j] = cell[2].get(j, 0.0) + m
         for (pi, pj), (mass, x_kids, y_kids) in parents.items():
             devs = (
-                ("mu", max([abs(x_kids.get(k, 0.0) / mass - mu_prob[k]) for k in mu_kids(pi)])),
-                ("nu", max([abs(y_kids.get(k, 0.0) / mass - nu_prob[k]) for k in nu_kids(pj)])),
+                ("mu", max([abs(x_kids.get(k, 0.0) / mass - mu_prob[k]) for k in mu_kids[pi]])),
+                ("nu", max([abs(y_kids.get(k, 0.0) / mass - nu_prob[k]) for k in nu_kids[pj]])),
             )
             for side, dev in devs:
                 worst[side] = max(worst[side], dev)
@@ -283,8 +278,9 @@ def split_non_extreme(
 
     # Per x-leaf, the first x-node along its history whose y-law is not a
     # point mass (None if there is none); its stage is the stopping stage.
+    history = dict(zip(mu.leaves, mu.histories()))
     trigger = {
-        leaf: next((k for k in _history(mu, leaf) if k in mixed), None)
+        leaf: next((k for k in history[leaf] if k in mixed), None)
         for leaf in dict.fromkeys(i for i, _ in masses)
     }
 

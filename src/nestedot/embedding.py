@@ -54,9 +54,15 @@ class NestedDistribution:
         total = sibling_total(
             (a.mass for a in self.atoms), lambda s: f"atom masses sum to {s}, expected 1"
         )
-        atoms = _merge_atoms(
-            [NestedAtom(a.mass / total, float(a.value), a.next) for a in self.atoms]
-        )
+        # Float atoms in strictly increasing value order that need no
+        # division are kept as given: the division and the merge would
+        # change no bit.
+        atoms, values = self.atoms, [a.value for a in self.atoms]
+        plain = total == 1.0 and all(type(a.mass) is type(a.value) is float for a in atoms)
+        if not (plain and all(map(float.__lt__, values, values[1:]))):
+            atoms = _merge_atoms(
+                [NestedAtom(a.mass / total, float(a.value), a.next) for a in atoms]
+            )
         object.__setattr__(self, "atoms", tuple(atoms))
         object.__setattr__(self, "depth", depth)
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .causality import _history
 from .embedding import NestedAtom, NestedDistribution
 from .errors import ValidationError
 from .nested import Coupling, CouplingEntry
@@ -152,8 +151,8 @@ def monge_pushforward(
 ) -> tuple[Coupling, ScenarioTree]:
     """Plan (id, T)_* mu of an adapted map given per-history values."""
     entries = []
-    for leaf, (path, weight) in zip(tree.leaves, tree.leaf_paths()):
-        ypath = tuple(assignment[k] for k in _history(tree, leaf))
+    for history, (path, weight) in zip(tree.histories(), tree.leaf_paths()):
+        ypath = tuple(map(assignment.__getitem__, history))
         entries.append(CouplingEntry(path, ypath, weight))
     nu = build_tree((e.nu_path, e.mass) for e in entries)
     return Coupling(tuple(entries)), nu

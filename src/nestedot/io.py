@@ -3,12 +3,15 @@
 Every file is written as :func:`dumps_canonical` writes it: floats as
 their shortest round-trip text (every value reads back bit for bit),
 object keys sorted, no spaces, so identical data produces byte-identical
-files.  A plan is written straight from its leaf-pair form, without the
-encoder: each distinct path's text is built once, and each entry fills
-one text template.  It is read back into the same form: each entry is
-type-checked and its paths interned as they are read, each distinct
-path is made floats once, and the plan passes the one check of
-``Coupling``.
+files.  A tree is written off its per-stage columns and read back by
+type-checking each node record and handing it to ``ScenarioTree`` as a
+plain 5-tuple: the constructor's one pass does every other check and
+builds the columns, with no record object per node.  A plan is written
+straight from its leaf-pair form, without the encoder: each distinct
+path's text is built once, and each entry fills one text template.  It
+is read back into the same form: each entry is type-checked and its
+paths interned as they are read, each distinct path is made floats
+once, and the plan passes the one check of ``Coupling``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Any, Iterator
 from .embedding import NestedAtom, NestedDistribution
 from .errors import ValidationError
 from .nested import Coupling
-from .tree import Node, ScenarioTree
+from .tree import ScenarioTree
 
 
 def dumps_canonical(obj: Any) -> str:
@@ -92,43 +95,38 @@ def _write_text(text: str, path: str | Path, what: str) -> None:
 
 
 def tree_to_json(tree: ScenarioTree) -> dict:
-    nodes = []
-    for stage in range(tree.depth + 1):
-        for nid in tree.nodes_at_stage(stage):
-            n = tree.node(nid)
-            nodes.append(
-                {
-                    "id": n.id,
-                    "parent": n.parent,
-                    "stage": n.stage,
-                    "value": n.value,
-                    "prob": n.cond_prob,
-                }
-            )
+    nodes = [{"id": tree.root, "parent": None, "stage": 0, "value": None, "prob": None}]
+    for t in range(1, tree.depth + 1):
+        parents = tree.ids[t - 1]
+        nodes += [
+            {"id": nid, "parent": parents[k], "stage": t, "value": value, "prob": prob}
+            for nid, k, value, prob in zip(tree.ids[t], tree.up[t], tree.values[t], tree.probs[t])
+        ]
     nodes.sort(key=lambda d: d["id"])
     return {"depth": tree.depth, "nodes": nodes}
 
 
 def tree_from_json(obj: dict) -> ScenarioTree:
+    """The tree of ``{"depth", "nodes"}``; a JSON ``true`` is no depth,
+    though the constructor would take it as 1."""
     try:
         depth = obj["depth"]
         raw = obj["nodes"]
     except (TypeError, KeyError) as exc:
         raise ValidationError("tree JSON needs 'depth' and 'nodes'") from exc
-    if type(depth) not in _INTEGER:
-        raise ValidationError(f"tree depth must be an integer, got {depth!r}")
+    if type(depth) is bool:
+        raise ValidationError(f"depth must be an integer, got {depth!r}")
     nodes = []
     for d in _array(raw, "tree 'nodes'"):
         try:
-            value = d["value"]
-            prob = d["prob"]
+            parent, value, prob = d["parent"], d["value"], d["prob"]
             nodes.append(
-                Node(
-                    id=_typed(d["id"], _INTEGER),
-                    parent=None if d["parent"] is None else _typed(d["parent"], _INTEGER),
-                    stage=_typed(d["stage"], _INTEGER),
-                    value=None if value is None else float(_typed(value)),
-                    cond_prob=None if prob is None else float(_typed(prob)),
+                (
+                    _typed(d["id"], _INTEGER),
+                    None if parent is None else _typed(parent, _INTEGER),
+                    _typed(d["stage"], _INTEGER),
+                    None if value is None else float(_typed(value)),
+                    None if prob is None else float(_typed(prob)),
                 )
             )
         except (TypeError, KeyError, OverflowError) as exc:

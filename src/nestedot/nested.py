@@ -113,11 +113,10 @@ class Coupling:
         cls, mu: ScenarioTree, nu: ScenarioTree, cells: list[int], masses: list[float]
     ) -> "Coupling":
         """A plan over leaf pairs: cell ``a * len(nu.leaves) + b`` pairs the
-        mu leaf of rank a with the nu leaf of rank b.  ``leaves`` are in
-        history order, siblings by value, so leaf rank is path order."""
+        mu leaf of rank a with the nu leaf of rank b.  Stages are in history
+        order, siblings by value, so a leaf's position is its path rank."""
         plan = cls.__new__(cls)
-        plan.mu_paths = tuple(map(mu.path, mu.leaves))
-        plan.nu_paths = tuple(map(nu.path, nu.leaves))
+        plan.mu_paths, plan.nu_paths = mu.paths[mu.depth], nu.paths[nu.depth]
         plan.cells, plan.masses = cells, masses
         plan.__post_init__()
         return plan
@@ -225,11 +224,13 @@ class SubtreeClasses:
 def tree_classes(tree: ScenarioTree) -> tuple[SubtreeClasses, dict[int, int]]:
     """The subtree classes of a tree and the class of every node."""
     classes = SubtreeClasses()
-    of: dict[int, int] = {}
-    for t in range(tree.depth, -1, -1):
-        for nid in tree.nodes_at_stage(t):
-            kids = [tree.node(k) for k in tree.children(nid)]
-            of[nid] = classes.intern(tuple((k.value, k.cond_prob, of[k.id]) for k in kids))
+    of = dict.fromkeys(tree.leaves, 0)
+    below = [0] * len(tree.leaves)
+    for t in range(tree.depth - 1, -1, -1):
+        kids = list(zip(tree.values[t + 1], tree.probs[t + 1], below))
+        starts = tree.starts[t]
+        below = [classes.intern(tuple(kids[a:b])) for a, b in zip(starts, starts[1:])]
+        of.update(zip(tree.ids[t], below))
     return classes, of
 
 
@@ -333,29 +334,28 @@ def compose_plan(
     ca's children and columns over cb's in value order.  It is asked once
     per class pair reached, and its positive cells are kept.  A node is its
     history, so a leaf pair is reached once, with the product of the
-    fractions along its history pair as mass; it is recorded by the two
-    leaves' ranks (``Coupling.of_leaves``), and no path is built.
+    fractions along its history pair as mass; the walk holds stage
+    positions, so it records the two leaves' ranks (``Coupling.of_leaves``)
+    and builds no path.
     """
     depth, width = mu.depth, len(nu.leaves)
-    rank_mu = {leaf: k for k, leaf in enumerate(mu.leaves)}
-    rank_nu = {leaf: k for k, leaf in enumerate(nu.leaves)}
     plans: dict[tuple[int, int], list[tuple[int, int, float]]] = {}
     cells: list[int] = []
     masses: list[float] = []
-    stack = [(mu.root, nu.root, 1.0, 0)]
+    stack = [(0, 0, 1.0, 0)]  # positions of a node pair in stage t
     while stack:
         i, j, mass, t = stack.pop()
         if t == depth:
             if mass > 0.0:  # a product of tiny fractions can round to zero
-                cells.append(rank_mu[i] * width + rank_nu[j])
+                cells.append(i * width + j)
                 masses.append(mass)
             continue
-        pair = of_mu[i], of_nu[j]
+        pair = of_mu[mu.ids[t][i]], of_nu[nu.ids[t][j]]
         if pair not in plans:
             rows = enumerate(plan_of(*pair))
             plans[pair] = [(r, s, f) for r, row in rows for s, f in enumerate(row) if f > 0.0]
-        kids_i, kids_j = mu.children(i), nu.children(j)
-        stack += [(kids_i[r], kids_j[s], mass * f, t + 1) for r, s, f in plans[pair]]
+        i, j = mu.starts[t][i], nu.starts[t][j]  # the pair's first children
+        stack += [(i + r, j + s, mass * f, t + 1) for r, s, f in plans[pair]]
     return Coupling.of_leaves(mu, nu, cells, masses)
 
 
@@ -386,25 +386,19 @@ def nested_distance(
 def _stage_layout(mu: ScenarioTree, nu: ScenarioTree, metric: GroundMetric):
     """Both trees' same-stage node pairs, stage by stage, priced by ``base_cost``.
 
-    Stage t = 1..N holds, for each tree, the positions of its stage-t
-    nodes' parents among the stage-(t-1) nodes (``nodes_at_stage`` order)
-    and their conditional probabilities, and ``metric.base_cost`` of every
-    node pair's values, mu major.  The leaf-pair path costs (``leaves``
-    order) gather each stage's costs at the leaves' stage-t ancestors and
-    add them by ``add_stages``, as ``GroundMetric.path_cost`` does; one
-    past the float range is rejected.
+    Stage t = 1..N holds, for each tree, the parent positions and the
+    conditional probabilities of its stage-t nodes (the ``up`` and
+    ``probs`` columns), and ``metric.base_cost`` of every node pair's
+    values, mu major.  The leaf-pair path costs (``leaves`` order) gather
+    each stage's costs at the leaves' stage-t ancestors and add them by
+    ``add_stages``, as ``GroundMetric.path_cost`` does; one past the float
+    range is rejected.
     """
     stages, base_cost = [], metric.base_cost
     for t in range(1, mu.depth + 1):
-        sides = []
-        for tree in (mu, nu):
-            above = {nid: k for k, nid in enumerate(tree.nodes_at_stage(t - 1))}
-            kids = [tree.node(c) for c in tree.nodes_at_stage(t)]
-            up = np.array([above[n.parent] for n in kids])
-            sides.append((up, np.array([n.cond_prob for n in kids]), [n.value for n in kids]))
-        (up_mu, p_mu, x_mu), (up_nu, p_nu, x_nu) = sides
-        cost = np.array([[base_cost(x, y) for y in x_nu] for x in x_mu])
-        stages.append((up_mu, p_mu, up_nu, p_nu, cost))
+        cost = np.array([[base_cost(x, y) for y in nu.values[t]] for x in mu.values[t]])
+        sides = [(np.array(tree.up[t]), np.array(tree.probs[t])) for tree in (mu, nu)]
+        stages.append((*sides[0], *sides[1], cost))
     at_mu, at_nu, at_leaves = np.arange(len(mu.leaves)), np.arange(len(nu.leaves)), []
     for up_mu, _, up_nu, _, cost in reversed(stages):  # at_mu, at_nu: stage-t ancestors
         at_leaves.append(cost[at_mu[:, None], at_nu])
@@ -425,7 +419,7 @@ def wasserstein_distance(
     if len(mu.leaves) * len(nu.leaves) > ORACLE_SIZE_GUARD:
         raise SizeGuardError("instance too large for the dense path-pair solver")
     _, cost = _stage_layout(mu, nu, metric)
-    res = solve_ot(cost, [mu.mass(k) for k in mu.leaves], [nu.mass(k) for k in nu.leaves])
+    res = solve_ot(cost, list(mu.masses[mu.depth]), list(nu.masses[nu.depth]))
     return metric.root(res.value)
 
 

@@ -6,14 +6,18 @@ of reaching it from its parent; the root is virtual (stage 0, no value).
 Because sibling values are pairwise distinct, every node is identified by
 its history (x_1, ..., x_t), and a valid tree is determined by its leaf
 path law alone: :func:`build_tree` builds it from (path, weight) pairs.
+A tree is held as per-stage columns over its nodes in history order (node
+ids, parent positions, values, conditional probabilities, masses, paths),
+so a node's position in its stage is its rank, and a leaf's position its
+rank among the leaf paths.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import ValidationError
 from .tolerances import ROUNDING, TOL
@@ -30,8 +34,10 @@ def sibling_total(masses: Iterable[float], mismatch: Callable[[float], str]) -> 
     return 1.0 if abs(total - 1.0) <= ROUNDING else total
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
+    """One node record: the form the constructor reads (any 5-tuple of
+    these fields will do) and the view ``ScenarioTree.node`` returns."""
+
     id: int
     parent: int | None
     stage: int
@@ -39,15 +45,25 @@ class Node:
     cond_prob: float | None
 
 
-class ScenarioTree:
-    """Validated, immutable scenario tree.
+_VALUE = operator.itemgetter(3)
 
-    Construction checks each node's fields, then makes one validated
-    top-down pass: single virtual root, leaves all at the final stage,
-    conditional probabilities in (0, 1] summing to one per node, pairwise
-    distinct sibling values.  Each sibling group is sorted by value and
-    renormalized exactly, unless it already sums to 1 within ``ROUNDING``.
-    Instances never mutate afterwards and are safe for concurrent reads.
+
+class ScenarioTree:
+    """Validated, immutable scenario tree, held as per-stage columns.
+
+    Stage t = 0..depth lists its nodes in history order (siblings by
+    value) as ``ids[t]``, ``up[t]`` (parent positions in stage t-1),
+    ``values[t]``, ``probs[t]`` (None at the root), ``masses[t]`` and
+    ``paths[t]``; node k's children are positions ``starts[t][k]`` up to
+    ``starts[t][k + 1]`` of stage t+1.  Construction reads ``Node``s or
+    plain 5-tuples, checks each one's fields, then fills the columns in one
+    validated top-down pass: single virtual root, leaves all at the final
+    stage, conditional probabilities in (0, 1] summing to one per node,
+    pairwise distinct sibling values.  Each sibling group is sorted by
+    value and renormalized exactly, unless it already sums to 1 within
+    ``ROUNDING``.  The node-id accessors read the columns through a map
+    built on first use.  Instances never mutate and are safe for
+    concurrent reads.
     """
 
     def __init__(self, depth: int, nodes: Iterable[Node]):
@@ -57,98 +73,116 @@ class ScenarioTree:
             raise ValidationError(f"depth must be an integer, got {depth!r}") from None
         if depth < 1:
             raise ValidationError(f"depth must be >= 1, got {depth}")
-        node_list = list(nodes)
-        if not node_list:
+        records = list(nodes)
+        if not records:
             raise ValidationError("tree has no nodes")
-        by_id: dict[int, Node] = {}
-        for n in node_list:
-            if n.id in by_id:
-                raise ValidationError(f"duplicate node id {n.id}")
-            by_id[n.id] = n
-        roots = [n for n in node_list if n.parent is None]
+        by_id: dict[int, tuple] = {}
+        roots = []
+        for rec in records:
+            if rec[0] in by_id:
+                raise ValidationError(f"duplicate node id {rec[0]}")
+            by_id[rec[0]] = rec
+            if rec[1] is None:
+                roots.append(rec)
         if len(roots) != 1:
             raise ValidationError(f"expected exactly one root, found {len(roots)}")
         root = roots[0]
-        if root.stage != 0 or root.value is not None or root.cond_prob is not None:
+        if root[2] != 0 or root[3] is not None or root[4] is not None:
             raise ValidationError("root must have stage 0 and no value or probability")
 
-        children: dict[int, list[int]] = {n.id: [] for n in node_list}
-        for n in node_list:
-            if n.parent is None:
+        children: dict[int, list[tuple]] = {}
+        for rec in records:
+            nid, parent, stage, value, prob = rec
+            if parent is None:
                 continue
-            if n.parent not in by_id:
-                raise ValidationError(f"node {n.id} references unknown parent {n.parent}")
-            if n.stage != by_id[n.parent].stage + 1:
-                raise ValidationError(f"node {n.id} is not one stage below its parent")
-            if not (1 <= n.stage <= depth):
-                raise ValidationError(f"node {n.id} has stage {n.stage} outside 1..{depth}")
-            if n.value is None or not math.isfinite(n.value):
-                raise ValidationError(f"node {n.id} needs a finite value")
-            if n.cond_prob is None or not (0.0 < n.cond_prob <= 1.0 + TOL):
-                raise ValidationError(f"node {n.id} needs a probability in (0, 1]")
-            children[n.parent].append(n.id)
+            above = by_id.get(parent)
+            if above is None:
+                raise ValidationError(f"node {nid} references unknown parent {parent}")
+            if stage != above[2] + 1:
+                raise ValidationError(f"node {nid} is not one stage below its parent")
+            if not (1 <= stage <= depth):
+                raise ValidationError(f"node {nid} has stage {stage} outside 1..{depth}")
+            if value is None or not math.isfinite(value):
+                raise ValidationError(f"node {nid} needs a finite value")
+            if prob is None or not (0.0 < prob <= 1.0 + TOL):
+                raise ValidationError(f"node {nid} needs a probability in (0, 1]")
+            children.setdefault(parent, []).append(rec)
 
         # Every non-root node sits one stage below a known parent, so one
-        # walk from the root reaches them all; siblings join it in value
-        # order, so each stage comes out in history order.
-        self.depth = depth
-        self.root = root.id
-        self._nodes = {root.id: root}
-        self._children: dict[int, tuple[int, ...]] = {}
-        stages: list[list[int]] = []
-        self._paths: dict[int, tuple[float, ...]] = {root.id: ()}
-        self._masses: dict[int, float] = {root.id: 1.0}
-        order = [root.id]
-        for pid in order:
-            stage = self._nodes[pid].stage
-            if stage == len(stages):  # the walk reaches the stages in order
-                stages.append([])
-            stages[stage].append(pid)
-            kids = sorted(children[pid], key=lambda k: by_id[k].value)
-            self._children[pid] = tuple(kids)
-            if not kids:
-                if stage != depth:
-                    raise ValidationError(f"node {pid} is a leaf before stage {depth}")
-                continue
-            total = sibling_total(
-                (by_id[k].cond_prob for k in kids),
-                lambda s: f"children of node {pid} have probabilities summing to {s}",
-            )
-            if len({by_id[k].value for k in kids}) != len(kids):
-                raise ValidationError(f"children of node {pid} have duplicate values")
-            for k in kids:
-                n = by_id[k]
-                child = Node(n.id, pid, n.stage, float(n.value), n.cond_prob / total)
-                self._nodes[k] = child
-                self._paths[k] = self._paths[pid] + (child.value,)
-                self._masses[k] = self._masses[pid] * child.cond_prob
-            order += kids
-        self._stages = tuple(map(tuple, stages))
+        # pass from the root, stage by stage, reaches them all; siblings
+        # join it in value order, so each stage comes out in history order.
+        # A stage's columns are added once the pass has reached it.
+        columns = ([(root[0],)], [()], [(None,)], [(None,)], [(1.0,)], [((),)])
+        ids, _, _, _, masses, paths = columns
+        starts = []
+        for stage in range(depth + 1):
+            rows, bounds = [], [0]
+            for k, (pid, mass, path) in enumerate(zip(ids[stage], masses[stage], paths[stage])):
+                kids = children.get(pid)
+                if kids is None:
+                    if stage != depth:
+                        raise ValidationError(f"node {pid} is a leaf before stage {depth}")
+                else:
+                    kids.sort(key=_VALUE)
+                    total = sibling_total(
+                        [rec[4] for rec in kids],
+                        lambda s: f"children of node {pid} have probabilities summing to {s}",
+                    )
+                    if len({rec[3] for rec in kids}) != len(kids):
+                        raise ValidationError(f"children of node {pid} have duplicate values")
+                    for nid, _, _, value, prob in kids:
+                        value, prob = float(value), prob / total
+                        rows.append((nid, k, value, prob, mass * prob, path + (value,)))
+                bounds.append(len(rows))
+            starts.append(tuple(bounds))
+            if not rows:
+                break
+            for column, stage_column in zip(columns, zip(*rows)):
+                column.append(stage_column)
+        self.depth, self.root, self.starts = depth, root[0], tuple(starts)
+        self.ids, self.up, self.values, self.probs, self.masses, self.paths = map(tuple, columns)
+
+    @functools.cached_property
+    def _where(self) -> dict[int, tuple[int, int]]:
+        """(stage, position) of every node id."""
+        return {nid: (t, k) for t, ids in enumerate(self.ids) for k, nid in enumerate(ids)}
 
     def node(self, nid: int) -> Node:
-        return self._nodes[nid]
+        t, k = self._where[nid]
+        parent = self.ids[t - 1][self.up[t][k]] if t else None
+        return Node(nid, parent, t, self.values[t][k], self.probs[t][k])
 
     def children(self, nid: int) -> tuple[int, ...]:
-        return self._children[nid]
+        t, k = self._where[nid]
+        return self.ids[t + 1][self.starts[t][k] : self.starts[t][k + 1]] if t < self.depth else ()
 
     def nodes_at_stage(self, stage: int) -> tuple[int, ...]:
-        return self._stages[stage]
+        return self.ids[stage]
 
     @property
     def leaves(self) -> tuple[int, ...]:
-        return self._stages[self.depth]
+        return self.ids[self.depth]
 
     def path(self, nid: int) -> tuple[float, ...]:
         """History (x_1, ..., x_t) of the node."""
-        return self._paths[nid]
+        t, k = self._where[nid]
+        return self.paths[t][k]
 
     def mass(self, nid: int) -> float:
         """Unconditional probability of reaching the node."""
-        return self._masses[nid]
+        t, k = self._where[nid]
+        return self.masses[t][k]
 
     def leaf_paths(self) -> list[tuple[tuple[float, ...], float]]:
         """Root-to-leaf paths with their unconditional weights."""
-        return [(self._paths[k], self._masses[k]) for k in self.leaves]
+        return list(zip(self.paths[self.depth], self.masses[self.depth]))
+
+    def histories(self) -> list[tuple[int, ...]]:
+        """Per leaf, in leaf order, the ids of its nodes from stage 1 down."""
+        rows = [()]
+        for ids, up in zip(self.ids[1:], self.up[1:]):
+            rows = [rows[k] + (nid,) for nid, k in zip(ids, up)]
+        return rows
 
     def canonical_key(self) -> str:
         """Total-order key; equal keys mean equal trees (same path law).
@@ -160,7 +194,7 @@ class ScenarioTree:
 
     def __repr__(self):
         return (
-            f"ScenarioTree(depth={self.depth}, nodes={len(self._nodes)}, "
+            f"ScenarioTree(depth={self.depth}, nodes={sum(map(len, self.ids))}, "
             f"leaves={len(self.leaves)})"
         )
 

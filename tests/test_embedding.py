@@ -323,3 +323,57 @@ def test_lift_keeps_tree_probabilities_bit_for_bit():
     nu = build_tree([((0.25,), 0.5), ((0.75,), 0.5)])
     for metric in (M1, M2):
         assert nested_wasserstein(embed(mu), embed(nu), metric) == nested_distance(mu, nu, metric).distance
+
+
+def _normalized_atoms(atoms):
+    """The atoms as every distribution was once built: each mass divided
+    by the sibling total, each value made a float, then sorted and merged."""
+    total = nestedot.embedding.sibling_total((a.mass for a in atoms), str)
+    return tuple(
+        nestedot.embedding._merge_atoms(
+            [NestedAtom(a.mass / total, float(a.value), a.next) for a in atoms]
+        )
+    )
+
+
+NORMALIZED_CASES = {
+    "unsorted": [(0.5, 1.0), (0.5, 0.0)],
+    "duplicate values": [(0.25, 0.5), (0.75, 0.5)],
+    "signed zeros": [(0.5, -0.0), (0.5, 0.0)],
+    "zeros, other sign first": [(0.5, 0.0), (0.5, -0.0)],
+    "int mass": [(1, 0.0)],
+    "int value": [(0.5, 0), (0.5, 1.0)],
+    "sum 1 + 1e-12": [(0.5 + 1e-12, 0.0), (0.5, 1.0)],
+    "sum 1 - 1e-12": [(0.5 - 1e-12, 0.0), (0.5, 1.0)],
+}
+
+
+@pytest.mark.parametrize("pairs", NORMALIZED_CASES.values(), ids=NORMALIZED_CASES)
+def test_atoms_that_need_it_are_still_normalized(monkeypatch, pairs):
+    # Float atoms in strictly increasing value order that sum to 1 are kept
+    # as given; every other input is divided and merged as it always was.
+    atoms = tuple(NestedAtom(m, v, None) for m, v in pairs)
+    expected = _normalized_atoms(atoms)
+    merges = []
+    real = nestedot.embedding._merge_atoms
+    monkeypatch.setattr(
+        nestedot.embedding, "_merge_atoms", lambda a: merges.append(1) or real(a)
+    )
+    dist = NestedDistribution(atoms)
+    assert merges
+    assert dist.atoms == expected and repr(dist.atoms) == repr(expected)
+
+
+def test_atoms_kept_as_given_equal_the_normalized_ones():
+    rng = np.random.default_rng(27)
+    kept = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 5))
+        values = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.25, 1.0, 2.0], size=n).tolist()
+        masses = rng.dirichlet(np.ones(n)).tolist()
+        atoms = tuple(NestedAtom(m, v, None) for m, v in zip(masses, values))
+        dist = NestedDistribution(atoms)
+        expected = _normalized_atoms(atoms)
+        assert dist.atoms == expected and repr(dist.atoms) == repr(expected)
+        kept += dist.atoms == atoms and all(a is b for a, b in zip(dist.atoms, atoms))
+    assert 0 < kept < 300

@@ -296,3 +296,23 @@ def test_loaders_reject_integers_too_large_to_read(tmp_path, digits):
         path.write_text(body)
         with pytest.raises(ValidationError):
             load(path)
+
+
+def test_tree_loader_builds_no_node_record(tmp_path, monkeypatch):
+    # A loaded tree goes from the JSON records to the constructor's
+    # per-stage columns as plain tuples: no Node object per record.
+    from test_nested import dyadic_walk
+
+    import nestedot.tree
+
+    tree = dyadic_walk(6, 0.5, 0.25)  # 127 nodes, a plan-roundtrip pool tree's size
+    path = tmp_path / "tree.json"
+    save_tree(tree, path)
+
+    def no_node(*args, **kwargs):
+        raise AssertionError("a Node was built")
+
+    monkeypatch.setattr(nestedot.tree, "Node", no_node)
+    loaded = load_tree(path)
+    assert loaded.leaf_paths() == tree.leaf_paths()
+    assert tree_to_json(loaded) == tree_to_json(tree)

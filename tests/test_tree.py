@@ -200,6 +200,19 @@ def test_tree_constructor_rejects(depth, nodes, message):
         ScenarioTree(depth, [Node(*fields) for fields in nodes])
 
 
+@pytest.mark.parametrize("depth, nodes, message", REJECTS)
+def test_tree_loader_rejects_as_the_constructor(depth, nodes, message):
+    # The JSON loader only type-checks the records: every other check is
+    # the constructor's, so both inputs fail with the same message.
+    keys = ("id", "parent", "stage", "value", "prob")
+    obj = {"depth": depth, "nodes": [dict(zip(keys, fields)) for fields in nodes]}
+    with pytest.raises(ValidationError, match=message) as from_nodes:
+        ScenarioTree(depth, [Node(*fields) for fields in nodes])
+    with pytest.raises(ValidationError, match=message) as from_json:
+        tree_from_json(obj)
+    assert str(from_json.value) == str(from_nodes.value)
+
+
 def test_every_constructor_raise_is_reachable():
     # A raise that no input reaches is dead code posing as a check: every
     # raise in ScenarioTree.__init__ must run for some case of REJECTS.
