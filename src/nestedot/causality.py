@@ -110,8 +110,9 @@ def _marginal_deviation(masses, tree: ScenarioTree, side: int) -> float:
 
 
 def _tables(tree: ScenarioTree) -> tuple[dict, dict, dict, dict]:
-    """By node id: the parent, value, conditional probability and children
-    of every non-root node, read off the tree's columns."""
+    """By node id, read off the tree's columns: the parent, value and
+    conditional probability of every non-root node, and the children of
+    every node above the last stage."""
     up, value, prob, kids = {}, {}, {}, {}
     for t in range(1, tree.depth + 1):
         ids, parents = tree.ids[t], tree.ids[t - 1]

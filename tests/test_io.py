@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import nestedot.tree
 from nestedot import Coupling, CouplingEntry, ValidationError, build_tree, embed, kr_coupling
 from nestedot.families import random_tree_pair
 from nestedot.io import (
@@ -21,6 +22,7 @@ from nestedot.io import (
     tree_from_json,
     tree_to_json,
 )
+from test_nested import dyadic_walk
 
 # Values whose text is easy to get wrong: 0.1 is inexact in binary, 1e16
 # and 1e-7 take an exponent, -0.0 has a sign, 5e-324 is the smallest
@@ -301,10 +303,6 @@ def test_loaders_reject_integers_too_large_to_read(tmp_path, digits):
 def test_tree_loader_builds_no_node_record(tmp_path, monkeypatch):
     # A loaded tree goes from the JSON records to the constructor's
     # per-stage columns as plain tuples: no Node object per record.
-    from test_nested import dyadic_walk
-
-    import nestedot.tree
-
     tree = dyadic_walk(6, 0.5, 0.25)  # 127 nodes, a plan-roundtrip pool tree's size
     path = tmp_path / "tree.json"
     save_tree(tree, path)
