@@ -33,14 +33,13 @@ from .errors import (
 from .knothe import KRCoupling, kr_coupling, kr_distance
 from .metrics import GroundMetric
 from .nested import (
-    Coupling,
-    CouplingEntry,
     NestedResult,
     brute_force_bicausal,
     cauchy_check,
     nested_distance,
     wasserstein_distance,
 )
+from .plans import Coupling, CouplingEntry
 from .transport import OTResult, TransportPlan, solve_ot
 from .tree import Node, ScenarioTree, build_tree
 

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import AlreadyExtremeError, NotCausalError, ValidationError
-from .nested import Coupling, check_depths
+from .nested import check_depths
+from .plans import Coupling
 from .tolerances import SNAP, TOL
 from .tree import ScenarioTree, build_tree
 

@@ -14,11 +14,14 @@ limit), 3 a handler's failure message, which only an oracle mismatch
 (``compute nested --oracle``) or a demo whose regression check failed
 returns, 4 solver failure (the transportation simplex or the oracle LP
 gave no optimum, or scipy, which only the oracle needs, is missing), 64
-usage.  scipy is loaded only by the LP oracle, and numpy on first use
-(``compute kr``, ``compute wasserstein``, the oracle, the demos; never on
-the walk path of ``compute nested``, ``compute lifted``, ``embed``,
-``check coupling`` and ``split``), so the first report of a process that
-loads either counts the import in its ``wall_time_s``.
+usage.  scipy is loaded only by the LP oracle, and numpy on first use:
+by ``compute wasserstein``, the oracle, the ``incompleteness``,
+``extreme-split`` and ``isometry`` demos, and a simplex problem of more
+than 64 cells (``demo kr-gap`` at its default size solves some).  The
+other commands (``compute nested``, ``compute lifted``, ``compute kr``,
+``embed``, ``check coupling``, ``split``, ``from-samples``, ``demo
+separating``) run on lists.  The first report of a process that loads
+either counts the import in its ``wall_time_s``.
 """
 
 from __future__ import annotations
@@ -264,8 +267,8 @@ def _cmd_compute_pair(args, report) -> str | None:
     elif args.what == "wasserstein":
         results["distance"] = wasserstein_distance(mu, nu, metric)
     else:  # kr
-        plan = kr_coupling(mu, nu).coupling
-        results["distance"] = metric.root(plan.cost(metric))
+        kr = kr_coupling(mu, nu, metric)
+        plan, results["distance"] = kr.coupling, metric.root(kr.cost)
     if plan is not None and args.emit_plan:
         save_coupling(plan, args.emit_plan)
         results["plan_file"] = str(args.emit_plan)

@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING
 
 from .embedding import NestedAtom, NestedDistribution
 from .errors import ValidationError
-from .nested import Coupling, CouplingEntry
+from .plans import Coupling, CouplingEntry
 from .tree import ScenarioTree, build_tree
 
 if TYPE_CHECKING:

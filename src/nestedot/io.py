@@ -25,7 +25,7 @@ from typing import Any, Iterator
 
 from .embedding import NestedAtom, NestedDistribution
 from .errors import ValidationError
-from .nested import Coupling
+from .plans import Coupling
 from .tree import ScenarioTree
 
 
@@ -107,15 +107,13 @@ def tree_to_json(tree: ScenarioTree) -> dict:
 
 
 def tree_from_json(obj: dict) -> ScenarioTree:
-    """The tree of ``{"depth", "nodes"}``; a JSON ``true`` is no depth,
-    though the constructor would take it as 1."""
+    """The tree of ``{"depth", "nodes"}``.  Each record is type-checked and
+    handed to the constructor as a plain 5-tuple, which checks the rest."""
     try:
         depth = obj["depth"]
         raw = obj["nodes"]
     except (TypeError, KeyError) as exc:
         raise ValidationError("tree JSON needs 'depth' and 'nodes'") from exc
-    if type(depth) is bool:
-        raise ValidationError(f"depth must be an integer, got {depth!r}")
     nodes = []
     for d in _array(raw, "tree 'nodes'"):
         try:

@@ -7,6 +7,9 @@ would require atomless conditionals).  Tree children are kept in value
 order, so this monotone coupling is the northwest-corner plan of the two
 value-sorted conditionals, built by the rule (and with the rounding) of
 the transportation simplex's start, once per pair of subtree classes.
+Given a metric, the plan is priced as it is composed
+(``plans.compose_priced_plan``), with the bits of ``Coupling.cost`` and
+no numpy array, so ``compute kr`` never loads numpy.
 The ``demo kr-gap`` command compares :func:`kr_distance` with the nested
 distance on the stress families of :mod:`nestedot.families`.
 """
@@ -16,25 +19,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .metrics import GroundMetric
-from .nested import Coupling, check_depths, compose_plan, tree_classes
+from .nested import check_depths, tree_classes
+from .plans import Coupling, compose_plan, compose_priced_plan
 from .transport import _northwest_corner
 from .tree import ScenarioTree
 
 
 @dataclass(frozen=True)
 class KRCoupling:
-    """The rearrangement plan."""
+    """The rearrangement plan and, if it was priced, its p-th-power cost."""
 
     coupling: Coupling
+    cost: float | None = None
 
 
-def kr_coupling(mu: ScenarioTree, nu: ScenarioTree) -> KRCoupling:
+def kr_coupling(
+    mu: ScenarioTree, nu: ScenarioTree, metric: GroundMetric | None = None
+) -> KRCoupling:
     """Increasing Knothe-Rosenblatt rearrangement of the two laws.
 
     A node pair's one-stage plan depends only on the child masses of its
     subtree classes, so the northwest-corner rule runs once per class pair
     that ``compose_plan`` reaches.  The rule treats rows and columns alike,
-    so swapping the arguments transposes the plan exactly.
+    so swapping the arguments transposes the plan exactly.  Given a
+    ``metric``, the plan is priced as it is composed: ``cost`` equals
+    ``coupling.cost(metric)`` bit for bit.
     """
     check_depths(mu, nu)
     classes_mu, of_mu = tree_classes(mu)
@@ -44,10 +53,11 @@ def kr_coupling(mu: ScenarioTree, nu: ScenarioTree) -> KRCoupling:
         laws = [m for _, m, _ in classes_mu.keys[ca]], [m for _, m, _ in classes_nu.keys[cb]]
         return _northwest_corner(*laws)[0]
 
-    return KRCoupling(compose_plan(mu, nu, of_mu, of_nu, plan_of))
+    if metric is None:
+        return KRCoupling(compose_plan(mu, nu, of_mu, of_nu, plan_of))
+    return KRCoupling(*compose_priced_plan(mu, nu, of_mu, of_nu, plan_of, metric))
 
 
 def kr_distance(mu: ScenarioTree, nu: ScenarioTree, metric: GroundMetric) -> float:
     """Transport cost of the rearrangement, reported as the p-th root."""
-    plan = kr_coupling(mu, nu).coupling
-    return metric.root(plan.cost(metric))
+    return metric.root(kr_coupling(mu, nu, metric).cost)

@@ -257,7 +257,10 @@ def _simplex(cost: list[list[float]], a: list[float], b: list[float]):
     start is one by construction: its m + n - 1 cells are a staircase from
     (0, 0) to (m - 1, n - 1) that moves one row or one column per cell.
     Each node keeps its parent, depth and potential (its parent cell's
-    cost minus the parent's potential) across pivots.  An entering cell's cycle runs from its row
+    cost minus the parent's potential) across pivots.  The start's
+    potentials are derived along the staircase, and the tree of parents
+    and depths is built only when the start does not price out optimal,
+    before the first pivot.  An entering cell's cycle runs from its row
     and column up to their common ancestor.  The leaving cell cuts one
     subtree off, the entering cell hangs it back on, and only that
     subtree's potentials are re-derived: each depends only on its root path.
@@ -282,12 +285,17 @@ def _simplex(cost: list[list[float]], a: list[float], b: list[float]):
         basic = [[False] * n for _ in range(m)]
     else:
         c, basic = np.array(cost), np.zeros((m, n), dtype=bool)
-    adj: list[list[int]] = [[] for _ in range(m + n)]
+    # The start's potentials, along its staircase: each cell adds one row
+    # or column, whose potential is the cell's cost minus the other's, as
+    # ``hang(0)`` derives it.
+    pot, col = [0.0] * (m + n), -1
     for i, j in basis:
         basic[i][j] = True
-        adj[i].append(m + j)
-        adj[m + j].append(i)
-    parent, depth, pot = [-1] * (m + n), [0] * (m + n), [0.0] * (m + n)
+        if j != col:
+            pot[m + j] = cost[i][j] - pot[i]
+        else:
+            pot[i] = cost[i][j] - pot[m + j]
+        col = j
 
     def hang(top):  # re-derive the subtree below ``top`` from ``top`` itself
         stack = [top]
@@ -303,7 +311,6 @@ def _simplex(cost: list[list[float]], a: list[float], b: list[float]):
     def cell(k):  # the basis cell joining node k to its parent
         return (k, parent[k] - m) if k < m else (parent[k], k - m)
 
-    hang(0)
     # A potential sums up to m + n costs along its root path, so a reduced
     # cost carries rounding in proportion to the largest cost.
     enter = -max(SNAP, (m + n) * ROUNDING * max(map(max, cost)))
@@ -329,6 +336,13 @@ def _simplex(cost: list[list[float]], a: list[float], b: list[float]):
                     break
                 k = int(candidates[0])
             i, j = divmod(k, n)
+        if it == 0:  # the basis tree; ``hang(0)`` gives the same potentials
+            adj: list[list[int]] = [[] for _ in range(m + n)]
+            for r, s in basis:
+                adj[r].append(m + s)
+                adj[m + s].append(r)
+            parent, depth = [-1] * (m + n), [0] * (m + n)
+            hang(0)
         # Counted from the entering cell's row or column, the tree cells at
         # even steps of the climb lose theta and those at odd steps gain it.
         p, q, row_side, col_side = i, m + j, [], []

@@ -48,6 +48,17 @@ class Node(NamedTuple):
 _VALUE = operator.itemgetter(3)
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int.  A bool is rejected, though ``operator.index``
+    takes it, and so is a float, though ``1.0 == 1``."""
+    if type(value) is not bool:
+        try:
+            return int(operator.index(value))
+        except TypeError:
+            pass
+    raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
 class ScenarioTree:
     """Validated, immutable scenario tree, held as per-stage columns.
 
@@ -67,10 +78,7 @@ class ScenarioTree:
     """
 
     def __init__(self, depth: int, nodes: Iterable[Node]):
-        try:
-            depth = int(operator.index(depth))
-        except TypeError:
-            raise ValidationError(f"depth must be an integer, got {depth!r}") from None
+        depth = _integer(depth, "depth")
         if depth < 1:
             raise ValidationError(f"depth must be >= 1, got {depth}")
         records = list(nodes)
@@ -79,6 +87,8 @@ class ScenarioTree:
         by_id: dict[int, tuple] = {}
         roots = []
         for rec in records:
+            if type(rec[2]) is not int:
+                _integer(rec[2], f"stage of node {rec[0]}")
             if rec[0] in by_id:
                 raise ValidationError(f"duplicate node id {rec[0]}")
             by_id[rec[0]] = rec

@@ -972,11 +972,11 @@ def test_only_the_oracle_loads_scipy(pair_files, tmp_path):
     assert summary["seam_callable"] and summary["seam"] == []
     assert summary["oracle_code"] == 0 and summary["oracle_check"] == "ok"
     assert summary["oracle"]
-    # The recursion runs on lists: the import and the walk commands (nested,
-    # embed, lifted, check, split, from-samples) never load numpy; kr is
-    # the first to.
+    # The recursion runs on lists: the import, the walk commands (nested,
+    # embed, lifted, check, split, from-samples) and kr, whose plan is priced
+    # as it is composed, never load numpy; wasserstein is the first to.
     assert summary["numpy_at_import"] is False
-    assert [step["numpy"] for step in summary["steps"]] == [False] * 7 + [True] * 3
+    assert [step["numpy"] for step in summary["steps"]] == [False] * 8 + [True] * 2
     assert [step["scipy"] for step in summary["steps"]] == [[]] * 10
 
 
@@ -1042,9 +1042,9 @@ def test_only_the_oracle_needs_scipy(pair_files, tmp_path):
 
 
 def test_path_cost_overflow_exits_2_without_numpy(tmp_path):
-    # The recursion checks its cost rows with math.isfinite (nested._solve):
-    # a path cost past the float range is still rejected when numpy cannot
-    # even be imported.
+    # The recursion checks its cost rows with math.isfinite (nested._solve),
+    # and the KR plan its path costs as it is composed: a path cost past the
+    # float range is still rejected when numpy cannot even be imported.
     argv = {"nested": [], "lifted": []}
     for flag, lift, tree in (
         ("mu", "P", build_tree([((0.0, 0.0), 0.5), ((1.0, 1.0), 0.5)])),
@@ -1054,5 +1054,58 @@ def test_path_cost_overflow_exits_2_without_numpy(tmp_path):
         save_nested(embed(tree), tmp_path / lift)
         argv["nested"] += [f"--{flag}", str(tmp_path / flag)]
         argv["lifted"] += [f"--{lift}", str(tmp_path / lift)]
+    argv["kr"] = argv["nested"]
     results = _run_without("numpy", [["compute", what, *a] for what, a in argv.items()])
-    assert results == [[2, f"invalid input: {PATH_COST_OVERFLOW}\n"]] * 2
+    assert results == [[2, f"invalid input: {PATH_COST_OVERFLOW}\n"]] * 3
+
+
+# Runs CLI commands in a fresh interpreter, with numpy blocked if the first
+# argument is "block"; the second is a JSON list of command lines.  Prints
+# each command's exit code and report less its wall time, and whether
+# numpy was loaded.
+REPORTS = """
+import contextlib, io, json, sys
+if sys.argv[1] == "block":
+    sys.modules["numpy"] = None
+import nestedot.cli
+
+results = []
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = nestedot.cli.main(argv)
+    report = json.loads(out.getvalue())
+    del report["wall_time_s"]
+    results.append([code, report])
+print(json.dumps({"results": results, "numpy": sys.modules.get("numpy") is not None}))
+"""
+
+
+def test_kr_runs_without_numpy(tmp_path):
+    # The KR plan is priced as it is composed, and the demo's nested
+    # distances at this size solve scanned simplex problems: neither needs
+    # numpy, and both give the reports and the plan file of a run with it.
+    mu, nu = random_tree_pair(np.random.default_rng(5), 3)
+    save_tree(mu, tmp_path / "mu.json")
+    save_tree(nu, tmp_path / "nu.json")
+    plan = tmp_path / "plan.json"
+    trees = ["--mu", str(tmp_path / "mu.json"), "--nu", str(tmp_path / "nu.json")]
+    commands = [
+        ["compute", "kr", *trees, "--emit-plan", str(plan)],
+        ["compute", "kr", *trees, "--p", "1.5", "--metric", "truncated", "--cap", "0.5"],
+        ["demo", "kr-gap", "--n", "2", "--discretize", "4"],
+    ]
+    runs = {}
+    for mode in ("block", "load"):
+        proc = subprocess.run(
+            [sys.executable, "-c", REPORTS, mode, json.dumps(commands)],
+            env=_subprocess_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs[mode] = json.loads(proc.stdout), plan.read_bytes()
+        plan.unlink()
+    (blocked, blocked_plan), (loaded, loaded_plan) = runs["block"], runs["load"]
+    assert [code for code, _ in blocked["results"]] == [0, 0, 0]
+    assert blocked["numpy"] is False
+    assert blocked["results"] == loaded["results"]
+    assert blocked_plan == loaded_plan

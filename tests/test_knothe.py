@@ -20,9 +20,12 @@ from nestedot.families import (
     crossed_fans,
     fan_vs_merged,
     hidden_branch_pair,
+    perturbed_pair,
     random_tree,
     random_tree_pair,
 )
+from nestedot.metrics import PATH_COST_OVERFLOW
+from nestedot.tree import Node, ScenarioTree
 from reference import child_law, quantile_cost
 from test_nested import dyadic_walk, reached_class_pairs
 
@@ -272,3 +275,91 @@ def test_northwest_corner_runs_once_per_class_pair(monkeypatch, walks, runs):
     mu, nu = dyadic_walk(6, step_a, up_a), dyadic_walk(6, step_b, up_b)
     plan = kr_coupling(mu, nu).coupling
     assert len(calls) == len(reached_class_pairs(mu, nu, plan)) == runs
+
+
+PRICED_METRICS = [
+    GroundMetric.usual(1.0),
+    GroundMetric.usual(1.5),
+    M2,
+    GroundMetric.truncated(2.0, 0.5),
+]
+
+
+def _priced(mu, nu, metric):
+    """The KR plan priced as it is composed, checked against ``Coupling.cost``
+    bit for bit: the same terms, each correctly rounded, in any order."""
+    kr = kr_coupling(mu, nu, metric)
+    assert kr.coupling == kr_coupling(mu, nu).coupling
+    assert kr.cost.hex() == kr.coupling.cost(metric).hex()
+    return kr
+
+
+def _underflowing_pair():
+    # The KR plan pairs the leaves (0.0, 3e200) and (0.0, 5.0) with fractions
+    # 1e-200 at both stages: their mass rounds to zero, so no plan entry
+    # holds them, though their base distance overflows at p = 2.
+    root = Node(0, None, 0, None, None)
+    mu = ScenarioTree(2, [
+        root, Node(1, 0, 1, 0.0, 1e-200), Node(2, 0, 1, 1.0, 1.0),
+        Node(3, 1, 2, 3e200, 1e-200), Node(4, 1, 2, 1.0, 1.0), Node(5, 2, 2, 0.0, 1.0),
+    ])
+    nu = ScenarioTree(2, [
+        root, Node(1, 0, 1, 0.0, 0.5), Node(2, 0, 1, 1.0, 0.5),
+        Node(3, 1, 2, 0.0, 1.0), Node(4, 1, 2, 5.0, 1e-200), Node(5, 2, 2, 2.0, 1.0),
+    ])
+    return mu, nu
+
+
+@pytest.mark.parametrize("metric", PRICED_METRICS, ids=repr)
+def test_priced_cost_has_the_bits_of_coupling_cost(metric):
+    rng = np.random.default_rng(2718)
+    pairs = [random_tree_pair(rng, 1 + k % 4) for k in range(80)]
+    pairs += [crossed_fans(4), hidden_branch_pair(4, 16), fan_vs_merged(3), perturbed_pair(0.1)]
+    point = build_tree([((0.5,), 1.0)])
+    pairs += [(build_tree([((float(i),), 1 / k) for i in range(k)]), point) for k in range(1, 10)]
+    zeros = build_tree([((-0.0, 1.0), 0.25), ((1.0, -0.0), 0.75)])
+    pairs += [(zeros, build_tree([((0.0, -0.0), 0.5), ((-0.0, 0.0), 0.5)])), (zeros, zeros)]
+    pairs.append(_underflowing_pair())
+    sizes = {len(_priced(mu, nu, metric).coupling) for mu, nu in pairs}
+    assert set(range(1, 10)) <= sizes
+
+
+def test_a_leaf_pair_of_mass_rounded_to_zero_is_not_priced():
+    mu, nu = _underflowing_pair()
+    kr = _priced(mu, nu, M2)
+    assert ((0.0, 3e200), (0.0, 5.0)) not in {(e.mu_path, e.nu_path) for e in kr.coupling.entries}
+    assert math.isfinite(kr.cost)
+
+
+@pytest.mark.parametrize(
+    "mu_paths, nu_paths, message",
+    [
+        # a base distance whose p-th power passes the float range
+        ([(0.0,)], [(2e200,)], "cost overflows: base distance 2e+200 to the power 2.0"),
+        # two such value pairs: the lower one is named, whichever the walk
+        # meets first (here the other) and in whatever order a set holds them
+        (
+            [(0.0, 0.0), (1.0, 0.0)],
+            [(0.0, -3e200), (1.0, 4e200)],
+            "cost overflows: base distance 3e+200 to the power 2.0",
+        ),
+        (
+            [(0.0, 0.0), (1.0, 0.0)],
+            [(0.0, 5e200), (1.0, 2e200)],
+            "cost overflows: base distance 2e+200 to the power 2.0",
+        ),
+        # finite stage costs whose sum is not
+        ([(0.0, 0.0)], [(1e154, 1e154)], PATH_COST_OVERFLOW),
+        # a base distance past the float range itself: inf, which base_cost
+        # returns, then rejected as a path cost
+        ([(1e308,)], [(-1e308,)], PATH_COST_OVERFLOW),
+    ],
+)
+def test_priced_overflow_is_reported_as_by_coupling_cost(mu_paths, nu_paths, message):
+    mu = build_tree([(x, 1 / len(mu_paths)) for x in mu_paths])
+    nu = build_tree([(y, 1 / len(nu_paths)) for y in nu_paths])
+    with pytest.raises(ValidationError) as priced:
+        kr_coupling(mu, nu, M2)
+    with pytest.raises(ValidationError) as general:
+        kr_coupling(mu, nu).coupling.cost(M2)
+    assert str(priced.value) == str(general.value) == message

@@ -213,6 +213,36 @@ def test_tree_loader_rejects_as_the_constructor(depth, nodes, message):
     assert str(from_json.value) == str(from_nodes.value)
 
 
+@pytest.mark.parametrize(
+    "depth, root_stage, leaf_stage, message",
+    [
+        (True, 0, 1, "depth must be an integer, got True"),
+        (1, 0, True, "stage of node 1 must be an integer, got True"),
+        (1, 0, 1.0, r"stage of node 1 must be an integer, got 1\.0"),
+        (1, False, 1, "stage of node 0 must be an integer, got False"),
+        (1, 0.0, 1, r"stage of node 0 must be an integer, got 0\.0"),
+    ],
+)
+def test_boolean_depth_and_non_integer_stages_are_rejected(depth, root_stage, leaf_stage, message):
+    # ``operator.index(True)`` is 1 and ``1.0 == 1``: each used to build a
+    # depth-1 tree through the constructor.  The loader type-checks a
+    # record's stage itself, and leaves the depth to the constructor.
+    nodes = [(0, None, root_stage, None, None), (1, 0, leaf_stage, 0.0, 1.0)]
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        ScenarioTree(depth, [Node(*fields) for fields in nodes])
+    keys = ("id", "parent", "stage", "value", "prob")
+    obj = {"depth": depth, "nodes": [dict(zip(keys, fields)) for fields in nodes]}
+    loader = message if depth is True else "malformed tree node record"
+    with pytest.raises(ValidationError, match=f"^{loader}"):
+        tree_from_json(obj)
+
+
+def test_numpy_integer_depth_and_stages_are_integers():
+    one, zero = np.int64(1), np.int64(0)
+    tree = ScenarioTree(one, [Node(0, None, zero, None, None), Node(1, 0, one, 0.0, 1.0)])
+    assert type(tree.depth) is int and tree.leaf_paths() == [((0.0,), 1.0)]
+
+
 def test_every_constructor_raise_is_reachable():
     # A raise that no input reaches is dead code posing as a check: every
     # raise in ScenarioTree.__init__ must run for some case of REJECTS.
