@@ -7,14 +7,15 @@ On trees this next-step kernel test is equivalent to the measurable-map
 definition by the chain rule of disintegration.  All conditioning is on
 positive-mass histories only.
 
-On a tree a node is its history, so the checkers work on node ids: each
-distinct plan path that an entry uses is matched once to a leaf, and
-one pass up the stages sums the plan's mass onto every pair of
-same-stage nodes, compares the child masses of each pair with the two
-kernels, and collects the law of y_t given each x-history for the Monge
-tests and the splitter.  The pass reads the plan's cells and masses
-and the trees' parent, value and conditional-probability tables; it
-builds no path or node record per cell.
+On a tree a node is its history, so the checkers work on stage
+positions (a leaf's is its rank among the leaf paths): each distinct
+plan path that an entry uses is matched once to a leaf rank, and one
+pass up the stages sums the plan's mass onto every pair of same-stage
+positions, compares the child masses of each pair with the two
+kernels, and collects the law of y_t given each x-history for the
+Monge tests and the splitter.  The pass reads the plan's cells and
+masses and the trees' per-stage columns; it builds no node-id table and
+no path or node record per cell.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class CausalityReport:
 def _leaf_masses(
     gamma: Coupling, mu: ScenarioTree, nu: ScenarioTree
 ) -> dict[tuple[int, int], float]:
-    """Plan mass on every (mu leaf, nu leaf) pair, in the plan's entry order."""
+    """Plan mass on every (mu, nu) pair of leaf ranks, in the plan's entry order."""
     width = len(gamma.nu_paths)
     rows = _leaves_of(gamma.mu_paths, {c // width for c in gamma.cells}, mu)
     cols = _leaves_of(gamma.nu_paths, {c % width for c in gamma.cells}, nu)
@@ -78,25 +79,25 @@ def _leaf_masses(
 def _leaves_of(
     paths: tuple[tuple[float, ...], ...], used: set[int], tree: ScenarioTree
 ) -> dict[int, int]:
-    """The leaf of each plan path that an entry uses, by path rank.  A
+    """The leaf rank of each plan path that an entry uses, by path rank.  A
     solver's plan also holds the leaf paths that no entry uses, and those
     need not be paths of ``tree`` (when it is rebuilt from the entries)."""
-    leaf_of = dict(zip(tree.paths[tree.depth], tree.leaves))
-    return {a: _snap(paths[a], leaf_of) for a in used}
+    rank_of = {path: k for k, path in enumerate(tree.paths[tree.depth])}
+    return {a: _snap(paths[a], rank_of) for a in used}
 
 
-def _snap(path: tuple[float, ...], leaf_of: dict[tuple[float, ...], int]) -> int:
-    """The leaf whose path is ``path``, or else, of the leaves whose paths
-    are within ``TOL`` of it in every coordinate, the nearest by largest
-    coordinate gap, ties going to leaf order."""
-    leaf = leaf_of.get(path)
-    if leaf is not None:
-        return leaf
+def _snap(path: tuple[float, ...], rank_of: dict[tuple[float, ...], int]) -> int:
+    """The rank of the leaf whose path is ``path``, or else, of the leaves
+    whose paths are within ``TOL`` of it in every coordinate, the nearest by
+    largest coordinate gap, ties going to leaf order."""
+    rank = rank_of.get(path)
+    if rank is not None:
+        return rank
     near = []
-    for cand, leaf in leaf_of.items():
+    for cand, rank in rank_of.items():
         gaps = [abs(a - b) for a, b in zip(cand, path)]
         if len(cand) == len(path) and all(g <= TOL for g in gaps):
-            near.append((max(gaps, default=0.0), leaf))
+            near.append((max(gaps, default=0.0), rank))
     if not near:
         raise ValidationError(f"plan path {path} is not a leaf path of the tree")
     return min(near, key=lambda c: c[0])[1]
@@ -106,32 +107,17 @@ def _marginal_deviation(masses, tree: ScenarioTree, side: int) -> float:
     marg: dict[int, float] = {}
     for key, m in masses.items():
         marg[key[side]] = marg.get(key[side], 0.0) + m
-    leaves = zip(tree.leaves, tree.masses[tree.depth])
-    return max(abs(m - marg.get(k, 0.0)) for k, m in leaves)
-
-
-def _tables(tree: ScenarioTree) -> tuple[dict, dict, dict, dict]:
-    """By node id, read off the tree's columns: the parent, value and
-    conditional probability of every non-root node, and the children of
-    every node above the last stage."""
-    up, value, prob, kids = {}, {}, {}, {}
-    for t in range(1, tree.depth + 1):
-        ids, parents = tree.ids[t], tree.ids[t - 1]
-        up.update(zip(ids, [parents[k] for k in tree.up[t]]))
-        value.update(zip(ids, tree.values[t]))
-        prob.update(zip(ids, tree.probs[t]))
-        starts = tree.starts[t - 1]
-        kids.update(zip(parents, [ids[a:b] for a, b in zip(starts, starts[1:])]))
-    return up, value, prob, kids
+    return max(abs(m - marg.get(k, 0.0)) for k, m in enumerate(tree.masses[tree.depth]))
 
 
 def _analyze(gamma: Coupling, mu: ScenarioTree, nu: ScenarioTree | None, tol: float):
     """One bottom-up pass over a coupling: kernel deviations, Monge structure.
 
     Returns the report, the nu tree (the plan's second marginal when
-    ``nu`` is None), the plan's mass on every (mu leaf, nu leaf) pair, and
-    the conditional law of y_t given the x-history i, as ``{value: mass}``,
-    of every mu node i of stage t whose law is not a point mass.
+    ``nu`` is None), the plan's mass on every (mu leaf rank, nu leaf rank)
+    pair, and, keyed by ``(t, i)``, the conditional law of y_t given the
+    x-history at position i of stage t, as ``{value: mass}``, for each
+    such law that is not a point mass.
     """
     if nu is None:
         width = len(gamma.nu_paths)
@@ -143,19 +129,18 @@ def _analyze(gamma: Coupling, mu: ScenarioTree, nu: ScenarioTree | None, tol: fl
         raise ValidationError(f"coupling mu-marginal deviates from the tree path law by {dev}")
 
     # From the leaves up, each stage sums the mass of every pair of stage-t
-    # nodes onto the pair of their parents, then compares each parent
+    # positions onto the pair of their parents, then compares each parent
     # pair's child masses with the two trees' kernels.
-    mu_up, _, mu_prob, mu_kids = _tables(mu)
-    nu_up, nu_value, nu_prob, nu_kids = _tables(nu)
     violations: list[Violation] = []
     worst = {"mu": 0.0, "nu": 0.0}
-    y_law: dict[int, dict[float, float]] = {}
+    y_laws: list[dict[int, dict[float, float]]] = [{} for _ in range(mu.depth + 1)]
     cells = masses
     for t in range(mu.depth, 0, -1):
+        mu_up, nu_up, ys, y_law = mu.up[t], nu.up[t], nu.values[t], y_laws[t]
         parents: dict[tuple[int, int], list] = {}
         for (i, j), m in cells.items():
             law = y_law.setdefault(i, {})
-            y = nu_value[j]
+            y = ys[j]
             law[y] = law.get(y, 0.0) + m
             key = (mu_up[i], nu_up[j])
             cell = parents.get(key)
@@ -164,37 +149,39 @@ def _analyze(gamma: Coupling, mu: ScenarioTree, nu: ScenarioTree | None, tol: fl
             cell[0] += m
             cell[1][i] = cell[1].get(i, 0.0) + m
             cell[2][j] = cell[2].get(j, 0.0) + m
+        mu_prob, nu_prob = mu.probs[t], nu.probs[t]
+        mu_kids, nu_kids = mu.starts[t - 1], nu.starts[t - 1]
         for (pi, pj), (mass, x_kids, y_kids) in parents.items():
+            x_range = range(mu_kids[pi], mu_kids[pi + 1])
+            y_range = range(nu_kids[pj], nu_kids[pj + 1])
             devs = (
-                ("mu", max([abs(x_kids.get(k, 0.0) / mass - mu_prob[k]) for k in mu_kids[pi]])),
-                ("nu", max([abs(y_kids.get(k, 0.0) / mass - nu_prob[k]) for k in nu_kids[pj]])),
+                ("mu", max([abs(x_kids.get(k, 0.0) / mass - mu_prob[k]) for k in x_range])),
+                ("nu", max([abs(y_kids.get(k, 0.0) / mass - nu_prob[k]) for k in y_range])),
             )
             for side, dev in devs:
                 worst[side] = max(worst[side], dev)
                 if dev > tol:
-                    violations.append(Violation(t, mu.path(pi), nu.path(pj), side, dev))
+                    x_history, y_history = mu.paths[t - 1][pi], nu.paths[t - 1][pj]
+                    violations.append(Violation(t, x_history, y_history, side, dev))
         cells = {key: cell[0] for key, cell in parents.items()}
     violations.sort(key=lambda v: (v.stage, v.side, v.x_history, v.y_history))
 
     # A law is not a point mass when two of its atoms each hold at least SNAP of it.
-    mixed: dict[int, dict[float, float]] = {}
-    for i, law in y_law.items():
-        total = math.fsum(law.values())
-        if sum(m / total >= SNAP for m in law.values()) > 1:
-            mixed[i] = law
+    mixed: dict[tuple[int, int], dict[float, float]] = {}
+    for t, y_law in enumerate(y_laws):
+        for i, law in y_law.items():
+            total = math.fsum(law.values())
+            if sum(m / total >= SNAP for m in law.values()) > 1:
+                mixed[t, i] = law
     # The adapted map sends each x-history to the y-history of its atoms;
     # it is invertible with an adapted inverse when distinct stage-t
     # x-histories always have distinct images.
     invertible = not mixed
-    images: dict[int, tuple[float, ...]] = {mu.root: ()}
-    for t in range(1, mu.depth + 1):
-        if not invertible:
-            break
-        stage = [i for i in mu.nodes_at_stage(t) if i in y_law]
-        for i in stage:
-            law = y_law[i]
-            images[i] = images[mu_up[i]] + (max(law, key=law.get),)
-        invertible = len({images[i] for i in stage}) == len(stage)
+    images: dict[int, tuple[float, ...]] = {0: ()}
+    for up, y_law in zip(mu.up[1:], y_laws[1:]):
+        if invertible:
+            images = {i: images[up[i]] + (max(law, key=law.get),) for i, law in y_law.items()}
+            invertible = len(set(images.values())) == len(images)
 
     causal = worst["mu"] <= tol
     report = CausalityReport(
@@ -278,16 +265,19 @@ def split_non_extreme(
     if report.is_monge_adapted:
         raise AlreadyExtremeError("already extreme: coupling is Monge-adapted")
 
-    # Per x-leaf, the first x-node along its history whose y-law is not a
-    # point mass (None if there is none); its stage is the stopping stage.
-    history = dict(zip(mu.leaves, mu.histories()))
-    trigger = {
-        leaf: next((k for k in history[leaf] if k in mixed), None)
-        for leaf in dict.fromkeys(i for i, _ in masses)
-    }
+    # Per x-leaf rank, the first (stage, position) up its history whose
+    # y-law is not a point mass (None if there is none); its stage is the
+    # stopping stage.
+    trigger: dict[int, tuple[int, int] | None] = {}
+    for leaf in dict.fromkeys(i for i, _ in masses):
+        trigger[leaf], k = None, leaf
+        for t in range(mu.depth, 0, -1):
+            if (t, k) in mixed:
+                trigger[leaf] = (t, k)
+            k = mu.up[t][k]
 
-    below: dict[int, float] = {}
-    mean: dict[int, float] = {}
+    below: dict[tuple[int, int], float] = {}
+    mean: dict[tuple[int, int], float] = {}
     for node in set(trigger.values()) - {None}:
         law = mixed[node]
         total = math.fsum(law.values())
@@ -309,28 +299,32 @@ def split_non_extreme(
                 "lambda leaves no triggering branch active; the split would be vacuous"
             )
 
-    pi_masses: dict[tuple, float] = {}
-    tilde_masses: dict[tuple, float] = {}
+    # Both parts are leaf-rank plans over the two trees' leaves.
+    width, leaves_mu, leaves_nu = len(nu.leaves), mu.paths[mu.depth], nu.paths[nu.depth]
+    pi_cells, pi_masses, tilde_cells, tilde_masses = [], [], [], []
     for (i, j), m in masses.items():
-        key = (mu.path(i), nu.path(j))
         node = trigger[i]
         if node is None or below[node] <= lam:
-            pi_masses[key] = m
-        elif nu.path(j)[mu.node(node).stage - 1] < mean[node]:
-            pi_masses[key] = m / below[node]
-        rest = (m - lam * pi_masses.get(key, 0.0)) / (1.0 - lam)
+            share = m
+        elif leaves_nu[j][node[0] - 1] < mean[node]:
+            share = m / below[node]
+        else:
+            share = 0.0
+        cell = i * width + j
+        if share > 0.0:
+            pi_cells.append(cell)
+            pi_masses.append(share)
+        rest = (m - lam * share) / (1.0 - lam)
         if rest > 0.0:
-            tilde_masses[key] = rest
+            tilde_cells.append(cell)
+            tilde_masses.append(rest)
 
-    pi = Coupling.from_mass_map(pi_masses)
-    pi_tilde = Coupling.from_mass_map(tilde_masses)
+    pi = Coupling.of_leaves(mu, nu, pi_cells, pi_masses)
+    pi_tilde = Coupling.of_leaves(mu, nu, tilde_cells, tilde_masses)
     if pi == pi_tilde:
         raise RuntimeError("split produced identical components")
     tau = {
-        mu.path(leaf): mu.depth + 1 if node is None else mu.node(node).stage
-        for leaf, node in trigger.items()
+        leaves_mu[leaf]: mu.depth + 1 if node is None else node[0] for leaf, node in trigger.items()
     }
-    jmap = {
-        mu.path(leaf): 0.0 if node is None else mean[node] for leaf, node in trigger.items()
-    }
+    jmap = {leaves_mu[leaf]: 0.0 if node is None else mean[node] for leaf, node in trigger.items()}
     return SplitResult(lam, pi, pi_tilde, tau, jmap)

@@ -290,10 +290,6 @@ def _cmd_check(args, report) -> None:
 
 
 def _cmd_split(args, report) -> None:
-    mu = load_tree(args.mu)
-    nu = load_tree(args.nu)
-    gamma = load_coupling(args.plan)
-    res = split_non_extreme(gamma, mu, nu, lam=args.lam, tol=args.tol)
     stem = Path(args.plan)
     out_pi = Path(args.out_pi) if args.out_pi else stem.with_name(stem.stem + "_pi.json")
     out_tilde = (
@@ -301,6 +297,12 @@ def _cmd_split(args, report) -> None:
         if args.out_pi_tilde
         else stem.with_name(stem.stem + "_pi_tilde.json")
     )
+    if out_pi.resolve() == out_tilde.resolve():
+        raise ValidationError(f"pi and pi_tilde would both be written to {out_pi}")
+    mu = load_tree(args.mu)
+    nu = load_tree(args.nu)
+    gamma = load_coupling(args.plan)
+    res = split_non_extreme(gamma, mu, nu, lam=args.lam, tol=args.tol)
     save_coupling(res.pi, out_pi)
     save_coupling(res.pi_tilde, out_tilde)
     report["results"] = {

@@ -211,6 +211,25 @@ def test_plan_that_misses_a_tiny_leaf_is_checked_without_nu():
     assert is_causal(res.pi, mu).is_causal and is_causal(res.pi_tilde, mu).is_causal
 
 
+def test_checkers_build_no_node_index():
+    # The checkers and the splitter read the trees' stage columns; none of
+    # them asks for a node by id, so no tree builds its id-to-position map.
+    mu_eps, mu = perturbed_pair(0.1)
+    crossed = Coupling.from_mass_map(
+        {((0.1, 1.0), (0.0, 1.0)): 0.5, ((-0.1, -1.0), (0.0, -1.0)): 0.5}
+    )
+    assert is_bicausal(crossed, mu_eps, mu).violations
+    fan, merged = fan_vs_merged(2)
+    assert is_causal(product_coupling(fan, merged), fan).is_causal
+    source = merged_limit()
+    gamma = Coupling.from_mass_map(
+        {(x, y): 0.5 * w for x, w in source.leaf_paths() for y in ((1.0, 2.0), (-1.0, 0.0))}
+    )
+    assert 0.0 < split_non_extreme(gamma, source).lam < 1.0
+    for tree in (mu_eps, mu, fan, source):
+        assert "_where" not in tree.__dict__
+
+
 # ---------------------------------------------------------------- Monge
 
 
@@ -299,6 +318,33 @@ def test_split_product_coupling():
         tau = res.tau_per_history[e.mu_path]
         assert tau == 1
         assert e.nu_path[0] < res.j_per_history[e.mu_path]
+
+
+def _split_fields(res):
+    return res.lam, res.pi.entries, res.pi_tilde.entries, res.tau_per_history, res.j_per_history
+
+
+def test_split_of_plan_paths_within_tol_of_the_leaves():
+    # Plan paths 1e-12 off the leaf paths snap to the leaves, so the split
+    # is the exact plan's, entry for entry.  Without nu, nu is rebuilt from
+    # the entries, so only the mu paths are moved there.
+    fan, merged = fan_vs_merged(2)
+    tree = random_tree(np.random.default_rng(8), 3, max_leaves=8)
+    gamma, image, _ = random_monge_mixture(np.random.default_rng(9), tree)
+    for mu, nu, plan in ((fan, merged, product_coupling(fan, merged)), (tree, image, gamma)):
+        for shift, nu_given in ((1e-12, True), (-1e-12, True), (1e-12, False)):
+            moved = Coupling(
+                CouplingEntry(
+                    tuple(v + shift for v in e.mu_path),
+                    tuple(v - shift * nu_given for v in e.nu_path),
+                    e.mass,
+                )
+                for e in plan.entries
+            )
+            assert moved != plan
+            target = nu if nu_given else None
+            exact = split_non_extreme(plan, mu, target)
+            assert _split_fields(split_non_extreme(moved, mu, target)) == _split_fields(exact)
 
 
 def test_split_rejects_monge_plans():

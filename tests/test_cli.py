@@ -198,6 +198,32 @@ def test_split_refuses_a_default_lambda_of_zero(capsys, tmp_path):
     assert err == "invalid input: no strict split: the default lambda 0.0 is not inside (0, 1)\n"
 
 
+def test_split_refuses_one_file_for_both_parts(pair_files, capsys, tmp_path, monkeypatch):
+    # One file would be left holding only pi_tilde, which fails `check
+    # coupling`, so two outputs that resolve to one path are refused
+    # before either part is written.
+    mu, nu = pair_files
+    fan, merged = load_tree(mu), load_tree(nu)
+    plan_file = tmp_path / "product.json"
+    save_coupling(
+        Coupling.from_mass_map(
+            {(x, y): wx * wy for x, wx in fan.leaf_paths() for y, wy in merged.leaf_paths()}
+        ),
+        plan_file,
+    )
+    monkeypatch.chdir(tmp_path)
+    trees = ["--mu", str(mu), "--nu", str(nu)]
+    for outs in (
+        ["--out-pi", "both.json", "--out-pi-tilde", "both.json"],
+        ["--out-pi", "both.json", "--out-pi-tilde", str(tmp_path / "both.json")],
+        ["--out-pi", str(tmp_path / "product_pi_tilde.json")],
+    ):
+        code, report, err = run(capsys, "split", "--plan", str(plan_file), *trees, *outs)
+        assert code == 2 and report is None
+        assert err.startswith("invalid input: pi and pi_tilde would both be written to ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["mu.json", "nu.json", "product.json"]
+
+
 def test_inputs_are_digested_as_read(pair_files, capsys, tmp_path):
     # An output that overwrites its input used to be reported as the
     # input's digest.
