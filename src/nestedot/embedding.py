@@ -97,7 +97,7 @@ def embed(tree: ScenarioTree) -> NestedDistribution:
     lifts: list[NestedDistribution | None] = [None]  # class 0: below a leaf
     for key in classes.keys[1:]:
         lifts.append(NestedDistribution(tuple(NestedAtom(m, v, lifts[c]) for v, m, c in key)))
-    return lifts[of[tree.root]]
+    return lifts[of[0][0]]
 
 
 def nested_wasserstein(

@@ -137,25 +137,27 @@ def random_tree_pair(rng: np.random.Generator, depth: int) -> tuple[ScenarioTree
     return random_tree(rng, depth), random_tree(rng, depth)
 
 
-def random_adapted_map(rng: np.random.Generator, tree: ScenarioTree) -> dict[int, float]:
-    """Assign a target value to every non-root node (one per x-history)."""
-    return {
-        nid: float(_VALUE_LATTICE[int(rng.integers(len(_VALUE_LATTICE)))])
-        for stage in range(1, tree.depth + 1)
-        for nid in tree.nodes_at_stage(stage)
-    }
+def random_adapted_map(rng: np.random.Generator, tree: ScenarioTree) -> list[list[float]]:
+    """Assign a target value to every non-root node (one per x-history):
+    per stage t = 1..depth, in that order, the values of its nodes by
+    position."""
+    return [
+        [float(_VALUE_LATTICE[int(rng.integers(len(_VALUE_LATTICE)))]) for _ in values]
+        for values in tree.values[1:]
+    ]
 
 
 def monge_pushforward(
-    tree: ScenarioTree, assignment: dict[int, float]
+    tree: ScenarioTree, assignment: list[list[float]]
 ) -> tuple[Coupling, ScenarioTree]:
-    """Plan (id, T)_* mu of an adapted map given per-history values."""
-    entries = []
-    for history, (path, weight) in zip(tree.histories(), tree.leaf_paths()):
-        ypath = tuple(map(assignment.__getitem__, history))
-        entries.append(CouplingEntry(path, ypath, weight))
-    nu = build_tree((e.nu_path, e.mass) for e in entries)
-    return Coupling(tuple(entries)), nu
+    """Plan (id, T)_* mu of an adapted map given per-history values, laid
+    out as ``random_adapted_map``'s: the image path of a node extends its
+    parent's by the node's value."""
+    ypaths = [()]
+    for up, ys in zip(tree.up[1:], assignment, strict=True):
+        ypaths = [ypaths[k] + (y,) for k, y in zip(up, ys, strict=True)]
+    entries = list(map(CouplingEntry, tree.paths[tree.depth], ypaths, tree.masses[tree.depth]))
+    return Coupling(entries), build_tree((e.nu_path, e.mass) for e in entries)
 
 
 def random_monge_mixture(
@@ -166,11 +168,9 @@ def random_monge_mixture(
     The result is causal (convexity) but not Monge-adapted, because the two
     maps are forced to disagree on at least one positive-mass history.
     """
-    first = random_adapted_map(rng, tree)
-    while True:
+    first, second = random_adapted_map(rng, tree), random_adapted_map(rng, tree)
+    while second == first:
         second = random_adapted_map(rng, tree)
-        if any(second[k] != first[k] for k in first):
-            break
     alpha = float(rng.integers(2, 9)) / 10.0
     plan_a = monge_pushforward(tree, first)[0]
     plan_b = monge_pushforward(tree, second)[0]

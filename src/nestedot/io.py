@@ -297,8 +297,9 @@ def read_samples_csv(
             w = vals[-1]
             if not (math.isfinite(w) and w > 0.0):
                 raise ValidationError(f"weight {w!r} on line {line} is not finite and positive")
-        total = sum(vals[-1] for vals in parsed)
-        if not math.isfinite(total):
-            raise ValidationError(f"weights sum to {total!r}, which is not finite")
+        try:
+            total = math.fsum(vals[-1] for vals in parsed)
+        except OverflowError:  # where a plain ``sum`` would return inf
+            raise ValidationError("weights sum to inf, which is not finite") from None
         return [(tuple(vals[:-1]), vals[-1] / total) for vals in parsed]
     return [(tuple(vals), 1.0 / len(parsed)) for vals in parsed]

@@ -78,17 +78,17 @@ class SubtreeClasses:
         return cid
 
 
-def tree_classes(tree: ScenarioTree) -> tuple[SubtreeClasses, dict[int, int]]:
-    """The subtree classes of a tree and the class of every node."""
+def tree_classes(tree: ScenarioTree) -> tuple[SubtreeClasses, list[list[int]]]:
+    """The subtree classes of a tree and, per stage, the class of each node
+    by position: ``of[t][k]`` is node k of stage t's, so ``of[0][0]`` is
+    the root's."""
     classes = SubtreeClasses()
-    of = dict.fromkeys(tree.leaves, 0)
-    below = [0] * len(tree.leaves)
+    of = [[0] * len(tree.leaves)]
     for t in range(tree.depth - 1, -1, -1):
-        kids = list(zip(tree.values[t + 1], tree.probs[t + 1], below))
+        kids = list(zip(tree.values[t + 1], tree.probs[t + 1], of[-1]))
         starts = tree.starts[t]
-        below = [classes.intern(tuple(kids[a:b])) for a, b in zip(starts, starts[1:])]
-        of.update(zip(tree.ids[t], below))
-    return classes, of
+        of.append([classes.intern(tuple(kids[a:b])) for a, b in zip(starts, starts[1:])])
+    return classes, of[::-1]
 
 
 Solved = dict[tuple[int, int], tuple[float, list[list[float]] | None]]
@@ -194,7 +194,7 @@ def nested_distance(
     classes_mu, of_mu = tree_classes(mu)
     classes_nu, of_nu = tree_classes(nu)
     solved = backward(classes_mu, classes_nu, metric)
-    total = solved[of_mu[mu.root], of_nu[nu.root]][0]
+    total = solved[of_mu[0][0], of_nu[0][0]][0]
     return NestedResult(
         metric.root(total),
         lambda: compose_plan(mu, nu, of_mu, of_nu, lambda ca, cb: solved[ca, cb][1]),

@@ -188,8 +188,8 @@ class _BaseCosts(dict):
 def _walk(
     mu: ScenarioTree,
     nu: ScenarioTree,
-    of_mu: Mapping[int, int],
-    of_nu: Mapping[int, int],
+    of_mu: list[list[int]],
+    of_nu: list[list[int]],
     plan_of: Callable[[int, int], list[list[float]]],
     base: _BaseCosts | None,
 ) -> tuple[list[int], list[float], list[float]]:
@@ -218,7 +218,7 @@ def _walk(
                 masses.append(mass)
                 costs.append(cost)
             continue
-        pair = of_mu[mu.ids[t][i]], of_nu[nu.ids[t][j]]
+        pair = of_mu[t][i], of_nu[t][j]
         i, j, t = mu.starts[t][i], nu.starts[t][j], t + 1  # the pair's first children
         kept = plans.get(pair)
         if kept is None:
@@ -235,17 +235,18 @@ def _walk(
 def compose_plan(
     mu: ScenarioTree,
     nu: ScenarioTree,
-    of_mu: Mapping[int, int],
-    of_nu: Mapping[int, int],
+    of_mu: list[list[int]],
+    of_nu: list[list[int]],
     plan_of: Callable[[int, int], list[list[float]]],
 ) -> Coupling:
     """Compose a coupling top-down from the one-stage plans of class pairs.
 
-    ``of_mu`` and ``of_nu`` give each node's subtree class (``tree_classes``),
-    and ``plan_of(ca, cb)`` the one-stage plan of a class pair, rows over
-    ca's children and columns over cb's in value order.  It is asked once
-    per class pair reached, and its positive cells are kept.  The walk
-    holds stage positions, so it records the two leaves' ranks
+    ``of_mu[t][k]`` and ``of_nu[t][k]`` give the subtree class of node k
+    of stage t (``tree_classes``), and ``plan_of(ca, cb)`` the one-stage
+    plan of a class pair, rows over ca's children and columns over cb's in
+    value order.  It is asked once per class pair reached, and its positive
+    cells are kept.  The walk holds stage positions, so it reads each
+    pair's classes by position, records the two leaves' ranks
     (``Coupling.of_leaves``) and builds no path.
     """
     cells, masses, _ = _walk(mu, nu, of_mu, of_nu, plan_of, None)
@@ -255,8 +256,8 @@ def compose_plan(
 def compose_priced_plan(
     mu: ScenarioTree,
     nu: ScenarioTree,
-    of_mu: Mapping[int, int],
-    of_nu: Mapping[int, int],
+    of_mu: list[list[int]],
+    of_nu: list[list[int]],
     plan_of: Callable[[int, int], list[list[float]]],
     metric: GroundMetric,
 ) -> tuple[Coupling, float]:

@@ -14,7 +14,6 @@ rank among the leaf paths.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -35,8 +34,8 @@ def sibling_total(masses: Iterable[float], mismatch: Callable[[float], str]) -> 
 
 
 class Node(NamedTuple):
-    """One node record: the form the constructor reads (any 5-tuple of
-    these fields will do) and the view ``ScenarioTree.node`` returns."""
+    """One node record, the form the constructor reads; any 5-tuple of
+    these fields will do."""
 
     id: int
     parent: int | None
@@ -72,8 +71,9 @@ class ScenarioTree:
     stage, conditional probabilities in (0, 1] summing to one per node,
     pairwise distinct sibling values.  Each sibling group is sorted by
     value and renormalized exactly, unless it already sums to 1 within
-    ``ROUNDING``.  The node-id accessors read the columns through a map
-    built on first use.  Instances never mutate and are safe for
+    ``ROUNDING``.  The package addresses a node by its stage and position
+    only; the ids (``ids``, ``root``) are kept for the file format
+    (``io.tree_to_json``).  Instances never mutate and are safe for
     concurrent reads.
     """
 
@@ -152,20 +152,6 @@ class ScenarioTree:
         self.depth, self.root, self.starts = depth, root[0], tuple(starts)
         self.ids, self.up, self.values, self.probs, self.masses, self.paths = map(tuple, columns)
 
-    @functools.cached_property
-    def _where(self) -> dict[int, tuple[int, int]]:
-        """(stage, position) of every node id."""
-        return {nid: (t, k) for t, ids in enumerate(self.ids) for k, nid in enumerate(ids)}
-
-    def node(self, nid: int) -> Node:
-        t, k = self._where[nid]
-        parent = self.ids[t - 1][self.up[t][k]] if t else None
-        return Node(nid, parent, t, self.values[t][k], self.probs[t][k])
-
-    def children(self, nid: int) -> tuple[int, ...]:
-        t, k = self._where[nid]
-        return self.ids[t + 1][self.starts[t][k] : self.starts[t][k + 1]] if t < self.depth else ()
-
     def nodes_at_stage(self, stage: int) -> tuple[int, ...]:
         return self.ids[stage]
 
@@ -173,26 +159,9 @@ class ScenarioTree:
     def leaves(self) -> tuple[int, ...]:
         return self.ids[self.depth]
 
-    def path(self, nid: int) -> tuple[float, ...]:
-        """History (x_1, ..., x_t) of the node."""
-        t, k = self._where[nid]
-        return self.paths[t][k]
-
-    def mass(self, nid: int) -> float:
-        """Unconditional probability of reaching the node."""
-        t, k = self._where[nid]
-        return self.masses[t][k]
-
     def leaf_paths(self) -> list[tuple[tuple[float, ...], float]]:
         """Root-to-leaf paths with their unconditional weights."""
         return list(zip(self.paths[self.depth], self.masses[self.depth]))
-
-    def histories(self) -> list[tuple[int, ...]]:
-        """Per leaf, in leaf order, the ids of its nodes from stage 1 down."""
-        rows = [()]
-        for ids, up in zip(self.ids[1:], self.up[1:]):
-            rows = [rows[k] + (nid,) for nid, k in zip(ids, up)]
-        return rows
 
     def canonical_key(self) -> str:
         """Total-order key; equal keys mean equal trees (same path law).

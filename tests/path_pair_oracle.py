@@ -18,19 +18,13 @@ from scipy.optimize import linprog
 
 from nestedot import GroundMetric, ScenarioTree
 from nestedot.nested import Coupling, NestedResult
+from reference import children
 
 
-def _leaves_under(tree: ScenarioTree, nid: int, index: dict[int, int]) -> list[int]:
-    out = []
-    stack = [nid]
-    while stack:
-        cur = stack.pop()
-        kids = tree.children(cur)
-        if not kids:
-            out.append(index[cur])
-        else:
-            stack.extend(kids)
-    return out
+def _leaves_under(paths: list[tuple[float, ...]], history: tuple[float, ...]) -> list[int]:
+    """Ranks of the leaf paths that extend ``history``."""
+    t = len(history)
+    return [k for k, path in enumerate(paths) if path[:t] == history]
 
 
 def path_pair_bicausal(mu: ScenarioTree, nu: ScenarioTree, metric: GroundMetric) -> NestedResult:
@@ -43,8 +37,7 @@ def path_pair_bicausal(mu: ScenarioTree, nu: ScenarioTree, metric: GroundMetric)
         return k * n + l
 
     c = np.array([metric.path_cost(x, y) for x, _ in mu_paths for y, _ in nu_paths])
-    mu_leaf_index = {leaf: k for k, leaf in enumerate(mu.leaves)}
-    nu_leaf_index = {leaf: l for l, leaf in enumerate(nu.leaves)}
+    mu_x, nu_y = [x for x, _ in mu_paths], [y for y, _ in nu_paths]
 
     rows: list[int] = []
     cols: list[int] = []
@@ -65,13 +58,12 @@ def path_pair_bicausal(mu: ScenarioTree, nu: ScenarioTree, metric: GroundMetric)
         add(((var(k, l), 1.0) for k in range(m)), w)
 
     for t in range(1, mu.depth):
-        for i in mu.nodes_at_stage(t):
-            block_i = _leaves_under(mu, i, mu_leaf_index)
-            for j in nu.nodes_at_stage(t):
-                block_j = _leaves_under(nu, j, nu_leaf_index)
-                for child in mu.children(i):
-                    p_child = mu.node(child).cond_prob
-                    child_leaves = set(_leaves_under(mu, child, mu_leaf_index))
+        for hist_i in mu.paths[t]:
+            block_i = _leaves_under(mu_x, hist_i)
+            for hist_j in nu.paths[t]:
+                block_j = _leaves_under(nu_y, hist_j)
+                for child, p_child in children(mu, hist_i):
+                    child_leaves = set(_leaves_under(mu_x, hist_i + (child,)))
                     add(
                         (
                             (var(k, l), (1.0 if k in child_leaves else 0.0) - p_child)
@@ -80,9 +72,8 @@ def path_pair_bicausal(mu: ScenarioTree, nu: ScenarioTree, metric: GroundMetric)
                         ),
                         0.0,
                     )
-                for child in nu.children(j):
-                    p_child = nu.node(child).cond_prob
-                    child_leaves = set(_leaves_under(nu, child, nu_leaf_index))
+                for child, p_child in children(nu, hist_j):
+                    child_leaves = set(_leaves_under(nu_y, hist_j + (child,)))
                     add(
                         (
                             (var(k, l), (1.0 if l in child_leaves else 0.0) - p_child)

@@ -3,7 +3,7 @@
 A law on the line with its left-continuous quantile, the common
 refinement of two cumulative partitions and the cost of the quantile
 (comonotone) coupling of two laws built on it, a leaf-law comparison of
-two trees and a lookup from history to node.  None of these is a solver
+two trees, and a lookup from history to stage position and child law.  None of these is a solver
 route; they exist so that each check has a second computation to compare
 with.
 """
@@ -43,9 +43,10 @@ class LineLaw:
         return self.locations[min(idx, len(self.locations) - 1)]
 
 
-def child_law(tree: ScenarioTree, nid: int) -> LineLaw:
-    """One-stage conditional law of the children of a non-leaf node."""
-    return LineLaw((tree.node(k).value, tree.node(k).cond_prob) for k in tree.children(nid))
+def child_law(tree: ScenarioTree, history=()) -> LineLaw:
+    """One-stage conditional law of the children of the non-leaf node whose
+    history is ``history``; the root's by default."""
+    return LineLaw(children(tree, history))
 
 
 def common_refinement(cum_a, cum_b) -> list[tuple[float, float, int, int]]:
@@ -103,8 +104,15 @@ def same_law(a: ScenarioTree, b: ScenarioTree) -> bool:
 
 
 def node_at(tree: ScenarioTree, history) -> int:
-    """Id of the node whose history is ``history``, found by descending."""
-    nid = tree.root
-    for value in history:
-        nid = next(k for k in tree.children(nid) if tree.node(k).value == value)
-    return nid
+    """Position, in stage ``len(history)``, of the node whose history is
+    ``history``, found among that stage's histories."""
+    return tree.paths[len(history)].index(tuple(history))
+
+
+def children(tree: ScenarioTree, history=()) -> list[tuple[float, float]]:
+    """(value, conditional probability) of each child, in value order, of
+    the node whose history is ``history``; the root's by default."""
+    t = len(history)
+    k = node_at(tree, history)
+    first, end = tree.starts[t][k], tree.starts[t][k + 1]
+    return list(zip(tree.values[t + 1][first:end], tree.probs[t + 1][first:end]))

@@ -206,7 +206,7 @@ def test_criterion_10_single_stage_degeneracy():
         nd = nested_distance(mu, nu, M2).distance
         kr = kr_distance(mu, nu, M2)
         w = wasserstein_distance(mu, nu, M2)
-        cost, _ = quantile_cost(child_law(mu, mu.root), child_law(nu, nu.root), M2)
+        cost, _ = quantile_cost(child_law(mu), child_law(nu), M2)
         reference = M2.root(cost)
         for value in (nd, kr, w):
             assert abs(value - reference) <= 1e-10

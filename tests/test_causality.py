@@ -32,7 +32,7 @@ from nestedot.families import (
     random_tree,
     random_tree_pair,
 )
-from reference import node_at
+from reference import children
 
 M2 = GroundMetric.usual(2.0)
 
@@ -212,8 +212,9 @@ def test_plan_that_misses_a_tiny_leaf_is_checked_without_nu():
 
 
 def test_checkers_build_no_node_index():
-    # The checkers and the splitter read the trees' stage columns; none of
-    # them asks for a node by id, so no tree builds its id-to-position map.
+    # The checkers and the splitter read the trees' stage columns and ask
+    # for no node by id; ``test_surface.test_only_tree_and_io_read_node_ids``
+    # guards that no module but ``tree`` and ``io`` reads a node id.
     mu_eps, mu = perturbed_pair(0.1)
     crossed = Coupling.from_mass_map(
         {((0.1, 1.0), (0.0, 1.0)): 0.5, ((-0.1, -1.0), (0.0, -1.0)): 0.5}
@@ -226,8 +227,6 @@ def test_checkers_build_no_node_index():
         {(x, y): 0.5 * w for x, w in source.leaf_paths() for y in ((1.0, 2.0), (-1.0, 0.0))}
     )
     assert 0.0 < split_non_extreme(gamma, source).lam < 1.0
-    for tree in (mu_eps, mu, fan, source):
-        assert "_where" not in tree.__dict__
 
 
 # ---------------------------------------------------------------- Monge
@@ -236,11 +235,7 @@ def test_checkers_build_no_node_index():
 def test_identity_map_invertible_monge():
     rng = np.random.default_rng(50)
     tree = random_tree(rng, 2, max_leaves=6)
-    ident = {
-        nid: tree.node(nid).value
-        for s in range(1, tree.depth + 1)
-        for nid in tree.nodes_at_stage(s)
-    }
+    ident = [list(values) for values in tree.values[1:]]
     plan, nu = monge_pushforward(tree, ident)
     rep = is_causal(plan, tree, nu)
     assert rep.is_monge_adapted and rep.is_invertible_monge
@@ -249,9 +244,7 @@ def test_identity_map_invertible_monge():
 
 def test_constant_map_not_invertible():
     fan, _ = fan_vs_merged(2)
-    const = {
-        nid: 0.75 for s in range(1, 3) for nid in fan.nodes_at_stage(s)
-    }
+    const = [[0.75] * len(values) for values in fan.values[1:]]
     plan, nu = monge_pushforward(fan, const)
     rep = is_causal(plan, fan, nu)
     assert rep.is_monge_adapted
@@ -262,10 +255,7 @@ def test_shifted_map_bicausal():
     # Stagewise shifts are invertible with an adapted inverse.
     rng = np.random.default_rng(3)
     tree = random_tree(rng, 3, max_leaves=8)
-    shifted = {}
-    for s in range(1, tree.depth + 1):
-        for nid in tree.nodes_at_stage(s):
-            shifted[nid] = tree.node(nid).value + 0.5 * s
+    shifted = [[x + 0.5 * s for x in tree.values[s]] for s in range(1, tree.depth + 1)]
     plan, nu = monge_pushforward(tree, shifted)
     rep = is_causal(plan, tree, nu)
     assert rep.is_invertible_monge
@@ -282,11 +272,7 @@ def test_bicausal_report_carries_monge_fields():
     # `check coupling` reads the Monge fields from the bicausal report alone.
     rng = np.random.default_rng(3)
     tree = random_tree(rng, 3, max_leaves=8)
-    shifted = {
-        nid: tree.node(nid).value + 0.5 * s
-        for s in range(1, tree.depth + 1)
-        for nid in tree.nodes_at_stage(s)
-    }
+    shifted = [[x + 0.5 * s for x in tree.values[s]] for s in range(1, tree.depth + 1)]
     monge_plan, image = monge_pushforward(tree, shifted)
     fan, merged = fan_vs_merged(2)
     cases = [(monge_plan, tree, image, True), (product_coupling(fan, merged), fan, merged, False)]
@@ -460,10 +446,7 @@ def test_kernel_reduction_matches_lp_constraints():
                 mass = math.fsum(e.mass for e in grp)
                 for tree, side in ((mu, 0), (nu, 1)):
                     hist = xh if side == 0 else yh
-                    node = node_at(tree, hist)
-                    for child in tree.children(node):
-                        val = tree.node(child).value
-                        prob = tree.node(child).cond_prob
+                    for val, prob in children(tree, hist):
                         joint = math.fsum(
                             e.mass
                             for e in grp

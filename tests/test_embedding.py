@@ -77,7 +77,7 @@ def test_subtrees_equal_but_for_the_sign_of_a_zero_share_a_lift():
     # Class keys compare floats with ==, so the second branch's -0.0 lifts
     # as the first branch's 0.0; the lifts compare equal either way.
     tree = build_tree([((1.0, 0.0, 5.0), 0.5), ((2.0, -0.0, 5.0), 0.5)])
-    assert math.copysign(1.0, tree.path(tree.leaves[1])[1]) == -1.0
+    assert math.copysign(1.0, tree.leaf_paths()[1][0][1]) == -1.0
     lift = embed(tree)
     first, second = (a.next for a in lift.atoms)
     assert first is second
@@ -193,9 +193,8 @@ def test_dirac_approximation_converges():
         tree = dirac_approximation(p, eps)
         assert nested_wasserstein(embed(tree), p, M2) <= eps + 1e-12
     tree = dirac_approximation(p, 1e-3)
-    stage1 = tree.nodes_at_stage(1)
-    assert len(stage1) == 1  # a single atom stays a single (shifted) node
-    assert abs(tree.node(stage1[0]).value) <= 1e-3
+    assert len(tree.values[1]) == 1  # a single atom stays a single (shifted) node
+    assert abs(tree.values[1][0]) <= 1e-3
 
 
 def test_dirac_approximation_separates_equal_values():
@@ -317,7 +316,7 @@ def test_lift_keeps_tree_probabilities_bit_for_bit():
         Node(1, 0, 1, 0.0, 0.900000000018),
         Node(2, 0, 1, 1.0, 0.100000000002),
     ])
-    probs = [mu.node(k).cond_prob for k in mu.children(mu.root)]
+    probs = list(mu.probs[1])
     assert math.fsum(probs) != 1.0
     assert [a.mass for a in embed(mu).atoms] == probs
     nu = build_tree([((0.25,), 0.5), ((0.75,), 0.5)])

@@ -159,6 +159,15 @@ def test_samples_csv_first_row(tmp_path, text, samples):
     assert read_samples_csv(path) == samples
 
 
+def test_samples_csv_weights_sum_exactly(tmp_path):
+    # Weights were divided by a plain ``sum``, whose rounding depends on the
+    # Python version: before 3.12 ten weights 0.1 summed to 0.9999999999999999
+    # and read back as 0.10000000000000002.
+    path = tmp_path / "samples.csv"
+    path.write_text("".join(f"{k},0.1\n" for k in range(10)))
+    assert read_samples_csv(path, weight_column=True) == [((float(k),), 0.1) for k in range(10)]
+
+
 @pytest.mark.parametrize(
     "data, message",
     [(b"\xff1,2\n3,4\n", "can't decode byte 0xff"), (b"1," + b"2" * 200_000, "field limit")],

@@ -160,7 +160,7 @@ def test_one_stage_plan_is_the_quantile_coupling():
     rng = np.random.default_rng(61)
     for _ in range(60):
         mu, nu = random_tree_pair(rng, 1)
-        a, b = child_law(mu, mu.root), child_law(nu, nu.root)
+        a, b = child_law(mu), child_law(nu)
         _, expected = quantile_cost(a, b, M2)
         got = np.zeros_like(expected)
         for e in kr_coupling(mu, nu).coupling.entries:

@@ -147,12 +147,13 @@ def test_plan_cost_matches_value():
 
 
 def _continuation(mu, nu, metric):
-    """The continuation value of a same-stage node pair (i of mu, j of nu),
-    read from the backward recursion's value of the pair's class pair."""
+    """The continuation value of a stage-t node pair (positions i of mu, j
+    of nu), read from the backward recursion's value of the pair's class
+    pair."""
     classes_mu, of_mu = tree_classes(mu)
     classes_nu, of_nu = tree_classes(nu)
     solved = backward(classes_mu, classes_nu, metric)
-    return lambda i, j: solved[of_mu[i], of_nu[j]][0]
+    return lambda t, i, j: solved[of_mu[t][i], of_nu[t][j]][0]
 
 
 def test_value_table_invariants():
@@ -161,12 +162,12 @@ def test_value_table_invariants():
     value = _continuation(fan, merged, M2)
     assert fan.depth == 2
     for t in range(3):
-        for i in fan.nodes_at_stage(t):
-            for j in merged.nodes_at_stage(t):
-                assert value(i, j) >= 0.0
+        for i in range(len(fan.values[t])):
+            for j in range(len(merged.values[t])):
+                assert value(t, i, j) >= 0.0
                 if t == 2:
-                    assert value(i, j) == 0.0
-    root_value = value(fan.root, merged.root)
+                    assert value(t, i, j) == 0.0
+    root_value = value(0, 0, 0)
     assert root_value == pytest.approx(res.distance**2, abs=1e-12)
 
 
@@ -577,18 +578,19 @@ def test_plan_transpose_orientation():
 
 
 def _dense_backward(mu, nu, metric):
-    """Reference: one transport problem per node pair, as a plain table."""
+    """Reference: one transport problem per node pair, as a plain table
+    keyed by the stage and the two nodes' positions in it."""
     depth = mu.depth
-    values = {(depth, i, j): 0.0 for i in mu.nodes_at_stage(depth) for j in nu.nodes_at_stage(depth)}
+    values = {(depth, i, j): 0.0 for i in range(len(mu.leaves)) for j in range(len(nu.leaves))}
     for t in range(depth - 1, -1, -1):
-        for i in mu.nodes_at_stage(t):
-            kids_i = mu.children(i)
-            vi = [mu.node(k).value for k in kids_i]
-            pi = [mu.node(k).cond_prob for k in kids_i]
-            for j in nu.nodes_at_stage(t):
-                kids_j = nu.children(j)
-                vj = [nu.node(k).value for k in kids_j]
-                pj = [nu.node(k).cond_prob for k in kids_j]
+        for i in range(len(mu.values[t])):
+            kids_i = range(mu.starts[t][i], mu.starts[t][i + 1])
+            vi = [mu.values[t + 1][k] for k in kids_i]
+            pi = [mu.probs[t + 1][k] for k in kids_i]
+            for j in range(len(nu.values[t])):
+                kids_j = range(nu.starts[t][j], nu.starts[t][j + 1])
+                vj = [nu.values[t + 1][k] for k in kids_j]
+                pj = [nu.probs[t + 1][k] for k in kids_j]
                 cost = np.empty((len(kids_i), len(kids_j)))
                 for a, ka in enumerate(kids_i):
                     for b, kb in enumerate(kids_j):
@@ -612,7 +614,7 @@ def _oriented_value(cost, a, b):
 def _dense_nested(mu, nu, metric):
     """Reference distance and table; each subproblem oriented as the engine does."""
     values = _dense_backward(mu, nu, metric)
-    return metric.root(values[(0, mu.root, nu.root)]), values
+    return metric.root(values[(0, 0, 0)]), values
 
 
 def dyadic_walk(depth, step, up):
@@ -658,7 +660,7 @@ def test_engine_matches_dense_reference_exactly():
         distance, values = _dense_nested(mu, nu, metric)
         assert res.distance == distance
         value = _continuation(mu, nu, metric)
-        assert {(t, i, j): value(i, j) for t, i, j in values} == values
+        assert {key: value(*key) for key in values} == values
 
 
 def _mirror_cases():
@@ -696,9 +698,9 @@ def test_reversed_arguments_mirror_exactly():
         }
         value_ab, value_ba = _continuation(mu, nu, metric), _continuation(nu, mu, metric)
         for t in range(mu.depth + 1):
-            for i in mu.nodes_at_stage(t):
-                for j in nu.nodes_at_stage(t):
-                    assert value_ba(j, i) == value_ab(i, j)
+            for i in range(len(mu.values[t])):
+                for j in range(len(nu.values[t])):
+                    assert value_ba(t, j, i) == value_ab(t, i, j)
 
 
 def test_lift_matches_tree_exactly():
@@ -736,14 +738,11 @@ def test_walk_solves_one_problem_per_class_pair(monkeypatch):
 def reached_class_pairs(mu, nu, plan):
     """The class pairs of the same-stage node pairs above the plan's entries."""
     (_, of_mu), (_, of_nu) = tree_classes(mu), tree_classes(nu)
-    leaf_mu = {mu.path(k): k for k in mu.leaves}
-    leaf_nu = {nu.path(k): k for k in nu.leaves}
     reached = set()
     for e in plan.entries:
-        i, j = leaf_mu[e.mu_path], leaf_nu[e.nu_path]
-        while i != mu.root:
-            i, j = mu.node(i).parent, nu.node(j).parent
-            reached.add((of_mu[i], of_nu[j]))
+        for t in range(mu.depth):
+            i, j = node_at(mu, e.mu_path[:t]), node_at(nu, e.nu_path[:t])
+            reached.add((of_mu[t][i], of_nu[t][j]))
     return reached
 
 
@@ -776,12 +775,12 @@ def test_deep_walk_lazy_table(monkeypatch):
     assert node_pairs == sum(4**t for t in stages)
     assert len(res.plan) == 2**depth
     value = _continuation(mu, nu, M2)
-    assert M2.root(value(mu.root, nu.root)) == res.distance
+    assert M2.root(value(0, 0, 0)) == res.distance
     # equal levels share one class pair, hence one value
     ups = [node_at(mu, h) for h in ((0.5, 0.0), (-0.5, 0.0))]
     downs = [node_at(nu, h) for h in ((0.25, 0.0), (-0.25, 0.0))]
-    assert len({value(i, j) for i in ups for j in downs}) == 1
-    assert _continuation(nu, mu, M2)(downs[0], ups[1]) == value(ups[1], downs[0])
+    assert len({value(2, i, j) for i in ups for j in downs}) == 1
+    assert _continuation(nu, mu, M2)(2, downs[0], ups[1]) == value(2, ups[1], downs[0])
 
 
 def _bit_pin_cases():

@@ -133,6 +133,28 @@ def test_only_tree_names_canonical_key():
     assert naming == []
 
 
+def test_only_tree_and_io_read_node_ids():
+    # The package addresses a node by its stage and position; node ids are
+    # kept for the file format.  So no module but ``tree`` and ``io`` reads
+    # a tree's ``ids`` or ``root``.  A ``.root`` that is called, as in
+    # ``metric.root(total)``, is the metric's p-th root, not a node.
+    src = Path(nestedot.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name in ("tree.py", "io.py"):
+            continue
+        module = ast.parse(path.read_text())
+        called = {id(node.func) for node in ast.walk(module) if isinstance(node, ast.Call)}
+        found += [
+            f"{path.name}:{node.lineno} reads .{node.attr}"
+            for node in ast.walk(module)
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("ids", "root")
+            and id(node) not in called
+        ]
+    assert found == []
+
+
 def _module_level_names(module: ast.Module) -> set[str]:
     names = set()
     for node in module.body:

@@ -33,35 +33,28 @@ def test_single_chain():
     assert tree.depth == 2
     assert len(tree.leaves) == 1
     assert tree.leaf_paths() == [((0.0, 1.0), 1.0)]
-    stage1 = tree.nodes_at_stage(1)
-    assert len(stage1) == 1
-    assert tree.node(stage1[0]).cond_prob == 1.0
+    assert len(tree.values[1]) == 1
+    assert tree.probs[1] == (1.0,)
 
 
 def test_merged_first_coordinate():
     tree = build_tree([((0.0, 1.0), 0.5), ((0.0, -1.0), 0.5)])
-    stage1 = tree.nodes_at_stage(1)
-    assert len(stage1) == 1
-    node = tree.node(stage1[0])
-    assert node.value == 0.0
-    kids = tree.children(stage1[0])
-    assert [tree.node(k).value for k in kids] == [-1.0, 1.0]
-    assert [tree.node(k).cond_prob for k in kids] == [0.5, 0.5]
+    assert tree.values[1] == (0.0,)
+    assert tree.starts[1] == (0, 2)  # both stage-2 nodes are its children
+    assert tree.values[2] == (-1.0, 1.0)
+    assert tree.probs[2] == (0.5, 0.5)
 
 
 def test_fan_structure():
     tree = build_tree([((0.1, 1.0), 0.5), ((-0.1, -1.0), 0.5)])
-    stage1 = tree.nodes_at_stage(1)
-    assert len(stage1) == 2
-    for nid in stage1:
-        assert len(tree.children(nid)) == 1
+    assert len(tree.values[1]) == 2
+    assert tree.starts[1] == (0, 1, 2)  # one child each
 
 
 def test_merge_tolerance_mass_weighted_mean():
     tree = build_tree([((0.1, 1.0), 0.5), ((-0.1, -1.0), 0.5)], merge_tol=0.25)
-    stage1 = tree.nodes_at_stage(1)
-    assert len(stage1) == 1
-    assert tree.node(stage1[0]).value == pytest.approx(0.0, abs=1e-15)
+    assert len(tree.values[1]) == 1
+    assert tree.values[1][0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_build_tree_validation():
@@ -154,8 +147,8 @@ def test_uniform_binary_three_stages():
     assert len(flattened) == 8
     assert all(w == pytest.approx(0.125, abs=1e-12) for _, w in flattened)
     for stage in range(3):
-        for nid in tree.nodes_at_stage(stage):
-            assert len(tree.children(nid)) == 2
+        starts = tree.starts[stage]
+        assert [b - a for a, b in zip(starts, starts[1:])] == [2] * len(tree.values[stage])
 
 
 _ROOT = (0, None, 0, None, None)
@@ -297,8 +290,7 @@ def test_probability_renormalized_exactly():
             Node(2, 0, 1, 1.0, 0.7),
         ],
     )
-    kids = tree.children(tree.root)
-    assert math.fsum(tree.node(k).cond_prob for k in kids) == pytest.approx(1.0, abs=1e-15)
+    assert math.fsum(tree.probs[1]) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_json_round_trip():
