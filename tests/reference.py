@@ -3,9 +3,9 @@
 A law on the line with its left-continuous quantile, the common
 refinement of two cumulative partitions and the cost of the quantile
 (comonotone) coupling of two laws built on it, a leaf-law comparison of
-two trees, and a lookup from history to stage position and child law.  None of these is a solver
-route; they exist so that each check has a second computation to compare
-with.
+two trees, and lookups from a history to its stage position and to its
+children.  None of these is a solver route; they exist so that each
+check has a second computation to compare with.
 """
 
 from __future__ import annotations
