@@ -27,7 +27,10 @@ def sibling_total(masses: Iterable[float], mismatch: Callable[[float], str]) -> 
     of 1 (else ``mismatch(sum)`` is raised), or 1.0 within ``ROUNDING`` of 1,
     so that normalized masses keep their bits: a reloaded tree is unchanged
     and a lift reproduces its tree's distances exactly."""
-    total = math.fsum(masses)
+    try:
+        total = math.fsum(masses)
+    except OverflowError:  # finite masses whose sum passes the float range
+        total = math.inf
     if abs(total - 1.0) > TOL:
         raise ValidationError(mismatch(total))
     return 1.0 if abs(total - 1.0) <= ROUNDING else total
@@ -255,7 +258,10 @@ def merged_tree(
     for w in law.values():
         if not (math.isfinite(w) and w > 0.0):
             raise ValidationError(f"nonpositive weight {w!r}")
-    total = math.fsum(law.values())
+    try:
+        total = math.fsum(law.values())
+    except OverflowError:  # finite weights whose sum passes the float range
+        total = math.inf
     if abs(total - 1.0) > TOL:
         raise ValidationError(f"weights sum to {total}, expected 1")
     if not (math.isfinite(merge_tol) and merge_tol >= 0.0):

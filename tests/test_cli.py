@@ -646,6 +646,16 @@ def test_mixed_depth_nested_json_exits_2(capsys, tmp_path):
     assert "disagree on recursion depth" in capsys.readouterr().err
 
 
+def test_nested_masses_summing_past_the_float_range_exit_2(capsys, tmp_path):
+    # Finite atom masses whose fsum overflows used to raise a bare OverflowError.
+    bad = tmp_path / "huge.json"
+    atoms = [{"mass": 1e308, "value": v, "next": None} for v in (0.0, 1.0)]
+    bad.write_text(json.dumps({"atoms": atoms}))
+    code = main(["compute", "lifted", "--P", str(bad), "--Q", str(bad)])
+    assert code == 2
+    assert "atom masses sum to inf, expected 1" in capsys.readouterr().err
+
+
 def _deep_nested_text(depth):
     text = "null"
     for _ in range(depth):

@@ -370,12 +370,23 @@ def test_oracle_lp_call_and_size(monkeypatch):
     nu = full_tree([4, 3, 3], lambda t, k: 1.0 + k, lambda t, k: 0.5 * k - t)
     oracle = brute_force_bicausal(mu, nu, M2)
     assert len(calls) == 1
-    assert calls[0]["options"] == {"presolve": False}
+    assert calls[0]["options"] == {"presolve": False, "simplex_dual_edge_weight_strategy": "devex"}
     a_eq = calls[0]["A_eq"]
     assert a_eq.shape == (808, 1 + 16 + 144 + 1296)
     assert a_eq.nnz == 3236
     assert np.linalg.matrix_rank(a_eq.toarray()) == 808
     assert oracle.distance == pytest.approx(nested_distance(mu, nu, M2).distance, abs=1e-8)
+
+
+def test_oracle_at_the_size_guard():
+    # Two full 5·5·4 trees: exactly ORACLE_SIZE_GUARD leaf pairs, the
+    # largest LP the oracle solves (4610 rows, 10651 columns).
+    mu = full_tree([5, 5, 4], lambda t, k: 1.0, lambda t, k: k + 0.25 * t)
+    nu = full_tree([5, 5, 4], lambda t, k: 1.0 + k, lambda t, k: 0.5 * k - t)
+    assert len(mu.leaves) * len(nu.leaves) == nestedot.nested.ORACLE_SIZE_GUARD
+    oracle = brute_force_bicausal(mu, nu, M2)
+    assert abs(oracle.distance - nested_distance(mu, nu, M2).distance) <= ORACLE_TOL
+    assert is_bicausal(oracle.plan, mu, nu).is_bicausal
 
 
 def _walk(depth, step, up):
@@ -406,7 +417,10 @@ def test_oracle_solves_a_negative_vertex_again_with_presolve(monkeypatch):
     monkeypatch.setattr(nestedot.nested, "linprog", recording)
     mu, nu = _walk(6, 1.0, 0.6875), _walk(6, 0.25, 0.75)
     oracle = brute_force_bicausal(mu, nu, M2)
-    assert [options for options, _ in results] == [{"presolve": False}, None]
+    assert [options for options, _ in results] == [
+        {"presolve": False, "simplex_dual_edge_weight_strategy": "devex"},
+        {"presolve": True, "simplex_dual_edge_weight_strategy": "devex"},
+    ]
     assert results[0][1].x.min() < 0.0
     assert abs(oracle.distance - nested_distance(mu, nu, M2).distance) <= ORACLE_TOL
     assert is_bicausal(oracle.plan, mu, nu).is_bicausal

@@ -68,6 +68,7 @@ def test_build_tree_validation():
         ([((0.0, 1.0), 0.0), ((0.0, -1.0), 1.0)], 0.0, "nonpositive weight 0.0"),
         ([((0.0, 1.0), math.nan)], 0.0, "nonpositive weight nan"),
         ([((0.0, 1.0), 0.7)], 0.0, "weights sum to 0.7"),
+        ([((0.0,), 1e308), ((1.0,), 1e308)], 0.0, "weights sum to inf, expected 1"),
         ([((0.0, 1.0), 1.0)], -0.1, "merge_tol must be nonnegative"),
         ([((0.0, 1.0), 1.0)], math.nan, "merge_tol must be nonnegative"),
     ]:
