@@ -24,8 +24,10 @@ independent oracle.  Its matrix is built by index arithmetic from the
 stage layout that also prices the Wasserstein solve's leaf pairs, and
 HiGHS's dual simplex solves it without presolve, pricing by devex.
 scipy is imported only when the oracle runs, through ``linprog`` below,
-so every other caller of the package starts without it; it is the
-``oracle`` extra, and without it the oracle raises a RuntimeError.
+which hands the LP straight to scipy's HiGHS bindings, without the
+per-column Python of ``scipy.optimize.linprog``.  So every other caller
+of the package starts without scipy; it is the ``oracle`` extra, and
+without it the oracle raises a RuntimeError.
 numpy, too, is loaded on first use (``transport.np``): the recursion
 never loads it, and the Wasserstein solve and the oracle do.
 """
@@ -40,7 +42,7 @@ from typing import Callable
 from .errors import SizeGuardError, ValidationError
 from .metrics import PATH_COST_OVERFLOW, GroundMetric, add_stages
 from .plans import Coupling, compose_plan
-from .tolerances import SNAP
+from .tolerances import SNAP, TOL
 from .transport import _kernel, _normalized, np, solve_ot
 from .tree import ScenarioTree
 
@@ -251,14 +253,57 @@ def _scipy(name: str):
         if (exc.name or "").partition(".")[0] != "scipy":
             raise
         raise RuntimeError(
-            "the LP oracle needs scipy, the 'oracle' extra: pip install 'nestedot[oracle]'"
+            "the LP oracle needs scipy>=1.15, the 'oracle' extra: pip install 'nestedot[oracle]'"
         ) from exc
 
 
-def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on first call.  A module
-    attribute, so that a tracer or a test can patch the oracle's LP."""
-    return _scipy("scipy.optimize").linprog(*args, **kwargs)
+def linprog(cost, *, A_eq, b_eq, options):
+    """min cost·x subject to A_eq x = b_eq and x >= 0, by HiGHS's dual simplex.
+
+    Gives scipy's HiGHS bindings the model and options that
+    ``scipy.optimize.linprog(method="highs", bounds=(0, None))`` would,
+    ``options`` read as there (``presolve``, and
+    ``simplex_dual_edge_weight_strategy`` "devex" or "dantzig"), so the
+    answer has its bits, without linprog's Python over every column.
+    linprog's check of the answer is kept: ``success`` needs the model
+    status Optimal, a solution, no NaN, every mass at least -10·√TOL and
+    every row met within 10·√TOL.  Returns an ``OptimizeResult`` with
+    ``success``, ``x``, ``fun`` and a ``message`` naming the model status.
+    A module attribute, so that a tracer or a test can patch the oracle's LP.
+    """
+    core = _scipy("scipy.optimize._highspy._core")
+    result = _scipy("scipy.optimize").OptimizeResult
+    a_csc, lp, n = A_eq.tocsc(), core.HighsLp(), len(cost)
+    matrix = lp.a_matrix_
+    lp.num_row_, lp.num_col_ = matrix.num_row_, matrix.num_col_ = a_csc.shape
+    matrix.format_ = core.MatrixFormat.kColwise
+    matrix.start_, matrix.index_, matrix.value_ = a_csc.indptr, a_csc.indices, a_csc.data
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = cost, np.zeros(n), np.full(n, np.inf)
+    lp.row_lower_ = lp.row_upper_ = b_eq
+    simplex, settings = core.simplex_constants, core.HighsOptions()
+    settings.simplex_strategy = simplex.kSimplexStrategyDual
+    settings.presolve = "on" if options["presolve"] else "off"
+    edge_weights = options["simplex_dual_edge_weight_strategy"].title()
+    settings.simplex_dual_edge_weight_strategy = getattr(
+        simplex, f"kSimplexEdgeWeightStrategy{edge_weights}"
+    )
+    settings.highs_debug_level = core.kHighsDebugLevelNone
+    settings.output_flag = settings.log_to_console = False
+    highs = core._Highs()
+    highs.passOptions(settings)
+    highs.passModel(lp)
+    highs.run()
+    status, solution = highs.getModelStatus(), highs.getSolution()
+    message = f"HiGHS model status {highs.modelStatusToString(status)}"
+    if status != core.HighsModelStatus.kOptimal or not solution.value_valid:
+        return result(success=False, x=None, fun=None, message=message)
+    x, fun = np.array(solution.col_value), highs.getInfo().objective_function_value
+    residual = b_eq - np.array(solution.row_value)
+    bound = math.sqrt(TOL) * 10
+    success = not math.isnan(fun) and (x >= -bound).all() and (abs(residual) <= bound).all()
+    if not success:
+        message += f", but x >= 0 or A_eq x = b_eq is missed by more than {bound:.2e}"
+    return result(success=bool(success), x=x, fun=fun, message=message)
 
 
 def brute_force_bicausal(
@@ -289,12 +334,10 @@ def brute_force_bicausal(
     walks), priced below the optimum by more than ``ORACLE_TOL``; such an
     answer is solved again with presolve.  Both calls price the dual
     simplex by devex: on these sparse LPs HiGHS's default edge weights
-    cost more per pivot than they save in pivots.  LP call alone, default
-    against devex: 9.8 against 8.1 ms per path-oracle pair of 4·3·3 trees
-    (808×1457), 62 against 55 ms at 4·4·4 (1912×4369), 164 against 149 ms
-    at the size guard, 5·5·4 (4610×10651), and 53 against 55 ms on the
-    depth-6 walks (4096×5461).  Dantzig pricing wins on the walks but is
-    the slowest at the guard.
+    cost more per pivot than they save in pivots.  Both go to HiGHS
+    through ``linprog`` above, with scipy's linprog's bits but not its
+    wrapper: 4.6 against 6.7 ms per LP call on a path-oracle pair of
+    4·3·3 trees (808×1457).
     """
     check_depths(mu, nu)
     if len(mu.leaves) * len(nu.leaves) > ORACLE_SIZE_GUARD:
@@ -329,7 +372,7 @@ def brute_force_bicausal(
     a_eq = sp.csr_matrix(entries, shape=(n_rows, len(cost)))
     b_eq = np.zeros(n_rows)
     b_eq[0] = 1.0
-    lp = {"A_eq": a_eq, "b_eq": b_eq, "bounds": (0.0, None), "method": "highs"}
+    lp = {"A_eq": a_eq, "b_eq": b_eq}
     options = {"presolve": False, "simplex_dual_edge_weight_strategy": "devex"}
     res = linprog(cost, **lp, options=options)
     if res.success and res.x.min() < -SNAP:

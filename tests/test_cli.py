@@ -785,6 +785,36 @@ def test_oracle_mismatch_exits_3(pair_files, capsys, monkeypatch):
     assert err.startswith("oracle mismatch: LP values ")
 
 
+def test_infeasible_oracle_lp_exits_4(pair_files, capsys, monkeypatch):
+    # The real seam on the root row π_0 = -1, which no x >= 0 meets.
+    real = nestedot.nested.linprog
+    monkeypatch.setattr(
+        nestedot.nested, "linprog", lambda cost, b_eq, **k: real(cost, b_eq=-b_eq, **k)
+    )
+    mu, nu = pair_files
+    code, report, err = run(
+        capsys, "compute", "nested", "--mu", str(mu), "--nu", str(nu), "--oracle"
+    )
+    assert code == 4 and report is None
+    assert err == "solver failure: bicausal oracle LP failed: HiGHS model status Infeasible\n"
+
+
+def test_tiny_mass_on_a_huge_cost_is_flagged(capsys, tmp_path):
+    # HiGHS leaves out the 8e-18 mass within its feasibility tolerance,
+    # though it pays 1e155 ** 1.5: the oracle's LP value is 2.43 against
+    # the recursion's 2.53e215.  The answer must stay flagged, never exit 0.
+    mu, nu = tmp_path / "mu.json", tmp_path / "nu.json"
+    save_tree(build_tree([((0.1,), 0.2), ((3.0,), 0.8 - 8e-18), ((1e155,), 8e-18)]), mu)
+    save_tree(build_tree([((1.0,), 1.0)]), nu)
+    code, report, err = run(
+        capsys, "compute", "nested", "--mu", str(mu), "--nu", str(nu), "--p", "1.5", "--oracle"
+    )
+    assert code == 3
+    assert report["oracle_check"] == "mismatch"
+    assert report["results"]["distance"] == 3.9999999999999264e143
+    assert err.startswith("oracle mismatch: LP values ")
+
+
 @pytest.fixture()
 def built_plans(monkeypatch):
     """Counts of plans composed and of couplings built since the fixture ran."""
@@ -1072,7 +1102,20 @@ def test_only_the_oracle_needs_scipy(pair_files, tmp_path):
     assert others == [[0, ""]] * (len(commands) - 1)
     assert oracle == [
         4,
-        "solver failure: the LP oracle needs scipy, the 'oracle' extra:"
+        "solver failure: the LP oracle needs scipy>=1.15, the 'oracle' extra:"
+        " pip install 'nestedot[oracle]'\n",
+    ]
+
+
+def test_oracle_without_the_highs_bindings_names_the_scipy_floor(pair_files):
+    # A scipy before 1.15 has no scipy.optimize._highspy._core.
+    mu, nu = map(str, pair_files)
+    [oracle] = _run_without(
+        "scipy.optimize._highspy._core", [["compute", "nested", "--mu", mu, "--nu", nu, "--oracle"]]
+    )
+    assert oracle == [
+        4,
+        "solver failure: the LP oracle needs scipy>=1.15, the 'oracle' extra:"
         " pip install 'nestedot[oracle]'\n",
     ]
 

@@ -426,6 +426,80 @@ def test_oracle_solves_a_negative_vertex_again_with_presolve(monkeypatch):
     assert is_bicausal(oracle.plan, mu, nu).is_bicausal
 
 
+# The weights and values of mu's and nu's full trees in the LP tests above.
+_FULL_TREE_LAWS = [
+    (lambda t, k: 1.0, lambda t, k: k + 0.25 * t),
+    (lambda t, k: 1.0 + k, lambda t, k: 0.5 * k - t),
+]
+
+
+def _oracle_lp(mu, nu, monkeypatch):
+    """The cost, ``A_eq`` and ``b_eq`` of the oracle's first LP call."""
+    calls = []
+    real = nestedot.nested.linprog
+
+    def recording(cost, **kwargs):
+        calls.append((cost, kwargs["A_eq"], kwargs["b_eq"]))
+        return real(cost, **kwargs)
+
+    monkeypatch.setattr(nestedot.nested, "linprog", recording)
+    brute_force_bicausal(mu, nu, M2)
+    monkeypatch.setattr(nestedot.nested, "linprog", real)
+    return calls[0]
+
+
+@pytest.mark.parametrize(
+    "pair, presolve",
+    [
+        (lambda: tuple(full_tree([4, 3, 3], w, v) for w, v in _FULL_TREE_LAWS), False),
+        (lambda: (_walk(6, 1.0, 0.6875), _walk(6, 0.25, 0.75)), False),
+        (lambda: (_walk(6, 1.0, 0.6875), _walk(6, 0.25, 0.75)), True),
+        (lambda: tuple(full_tree([5, 5, 4], w, v) for w, v in _FULL_TREE_LAWS), False),
+    ],
+    ids=["4x3x3", "walks-no-presolve", "walks-presolve", "size-guard"],
+)
+def test_lp_seam_gives_the_bits_of_scipy_linprog(monkeypatch, pair, presolve):
+    # The seam calls scipy's HiGHS bindings itself; if a scipy release moves
+    # or changes them, its answer must still be linprog's, bit for bit.
+    from scipy.optimize import linprog
+
+    cost, a_eq, b_eq = _oracle_lp(*pair(), monkeypatch)
+    options = {"presolve": presolve, "simplex_dual_edge_weight_strategy": "devex"}
+    ours = nestedot.nested.linprog(cost, A_eq=a_eq, b_eq=b_eq, options=options)
+    theirs = linprog(
+        cost, A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs", options=options
+    )
+    assert ours.success and theirs.success
+    assert ours.fun.hex() == theirs.fun.hex()
+    assert ours.x.tobytes() == theirs.x.tobytes()
+
+
+def test_oracle_does_not_call_scipy_linprog(monkeypatch):
+    import scipy.optimize
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.optimize.linprog called")
+
+    monkeypatch.setattr(scipy.optimize, "linprog", refuse)
+    mu, nu = fan_vs_merged(2)
+    oracle = brute_force_bicausal(mu, nu, M2)
+    assert oracle.distance == pytest.approx(nested_distance(mu, nu, M2).distance, abs=1e-8)
+
+
+def test_lp_seam_reports_an_infeasible_lp():
+    # One variable with rows x = 1 and x = 2.
+    import scipy.sparse
+
+    for presolve in (False, True):
+        res = nestedot.nested.linprog(
+            np.array([1.0]), A_eq=scipy.sparse.csr_matrix(np.ones((2, 1))),
+            b_eq=np.array([1.0, 2.0]),
+            options={"presolve": presolve, "simplex_dual_edge_weight_strategy": "devex"},
+        )
+        assert not res.success and res.x is None
+        assert res.message == "HiGHS model status Infeasible"
+
+
 def test_oracle_rejects_overflowing_costs():
     # The oracle prices pairs itself, so it must raise the same error as
     # the recursion, not an OverflowError.
