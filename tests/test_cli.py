@@ -799,6 +799,39 @@ def test_infeasible_oracle_lp_exits_4(pair_files, capsys, monkeypatch):
     assert err == "solver failure: bicausal oracle LP failed: HiGHS model status Infeasible\n"
 
 
+def test_oracle_start_without_a_basic_column_exits_4(pair_files, capsys, monkeypatch):
+    # A start one basic column short is not a basis: HiGHS must refuse it,
+    # not repair it and solve from its own start.
+    real = nestedot.nested.linprog
+
+    def short(cost, start=None, **kwargs):
+        if start is not None:
+            start = start.copy()
+            start[np.flatnonzero(start)[-1]] = False
+        return real(cost, start=start, **kwargs)
+
+    monkeypatch.setattr(nestedot.nested, "linprog", short)
+    mu, nu = pair_files
+    code, report, err = run(
+        capsys, "compute", "nested", "--mu", str(mu), "--nu", str(nu), "--oracle"
+    )
+    assert code == 4 and report is None
+    assert err == "solver failure: HiGHS rejected the start basis\n"
+
+
+def test_oracle_agrees_on_walks_it_once_flagged(capsys, tmp_path):
+    # From HiGHS's own start both LP calls ended on a negative vertex, and
+    # the re-solve was accepted 7.8e-8 below the recursion's value (exit 3).
+    mu, nu = tmp_path / "mu.json", tmp_path / "nu.json"
+    save_tree(_walk(6, 0.25, 0.3), mu)
+    save_tree(_walk(6, 0.5, 0.25), nu)
+    code, report, err = run(
+        capsys, "compute", "nested", "--mu", str(mu), "--nu", str(nu), "--p", "2", "--oracle"
+    )
+    assert code == 0 and err == ""
+    assert report["oracle_check"] == "ok"
+
+
 def test_tiny_mass_on_a_huge_cost_is_flagged(capsys, tmp_path):
     # HiGHS leaves out the 8e-18 mass within its feasibility tolerance,
     # though it pays 1e155 ** 1.5: the oracle's LP value is 2.43 against
@@ -813,6 +846,24 @@ def test_tiny_mass_on_a_huge_cost_is_flagged(capsys, tmp_path):
     assert report["oracle_check"] == "mismatch"
     assert report["results"]["distance"] == 3.9999999999999264e143
     assert err.startswith("oracle mismatch: LP values ")
+
+
+def test_oracle_lp_priced_at_infinity_exits_4(capsys, tmp_path):
+    # HiGHS prices costs of 1e20 and more as infinite.  From the
+    # Knothe-Rosenblatt start it ends Optimal with an infinite objective,
+    # which must be a solver failure, not a report that cannot be written.
+    mu, nu = tmp_path / "mu.json", tmp_path / "nu.json"
+    save_tree(build_tree([((-6.149430067145134e153,), 1e-12), ((-1e8,), 1 - 1e-12)]), mu)
+    nu_paths = [((1.0,), 1e-17), ((3.0,), 0.749999999), ((942588.78,), 0.25), ((1.4e153,), 1e-9)]
+    save_tree(build_tree(nu_paths), nu)
+    code, report, err = run(
+        capsys, "compute", "nested", "--mu", str(mu), "--nu", str(nu), "--p", "1", "--oracle"
+    )
+    assert code == 4 and report is None
+    assert err == (
+        "solver failure: bicausal oracle LP failed: HiGHS model status Optimal,"
+        " but its objective is inf\n"
+    )
 
 
 @pytest.fixture()

@@ -1,6 +1,8 @@
 import hashlib
+import importlib
 import itertools
 import math
+import random
 import types
 
 import numpy as np
@@ -404,9 +406,9 @@ def _walk(depth, step, up):
 
 
 def test_oracle_solves_a_negative_vertex_again_with_presolve(monkeypatch):
-    # Without presolve HiGHS ends this depth-6 pair on a vertex with a mass
-    # of -6e-8 that costs 1.2e-7 less than the optimum, 1.4e-8 off in
-    # distance; the oracle solves it again with presolve.
+    # Without presolve, HiGHS's primal simplex ends this truncated depth-6
+    # pair on a vertex with a mass of -9.2e-8, even from the
+    # Knothe-Rosenblatt start; the oracle solves it again with presolve.
     results = []
     real = nestedot.nested.linprog
 
@@ -415,14 +417,46 @@ def test_oracle_solves_a_negative_vertex_again_with_presolve(monkeypatch):
         return results[-1][1]
 
     monkeypatch.setattr(nestedot.nested, "linprog", recording)
-    mu, nu = _walk(6, 1.0, 0.6875), _walk(6, 0.25, 0.75)
-    oracle = brute_force_bicausal(mu, nu, M2)
+    metric = GroundMetric.truncated(2.0, 0.5)
+    mu, nu = _walk(6, 0.5, 0.6875), _walk(6, 0.25, 0.3)
+    oracle = brute_force_bicausal(mu, nu, metric)
     assert [options for options, _ in results] == [
         {"presolve": False, "simplex_dual_edge_weight_strategy": "devex"},
         {"presolve": True, "simplex_dual_edge_weight_strategy": "devex"},
     ]
     assert results[0][1].x.min() < 0.0
-    assert abs(oracle.distance - nested_distance(mu, nu, M2).distance) <= ORACLE_TOL
+    assert abs(oracle.distance - nested_distance(mu, nu, metric).distance) <= ORACLE_TOL
+    assert is_bicausal(oracle.plan, mu, nu).is_bicausal
+
+
+def test_kr_start_needs_no_second_call_on_the_old_negative_vertex_pair(monkeypatch):
+    # From HiGHS's own start this pair ended on a mass of -6e-8 and was
+    # solved twice; from the Knothe-Rosenblatt vertex one call ends at x >= 0.
+    call = _first_lp_call(_walk(6, 1.0, 0.6875), _walk(6, 0.25, 0.75), monkeypatch)
+    assert call["calls"] == 1
+    assert call["result"].x.min() >= 0.0
+
+
+# (metric, mu step, mu up, nu step, nu up) of depth-6 walks whose oracle
+# LP, from HiGHS's own start, was accepted below the recursion's value by
+# more than ORACLE_TOL, with a plan that failed ``is_bicausal``.
+_COLD_START_MISMATCHES = [
+    (M2, 0.25, 0.3, 0.5, 0.25),
+    (M2, 0.5, 0.3, 0.6875, 0.25),
+    (M2, 2.0, 0.3, 0.75, 0.25),
+    (GroundMetric.usual(1.5), 2.0, 0.3, 0.75, 0.25),
+    (GroundMetric.truncated(2.0, 0.5), 0.25, 0.6875, 0.5, 0.3),
+]
+
+
+@pytest.mark.parametrize("metric, mu_step, mu_up, nu_step, nu_up", _COLD_START_MISMATCHES)
+def test_oracle_matches_the_recursion_on_walks_it_once_missed(
+    metric, mu_step, mu_up, nu_step, nu_up
+):
+    mu, nu = _walk(6, mu_step, mu_up), _walk(6, nu_step, nu_up)
+    oracle = brute_force_bicausal(mu, nu, metric)
+    value = nested_distance(mu, nu, metric).distance ** metric.p
+    assert abs(oracle.distance**metric.p - value) <= ORACLE_TOL
     assert is_bicausal(oracle.plan, mu, nu).is_bicausal
 
 
@@ -433,19 +467,135 @@ _FULL_TREE_LAWS = [
 ]
 
 
-def _oracle_lp(mu, nu, monkeypatch):
-    """The cost, ``A_eq`` and ``b_eq`` of the oracle's first LP call."""
+def _first_lp_call(mu, nu, monkeypatch, metric=M2):
+    """The keyword arguments and the cost of the oracle's first LP call, its
+    ``result`` and the number of ``calls`` the oracle made."""
     calls = []
     real = nestedot.nested.linprog
 
     def recording(cost, **kwargs):
-        calls.append((cost, kwargs["A_eq"], kwargs["b_eq"]))
-        return real(cost, **kwargs)
+        calls.append({"cost": cost, **kwargs, "result": real(cost, **kwargs)})
+        return calls[-1]["result"]
 
     monkeypatch.setattr(nestedot.nested, "linprog", recording)
-    brute_force_bicausal(mu, nu, M2)
+    brute_force_bicausal(mu, nu, metric)
     monkeypatch.setattr(nestedot.nested, "linprog", real)
-    return calls[0]
+    return {**calls[0], "calls": len(calls)}
+
+
+def _oracle_lp(mu, nu, monkeypatch):
+    """The cost, ``A_eq`` and ``b_eq`` of the oracle's first LP call."""
+    call = _first_lp_call(mu, nu, monkeypatch)
+    return call["cost"], call["A_eq"], call["b_eq"]
+
+
+def _law_tree(laws, scale=1.0):
+    """Full tree whose stage-t nodes all have children of conditional
+    probabilities ``laws[t - 1]``, the k-th at value ``scale * k + t``."""
+    nodes, frontier = [Node(0, None, 0, None, None)], [0]
+    for stage, law in enumerate(laws, 1):
+        nxt = []
+        for parent in frontier:
+            for k, prob in enumerate(law):
+                nxt.append(len(nodes))
+                nodes.append(Node(len(nodes), parent, stage, scale * k + stage, prob))
+        frontier = nxt
+    return ScenarioTree(len(laws), nodes)
+
+
+def _pool_tree(rng, branching):
+    """Full tree as in the path-oracle benchmark: distinct 1/8-lattice
+    values and integer weights 1..8 in every sibling group."""
+    nodes, frontier = [Node(0, None, 0, None, None)], [0]
+    for stage, width in enumerate(branching, 1):
+        nxt = []
+        for parent in frontier:
+            values = sorted(rng.sample(range(-24, 25), width))
+            weights = [rng.randint(1, 8) for _ in range(width)]
+            for value, weight in zip(values, weights):
+                nxt.append(len(nodes))
+                nodes.append(Node(len(nodes), parent, stage, value / 8, weight / sum(weights)))
+        frontier = nxt
+    return ScenarioTree(len(branching), nodes)
+
+
+def _pool(count=4, seed=1):
+    rng = random.Random(seed)
+    return [(_pool_tree(rng, [4, 3, 3]), _pool_tree(rng, [4, 3, 3])) for _ in range(count)]
+
+
+# Pairs whose KR start is checked: sibling laws with masses of 1e-17 and
+# 5e-324 (absorbed by the cumulative sums), and with equal cumulative sums.
+_START_PAIRS = {
+    "pool": lambda: _pool()[0],
+    "size-guard": lambda: tuple(full_tree([5, 5, 4], w, v) for w, v in _FULL_TREE_LAWS),
+    "tiny": lambda: (
+        _law_tree([[0.5, 1e-17, 0.5], [0.25, 0.75]]),
+        _law_tree([[1e-17, 0.3, 0.7], [0.75, 1e-17, 0.25]]),
+    ),
+    "subnormal": lambda: (
+        _law_tree([[0.25, 5e-324, 0.75], [5e-324, 1.0]]),
+        _law_tree([[0.75, 0.25], [0.5, 5e-324, 0.5]]),
+    ),
+    "ties": lambda: (
+        _law_tree([[0.25, 0.25, 0.5], [0.5, 0.5]]),
+        _law_tree([[0.5, 0.25, 0.25], [0.25, 0.25, 0.25, 0.25]]),
+    ),
+}
+
+
+@pytest.mark.parametrize("pair", _START_PAIRS.values(), ids=_START_PAIRS.keys())
+def test_kr_start_has_one_basic_cell_per_row(monkeypatch, pair):
+    mu, nu = pair()
+    call = _first_lp_call(mu, nu, monkeypatch)
+    start, (rows, columns) = call["start"], call["A_eq"].shape
+    assert start.dtype == bool and start.shape == (columns,)
+    assert start.sum() == rows
+    if rows < 1000:
+        assert np.linalg.matrix_rank(call["A_eq"].toarray()[:, start]) == rows
+    oracle = call["result"]
+    assert oracle.success
+    assert oracle.fun == pytest.approx(nested_distance(mu, nu, M2).distance ** 2, abs=1e-8)
+
+
+def test_kr_start_reads_the_probabilities_alone(monkeypatch):
+    laws = [[0.25, 0.25, 0.5], [0.5, 0.5]], [[0.5, 0.25, 0.25], [0.25, 0.75]]
+    mu, nu = (_law_tree(law) for law in laws)
+    start = _first_lp_call(mu, nu, monkeypatch)["start"]
+    metrics = [M1, GroundMetric.usual(1.5), GroundMetric.truncated(2.0, 0.5)]
+    for metric in metrics:
+        assert np.array_equal(_first_lp_call(mu, nu, monkeypatch, metric)["start"], start)
+    moved = (_law_tree(law, scale) for law, scale in zip(laws, (3.0, 0.125)))
+    assert np.array_equal(_first_lp_call(*moved, monkeypatch)["start"], start)
+    pool_pair = _pool()[1]
+    pool_start = _first_lp_call(*pool_pair, monkeypatch)["start"]
+    for metric in metrics:
+        assert np.array_equal(_first_lp_call(*pool_pair, monkeypatch, metric)["start"], pool_start)
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [*_START_PAIRS.values(), lambda: (_walk(4, 0.25, 0.3), _walk(4, 0.5, 0.6875))],
+    ids=[*_START_PAIRS.keys(), "walks"],
+)
+def test_kr_plan_lies_on_the_start(monkeypatch, pair):
+    # Every cell of the Knothe-Rosenblatt plan is a basic stage-N cell.
+    mu, nu = pair()
+    start = _first_lp_call(mu, nu, monkeypatch)["start"]
+    leaf_cells = start[-len(mu.leaves) * len(nu.leaves):]
+    assert leaf_cells[kr_coupling(mu, nu).coupling.cells].all()
+
+
+def test_kr_start_cuts_the_simplex_iterations(monkeypatch):
+    # On 4·3·3 pool pairs the start takes at most a fifth of the
+    # iterations that HiGHS's dual simplex takes from its own start.
+    for mu, nu in _pool():
+        call = _first_lp_call(mu, nu, monkeypatch)
+        lp = {key: call[key] for key in ("A_eq", "b_eq", "options")}
+        cold = nestedot.nested.linprog(call["cost"], **lp)
+        assert cold.success and call["result"].success
+        assert 0 < call["result"].nit * 5 <= cold.nit
+        assert call["result"].fun == pytest.approx(cold.fun, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -472,6 +622,50 @@ def test_lp_seam_gives_the_bits_of_scipy_linprog(monkeypatch, pair, presolve):
     assert ours.success and theirs.success
     assert ours.fun.hex() == theirs.fun.hex()
     assert ours.x.tobytes() == theirs.x.tobytes()
+
+
+@pytest.mark.parametrize("presolve", [False, True])
+def test_lp_seam_gives_the_nit_of_scipy_linprog(monkeypatch, presolve):
+    from scipy.optimize import linprog
+
+    for mu, nu in [_pool()[2], (_walk(6, 1.0, 0.6875), _walk(6, 0.25, 0.75))]:
+        cost, a_eq, b_eq = _oracle_lp(mu, nu, monkeypatch)
+        options = {"presolve": presolve, "simplex_dual_edge_weight_strategy": "devex"}
+        ours = nestedot.nested.linprog(cost, A_eq=a_eq, b_eq=b_eq, options=options)
+        theirs = linprog(
+            cost, A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs", options=options
+        )
+        assert ours.nit == theirs.nit > 0
+
+
+def test_lp_seam_flags_an_optimal_answer_that_misses_a_row(monkeypatch):
+    # HiGHS reports Optimal, but its solution misses row 0 by 1e-3: linprog's
+    # check of the answer must still refuse it.
+    core = importlib.import_module("scipy.optimize._highspy._core")
+    real = core._Highs
+
+    class Missing:
+        def __init__(self):
+            self._highs = real()
+
+        def __getattr__(self, name):
+            return getattr(self._highs, name)
+
+        def getSolution(self):
+            solution = self._highs.getSolution()
+            solution.row_value = [solution.row_value[0] + 1e-3, *solution.row_value[1:]]
+            return solution
+
+    cost, a_eq, b_eq = _oracle_lp(*_pool()[0], monkeypatch)
+    monkeypatch.setattr(core, "_Highs", Missing)
+    options = {"presolve": False, "simplex_dual_edge_weight_strategy": "devex"}
+    res = nestedot.nested.linprog(cost, A_eq=a_eq, b_eq=b_eq, options=options)
+    assert not res.success
+    assert res.message == (
+        "HiGHS model status Optimal, but x >= 0 or A_eq x = b_eq is missed by more than 3.16e-04"
+    )
+    with pytest.raises(RuntimeError, match="missed by more than"):
+        brute_force_bicausal(*_pool()[0], M2)
 
 
 def test_oracle_does_not_call_scipy_linprog(monkeypatch):
