@@ -20,15 +20,14 @@ lifting them, gives the same bits.
 ``brute_force_bicausal`` solves the same problem as a single linear
 program over all same-stage node pairs, with one kernel row per child
 of either node of a pair less one implied row per pair, and serves as an
-independent oracle.  Its matrix is built by index arithmetic from the
-stage layout that also prices the Wasserstein solve's leaf pairs, and
-HiGHS's primal simplex solves it without presolve, from the vertex of the
-Knothe-Rosenblatt coupling, which the two laws alone give.
+independent oracle.  Its column-wise matrix is built by index arithmetic
+from the stage layout that also prices the Wasserstein solve's leaf
+pairs, and HiGHS's primal simplex solves it without presolve, from the
+vertex of the Knothe-Rosenblatt coupling, which the two laws alone give.
 scipy is imported only when the oracle runs, through ``linprog`` below,
-which hands the LP straight to scipy's HiGHS bindings, without the
-per-column Python of ``scipy.optimize.linprog``.  So every other caller
-of the package starts without scipy; it is the ``oracle`` extra, and
-without it the oracle raises a RuntimeError.
+which hands scipy's HiGHS bindings the LP as whole arrays.  So every
+other caller of the package starts without scipy; it is the ``oracle``
+extra, and without it the oracle raises a RuntimeError.
 numpy, too, is loaded on first use (``transport.np``): the recursion
 never loads it, and the Wasserstein solve and the oracle do.
 """
@@ -265,26 +264,20 @@ def linprog(cost, *, A_eq, b_eq, options, start=None):
     that ``scipy.optimize.linprog(method="highs", bounds=(0, None))`` would,
     ``options`` read as there (``presolve``, and
     ``simplex_dual_edge_weight_strategy`` "devex" or "dantzig"), so the
-    answer has its bits, without linprog's Python over every column.
-    ``start``, a primal feasible basis as one boolean per column, runs the
-    primal simplex from it instead; a start HiGHS rejects is a RuntimeError.
+    answer has its bits.  The model goes over as whole arrays, A_eq by
+    columns, with no Python per column.  ``start``, a primal feasible basis
+    as one boolean per column, runs the primal simplex from it instead.  A
+    model or a start that HiGHS refuses is a RuntimeError.
     linprog's check of the answer is kept, asking for a finite objective
     where linprog asks for no NaN: ``success`` needs the model status
     Optimal, a solution, every mass at least -10·√TOL and every row met
-    within 10·√TOL.  Returns an
-    ``OptimizeResult`` with ``success``, ``x``, ``fun``, ``nit`` and a
-    ``message`` naming the model status.
+    within 10·√TOL.  Returns an ``OptimizeResult`` with ``success``, ``x``,
+    ``fun``, ``nit`` and a ``message`` naming the model status.
     A module attribute, so that a tracer or a test can patch the oracle's LP.
     """
     core = _scipy("scipy.optimize._highspy._core")
     result = _scipy("scipy.optimize").OptimizeResult
-    a_csc, lp, n = A_eq.tocsc(), core.HighsLp(), len(cost)
-    matrix = lp.a_matrix_
-    lp.num_row_, lp.num_col_ = matrix.num_row_, matrix.num_col_ = a_csc.shape
-    matrix.format_ = core.MatrixFormat.kColwise
-    matrix.start_, matrix.index_, matrix.value_ = a_csc.indptr, a_csc.indices, a_csc.data
-    lp.col_cost_, lp.col_lower_, lp.col_upper_ = cost, np.zeros(n), np.full(n, np.inf)
-    lp.row_lower_ = lp.row_upper_ = b_eq
+    a_csc, (num_row, n) = A_eq.tocsc(), A_eq.shape
     simplex, settings = core.simplex_constants, core.HighsOptions()
     settings.simplex_strategy = (
         simplex.kSimplexStrategyDual if start is None else simplex.kSimplexStrategyPrimal
@@ -298,11 +291,16 @@ def linprog(cost, *, A_eq, b_eq, options, start=None):
     settings.output_flag = settings.log_to_console = False
     highs = core._Highs()
     highs.passOptions(settings)
-    highs.passModel(lp)
+    if highs.passModel(
+        n, num_row, a_csc.nnz, core.MatrixFormat.kColwise, core.ObjSense.kMinimize, 0.0,
+        cost, np.zeros(n), np.full(n, np.inf), b_eq, b_eq,
+        a_csc.indptr, a_csc.indices, a_csc.data, np.zeros(n, np.int32),  # all continuous
+    ) == core.HighsStatus.kError:  # a warning (entries below 1e-9 dropped) passes
+        raise RuntimeError("HiGHS rejected the LP model")
     if start is not None:
         basis, status = core.HighsBasis(), core.HighsBasisStatus
         basis.alien = False  # an alien basis would be repaired without a word
-        basis.col_status = [(status.kLower, status.kBasic)[s] for s in start.tolist()]
+        basis.col_status = np.array([status.kLower, status.kBasic], object)[start.astype(int)]
         basis.row_status = [status.kLower] * len(b_eq)
         if highs.setBasis(basis) != core.HighsStatus.kOk:
             raise RuntimeError("HiGHS rejected the start basis")
@@ -325,14 +323,17 @@ def linprog(cost, *, A_eq, b_eq, options, start=None):
 
 
 def _sibling_intervals(up, probs):
-    """Each node's [lo, hi) of its sibling group's cumulative probabilities:
-    lo is the elder sibling's hi, -inf for the first, and hi inf for the last."""
-    starts = np.flatnonzero(np.diff(up, prepend=-1))
-    hi = np.concatenate([np.cumsum(group) for group in np.split(probs, starts[1:])])
-    hi[starts[1:] - 1], hi[-1] = np.inf, np.inf
-    lo = np.roll(hi, 1)
-    lo[starts] = -np.inf
-    return lo, hi
+    """Each node's [lo, hi) of its sibling group's cumulative probabilities,
+    added up left to right in one pass, as ``np.cumsum`` adds: lo is the
+    elder sibling's hi, -inf for the first, and hi inf for the last."""
+    parents, hi, lo = up.tolist(), probs.tolist(), [-math.inf] * len(up)
+    for k in range(1, len(hi)):
+        if parents[k] == parents[k - 1]:
+            lo[k], hi[k] = hi[k - 1], hi[k - 1] + hi[k]
+        else:
+            hi[k - 1] = math.inf
+    hi[-1] = math.inf
+    return np.array(lo), np.array(hi)
 
 
 def brute_force_bicausal(
@@ -398,12 +399,10 @@ def brute_force_bicausal(
         (lo_mu, hi_mu), (lo_nu, hi_nu) = map(_sibling_intervals, (up_mu, up_nu), (p_mu, p_nu))
         basic.append(((lo_mu[:, None] <= hi_nu) & (lo_nu < hi_mu[:, None])).ravel())
         a, b, n_rows, first = a1, b1, nu_rows + a * k, first + a * b
-    cost = np.concatenate(cost)
-    entries = (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols)))
-    a_eq = sp.csr_matrix(entries, shape=(n_rows, len(cost)))
-    b_eq = np.zeros(n_rows)
+    cost, b_eq = np.concatenate(cost), np.zeros(n_rows)
     b_eq[0] = 1.0
-    lp = {"A_eq": a_eq, "b_eq": b_eq}
+    entries = (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols)))
+    lp = {"A_eq": sp.csc_matrix(entries, shape=(n_rows, len(cost))), "b_eq": b_eq}
     options = {"presolve": False, "simplex_dual_edge_weight_strategy": "devex"}
     res = linprog(cost, **lp, options=options, start=np.concatenate(basic))
     if res.success and res.x.min() < -SNAP:

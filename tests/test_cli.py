@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -817,6 +818,31 @@ def test_oracle_start_without_a_basic_column_exits_4(pair_files, capsys, monkeyp
     )
     assert code == 4 and report is None
     assert err == "solver failure: HiGHS rejected the start basis\n"
+
+
+def test_oracle_model_that_highs_refuses_exits_4(pair_files, capsys, monkeypatch):
+    # A model HiGHS refuses is named so, not by the basis or the model
+    # status of the empty LP left behind.
+    core = importlib.import_module("scipy.optimize._highspy._core")
+    real = core._Highs
+
+    class Refusing:
+        def __init__(self):
+            self._highs = real()
+
+        def __getattr__(self, name):
+            return getattr(self._highs, name)
+
+        def passModel(self, *args):
+            return core.HighsStatus.kError
+
+    monkeypatch.setattr(core, "_Highs", Refusing)
+    mu, nu = pair_files
+    code, report, err = run(
+        capsys, "compute", "nested", "--mu", str(mu), "--nu", str(nu), "--oracle"
+    )
+    assert code == 4 and report is None
+    assert err == "solver failure: HiGHS rejected the LP model\n"
 
 
 def test_oracle_agrees_on_walks_it_once_flagged(capsys, tmp_path):

@@ -43,7 +43,14 @@ from nestedot.families import (
     random_tree_pair,
 )
 from nestedot.io import load_coupling, save_coupling
-from nestedot.nested import _law, _solve, backward, compose_plan, tree_classes
+from nestedot.nested import (
+    _law,
+    _sibling_intervals,
+    _solve,
+    backward,
+    compose_plan,
+    tree_classes,
+)
 from nestedot.tolerances import ORACLE_TOL
 from path_pair_oracle import path_pair_bicausal
 from reference import node_at
@@ -525,7 +532,8 @@ def _pool(count=4, seed=1):
 
 
 # Pairs whose KR start is checked: sibling laws with masses of 1e-17 and
-# 5e-324 (absorbed by the cumulative sums), and with equal cumulative sums.
+# 5e-324 (absorbed by the cumulative sums), with equal cumulative sums, and
+# with single-child groups beside larger ones.
 _START_PAIRS = {
     "pool": lambda: _pool()[0],
     "size-guard": lambda: tuple(full_tree([5, 5, 4], w, v) for w, v in _FULL_TREE_LAWS),
@@ -541,12 +549,31 @@ _START_PAIRS = {
         _law_tree([[0.25, 0.25, 0.5], [0.5, 0.5]]),
         _law_tree([[0.5, 0.25, 0.25], [0.25, 0.25, 0.25, 0.25]]),
     ),
+    "single-child": lambda: (
+        build_tree([((0.0, 1.0), 0.3), ((1.0, 0.0), 0.2), ((1.0, 2.0), 0.5)]),
+        build_tree([((0.5, 0.0), 0.25), ((0.5, 1.0), 0.125), ((0.5, 3.0), 0.625)]),
+    ),
 }
+
+
+def _cumsum_intervals(up, probs):
+    """``_sibling_intervals`` by one ``np.cumsum`` per sibling group."""
+    starts = np.flatnonzero(np.diff(up, prepend=-1))
+    hi = np.concatenate([np.cumsum(group) for group in np.split(probs, starts[1:])])
+    hi[starts[1:] - 1], hi[-1] = np.inf, np.inf
+    lo = np.roll(hi, 1)
+    lo[starts] = -np.inf
+    return lo, hi
 
 
 @pytest.mark.parametrize("pair", _START_PAIRS.values(), ids=_START_PAIRS.keys())
 def test_kr_start_has_one_basic_cell_per_row(monkeypatch, pair):
     mu, nu = pair()
+    for tree in (mu, nu):
+        for t in range(1, tree.depth + 1):
+            column = np.array(tree.up[t]), np.array(tree.probs[t])
+            ours, reference = _sibling_intervals(*column), _cumsum_intervals(*column)
+            assert [a.tobytes() for a in ours] == [a.tobytes() for a in reference]
     call = _first_lp_call(mu, nu, monkeypatch)
     start, (rows, columns) = call["start"], call["A_eq"].shape
     assert start.dtype == bool and start.shape == (columns,)
@@ -666,6 +693,39 @@ def test_lp_seam_flags_an_optimal_answer_that_misses_a_row(monkeypatch):
     )
     with pytest.raises(RuntimeError, match="missed by more than"):
         brute_force_bicausal(*_pool()[0], M2)
+
+
+def test_lp_seam_builds_no_highs_lp(monkeypatch):
+    # The model goes to HiGHS as arrays.  A pool pair and the pair that is
+    # solved again with presolve give the same bits with HighsLp refused.
+    core = importlib.import_module("scipy.optimize._highspy._core")
+    pairs = [
+        (*_pool()[0], M2),
+        (_walk(6, 0.5, 0.6875), _walk(6, 0.25, 0.3), GroundMetric.truncated(2.0, 0.5)),
+    ]
+    real = nestedot.nested.linprog
+
+    def answers():
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append(real(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(nestedot.nested, "linprog", recording)
+        oracles = [brute_force_bicausal(*pair) for pair in pairs]
+        monkeypatch.setattr(nestedot.nested, "linprog", real)
+        lps = [(res.fun.hex(), res.x.tobytes()) for res in calls]
+        return lps, [(oracle.distance.hex(), oracle.plan.entries) for oracle in oracles]
+
+    expected = answers()
+    assert len(expected[0]) == 3  # the walk pair takes two calls
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("HighsLp built")
+
+    monkeypatch.setattr(core, "HighsLp", refuse)
+    assert answers() == expected
 
 
 def test_oracle_does_not_call_scipy_linprog(monkeypatch):
