@@ -22,8 +22,9 @@ program over all same-stage node pairs, with one kernel row per child
 of either node of a pair less one implied row per pair, and serves as an
 independent oracle.  Its column-wise matrix is built by index arithmetic
 from the stage layout that also prices the Wasserstein solve's leaf
-pairs, and HiGHS's primal simplex solves it without presolve, from the
-vertex of the Knothe-Rosenblatt coupling, which the two laws alone give.
+pairs, and HiGHS's primal simplex solves it in one call, at feasibility
+tolerances of ``TOL``, from the vertex of the Knothe-Rosenblatt coupling,
+which the two laws alone give.
 scipy is imported only when the oracle runs, through ``linprog`` below,
 which hands scipy's HiGHS bindings the LP as whole arrays.  So every
 other caller of the package starts without scipy; it is the ``oracle``
@@ -257,53 +258,44 @@ def _scipy(name: str):
         ) from exc
 
 
-def linprog(cost, *, A_eq, b_eq, options, start=None):
-    """min cost·x subject to A_eq x = b_eq and x >= 0, by HiGHS's simplex.
+def linprog(cost, *, A_eq, b_eq, start):
+    """min cost·x subject to A_eq x = b_eq and x >= 0, by HiGHS's primal simplex.
 
-    Without ``start``, gives scipy's HiGHS bindings the model and options
-    that ``scipy.optimize.linprog(method="highs", bounds=(0, None))`` would,
-    ``options`` read as there (``presolve``, and
-    ``simplex_dual_edge_weight_strategy`` "devex" or "dantzig"), so the
-    answer has its bits.  The model goes over as whole arrays, A_eq by
-    columns, with no Python per column.  ``start``, a primal feasible basis
-    as one boolean per column, runs the primal simplex from it instead.  A
-    model or a start that HiGHS refuses is a RuntimeError.
-    linprog's check of the answer is kept, asking for a finite objective
-    where linprog asks for no NaN: ``success`` needs the model status
-    Optimal, a solution, every mass at least -10·√TOL and every row met
-    within 10·√TOL.  Returns an ``OptimizeResult`` with ``success``, ``x``,
-    ``fun``, ``nit`` and a ``message`` naming the model status.
+    The model goes to scipy's HiGHS bindings as whole arrays, A_eq by
+    columns, with no Python per column, and is solved from ``start``, a
+    primal feasible basis as one boolean per column; HiGHS does not reduce
+    a model that has a start basis.  HiGHS's primal and dual feasibility
+    tolerances are ``TOL``.  Options, a model or a start that HiGHS
+    refuses are a RuntimeError.  ``success`` needs the model status
+    Optimal, a solution, a finite objective, every mass at least -SNAP and
+    every row met within TOL.  Returns an ``OptimizeResult`` with
+    ``success``, ``x``, ``fun``, ``nit`` and a ``message`` naming the
+    model status.
     A module attribute, so that a tracer or a test can patch the oracle's LP.
     """
     core = _scipy("scipy.optimize._highspy._core")
     result = _scipy("scipy.optimize").OptimizeResult
     a_csc, (num_row, n) = A_eq.tocsc(), A_eq.shape
-    simplex, settings = core.simplex_constants, core.HighsOptions()
-    settings.simplex_strategy = (
-        simplex.kSimplexStrategyDual if start is None else simplex.kSimplexStrategyPrimal
-    )
-    settings.presolve = "on" if options["presolve"] else "off"
-    edge_weights = options["simplex_dual_edge_weight_strategy"].title()
-    settings.simplex_dual_edge_weight_strategy = getattr(
-        simplex, f"kSimplexEdgeWeightStrategy{edge_weights}"
-    )
+    settings = core.HighsOptions()
+    settings.simplex_strategy = core.simplex_constants.kSimplexStrategyPrimal
+    settings.primal_feasibility_tolerance = settings.dual_feasibility_tolerance = TOL
     settings.highs_debug_level = core.kHighsDebugLevelNone
     settings.output_flag = settings.log_to_console = False
     highs = core._Highs()
-    highs.passOptions(settings)
+    if highs.passOptions(settings) != core.HighsStatus.kOk:  # HiGHS would keep its defaults
+        raise RuntimeError("HiGHS rejected the options")
     if highs.passModel(
         n, num_row, a_csc.nnz, core.MatrixFormat.kColwise, core.ObjSense.kMinimize, 0.0,
         cost, np.zeros(n), np.full(n, np.inf), b_eq, b_eq,
         a_csc.indptr, a_csc.indices, a_csc.data, np.zeros(n, np.int32),  # all continuous
     ) == core.HighsStatus.kError:  # a warning (entries below 1e-9 dropped) passes
         raise RuntimeError("HiGHS rejected the LP model")
-    if start is not None:
-        basis, status = core.HighsBasis(), core.HighsBasisStatus
-        basis.alien = False  # an alien basis would be repaired without a word
-        basis.col_status = np.array([status.kLower, status.kBasic], object)[start.astype(int)]
-        basis.row_status = [status.kLower] * len(b_eq)
-        if highs.setBasis(basis) != core.HighsStatus.kOk:
-            raise RuntimeError("HiGHS rejected the start basis")
+    basis, status = core.HighsBasis(), core.HighsBasisStatus
+    basis.alien = False  # an alien basis would be repaired without a word
+    basis.col_status = np.array([status.kLower, status.kBasic], object)[start.astype(int)]
+    basis.row_status = [status.kLower] * len(b_eq)
+    if highs.setBasis(basis) != core.HighsStatus.kOk:
+        raise RuntimeError("HiGHS rejected the start basis")
     highs.run()
     status, solution, info = highs.getModelStatus(), highs.getSolution(), highs.getInfo()
     message = f"HiGHS model status {highs.modelStatusToString(status)}"
@@ -312,11 +304,10 @@ def linprog(cost, *, A_eq, b_eq, options, start=None):
         return result(success=False, x=None, fun=None, nit=nit, message=message)
     x, fun = np.array(solution.col_value), info.objective_function_value
     residual = b_eq - np.array(solution.row_value)
-    bound = math.sqrt(TOL) * 10
     if not math.isfinite(fun):  # HiGHS prices a cost of 1e20 or more as infinite
         message += f", but its objective is {fun}"
-    elif not ((x >= -bound).all() and (abs(residual) <= bound).all()):
-        message += f", but x >= 0 or A_eq x = b_eq is missed by more than {bound:.2e}"
+    elif not ((x >= -SNAP).all() and (abs(residual) <= TOL).all()):
+        message += ", but a mass is below -SNAP or a row is missed by more than TOL"
     else:
         return result(success=True, x=x, fun=fun, nit=nit, message=message)
     return result(success=False, x=x, fun=fun, nit=nit, message=message)
@@ -358,15 +349,14 @@ def brute_force_bicausal(
     pair whose path cost passes the float range before the LP runs.  The
     plan is read off the stage-N pairs.  The size guard counts leaf pairs.
 
-    The first call runs HiGHS's primal simplex without presolve from the
+    One ``linprog`` call runs HiGHS's primal simplex from the
     Knothe-Rosenblatt vertex, read off the probabilities alone: the root
     variable and, per pair, the northwest-corner staircase, where cell
     (c, l) is basic iff the sibling-cumulative intervals [lo, hi) of c and
     l meet (ties to the row first), one basic cell per row.  It takes about
     20 iterations against 344 from HiGHS's own start on a path-oracle pair.
-    A vertex with masses below zero within HiGHS's feasibility tolerance,
-    priced below the optimum, is solved again with presolve, by the dual
-    simplex priced by devex.
+    An answer that fails the seam's check, a mass below -SNAP or a row
+    missed by more than TOL, is a solver failure.
     """
     check_depths(mu, nu)
     if len(mu.leaves) * len(nu.leaves) > ORACLE_SIZE_GUARD:
@@ -402,11 +392,8 @@ def brute_force_bicausal(
     cost, b_eq = np.concatenate(cost), np.zeros(n_rows)
     b_eq[0] = 1.0
     entries = (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols)))
-    lp = {"A_eq": sp.csc_matrix(entries, shape=(n_rows, len(cost))), "b_eq": b_eq}
-    options = {"presolve": False, "simplex_dual_edge_weight_strategy": "devex"}
-    res = linprog(cost, **lp, options=options, start=np.concatenate(basic))
-    if res.success and res.x.min() < -SNAP:
-        res = linprog(cost, **lp, options={**options, "presolve": True})
+    a_eq = sp.csc_matrix(entries, shape=(n_rows, len(cost)))
+    res = linprog(cost, A_eq=a_eq, b_eq=b_eq, start=np.concatenate(basic))
     if not res.success:
         raise RuntimeError(f"bicausal oracle LP failed: {res.message}")
     leaf_pairs = res.x[first:]  # leaf pair (a, b) of ranks a, b is cell a * len(nu.leaves) + b

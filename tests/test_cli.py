@@ -805,10 +805,9 @@ def test_oracle_start_without_a_basic_column_exits_4(pair_files, capsys, monkeyp
     # not repair it and solve from its own start.
     real = nestedot.nested.linprog
 
-    def short(cost, start=None, **kwargs):
-        if start is not None:
-            start = start.copy()
-            start[np.flatnonzero(start)[-1]] = False
+    def short(cost, start, **kwargs):
+        start = start.copy()
+        start[np.flatnonzero(start)[-1]] = False
         return real(cost, start=start, **kwargs)
 
     monkeypatch.setattr(nestedot.nested, "linprog", short)
@@ -843,6 +842,31 @@ def test_oracle_model_that_highs_refuses_exits_4(pair_files, capsys, monkeypatch
     )
     assert code == 4 and report is None
     assert err == "solver failure: HiGHS rejected the LP model\n"
+
+
+def test_oracle_options_that_highs_refuses_exit_4(pair_files, capsys, monkeypatch):
+    # HiGHS keeps all its defaults when it refuses the options (presolve,
+    # the dual simplex, a 1e-7 feasibility tolerance), so the LP must not run.
+    core = importlib.import_module("scipy.optimize._highspy._core")
+    real = core._Highs
+
+    class Refusing:
+        def __init__(self):
+            self._highs = real()
+
+        def __getattr__(self, name):
+            return getattr(self._highs, name)
+
+        def passOptions(self, settings):
+            return core.HighsStatus.kError
+
+    monkeypatch.setattr(core, "_Highs", Refusing)
+    mu, nu = pair_files
+    code, report, err = run(
+        capsys, "compute", "nested", "--mu", str(mu), "--nu", str(nu), "--oracle"
+    )
+    assert code == 4 and report is None
+    assert err == "solver failure: HiGHS rejected the options\n"
 
 
 def test_oracle_agrees_on_walks_it_once_flagged(capsys, tmp_path):

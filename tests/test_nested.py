@@ -51,7 +51,7 @@ from nestedot.nested import (
     compose_plan,
     tree_classes,
 )
-from nestedot.tolerances import ORACLE_TOL
+from nestedot.tolerances import ORACLE_TOL, SNAP
 from path_pair_oracle import path_pair_bicausal
 from reference import node_at
 from test_transport import _masses, _pinned_instances
@@ -363,7 +363,7 @@ def full_tree(branching, weights, values):
 
 
 def test_oracle_lp_call_and_size(monkeypatch):
-    # One HiGHS call without presolve, ``A_eq`` as a keyword, one column
+    # One HiGHS call with no ``options``, ``A_eq`` as a keyword, one column
     # per same-stage node pair, and one kernel row per child of either node
     # of a non-leaf pair but the last child on the nu side: 969 - 161 rows,
     # of full rank.
@@ -379,7 +379,7 @@ def test_oracle_lp_call_and_size(monkeypatch):
     nu = full_tree([4, 3, 3], lambda t, k: 1.0 + k, lambda t, k: 0.5 * k - t)
     oracle = brute_force_bicausal(mu, nu, M2)
     assert len(calls) == 1
-    assert calls[0]["options"] == {"presolve": False, "simplex_dual_edge_weight_strategy": "devex"}
+    assert sorted(calls[0]) == ["A_eq", "b_eq", "start"]
     a_eq = calls[0]["A_eq"]
     assert a_eq.shape == (808, 1 + 16 + 144 + 1296)
     assert a_eq.nnz == 3236
@@ -412,26 +412,17 @@ def _walk(depth, step, up):
     return ScenarioTree(depth, nodes)
 
 
-def test_oracle_solves_a_negative_vertex_again_with_presolve(monkeypatch):
-    # Without presolve, HiGHS's primal simplex ends this truncated depth-6
-    # pair on a vertex with a mass of -9.2e-8, even from the
-    # Knothe-Rosenblatt start; the oracle solves it again with presolve.
-    results = []
-    real = nestedot.nested.linprog
-
-    def recording(*args, **kwargs):
-        results.append((kwargs.get("options"), real(*args, **kwargs)))
-        return results[-1][1]
-
-    monkeypatch.setattr(nestedot.nested, "linprog", recording)
+def test_oracle_solves_the_old_negative_vertex_pair_in_one_call(monkeypatch):
+    # At HiGHS's default feasibility tolerance of 1e-7, the primal simplex
+    # ended this truncated depth-6 pair on a vertex with a mass of -9.2e-8,
+    # even from the Knothe-Rosenblatt start, and it had to be solved again.
+    # At TOL one call ends at x >= -SNAP.
     metric = GroundMetric.truncated(2.0, 0.5)
     mu, nu = _walk(6, 0.5, 0.6875), _walk(6, 0.25, 0.3)
+    call = _first_lp_call(mu, nu, monkeypatch, metric)
+    assert call["calls"] == 1
+    assert call["result"].x.min() >= -SNAP
     oracle = brute_force_bicausal(mu, nu, metric)
-    assert [options for options, _ in results] == [
-        {"presolve": False, "simplex_dual_edge_weight_strategy": "devex"},
-        {"presolve": True, "simplex_dual_edge_weight_strategy": "devex"},
-    ]
-    assert results[0][1].x.min() < 0.0
     assert abs(oracle.distance - nested_distance(mu, nu, metric).distance) <= ORACLE_TOL
     assert is_bicausal(oracle.plan, mu, nu).is_bicausal
 
@@ -446,13 +437,16 @@ def test_kr_start_needs_no_second_call_on_the_old_negative_vertex_pair(monkeypat
 
 # (metric, mu step, mu up, nu step, nu up) of depth-6 walks whose oracle
 # LP, from HiGHS's own start, was accepted below the recursion's value by
-# more than ORACLE_TOL, with a plan that failed ``is_bicausal``.
+# more than ORACLE_TOL, with a plan that failed ``is_bicausal``; the last
+# was accepted from the Knothe-Rosenblatt start at HiGHS's default
+# feasibility tolerance with a mu-marginal off by 6.8e-8.
 _COLD_START_MISMATCHES = [
     (M2, 0.25, 0.3, 0.5, 0.25),
     (M2, 0.5, 0.3, 0.6875, 0.25),
     (M2, 2.0, 0.3, 0.75, 0.25),
     (GroundMetric.usual(1.5), 2.0, 0.3, 0.75, 0.25),
     (GroundMetric.truncated(2.0, 0.5), 0.25, 0.6875, 0.5, 0.3),
+    (GroundMetric.truncated(2.0, 0.5), 0.5, 0.6875, 0.6875, 0.3),
 ]
 
 
@@ -491,9 +485,9 @@ def _first_lp_call(mu, nu, monkeypatch, metric=M2):
 
 
 def _oracle_lp(mu, nu, monkeypatch):
-    """The cost, ``A_eq`` and ``b_eq`` of the oracle's first LP call."""
+    """The cost and the keyword arguments of the oracle's first LP call."""
     call = _first_lp_call(mu, nu, monkeypatch)
-    return call["cost"], call["A_eq"], call["b_eq"]
+    return call["cost"], {key: call[key] for key in ("A_eq", "b_eq", "start")}
 
 
 def _law_tree(laws, scale=1.0):
@@ -616,88 +610,78 @@ def test_kr_plan_lies_on_the_start(monkeypatch, pair):
 def test_kr_start_cuts_the_simplex_iterations(monkeypatch):
     # On 4·3·3 pool pairs the start takes at most a fifth of the
     # iterations that HiGHS's dual simplex takes from its own start.
+    from scipy.optimize import linprog
+
     for mu, nu in _pool():
         call = _first_lp_call(mu, nu, monkeypatch)
-        lp = {key: call[key] for key in ("A_eq", "b_eq", "options")}
-        cold = nestedot.nested.linprog(call["cost"], **lp)
+        cold = linprog(call["cost"], A_eq=call["A_eq"], b_eq=call["b_eq"], method="highs-ds")
         assert cold.success and call["result"].success
         assert 0 < call["result"].nit * 5 <= cold.nit
         assert call["result"].fun == pytest.approx(cold.fun, rel=1e-12)
 
 
 @pytest.mark.parametrize(
-    "pair, presolve",
+    "pair",
     [
-        (lambda: tuple(full_tree([4, 3, 3], w, v) for w, v in _FULL_TREE_LAWS), False),
-        (lambda: (_walk(6, 1.0, 0.6875), _walk(6, 0.25, 0.75)), False),
-        (lambda: (_walk(6, 1.0, 0.6875), _walk(6, 0.25, 0.75)), True),
-        (lambda: tuple(full_tree([5, 5, 4], w, v) for w, v in _FULL_TREE_LAWS), False),
+        lambda: tuple(full_tree([4, 3, 3], w, v) for w, v in _FULL_TREE_LAWS),
+        lambda: (_walk(6, 1.0, 0.6875), _walk(6, 0.25, 0.75)),
+        lambda: tuple(full_tree([5, 5, 4], w, v) for w, v in _FULL_TREE_LAWS),
     ],
-    ids=["4x3x3", "walks-no-presolve", "walks-presolve", "size-guard"],
+    ids=["4x3x3", "walks", "size-guard"],
 )
-def test_lp_seam_gives_the_bits_of_scipy_linprog(monkeypatch, pair, presolve):
+def test_lp_seam_matches_scipy_linprog(monkeypatch, pair):
     # The seam calls scipy's HiGHS bindings itself; if a scipy release moves
-    # or changes them, its answer must still be linprog's, bit for bit.
+    # or changes them, its optimum must still be linprog's.
     from scipy.optimize import linprog
 
-    cost, a_eq, b_eq = _oracle_lp(*pair(), monkeypatch)
-    options = {"presolve": presolve, "simplex_dual_edge_weight_strategy": "devex"}
-    ours = nestedot.nested.linprog(cost, A_eq=a_eq, b_eq=b_eq, options=options)
-    theirs = linprog(
-        cost, A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs", options=options
-    )
+    cost, lp = _oracle_lp(*pair(), monkeypatch)
+    ours = nestedot.nested.linprog(cost, **lp)
+    theirs = linprog(cost, A_eq=lp["A_eq"], b_eq=lp["b_eq"], method="highs")
     assert ours.success and theirs.success
-    assert ours.fun.hex() == theirs.fun.hex()
-    assert ours.x.tobytes() == theirs.x.tobytes()
-
-
-@pytest.mark.parametrize("presolve", [False, True])
-def test_lp_seam_gives_the_nit_of_scipy_linprog(monkeypatch, presolve):
-    from scipy.optimize import linprog
-
-    for mu, nu in [_pool()[2], (_walk(6, 1.0, 0.6875), _walk(6, 0.25, 0.75))]:
-        cost, a_eq, b_eq = _oracle_lp(mu, nu, monkeypatch)
-        options = {"presolve": presolve, "simplex_dual_edge_weight_strategy": "devex"}
-        ours = nestedot.nested.linprog(cost, A_eq=a_eq, b_eq=b_eq, options=options)
-        theirs = linprog(
-            cost, A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None), method="highs", options=options
-        )
-        assert ours.nit == theirs.nit > 0
+    assert ours.fun == pytest.approx(theirs.fun, rel=1e-12)
 
 
 def test_lp_seam_flags_an_optimal_answer_that_misses_a_row(monkeypatch):
-    # HiGHS reports Optimal, but its solution misses row 0 by 1e-3: linprog's
-    # check of the answer must still refuse it.
+    # HiGHS reports Optimal, but its solution misses row 0 by 1e-3, or
+    # holds a mass of -1e-9, below -SNAP: the seam's check must refuse it.
     core = importlib.import_module("scipy.optimize._highspy._core")
     real = core._Highs
 
-    class Missing:
-        def __init__(self):
-            self._highs = real()
+    def missing_row(solution):
+        solution.row_value = [solution.row_value[0] + 1e-3, *solution.row_value[1:]]
 
-        def __getattr__(self, name):
-            return getattr(self._highs, name)
+    def negative_mass(solution):
+        solution.col_value = [*solution.col_value[:-1], -1e-9]
 
-        def getSolution(self):
-            solution = self._highs.getSolution()
-            solution.row_value = [solution.row_value[0] + 1e-3, *solution.row_value[1:]]
-            return solution
+    cost, lp = _oracle_lp(*_pool()[0], monkeypatch)
+    for spoil in (missing_row, negative_mass):
 
-    cost, a_eq, b_eq = _oracle_lp(*_pool()[0], monkeypatch)
-    monkeypatch.setattr(core, "_Highs", Missing)
-    options = {"presolve": False, "simplex_dual_edge_weight_strategy": "devex"}
-    res = nestedot.nested.linprog(cost, A_eq=a_eq, b_eq=b_eq, options=options)
-    assert not res.success
-    assert res.message == (
-        "HiGHS model status Optimal, but x >= 0 or A_eq x = b_eq is missed by more than 3.16e-04"
-    )
-    with pytest.raises(RuntimeError, match="missed by more than"):
-        brute_force_bicausal(*_pool()[0], M2)
+        class Spoiled:
+            def __init__(self):
+                self._highs = real()
+
+            def __getattr__(self, name):
+                return getattr(self._highs, name)
+
+            def getSolution(self):
+                solution = self._highs.getSolution()
+                spoil(solution)
+                return solution
+
+        monkeypatch.setattr(core, "_Highs", Spoiled)
+        res = nestedot.nested.linprog(cost, **lp)
+        assert not res.success
+        assert res.message == (
+            "HiGHS model status Optimal, but a mass is below -SNAP"
+            " or a row is missed by more than TOL"
+        )
+        with pytest.raises(RuntimeError, match="missed by more than TOL"):
+            brute_force_bicausal(*_pool()[0], M2)
 
 
 def test_lp_seam_builds_no_highs_lp(monkeypatch):
-    # The model goes to HiGHS as arrays.  A pool pair and the pair that is
-    # solved again with presolve give the same bits with HighsLp refused.
+    # The model goes to HiGHS as arrays.  A pool pair and the truncated walk
+    # pair give the same bits with HighsLp refused.
     core = importlib.import_module("scipy.optimize._highspy._core")
     pairs = [
         (*_pool()[0], M2),
@@ -719,7 +703,7 @@ def test_lp_seam_builds_no_highs_lp(monkeypatch):
         return lps, [(oracle.distance.hex(), oracle.plan.entries) for oracle in oracles]
 
     expected = answers()
-    assert len(expected[0]) == 3  # the walk pair takes two calls
+    assert len(expected[0]) == 2  # one call per solve
 
     def refuse(*args, **kwargs):
         raise AssertionError("HighsLp built")
@@ -738,20 +722,6 @@ def test_oracle_does_not_call_scipy_linprog(monkeypatch):
     mu, nu = fan_vs_merged(2)
     oracle = brute_force_bicausal(mu, nu, M2)
     assert oracle.distance == pytest.approx(nested_distance(mu, nu, M2).distance, abs=1e-8)
-
-
-def test_lp_seam_reports_an_infeasible_lp():
-    # One variable with rows x = 1 and x = 2.
-    import scipy.sparse
-
-    for presolve in (False, True):
-        res = nestedot.nested.linprog(
-            np.array([1.0]), A_eq=scipy.sparse.csr_matrix(np.ones((2, 1))),
-            b_eq=np.array([1.0, 2.0]),
-            options={"presolve": presolve, "simplex_dual_edge_weight_strategy": "devex"},
-        )
-        assert not res.success and res.x is None
-        assert res.message == "HiGHS model status Infeasible"
 
 
 def test_oracle_rejects_overflowing_costs():
