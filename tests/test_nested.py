@@ -51,7 +51,7 @@ from nestedot.nested import (
     compose_plan,
     tree_classes,
 )
-from nestedot.tolerances import ORACLE_TOL, SNAP
+from nestedot.tolerances import ORACLE_TOL, SNAP, TOL
 from path_pair_oracle import path_pair_bicausal
 from reference import node_at
 from test_transport import _masses, _pinned_instances
@@ -620,25 +620,87 @@ def test_kr_start_cuts_the_simplex_iterations(monkeypatch):
         assert call["result"].fun == pytest.approx(cold.fun, rel=1e-12)
 
 
-@pytest.mark.parametrize(
-    "pair",
-    [
-        lambda: tuple(full_tree([4, 3, 3], w, v) for w, v in _FULL_TREE_LAWS),
-        lambda: (_walk(6, 1.0, 0.6875), _walk(6, 0.25, 0.75)),
-        lambda: tuple(full_tree([5, 5, 4], w, v) for w, v in _FULL_TREE_LAWS),
-    ],
-    ids=["4x3x3", "walks", "size-guard"],
-)
-def test_lp_seam_matches_scipy_linprog(monkeypatch, pair):
-    # The seam calls scipy's HiGHS bindings itself; if a scipy release moves
-    # or changes them, its optimum must still be linprog's.
+def _recording_highs(monkeypatch):
+    """Wrap scipy's ``_Highs`` so that each run appends the model HiGHS holds
+    and its simplex iteration count; returns the list."""
+    core = importlib.import_module("scipy.optimize._highspy._core")
+    real, runs = core._Highs, []
+
+    class Recording:
+        def __init__(self):
+            self._highs = real()
+
+        def __getattr__(self, name):
+            return getattr(self._highs, name)
+
+        def run(self):
+            status = self._highs.run()
+            runs.append((self._highs.getLp(), self._highs.getInfo().simplex_iteration_count))
+            return status
+
+    monkeypatch.setattr(core, "_Highs", Recording)
+    return runs
+
+
+def _lp_bits(lp):
+    """The bytes of a ``HighsLp``'s sizes, bounds, costs and matrix."""
+    matrix = lp.a_matrix_
+    arrays = [lp.col_cost_, lp.col_lower_, lp.col_upper_, lp.row_lower_, lp.row_upper_]
+    return (
+        lp.num_col_, lp.num_row_, lp.a_matrix_.format_,
+        *(np.asarray(a, float).tobytes() for a in arrays),
+        *(np.asarray(a, np.int64).tobytes() for a in (matrix.start_, matrix.index_)),
+        np.asarray(matrix.value_, float).tobytes(),
+    )
+
+
+def _scipy_linprog(cost, lp, presolve):
+    """``scipy.optimize.linprog`` on the seam's LP at the seam's feasibility
+    tolerances, with presolve on or off."""
     from scipy.optimize import linprog
 
+    options = {
+        "presolve": presolve,
+        "primal_feasibility_tolerance": TOL,
+        "dual_feasibility_tolerance": TOL,
+    }
+    return linprog(cost, A_eq=lp["A_eq"], b_eq=lp["b_eq"], method="highs", options=options)
+
+
+@pytest.mark.parametrize(
+    "pair, presolve",
+    [
+        (lambda: tuple(full_tree([4, 3, 3], w, v) for w, v in _FULL_TREE_LAWS), False),
+        (lambda: (_walk(6, 1.0, 0.6875), _walk(6, 0.25, 0.75)), False),
+        (lambda: (_walk(6, 1.0, 0.6875), _walk(6, 0.25, 0.75)), True),
+        (lambda: tuple(full_tree([5, 5, 4], w, v) for w, v in _FULL_TREE_LAWS), False),
+    ],
+    ids=["4x3x3", "walks-no-presolve", "walks-presolve", "size-guard"],
+)
+def test_lp_seam_gives_the_bits_of_scipy_linprog(monkeypatch, pair, presolve):
+    # The seam calls scipy's HiGHS bindings itself; if a scipy release moves
+    # or changes them, HiGHS must still hold linprog's model, bit for bit,
+    # and the seam's optimum must still be linprog's.
     cost, lp = _oracle_lp(*pair(), monkeypatch)
+    runs = _recording_highs(monkeypatch)
     ours = nestedot.nested.linprog(cost, **lp)
-    theirs = linprog(cost, A_eq=lp["A_eq"], b_eq=lp["b_eq"], method="highs")
+    theirs = _scipy_linprog(cost, lp, presolve)
     assert ours.success and theirs.success
+    assert len(runs) == 2
+    assert _lp_bits(runs[0][0]) == _lp_bits(runs[1][0])
     assert ours.fun == pytest.approx(theirs.fun, rel=1e-12)
+
+
+@pytest.mark.parametrize("presolve", [False, True])
+def test_lp_seam_gives_the_nit_of_scipy_linprog(monkeypatch, presolve):
+    # Both give HiGHS's simplex iteration count of their own run as ``nit``.
+    for mu, nu in [_pool()[2], (_walk(6, 1.0, 0.6875), _walk(6, 0.25, 0.75))]:
+        cost, lp = _oracle_lp(mu, nu, monkeypatch)
+        runs = _recording_highs(monkeypatch)
+        ours = nestedot.nested.linprog(cost, **lp)
+        theirs = _scipy_linprog(cost, lp, presolve)
+        assert [ours.nit, theirs.nit] == [nit for _, nit in runs]
+        assert 0 <= ours.nit < theirs.nit
 
 
 def test_lp_seam_flags_an_optimal_answer_that_misses_a_row(monkeypatch):
@@ -722,6 +784,19 @@ def test_oracle_does_not_call_scipy_linprog(monkeypatch):
     mu, nu = fan_vs_merged(2)
     oracle = brute_force_bicausal(mu, nu, M2)
     assert oracle.distance == pytest.approx(nested_distance(mu, nu, M2).distance, abs=1e-8)
+
+
+def test_lp_seam_reports_an_infeasible_lp():
+    # Rows x0 + x1 = 1 and x0 - x1 = 3, from the basis of both columns: the
+    # rows' one solution has x1 = -1.
+    import scipy.sparse
+
+    res = nestedot.nested.linprog(
+        np.array([1.0, 1.0]), A_eq=scipy.sparse.csr_matrix([[1.0, 1.0], [1.0, -1.0]]),
+        b_eq=np.array([1.0, 3.0]), start=np.array([True, True]),
+    )
+    assert not res.success and res.x is None
+    assert res.message == "HiGHS model status Infeasible"
 
 
 def test_oracle_rejects_overflowing_costs():
