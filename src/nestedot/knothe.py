@@ -8,8 +8,8 @@ order, so this monotone coupling is the northwest-corner plan of the two
 value-sorted conditionals, built by the rule (and with the rounding) of
 the transportation simplex's start, once per pair of subtree classes.
 Given a metric, the plan is priced as it is composed
-(``plans.compose_priced_plan``), with the bits of ``Coupling.cost`` and
-no numpy array, so ``compute kr`` never loads numpy.
+(``plans.compose_priced_plan``), by the list pricer of ``Coupling.cost``
+and with its bits, so ``compute kr`` never loads numpy.
 The ``demo kr-gap`` command compares :func:`kr_distance` with the nested
 distance on the stress families of :mod:`nestedot.families`.
 """

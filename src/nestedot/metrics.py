@@ -19,11 +19,11 @@ def add_stages(stage_costs: Iterable):
     """The path cost of one path pair from its per-stage costs (floats), or
     of many path pairs at once (arrays): the stages are added one by one,
     stage 1 first.  Every path cost of the package is added in this one
-    order, so all have the same bits: here, or as the running cost of a
-    node pair in the plan composer's walk (``plans._walk``), which prices
-    Knothe-Rosenblatt plans.  ``sum`` is not used, as from Python 3.12 on
-    it compensates float sums.  A sum past the float range is rejected.
-    """
+    order, so all have the same bits: here (``GroundMetric.path_cost``, the
+    stage layout of W and the oracle), or as a running sum in ``plans``
+    (``Coupling.cost``, and the walk that prices Knothe-Rosenblatt plans).
+    ``sum`` is not used, as from Python 3.12 on it compensates float sums.
+    A sum past the float range is rejected."""
     total = 0.0
     with np.errstate(over="ignore"):  # an overflow is inf, rejected below
         for cost in stage_costs:

@@ -347,7 +347,8 @@ def brute_force_bicausal(
     unconstrained.  The parent positions, probabilities and per-stage base
     costs d(x_i, y_j)^p come from ``_stage_layout``, which rejects a leaf
     pair whose path cost passes the float range before the LP runs.  The
-    plan is read off the stage-N pairs.  The size guard counts leaf pairs.
+    plan keeps every positive stage-N mass: a cell cut below ``SNAP``
+    would tilt a light node pair's kernel.  The size guard counts leaf pairs.
 
     One ``linprog`` call runs HiGHS's primal simplex from the
     Knothe-Rosenblatt vertex, read off the probabilities alone: the root
@@ -399,7 +400,7 @@ def brute_force_bicausal(
     leaf_pairs = res.x[first:]  # leaf pair (a, b) of ranks a, b is cell a * len(nu.leaves) + b
 
     def plan() -> Coupling:
-        cells = np.flatnonzero(leaf_pairs > SNAP)
+        cells = np.flatnonzero(leaf_pairs > 0.0)
         return Coupling.of_leaves(mu, nu, cells.tolist(), leaf_pairs[cells].tolist())
 
     return NestedResult(metric.root(float(res.fun)), plan)

@@ -6,10 +6,12 @@ and each entry as a pair of path ranks, so composing, pricing and writing
 a plan build no path per entry.  ``compose_plan`` walks the node pairs of
 two trees top-down from the class pairs' plans, for the nested distance
 (``nested.nested_distance``) and the Knothe-Rosenblatt rearrangement
-(``knothe.kr_coupling``).  ``Coupling.cost`` prices any plan, one
-``base_cost`` per distinct value pair of a stage, on numpy arrays;
-``compose_priced_plan`` prices a plan as it is composed instead, with the
-same bits and on lists, so the KR distance never loads numpy.
+(``knothe.kr_coupling``).  Every plan is priced by one algorithm, on
+lists: ``metric.base_cost`` once per distinct value pair (``_BaseCosts``),
+a running path cost per leaf pair, stage 1 first, and one ``fsum`` of mass
+times path cost that also holds the one overflow rule (``_total``).
+``Coupling.cost`` runs it on a finished plan and ``compose_priced_plan``
+as the plan is composed, with the same bits; neither loads numpy.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ import operator
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import ValidationError
-from .metrics import PATH_COST_OVERFLOW, GroundMetric, add_stages
-from .transport import np
+from .metrics import PATH_COST_OVERFLOW, GroundMetric
 from .tree import ScenarioTree
 
 
@@ -42,15 +43,6 @@ def _ranked(paths: Iterable) -> tuple[tuple[tuple[float, ...], ...], list[int]]:
     return tuple(distinct), [rank[p] for p in paths]
 
 
-def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values in order, and the position among them of each
-    value, in the shape of ``values``: ``np.unique`` with its inverse, at a
-    fraction of its fixed cost on a small plan."""
-    ordered = np.sort(values, axis=None)
-    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-    return distinct, np.searchsorted(distinct, values)
-
-
 class Coupling:
     """Joint mass assignment over pairs of root-to-leaf paths.
 
@@ -61,7 +53,7 @@ class Coupling:
     (``io.coupling_from_json``) call, interns the entries' paths as it
     reads them; a solver hands over the two trees' leaf paths and
     leaf-rank cells (``of_leaves``), so its path lists can hold leaves
-    that no entry uses (a leaf of mass below ``SNAP`` in an oracle plan).
+    that no entry uses (a leaf that an oracle plan gives no mass).
     Both go through ``__post_init__``, which checks the masses and orders
     the cells.
     ``entries`` is built on its first read, and ``==`` compares entries.
@@ -142,35 +134,30 @@ class Coupling:
         """Total p-th-power transport cost of the plan.
 
         ``metric.base_cost`` runs once per distinct value pair that the
-        entries meet at any stage.  Each entry's path cost gathers those and
-        adds its stages by ``add_stages``, as ``GroundMetric.path_cost``
-        does, which rejects a sum past the float range.  The total is one
-        ``fsum`` of mass times path cost, so it has the bits of the
-        entry-by-entry sum.  It is the general pricer, of any plan; the
-        Knothe-Rosenblatt plans are priced as they are composed
-        (``compose_priced_plan``), with the same bits and no array.
-        """
+        entries meet at any stage (``_BaseCosts``).  Each entry's path cost
+        is a running sum, stage 1 first, as ``add_stages`` adds it, and
+        ``_total`` takes the ``fsum`` of mass times path cost: the bits of
+        the entry-by-entry sum.  ``compose_priced_plan`` prices a plan as
+        it is composed, with the same memo and total."""
         if not self.cells:
             return 0.0
         depth = len(self.mu_paths[0])
         odd = [len(p) for p in self.mu_paths + self.nu_paths if len(p) != depth]
         if odd:
             raise ValidationError(f"path length mismatch: {depth} vs {odd[0]}")
-        rows, cols = np.divmod(np.array(self.cells), len(self.nu_paths))
-        xs, x_at = _distinct(np.array(self.mu_paths))
-        ys, y_at = _distinct(np.array(self.nu_paths))
-        width = len(ys)
-        pairs, pair_at = _distinct(x_at[rows] * width + y_at[cols])  # per entry and stage
-        xs, ys = xs.tolist(), ys.tolist()  # Python floats: ``**`` as in base_cost
-        table = np.array([metric.base_cost(xs[k // width], ys[k % width]) for k in pairs.tolist()])
-        path_cost = add_stages(table[pair_at].T)
-        return math.fsum((np.array(self.masses) * path_cost).tolist())
+        base, width, costs = _BaseCosts(metric), len(self.nu_paths), []
+        for cell in self.cells:
+            cost = 0.0
+            for pair in zip(self.mu_paths[cell // width], self.nu_paths[cell % width]):
+                cost = cost + base[pair]
+            costs.append(cost)
+        return _total(metric, self, self.cells, self.masses, costs)
 
 
 class _BaseCosts(dict):
     """``metric.base_cost`` of each value pair, computed on first use.  A
     base distance whose power passes the float range costs ``inf`` here,
-    so that only a kept leaf pair rejects it (``compose_priced_plan``)."""
+    so that only a priced leaf pair rejects it (``_total``)."""
 
     def __init__(self, metric: GroundMetric):
         super().__init__()
@@ -183,6 +170,27 @@ class _BaseCosts(dict):
             cost = math.inf
         self[pair] = cost
         return cost
+
+
+def _total(
+    metric: GroundMetric, plan: Coupling, cells: list[int], masses: list[float], costs: list[float]
+) -> float:
+    """The ``fsum`` of mass times path cost over cells of ``plan``, in any
+    order.  The one overflow rule of plan pricing: a path cost past the
+    float range is rejected by the first value pair, in sorted order, of
+    such cells whose base cost overflows, else as ``PATH_COST_OVERFLOW``."""
+    if not all(map(math.isfinite, costs)):
+        mu_paths, nu_paths, width = plan.mu_paths, plan.nu_paths, len(plan.nu_paths)
+        met = {
+            pair
+            for cell, cost in zip(cells, costs)
+            if not math.isfinite(cost)
+            for pair in zip(mu_paths[cell // width], nu_paths[cell % width])
+        }
+        for x, y in sorted(met):  # a base cost that overflows is named first
+            metric.base_cost(x, y)
+        raise ValidationError(PATH_COST_OVERFLOW)
+    return math.fsum(map(operator.mul, masses, costs))
 
 
 def _walk(
@@ -265,23 +273,9 @@ def compose_priced_plan(
 
     Each stage's value pair goes through ``metric.base_cost`` once, and
     each leaf pair's path cost is added up as ``add_stages`` adds it.  The
-    cost is the ``fsum`` of mass times path cost: the terms that
-    ``Coupling.cost`` adds, correctly rounded, so it has that method's bits
-    without an array.  A kept leaf pair whose path cost passes the float
-    range is rejected as ``Coupling.cost`` rejects it: by the first value
-    pair in order whose base cost overflows, else as ``PATH_COST_OVERFLOW``.
+    cost and its overflow check are ``_total``'s, as in ``Coupling.cost``,
+    so it has that method's bits and messages.
     """
     cells, masses, costs = _walk(mu, nu, of_mu, of_nu, plan_of, _BaseCosts(metric))
     plan = Coupling.of_leaves(mu, nu, cells, masses)
-    if math.inf in costs:
-        width, leaves_mu, leaves_nu = len(nu.leaves), mu.paths[mu.depth], nu.paths[nu.depth]
-        met = {
-            pair
-            for cell, cost in zip(cells, costs)
-            if cost == math.inf
-            for pair in zip(leaves_mu[cell // width], leaves_nu[cell % width])
-        }
-        for x, y in sorted(met):  # a base cost that overflows is named first
-            metric.base_cost(x, y)
-        raise ValidationError(PATH_COST_OVERFLOW)
-    return plan, math.fsum(map(operator.mul, masses, costs))
+    return plan, _total(metric, plan, cells, masses, costs)

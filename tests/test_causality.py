@@ -14,7 +14,6 @@ from nestedot import (
     GroundMetric,
     NotCausalError,
     ValidationError,
-    brute_force_bicausal,
     build_tree,
     is_bicausal,
     is_causal,
@@ -195,13 +194,13 @@ def test_plan_paths_snap_to_leaf_paths():
 
 
 def test_plan_that_misses_a_tiny_leaf_is_checked_without_nu():
-    # The oracle keeps only cells above SNAP, so the nu leaf of mass 1e-13
-    # gets no entry, while the plan still holds that leaf's path.  With nu
-    # omitted the checkers rebuild nu from the entries, where that path is
-    # no leaf path; only the paths the entries use are matched.
+    # A solver's plan holds both trees' leaf paths (``Coupling.of_leaves``),
+    # so the nu leaf of mass 1e-13 keeps its path though no entry uses it.
+    # With nu omitted the checkers rebuild nu from the entries, where that
+    # path is no leaf path; only the paths the entries use are matched.
     mu = build_tree([((0.0, 0.0), 0.5), ((0.0, 1.0), 0.5)])
     nu = build_tree([((0.0, 0.0), 0.5), ((1.0, 2.0), 0.5 - 1e-13), ((1.0, 3.0), 1e-13)])
-    plan = brute_force_bicausal(mu, nu, M2).plan
+    plan = Coupling.of_leaves(mu, nu, [0, 1, 3, 4], [0.25, 0.25, 0.25, 0.24999999999990002])
     assert (1.0, 3.0) in plan.nu_paths
     assert (1.0, 3.0) not in {e.nu_path for e in plan.entries}
     assert is_causal(plan, mu).is_causal

@@ -36,6 +36,7 @@ from nestedot.io import (
     save_nested,
     save_tree,
 )
+from nestedot.tolerances import ORACLE_TOL
 from test_nested import _walk
 
 
@@ -786,6 +787,28 @@ def test_oracle_mismatch_exits_3(pair_files, capsys, monkeypatch):
     assert err.startswith("oracle mismatch: LP values ")
 
 
+@pytest.mark.parametrize(
+    "value, oracle_value",
+    [(3343800934.097259, 3343800934.0972595), (1000000030004.4099, 1000000030004.4097)],
+)
+def test_oracle_values_a_rounding_apart_pass(pair_files, capsys, monkeypatch, value, oracle_value):
+    # LP values one or two ulps apart: far above ORACLE_TOL at 3e9 and 1e12,
+    # but within ROUNDING of the larger value.  At p = 1 a distance is its
+    # LP value.
+    for name, distance in (("nested_distance", value), ("brute_force_bicausal", oracle_value)):
+        monkeypatch.setattr(cli, name, lambda mu, nu, metric, d=distance: NestedResult(d, None))
+    assert abs(value - oracle_value) > ORACLE_TOL
+    mu, nu = pair_files
+    code, report, err = run(
+        capsys, "compute", "nested", "--mu", str(mu), "--nu", str(nu), "--p", "1", "--oracle"
+    )
+    assert code == 0 and err == ""
+    assert report["oracle_check"] == "ok"
+    assert (report["results"]["distance"], report["results"]["oracle_distance"]) == (
+        value, oracle_value
+    )
+
+
 def test_infeasible_oracle_lp_exits_4(pair_files, capsys, monkeypatch):
     # The real seam on the root row π_0 = -1, which no x >= 0 meets.
     real = nestedot.nested.linprog
@@ -1237,6 +1260,44 @@ def test_path_cost_overflow_exits_2_without_numpy(tmp_path):
     argv["kr"] = argv["nested"]
     results = _run_without("numpy", [["compute", what, *a] for what, a in argv.items()])
     assert results == [[2, f"invalid input: {PATH_COST_OVERFLOW}\n"]] * 3
+
+
+# Prices two-entry plans in a fresh interpreter in which numpy cannot be
+# imported; the first argument is a JSON list of second nu paths.  Prints
+# each cost's hex or its ValidationError's message.
+PRICES_WITHOUT_NUMPY = """
+import json, sys
+sys.modules["numpy"] = None
+from nestedot import Coupling, CouplingEntry, GroundMetric, ValidationError
+
+results = []
+for nu_path in json.loads(sys.argv[1]):
+    plan = Coupling([
+        CouplingEntry((0.0, 0.0), (1.0, 2.0), 0.25),
+        CouplingEntry((0.0, 0.0), tuple(nu_path), 0.75),
+    ])
+    try:
+        results.append(plan.cost(GroundMetric.usual(2.0)).hex())
+    except ValidationError as exc:
+        results.append(str(exc))
+print(json.dumps(results))
+"""
+
+
+def test_plan_cost_runs_without_numpy():
+    # Coupling.cost prices on lists: a value and both overflow messages come
+    # out when numpy cannot even be imported.
+    nu_paths = [[3.0, 4.0], [1e154, 1e154], [1e300, 0.0]]
+    proc = subprocess.run(
+        [sys.executable, "-c", PRICES_WITHOUT_NUMPY, json.dumps(nu_paths)],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        (0.25 * (1.0 + 4.0) + 0.75 * (9.0 + 16.0)).hex(),
+        PATH_COST_OVERFLOW,
+        "cost overflows: base distance 1e+300 to the power 2.0",
+    ]
 
 
 # Runs CLI commands in a fresh interpreter, with numpy blocked if the first

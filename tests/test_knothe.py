@@ -286,11 +286,16 @@ PRICED_METRICS = [
 
 
 def _priced(mu, nu, metric):
-    """The KR plan priced as it is composed, checked against ``Coupling.cost``
-    bit for bit: the same terms, each correctly rounded, in any order."""
+    """The KR plan priced as it is composed, checked bit for bit against
+    ``Coupling.cost`` and against the entry-by-entry ``fsum`` of
+    ``metric.path_cost``, a reference that shares no code with the walk:
+    the same terms, each correctly rounded, in any order."""
     kr = kr_coupling(mu, nu, metric)
     assert kr.coupling == kr_coupling(mu, nu).coupling
     assert kr.cost.hex() == kr.coupling.cost(metric).hex()
+    entries = kr.coupling.entries
+    want = math.fsum(e.mass * metric.path_cost(e.mu_path, e.nu_path) for e in entries)
+    assert kr.cost.hex() == want.hex()
     return kr
 
 

@@ -427,6 +427,37 @@ def test_oracle_solves_the_old_negative_vertex_pair_in_one_call(monkeypatch):
     assert is_bicausal(oracle.plan, mu, nu).is_bicausal
 
 
+def test_oracle_plan_keeps_every_positive_leaf_cell():
+    # Values far apart under a cap of 0.5 make every base cost 0.25 but
+    # where values are equal, so the LP is degenerate; HiGHS's vertex puts
+    # 2.7e-13 and 1.9e-14 on two leaf cells under the node pair
+    # ((17, 15), (19, 3)), whose mass is below 1e-9.  Cut at SNAP, the plan
+    # tilts that pair's kernels by up to 3.4e-4 and is not bicausal; with
+    # every positive cell it is.  Found in a seeded sweep of 600 random
+    # pairs of depth 1-3 with values up to 1e9 and weights down to 1e-6,
+    # where a SNAP cut left 24 oracle plans failing ``is_bicausal`` and
+    # keeping every positive cell left 7.
+    metric = GroundMetric.truncated(2.0, 0.5)
+    mu = build_tree([
+        ((17.0, 11.0, 0.0), 0.19272770648619797), ((17.0, 11.0, 2.0), 0.04652816479093508),
+        ((17.0, 11.0, 8.0), 0.0004040872822952308), ((17.0, 15.0, 9.0), 0.7603228121505978),
+        ((17.0, 15.0, 10.0), 1.7229289973950783e-05),
+    ])
+    nu = build_tree([
+        ((12.0, 5.0, 18.0), 0.9998864998057845), ((19.0, 1.0, 4.0), 3.2267441759103535e-05),
+        ((19.0, 1.0, 6.0), 2.2443422529877253e-08), ((19.0, 3.0, 7.0), 8.516858773227493e-10),
+        ((19.0, 3.0, 14.0), 2.8596922567945885e-13), ((19.0, 16.0, 13.0), 8.120945706205039e-05),
+    ])
+    oracle = brute_force_bicausal(mu, nu, metric)
+    assert abs(oracle.distance**2 - nested_distance(mu, nu, metric).distance**2) <= ORACLE_TOL
+    plan = oracle.plan
+    assert sum(m <= SNAP for m in plan.masses) == 2
+    assert is_bicausal(plan, mu, nu).is_bicausal
+    kept = [(c, m) for c, m in zip(plan.cells, plan.masses) if m > SNAP]
+    cut = Coupling.of_leaves(mu, nu, *map(list, zip(*kept)))
+    assert not is_bicausal(cut, mu, nu).is_bicausal
+
+
 def test_kr_start_needs_no_second_call_on_the_old_negative_vertex_pair(monkeypatch):
     # From HiGHS's own start this pair ended on a mass of -6e-8 and was
     # solved twice; from the Knothe-Rosenblatt vertex one call ends at x >= 0.
@@ -919,6 +950,20 @@ def test_plan_cost_overflow_is_named(nu_path, message):
     plan = Coupling(
         [CouplingEntry((0.0, 0.0), (0.0, 0.0), 0.5), CouplingEntry((0.0, 0.0), nu_path, 0.5)]
     )
+    with pytest.raises(ValidationError) as exc:
+        plan.cost(M2)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ([((0.0, 0.0), (1.0, 1.0)), ((0.0,), (1.0,))], "path length mismatch: 1 vs 2"),
+        ([((0.0, 0.0), (1.0, 1.0)), ((1.0, 0.0), (1.0,))], "path length mismatch: 2 vs 1"),
+    ],
+)
+def test_plan_cost_rejects_mixed_path_lengths(entries, message):
+    plan = Coupling([CouplingEntry(x, y, 0.5) for x, y in entries])
     with pytest.raises(ValidationError) as exc:
         plan.cost(M2)
     assert str(exc.value) == message

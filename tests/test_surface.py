@@ -155,6 +155,23 @@ def test_only_tree_and_io_read_node_ids():
     assert found == []
 
 
+def test_only_metrics_nested_and_cli_take_the_numpy_handle():
+    # numpy is imported on first use through ``transport.np``.  The modules
+    # that take that handle are pinned, so that an array pricer cannot come
+    # back into ``plans`` unnoticed; ``transport`` defines it, and
+    # ``families`` names numpy only under TYPE_CHECKING.
+    src = Path(nestedot.__file__).parent
+    handle, numpy = [], []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level and node.module == "transport":
+                handle += [path.stem for alias in node.names if alias.name == "np"]
+            elif isinstance(node, ast.Import):
+                numpy += [path.stem for alias in node.names if alias.name == "numpy"]
+    assert handle == ["cli", "metrics", "nested"]
+    assert numpy == ["families", "transport"]
+
+
 def _module_level_names(module: ast.Module) -> set[str]:
     names = set()
     for node in module.body:
