@@ -8,8 +8,8 @@ order, so this monotone coupling is the northwest-corner plan of the two
 value-sorted conditionals, built by the rule (and with the rounding) of
 the transportation simplex's start, once per pair of subtree classes.
 Given a metric, the plan is priced as it is composed
-(``plans.compose_priced_plan``), by the list pricer of ``Coupling.cost``
-and with its bits, so ``compute kr`` never loads numpy.
+(``plans.compose_plan``), by the list pricer of ``Coupling.cost`` and
+with its bits, so ``compute kr`` never loads numpy.
 The ``demo kr-gap`` command compares :func:`kr_distance` with the nested
 distance on the stress families of :mod:`nestedot.families`.
 """
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .metrics import GroundMetric
 from .nested import check_depths, tree_classes
-from .plans import Coupling, compose_plan, compose_priced_plan
+from .plans import Coupling, compose_plan
 from .transport import _northwest_corner
 from .tree import ScenarioTree
 
@@ -42,8 +42,9 @@ def kr_coupling(
     subtree classes, so the northwest-corner rule runs once per class pair
     that ``compose_plan`` reaches.  The rule treats rows and columns alike,
     so swapping the arguments transposes the plan exactly.  Given a
-    ``metric``, the plan is priced as it is composed: ``cost`` equals
-    ``coupling.cost(metric)`` bit for bit.
+    ``metric``, ``compose_plan`` prices the plan as it composes it:
+    ``cost`` equals ``coupling.cost(metric)`` bit for bit.  Without one,
+    ``cost`` is ``None``.
     """
     check_depths(mu, nu)
     classes_mu, of_mu = tree_classes(mu)
@@ -53,9 +54,7 @@ def kr_coupling(
         laws = [m for _, m, _ in classes_mu.keys[ca]], [m for _, m, _ in classes_nu.keys[cb]]
         return _northwest_corner(*laws)[0]
 
-    if metric is None:
-        return KRCoupling(compose_plan(mu, nu, of_mu, of_nu, plan_of))
-    return KRCoupling(*compose_priced_plan(mu, nu, of_mu, of_nu, plan_of, metric))
+    return KRCoupling(*compose_plan(mu, nu, of_mu, of_nu, plan_of, metric))
 
 
 def kr_distance(mu: ScenarioTree, nu: ScenarioTree, metric: GroundMetric) -> float:

@@ -200,7 +200,7 @@ def nested_distance(
     total = solved[of_mu[0][0], of_nu[0][0]][0]
     return NestedResult(
         metric.root(total),
-        lambda: compose_plan(mu, nu, of_mu, of_nu, lambda ca, cb: solved[ca, cb][1]),
+        lambda: compose_plan(mu, nu, of_mu, of_nu, lambda ca, cb: solved[ca, cb][1])[0],
     )
 
 

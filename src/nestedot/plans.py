@@ -10,8 +10,8 @@ two trees top-down from the class pairs' plans, for the nested distance
 lists: ``metric.base_cost`` once per distinct value pair (``_BaseCosts``),
 a running path cost per leaf pair, stage 1 first, and one ``fsum`` of mass
 times path cost that also holds the one overflow rule (``_total``).
-``Coupling.cost`` runs it on a finished plan and ``compose_priced_plan``
-as the plan is composed, with the same bits; neither loads numpy.
+``Coupling.cost`` runs it on a finished plan and ``compose_plan``, given a
+metric, as the plan is composed, with the same bits; neither loads numpy.
 """
 
 from __future__ import annotations
@@ -137,8 +137,8 @@ class Coupling:
         entries meet at any stage (``_BaseCosts``).  Each entry's path cost
         is a running sum, stage 1 first, as ``add_stages`` adds it, and
         ``_total`` takes the ``fsum`` of mass times path cost: the bits of
-        the entry-by-entry sum.  ``compose_priced_plan`` prices a plan as
-        it is composed, with the same memo and total."""
+        the entry-by-entry sum.  ``compose_plan``, given a metric, prices a
+        plan as it is composed, with the same memo and total."""
         if not self.cells:
             return 0.0
         depth = len(self.mu_paths[0])
@@ -178,7 +178,9 @@ def _total(
     """The ``fsum`` of mass times path cost over cells of ``plan``, in any
     order.  The one overflow rule of plan pricing: a path cost past the
     float range is rejected by the first value pair, in sorted order, of
-    such cells whose base cost overflows, else as ``PATH_COST_OVERFLOW``."""
+    such cells whose base cost overflows, else as ``PATH_COST_OVERFLOW``,
+    as is a total past the float range (only masses that sum above 1 can
+    take finite path costs there)."""
     if not all(map(math.isfinite, costs)):
         mu_paths, nu_paths, width = plan.mu_paths, plan.nu_paths, len(plan.nu_paths)
         met = {
@@ -190,27 +192,39 @@ def _total(
         for x, y in sorted(met):  # a base cost that overflows is named first
             metric.base_cost(x, y)
         raise ValidationError(PATH_COST_OVERFLOW)
-    return math.fsum(map(operator.mul, masses, costs))
+    try:
+        total = math.fsum(map(operator.mul, masses, costs))
+    except OverflowError:  # fsum's partial sums passed the float range
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValidationError(PATH_COST_OVERFLOW)
+    return total
 
 
-def _walk(
+def compose_plan(
     mu: ScenarioTree,
     nu: ScenarioTree,
     of_mu: list[list[int]],
     of_nu: list[list[int]],
     plan_of: Callable[[int, int], list[list[float]]],
-    base: _BaseCosts | None,
-) -> tuple[list[int], list[float], list[float]]:
-    """The leaf-rank cells of a composed plan, their masses and, given the
-    ``base`` costs, their path costs (else zeros), in walk order.
+    metric: GroundMetric | None = None,
+) -> tuple[Coupling, float | None]:
+    """Compose a coupling top-down from the one-stage plans of class pairs,
+    and, given a ``metric``, its p-th-power cost (else ``None``).
 
-    A node is its history, so a leaf pair is reached once, with the product
-    of the fractions along its history pair as mass.  Each pushed node pair
-    carries its running path cost: 0.0, then plus each stage's base cost,
-    stage 1 first, the order of ``metrics.add_stages``.  A class pair's
-    children have the same values at every node pair of the two classes,
-    so each kept cell of its plan holds its base cost.
+    ``of_mu[t][k]`` and ``of_nu[t][k]`` give the subtree class of node k
+    of stage t (``tree_classes``), and ``plan_of(ca, cb)`` the one-stage
+    plan of a class pair, rows over ca's children and columns over cb's in
+    value order.  It is asked once per class pair reached, and its positive
+    cells are kept.  The walk holds stage positions and records the two
+    leaves' ranks (``Coupling.of_leaves``), so it builds no path.  A node
+    is its history, so a leaf pair is reached once, with the product of
+    the fractions along its history pair as mass.  Given a ``metric``, a
+    class pair's kept cells hold their children's base costs, each pushed
+    node pair a running path cost, stage 1 first (``metrics.add_stages``),
+    and the total is ``_total``'s: ``Coupling.cost``'s bits and messages.
     """
+    base = None if metric is None else _BaseCosts(metric)
     depth, width = mu.depth, len(nu.leaves)
     plans: dict[tuple[int, int], list[tuple[int, int, float, float]]] = {}
     cells: list[int] = []
@@ -237,45 +251,5 @@ def _walk(
                 kept = [(r, s, f, base[xs[i + r], ys[j + s]]) for r, s, f, _ in kept]
             plans[pair] = kept
         push([(i + r, j + s, mass * f, cost + c, t) for r, s, f, c in kept])
-    return cells, masses, costs
-
-
-def compose_plan(
-    mu: ScenarioTree,
-    nu: ScenarioTree,
-    of_mu: list[list[int]],
-    of_nu: list[list[int]],
-    plan_of: Callable[[int, int], list[list[float]]],
-) -> Coupling:
-    """Compose a coupling top-down from the one-stage plans of class pairs.
-
-    ``of_mu[t][k]`` and ``of_nu[t][k]`` give the subtree class of node k
-    of stage t (``tree_classes``), and ``plan_of(ca, cb)`` the one-stage
-    plan of a class pair, rows over ca's children and columns over cb's in
-    value order.  It is asked once per class pair reached, and its positive
-    cells are kept.  The walk holds stage positions, so it reads each
-    pair's classes by position, records the two leaves' ranks
-    (``Coupling.of_leaves``) and builds no path.
-    """
-    cells, masses, _ = _walk(mu, nu, of_mu, of_nu, plan_of, None)
-    return Coupling.of_leaves(mu, nu, cells, masses)
-
-
-def compose_priced_plan(
-    mu: ScenarioTree,
-    nu: ScenarioTree,
-    of_mu: list[list[int]],
-    of_nu: list[list[int]],
-    plan_of: Callable[[int, int], list[list[float]]],
-    metric: GroundMetric,
-) -> tuple[Coupling, float]:
-    """``compose_plan``'s coupling and its p-th-power cost, priced on the way.
-
-    Each stage's value pair goes through ``metric.base_cost`` once, and
-    each leaf pair's path cost is added up as ``add_stages`` adds it.  The
-    cost and its overflow check are ``_total``'s, as in ``Coupling.cost``,
-    so it has that method's bits and messages.
-    """
-    cells, masses, costs = _walk(mu, nu, of_mu, of_nu, plan_of, _BaseCosts(metric))
     plan = Coupling.of_leaves(mu, nu, cells, masses)
-    return plan, _total(metric, plan, cells, masses, costs)
+    return plan, None if metric is None else _total(metric, plan, cells, masses, costs)

@@ -6,6 +6,7 @@ import pytest
 import nestedot.knothe
 from nestedot import (
     Coupling,
+    CouplingEntry,
     GroundMetric,
     ValidationError,
     build_tree,
@@ -25,6 +26,8 @@ from nestedot.families import (
     random_tree_pair,
 )
 from nestedot.metrics import PATH_COST_OVERFLOW
+from nestedot.nested import backward, tree_classes
+from nestedot.plans import compose_plan
 from nestedot.tree import Node, ScenarioTree
 from reference import child_law, quantile_cost
 from test_nested import dyadic_walk, reached_class_pairs
@@ -286,16 +289,28 @@ PRICED_METRICS = [
 
 
 def _priced(mu, nu, metric):
-    """The KR plan priced as it is composed, checked bit for bit against
-    ``Coupling.cost`` and against the entry-by-entry ``fsum`` of
-    ``metric.path_cost``, a reference that shares no code with the walk:
-    the same terms, each correctly rounded, in any order."""
+    """The KR plan and the recursion's plan priced as they are composed,
+    each checked bit for bit against ``Coupling.cost`` and against the
+    entry-by-entry ``fsum`` of ``metric.path_cost``, a reference that
+    shares no code with the walk: the same terms, each correctly rounded,
+    in any order.  The recursion's plan is left out when the recursion
+    itself rejects a base cost; the KR plan is returned."""
     kr = kr_coupling(mu, nu, metric)
     assert kr.coupling == kr_coupling(mu, nu).coupling
-    assert kr.cost.hex() == kr.coupling.cost(metric).hex()
-    entries = kr.coupling.entries
-    want = math.fsum(e.mass * metric.path_cost(e.mu_path, e.nu_path) for e in entries)
-    assert kr.cost.hex() == want.hex()
+    priced = [(kr.coupling, kr.cost)]
+    (classes_mu, of_mu), (classes_nu, of_nu) = tree_classes(mu), tree_classes(nu)
+    try:
+        solved = backward(classes_mu, classes_nu, metric)
+    except ValidationError as rejected:
+        assert str(rejected).startswith("cost overflows: base distance")
+    else:
+        priced.append(compose_plan(mu, nu, of_mu, of_nu, lambda a, b: solved[a, b][1], metric))
+        assert priced[1][0] == nested_distance(mu, nu, metric).plan
+    for plan, cost in priced:
+        assert cost.hex() == plan.cost(metric).hex()
+        entries = plan.entries
+        want = math.fsum(e.mass * metric.path_cost(e.mu_path, e.nu_path) for e in entries)
+        assert cost.hex() == want.hex()
     return kr
 
 
@@ -368,3 +383,19 @@ def test_priced_overflow_is_reported_as_by_coupling_cost(mu_paths, nu_paths, mes
     with pytest.raises(ValidationError) as general:
         kr_coupling(mu, nu).coupling.cost(M2)
     assert str(priced.value) == str(general.value) == message
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        # finite path costs, masses that sum above 1: a term past the range
+        [((0.0,), (1e308,), 2.0)],
+        # finite terms whose sum is not
+        [((0.0,), (1e308,), 1.0), ((1.0,), (1.7e308,), 1.0)],
+        [((0.0,), (1e308,), 1.5), ((1.0,), (-1e308,), 1.5)],
+    ],
+)
+def test_a_total_past_the_float_range_is_reported_as_path_cost_overflow(entries):
+    with pytest.raises(ValidationError) as priced:
+        Coupling([CouplingEntry(*e) for e in entries]).cost(M1)
+    assert str(priced.value) == PATH_COST_OVERFLOW

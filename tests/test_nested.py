@@ -43,6 +43,7 @@ from nestedot.families import (
     random_tree_pair,
 )
 from nestedot.io import load_coupling, save_coupling
+from nestedot.metrics import PATH_COST_OVERFLOW
 from nestedot.nested import (
     _law,
     _sibling_intervals,
@@ -1188,12 +1189,30 @@ def test_compose_plan_asks_each_class_pair_once():
         asked.append((ca, cb))
         return solved[ca, cb][1]
 
-    plan = compose_plan(mu, nu, of_mu, of_nu, plan_of)
+    plan, _ = compose_plan(mu, nu, of_mu, of_nu, plan_of)
     assert plan == nested_distance(mu, nu, M2).plan
     assert len(asked) == len(set(asked))
     assert set(asked) == reached_class_pairs(mu, nu, plan)
     node_pairs = sum(len(mu.nodes_at_stage(t)) * len(nu.nodes_at_stage(t)) for t in range(5))
     assert len(asked) <= 55 < node_pairs
+
+
+def test_plan_composed_without_a_metric_is_not_priced():
+    # The recursion takes stage-wise expectations, so the distance is
+    # finite, but the leaf pair (0, 1e154)-(1.095e154, 0) costs
+    # 1.199e308 + 1e308 along its path, past the float range.
+    mu = build_tree([((0.0, 0.0), 0.5), ((0.0, 1e154), 0.5)])
+    nu = build_tree([((1.095e154, 0.0), 1.0)])
+    result = nested_distance(mu, nu, M2)
+    assert result.distance == 1.3034665319830808e154
+    assert len(result.plan) == 2 and is_bicausal(result.plan, mu, nu).is_bicausal
+    (classes_mu, of_mu), (classes_nu, of_nu) = tree_classes(mu), tree_classes(nu)
+    solved = backward(classes_mu, classes_nu, M2)
+    plan, cost = compose_plan(mu, nu, of_mu, of_nu, lambda a, b: solved[a, b][1])
+    assert plan == result.plan and cost is None
+    with pytest.raises(ValidationError) as priced:
+        compose_plan(mu, nu, of_mu, of_nu, lambda a, b: solved[a, b][1], M2)
+    assert str(priced.value) == PATH_COST_OVERFLOW
 
 
 def test_deep_walk_lazy_table(monkeypatch):
